@@ -25,7 +25,6 @@ from .nonlinearity import (NonlinearityConstants, SourceKind, constants_for,
                            hardy_poincare_constant, lipschitz_bound,
                            sobolev_pointwise_bound_check)
 from .operators import (BoundaryParams, DiscreteGenerator, OperatorKind, assemble,
-                        from_curvature, from_face_slopes, gauss_green_residual,
-                        weighted_norm)
+                        from_curvature, from_face_slopes, gauss_green_residual)
 
 __version__ = "0.1.0"

@@ -150,14 +150,13 @@ def build_scenario(cfg) -> evolution.Scenario:
 
 
 def _energy_report_lines(trajectory, fit=None):
-    e0 = trajectory.energies[0]
-    e_end = trajectory.energies[-1]
+    total = trajectory.energies.total
     lines = [
         f"steps: {len(trajectory.times) - 1}",
         f"t_end: {trajectory.times[-1]:.12g}",
         f"blew_up: {'yes' if trajectory.blew_up else 'no'}",
-        f"E_initial: {e0.total:.12g}",
-        f"E_final: {e_end.total:.12g}",
+        f"E_initial: {total[0]:.12g}",
+        f"E_final: {total[-1]:.12g}",
         f"state_norm_initial: {trajectory.state_norms[0]:.12g}",
         f"state_norm_final: {trajectory.state_norms[-1]:.12g}",
     ]

@@ -34,8 +34,15 @@ KERNEL_EXP_DECAY = "exp_decay"
 KERNEL_PULSE = "pulse"
 KERNEL_TABULATED = "tabulated"
 
-#: relative tolerance for the dt | tau divisibility requirement
-_DIVISIBILITY_TOL = 1e-9
+#: a time sits on the slot grid of step dt when it is within this share of
+#: tau of a whole multiple of dt; dt | tau is the case t = tau
+_SLOT_TOL = 1e-9
+
+
+def slot_index(t: float, dt: float, tau: float) -> Optional[int]:
+    """The j with |t - j dt| <= 1e-9 tau, or None when t is off the slot grid."""
+    j = round(t / dt)
+    return j if abs(j * dt - t) <= _SLOT_TOL * tau else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,15 +300,15 @@ def apply_Bstar(sub: SubdomainP, grid: Grid, full: np.ndarray) -> np.ndarray:
     return full[sub.indices(grid)]
 
 
-def inner_H(sub: SubdomainP, grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
+def inner_H(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
     """L2(P) inner product; node weight h matches the ambient quadrature."""
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     return float(grid.h * np.sum(f * g))
 
 
-def norm_H(sub: SubdomainP, grid: Grid, f: np.ndarray) -> float:
-    return math.sqrt(max(inner_H(sub, grid, f, f), 0.0))
+def norm_H(grid: Grid, f: np.ndarray) -> float:
+    return math.sqrt(max(inner_H(grid, f, f), 0.0))
 
 
 def subdomain_gain(sub: SubdomainP, generator) -> float:
@@ -332,8 +339,8 @@ class HistoryBuffer:
 
     def __init__(self, sub: SubdomainP, grid: Grid, dt: float, tau: float,
                  init: HistoryInit = None):
-        m = int(round(tau / dt))
-        if m < 1 or abs(m * dt - tau) > _DIVISIBILITY_TOL * max(tau, 1.0):
+        m = slot_index(tau, dt, tau)
+        if m is None or m < 1:
             raise ValueError(f"dt = {dt} must divide tau = {tau} exactly")
         self.sub = sub
         self.grid = grid
@@ -364,10 +371,6 @@ class HistoryBuffer:
     def _pos(self, step: int) -> int:
         return step % (self.m + 2)
 
-    @property
-    def current_time(self) -> float:
-        return self._step * self.dt
-
     def window_steps(self) -> np.ndarray:
         """Slot step indices covering [t - tau, t], oldest first."""
         return np.arange(self._step - self.m, self._step + 1)
@@ -380,8 +383,8 @@ class HistoryBuffer:
 
     def sample(self, t_query: float) -> np.ndarray:
         """Exact slot retrieval; t_query must sit on the slot grid."""
-        step = int(round(t_query / self.dt))
-        if abs(step * self.dt - t_query) > _DIVISIBILITY_TOL * max(self.tau, 1.0):
+        step = slot_index(t_query, self.dt, self.tau)
+        if step is None:
             raise QueryOutOfWindowError(f"t = {t_query} is off the slot grid")
         return self.sample_step(step)
 

@@ -32,7 +32,11 @@ from .operators import DiscreteGenerator, OperatorKind
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Summands of the energy; total is their exact arithmetic sum."""
+    """Summands of the energy; total is their exact arithmetic sum.
+
+    The fields are floats for one state, or arrays over the records of a
+    trajectory (`build` sums elementwise).
+    """
 
     kinetic: float
     elastic: float
@@ -47,11 +51,6 @@ class EnergyBreakdown:
                    source=source, history=history,
                    total=kinetic + elastic + boundary + source + history)
 
-    @classmethod
-    def non_finite(cls) -> "EnergyBreakdown":
-        inf = math.inf
-        return cls(inf, inf, inf, inf, inf, inf)
-
 
 def history_energy(kernel: Optional[KernelSpec], buffer) -> float:
     """(1/2) int_{t-tau}^{t} |k(s+tau)| ||B* y_t(s)||_H^2 ds by slot trapezoid."""
@@ -63,6 +62,22 @@ def history_energy(kernel: Optional[KernelSpec], buffer) -> float:
     weights[0] *= 0.5
     weights[-1] *= 0.5
     return 0.5 * float(np.sum(weights * kvals * buffer.window_norms_sq()))
+
+
+def history_energies(kernel: KernelSpec, dt: float, slot_norms_sq: np.ndarray) -> np.ndarray:
+    """`history_energy` at every record t_i = i dt of a run, in one pass.
+
+    slot_norms_sq[j] is ||B* y_t||_H^2 at the slot time (j - m) dt, with
+    m = tau / dt: the first m + 1 entries are the initial history, and
+    record i takes the slot trapezoid over entries i .. i + m.  Each window
+    is summed on its own; a running-sum difference would lose relative
+    accuracy once the energy has decayed.
+    """
+    m = round(kernel.tau / dt)
+    slot_times = np.arange(-m, len(slot_norms_sq) - m) * dt
+    a = np.abs(np.atleast_1d(kernel.eval(slot_times + kernel.tau))) * slot_norms_sq
+    sums = np.lib.stride_tricks.sliding_window_view(a, m + 1).sum(axis=1)
+    return 0.5 * dt * (sums - 0.5 * (a[:-m] + a[m:]))
 
 
 def energy_breakdown(generator: DiscreteGenerator, source: SourceKind,
@@ -77,6 +92,36 @@ def energy_breakdown(generator: DiscreteGenerator, source: SourceKind,
                                  weighted=generator.kind.weighted_velocity)
     hist = history_energy(kernel, buffer)
     return EnergyBreakdown.build(kinetic, elastic, boundary, src, hist)
+
+
+def energy_records(generator: DiscreteGenerator, source: SourceKind, states: np.ndarray,
+                   history=0.0) -> EnergyBreakdown:
+    """`energy_breakdown` of every row of `states` at once, as arrays.
+
+    `history` is the history energy of each row (see `history_energies`).
+    Rows with a non-finite entry get inf in every field.
+    """
+    ndof = generator.ndof
+    u, v = states[:, :ndof], states[:, ndof:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinetic = 0.5 * ((v * v) @ generator.mass)
+        # one matrix-vector product per state, the arithmetic of `energy_parts`:
+        # at n = 1024 the curvature rows (entries ~ 1/h^2) cancel, and a blocked
+        # matrix-matrix product moves the elastic energy by ~1e-12 relative
+        cu = np.matmul(generator.elastic_rows, u[:, :, None])[:, :, 0]
+        elastic = 0.5 * ((cu * cu) @ generator.elastic_weights)
+        boundary = 0.5 * (generator.beta_eff * (u @ generator.trace_value) ** 2
+                          + generator.gamma_eff * (u @ generator.trace_slope) ** 2)
+    bad = ~np.all(np.isfinite(states), axis=1)
+    src = np.zeros(len(states))
+    if not source.is_none:
+        for i in np.flatnonzero(~bad):
+            src[i] = -eval_F_functional(source, generator.embed(u[i]), generator.profile,
+                                        weighted=generator.kind.weighted_velocity)
+    parts = [kinetic, elastic, boundary, src, np.full(len(states), history, dtype=float)]
+    for part in parts:
+        part[bad] = math.inf
+    return EnergyBreakdown.build(*parts)
 
 
 def growth_envelope_C(kernel: Optional[KernelSpec], b: float, t) -> np.ndarray:
@@ -124,32 +169,24 @@ def energy_bound_check(trajectory, kernel: Optional[KernelSpec], b: float,
     raise_on_violation is off (then the report records the excess ratio).
     """
     gen = trajectory.scenario.generator
-    energies = trajectory.energies
-    e0 = energies[0].total
+    total = np.asarray(trajectory.energies.total)
+    e0 = float(total[0])
     times = np.asarray(trajectory.times)
     envelope = np.atleast_1d(growth_envelope_C(kernel, b, times))
 
-    ratios = np.full(len(times), np.nan)
-    included = np.zeros(len(times), dtype=bool)
-    worst = (0.0, -1)
-    for i, e in enumerate(energies):
-        if not math.isfinite(e.total):
-            continue
-        quarter_vel = 0.5 * e.kinetic  # (1/4)||y_t||^2 = kinetic / 2
-        if e.total < quarter_vel:
-            continue
-        included[i] = True
-        bound = envelope[i] * e0
-        ratios[i] = e.total / bound if bound > 0 else (0.0 if e.total <= 0 else math.inf)
-        if ratios[i] > worst[0]:
-            worst = (ratios[i], i)
-
-    max_ratio = worst[0]
+    # (1/4)||y_t||^2 = kinetic / 2
+    included = np.isfinite(total) & (total >= 0.5 * trajectory.energies.kinetic)
+    bound = envelope * e0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(bound > 0, total / bound, np.where(total <= 0, 0.0, math.inf))
+    ranked = np.where(included, ratios, 0.0)
+    worst = int(np.argmax(ranked))
+    max_ratio = max(float(ranked[worst]), 0.0)
+    ratios = np.where(included, ratios, np.nan)
     if max_ratio > 1.0 + tol and raise_on_violation:
-        i = worst[1]
         raise BoundViolatedError(
-            f"growth bound violated at t = {times[i]:.6g}: ratio {max_ratio:.6g}",
-            step=i, time=float(times[i]), ratio=max_ratio)
+            f"growth bound violated at t = {times[worst]:.6g}: ratio {max_ratio:.6g}",
+            step=worst, time=float(times[worst]), ratio=max_ratio)
 
     lower_checked = False
     lower_ok = True
@@ -161,18 +198,17 @@ def energy_bound_check(trajectory, kernel: Optional[KernelSpec], b: float,
         if (e0 > 0 and h_eval(source, constants, curv0) < 0.5
                 and h_eval(source, constants, 2.0 * math.sqrt(c_at_end * e0)) < 0.5):
             lower_checked = True
-            for i, e in enumerate(energies):
-                if not math.isfinite(e.total):
-                    continue
-                nrm_sq = gen.state_norm(trajectory.states[i]) ** 2
-                if e.total <= 0.25 * nrm_sq * (1.0 - tol) - 1e-14:
-                    lower_ok = False
-                    if raise_on_violation:
-                        raise BoundViolatedError(
-                            f"quarter lower bound violated at t = {times[i]:.6g}",
-                            step=i, time=float(times[i]),
-                            ratio=e.total / (0.25 * nrm_sq))
-                    break
+            nrm_sq = np.asarray(trajectory.state_norms) ** 2
+            below = np.flatnonzero(np.isfinite(total)
+                                   & (total <= 0.25 * nrm_sq * (1.0 - tol) - 1e-14))
+            if below.size:
+                lower_ok = False
+                i = int(below[0])
+                if raise_on_violation:
+                    raise BoundViolatedError(
+                        f"quarter lower bound violated at t = {times[i]:.6g}",
+                        step=i, time=float(times[i]),
+                        ratio=total[i] / (0.25 * nrm_sq[i]))
 
     return BoundReport(times=times, ratios=ratios, included=included,
                        max_ratio=max_ratio, n_excluded=int(len(times) - included.sum()),

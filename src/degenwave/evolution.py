@@ -29,9 +29,10 @@ import scipy.linalg
 
 from . import diagnostics
 from .delay import (HistoryBuffer, HistoryInit, KernelSpec, SubdomainP,
-                    kernel_growth_check, kernel_window_bound, subdomain_gain)
+                    kernel_growth_check, kernel_window_bound, slot_index,
+                    subdomain_gain)
 from .errors import (LinearSolveFailureError, NonFiniteStateError,
-                     NotExponentiallyStableError)
+                     NotExponentiallyStableError, QueryOutOfWindowError)
 from .nonlinearity import SourceKind, constants_for, eval_f
 from .operators import DiscreteGenerator
 
@@ -69,8 +70,8 @@ class Scenario:
         if (self.kernel is None) != (self.subdomain is None):
             raise ValueError("kernel and subdomain must be given together")
         if self.kernel is not None:
-            m = round(self.kernel.tau / self.dt)
-            if m < 1 or abs(m * self.dt - self.kernel.tau) > 1e-9 * self.kernel.tau:
+            m = slot_index(self.kernel.tau, self.dt, self.kernel.tau)
+            if m is None or m < 1:
                 raise ValueError("dt must divide the delay tau exactly")
             # explicit terms want dt below the inverse feedback strength;
             # deliberately violent gains are allowed to run (blow-up detection)
@@ -104,12 +105,18 @@ class SemigroupCertificate:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Time-sampled states with per-step diagnostics."""
+    """The state at every step of a run, with per-record diagnostics.
+
+    Every field is an array over the records (one per step, plus the initial
+    state), computed once in batch from `states` by `simulate`; `energies`
+    holds one array per energy summand.  The record of a non-finite state
+    carries inf energies, norm and damping rate and nan tip values.
+    """
 
     times: np.ndarray
     states: np.ndarray                  # (steps+1, 2 ndof)
     state_norms: np.ndarray
-    energies: list                      # diagnostics.EnergyBreakdown per step
+    energies: diagnostics.EnergyBreakdown  # fields are arrays over the records
     damping_rates: np.ndarray           # v^T D v per step
     tip_values: np.ndarray              # y(1)
     tip_velocities: np.ndarray          # y_t(1)
@@ -120,13 +127,13 @@ class Trajectory:
                    "E_source", "E_history", "state_norm", "y_at_1", "yt_at_1")
 
     def to_csv(self, path) -> None:
+        e = self.energies
+        table = np.column_stack((self.times, e.total, e.kinetic, e.elastic, e.boundary,
+                                 e.source, e.history, self.state_norms, self.tip_values,
+                                 self.tip_velocities))
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.CSV_COLUMNS) + "\n")
-            for i, t in enumerate(self.times):
-                e = self.energies[i]
-                row = (t, e.total, e.kinetic, e.elastic, e.boundary, e.source,
-                       e.history, self.state_norms[i], self.tip_values[i],
-                       self.tip_velocities[i])
+            for row in table.tolist():
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
@@ -237,14 +244,22 @@ class _Stepper:
         self.prev_source = None
 
     def delayed_trace(self, t: float, buffer: HistoryBuffer) -> np.ndarray:
-        """B* y_t(t - tau); slot-exact, midpoint-averaged at half-slot times."""
-        tau = self.sc.kernel.tau
-        dt = self.sc.dt
-        steps = (t - tau) / dt
-        lo = math.floor(steps + 1e-9)
-        frac = steps - lo
-        if abs(frac) < 1e-9:
+        """B* y_t(t - tau) at a slot time, or between the two adjacent slots at
+        a half-slot time; any other time raises.
+
+        The half-slot weights are (1 - frac, frac) with frac = (t - tau)/dt - lo,
+        which is 1/2 up to the rounding of t.  Runs are sensitive to that
+        rounding: on the README scenario, weights of exactly 1/2 move the
+        final state norm (t = 10) by 5e-6 relative.
+        """
+        tau, dt = self.sc.kernel.tau, self.sc.dt
+        half_slots = slot_index(t - tau, 0.5 * dt, tau)
+        if half_slots is None:
+            raise QueryOutOfWindowError(f"t - tau = {t - tau} is not a slot or half-slot time")
+        lo, odd = divmod(half_slots, 2)
+        if not odd:
             return buffer.sample_step(lo)
+        frac = (t - tau) / dt - lo
         return (1.0 - frac) * buffer.sample_step(lo) + frac * buffer.sample_step(lo + 1)
 
     def delay_term(self, t: float, buffer: Optional[HistoryBuffer]) -> np.ndarray:
@@ -275,9 +290,11 @@ class _Stepper:
             self.smoothing_left -= 1
             # two backward-Euler half-steps with the shared (I - dt/2 A) factor
             half_state = scipy.linalg.lu_solve(
-                self.lu, state + 0.5 * dt * self.explicit_term(t + 0.5 * dt, state, buffer))
+                self.lu, state + 0.5 * dt * self.explicit_term(t + 0.5 * dt, state, buffer),
+                check_finite=False)
             new = scipy.linalg.lu_solve(
-                self.lu, half_state + 0.5 * dt * self.explicit_term(t + dt, half_state, buffer))
+                self.lu, half_state + 0.5 * dt * self.explicit_term(t + dt, half_state, buffer),
+                check_finite=False)
             self.prev_source = self.source_term(new)
         else:
             # delay term at the midpoint in time: the two adjacent buffer
@@ -289,7 +306,7 @@ class _Stepper:
             rhs = (self.rhs_mat @ state
                    + dt * self.delay_term(t + 0.5 * dt, buffer)
                    + dt * (1.5 * src - 0.5 * prev))
-            new = scipy.linalg.lu_solve(self.lu, rhs)
+            new = scipy.linalg.lu_solve(self.lu, rhs, check_finite=False)
             self.prev_source = src
         if buffer is not None:
             _, v = self.gen.split(new)
@@ -307,59 +324,57 @@ def step(scenario: Scenario, state: np.ndarray, buffer: Optional[HistoryBuffer],
 
 
 def simulate(scenario: Scenario) -> Trajectory:
-    """Integrate to t_end, recording energies; stops early on blow-up."""
+    """Integrate to t_end, then record every state's diagnostics in one pass.
+
+    The states fill one preallocated array; the run stops early at the first
+    non-finite state or state norm above BLOWUP_NORM.  Energies, norms,
+    damping rates and tip traces are then computed in batch over all records.
+    The history energy of record i is the slot trapezoid over the window
+    i - m .. i of the traces: the initial history for slots s <= 0, and the
+    recorded velocities on P for s >= 1.
+    """
     gen = scenario.generator
     stepper = _Stepper(scenario)
     buffer = scenario.make_buffer()
     nsteps = int(round(scenario.t_end / scenario.dt))
-    state = scenario.initial_state
+    initial_norms_sq = buffer.window_norms_sq() if buffer is not None else None
 
-    times = [0.0]
-    states = [state]
+    states = np.empty((nsteps + 1, 2 * gen.ndof))
+    states[0] = scenario.initial_state
+    nrec = nsteps + 1
     blew_up = False
     for ell in range(nsteps):
-        t = ell * scenario.dt
-        state = stepper.step(t, state, buffer)
-        times.append((ell + 1) * scenario.dt)
-        states.append(state)
+        state = stepper.step(ell * scenario.dt, states[ell], buffer)
+        states[ell + 1] = state
         if not np.all(np.isfinite(state)) or gen.state_norm(state) > BLOWUP_NORM:
             blew_up = True
+            nrec = ell + 2
             break
+    states = states[:nrec]
+    times = np.arange(nrec) * scenario.dt
 
-    # replay the energies with a fresh buffer so each record sees its window
-    replay = scenario.make_buffer()
-    energies = []
-    norms = np.empty(len(times))
-    damping = np.empty(len(times))
-    tip_val = np.empty(len(times))
-    tip_vel = np.empty(len(times))
-    for i, st in enumerate(states):
-        if not np.all(np.isfinite(st)):
-            e = diagnostics.EnergyBreakdown.non_finite()
-            norms[i] = math.inf
-            damping[i] = math.inf
-            tip_val[i] = math.nan
-            tip_vel[i] = math.nan
-        else:
-            e = diagnostics.energy_breakdown(gen, scenario.source, st,
-                                             kernel=scenario.kernel, buffer=replay)
-            norms[i] = gen.state_norm(st)
-            damping[i] = gen.boundary_damping_rate(st)
-            yv, _, vtv, _ = gen.tip_traces(st)
-            tip_val[i] = yv
-            tip_vel[i] = vtv
-        energies.append(e)
-        if replay is not None and i + 1 < len(states):
-            nxt = states[i + 1]
-            if np.all(np.isfinite(nxt)):
-                _, v = gen.split(nxt)
-                replay.push(v[stepper.sub_free])
-            else:
-                replay.push(np.zeros_like(replay.sample_step(replay.window_steps()[-1])))
+    u, v = states[:, :gen.ndof], states[:, gen.ndof:]
+    history = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if buffer is not None:
+            traces = v[1:, stepper.sub_free]
+            slot_norms_sq = np.concatenate(
+                [initial_norms_sq, gen.grid.h * np.einsum("ij,ij->i", traces, traces)])
+            history = diagnostics.history_energies(scenario.kernel, scenario.dt,
+                                                   slot_norms_sq)
+        energies = diagnostics.energy_records(gen, scenario.source, states, history)
+        norms = np.sqrt(2.0 * (energies.kinetic + energies.elastic + energies.boundary))
+        tip_val = u @ gen.trace_value
+        tip_vel = v @ gen.trace_value
+        damping = (gen.damping_value_coeff * tip_vel ** 2
+                   + gen.damping_slope_coeff * (v @ gen.trace_slope) ** 2)
+    bad = ~np.all(np.isfinite(states), axis=1)
+    damping[bad] = math.inf
+    tip_val[bad] = math.nan
+    tip_vel[bad] = math.nan
 
-    return Trajectory(times=np.asarray(times), states=np.asarray(states),
-                      state_norms=norms, energies=energies, damping_rates=damping,
-                      tip_values=tip_val, tip_velocities=tip_vel,
+    return Trajectory(times=times, states=states, state_norms=norms, energies=energies,
+                      damping_rates=damping, tip_values=tip_val, tip_velocities=tip_vel,
                       blew_up=blew_up, scenario=scenario)
 
 

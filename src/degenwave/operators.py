@@ -419,11 +419,6 @@ def assemble(kind: OperatorKind, profile: CoefficientProfile, bc: BoundaryParams
         system_matrix=system)
 
 
-def weighted_norm(generator: DiscreteGenerator, state: np.ndarray) -> float:
-    """Kind-appropriate state norm ||(u, v)|| of a free-dof state vector."""
-    return generator.state_norm(state)
-
-
 def gauss_green_residual(generator: DiscreteGenerator, u_full: np.ndarray,
                          v_full: np.ndarray) -> float:
     """Mismatch of the discrete integration-by-parts identity on (u, v).

@@ -63,7 +63,7 @@ def _identity_residual(kind, n, dt, t_end=2.0):
     sc = Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
                   t_end=t_end, dt=dt)
     traj = simulate(sc)
-    totals = np.array([e.total for e in traj.energies])
+    totals = traj.energies.total
     d = traj.damping_rates
     return float(np.max(np.abs(np.diff(totals) / dt + 0.5 * (d[:-1] + d[1:]))))
 

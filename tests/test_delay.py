@@ -167,7 +167,7 @@ def test_extension_restriction_adjoint(grid65, sub, rng):
     phi = rng.standard_normal(sub.indices(grid65).size)
     w = rng.standard_normal(grid65.n)
     lhs = grid65.trapezoid(apply_B(sub, grid65, phi) * w)
-    rhs = inner_H(sub, grid65, phi, apply_Bstar(sub, grid65, w))
+    rhs = inner_H(grid65, phi, apply_Bstar(sub, grid65, w))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
@@ -194,7 +194,7 @@ def test_gain_bounds_weighted_extension(grid65, sub, rng):
         phi = rng.standard_normal(idx.size)
         ext = apply_B(sub, grid65, phi)
         weighted = float(mass @ (ext[1:] * ext[1:]))
-        assert weighted <= b * b * norm_H(sub, grid65, phi) ** 2 * (1 + 1e-12)
+        assert weighted <= b * b * norm_H(grid65, phi) ** 2 * (1 + 1e-12)
 
 
 def test_misaligned_data_rejected(grid65, sub):

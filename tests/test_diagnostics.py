@@ -11,7 +11,7 @@ from degenwave import (BoundaryParams, BoundViolatedError, CoefficientSpec,
                        OperatorKind, Scenario, SourceKind, SubdomainP, assemble,
                        certify_scenario, classify, constants_for, decay_fit,
                        eigenmode_state, energy_bound_check, energy_breakdown,
-                       growth_envelope_C, kernel_growth_check,
+                       growth_envelope_C, kernel_growth_check, polynomial_state,
                        semigroup_constants, simulate, threshold_certificate)
 from degenwave.delay import HistoryBuffer
 from degenwave.diagnostics import EnergyBreakdown, history_energy
@@ -67,9 +67,79 @@ def test_history_term_closed_form():
     assert history_energy(kernel, buf) == pytest.approx(k0 / 4.0, abs=1e-14)
 
 
-def test_non_finite_breakdown():
-    e = EnergyBreakdown.non_finite()
-    assert not math.isfinite(e.total)
+def reference_table(sc, traj):
+    """The CSV columns of `traj` recomputed state by state, with a replayed buffer."""
+    gen = sc.generator
+    buf = sc.make_buffer()
+    if buf is not None:
+        sub_free = np.searchsorted(gen.free, sc.subdomain.indices(gen.grid))
+    rows = []
+    for i, state in enumerate(traj.states):
+        if i > 0 and buf is not None:
+            buf.push(gen.split(state)[1][sub_free])
+        e = energy_breakdown(gen, sc.source, state, kernel=sc.kernel, buffer=buf)
+        y1, _, yt1, _ = gen.tip_traces(state)
+        rows.append((i * sc.dt, e.total, e.kinetic, e.elastic, e.boundary, e.source,
+                     e.history, gen.state_norm(state), y1, yt1,
+                     gen.boundary_damping_rate(state)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("source", [SourceKind.power(1.0), SourceKind.nonlocal_l2(2.0)])
+def test_batch_records_match_per_state_reference(kind, source, tmp_path):
+    # a time-varying gain and a nonzero initial history exercise every slot
+    # of the history windows, including those at s <= 0
+    gen = make_gen(kind, 0.5, 24)
+    y0, y1 = eigenmode_state(gen, 0, amplitude=0.5)
+    sc = Scenario(generator=gen, source=source, y0=y0, y1=y1, t_end=1.0, dt=0.0125,
+                  kernel=KernelSpec.exp_decay(0.4, 1.5, tau=0.25),
+                  subdomain=SubdomainP(0.25, 0.75), history=0.3)
+    traj = simulate(sc)
+    assert not traj.blew_up
+    traj.to_csv(tmp_path / "trajectory.csv")
+    got = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+    ref = reference_table(sc, traj)
+    assert np.all(ref[:, 6] > 0.0)
+    energy_scale = np.max(np.abs(ref[:, 1:7]))
+    for col, name in enumerate(Trajectory.CSV_COLUMNS):
+        scale = energy_scale if name.startswith("E_") else np.max(np.abs(ref[:, col]))
+        assert np.max(np.abs(got[:, col] - ref[:, col])) <= 1e-12 * scale, name
+    damping_scale = np.max(ref[:, 10])
+    assert np.max(np.abs(traj.damping_rates - ref[:, 10])) <= 1e-12 * damping_scale
+
+
+def test_batch_records_match_reference_undelayed(tmp_path):
+    gen = make_gen(OperatorKind.BEAM_DIV, 1.5, 24)
+    y0, y1 = eigenmode_state(gen, 1)
+    sc = Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
+                  t_end=0.5, dt=0.01)
+    traj = simulate(sc)
+    traj.to_csv(tmp_path / "trajectory.csv")
+    got = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+    ref = reference_table(sc, traj)
+    assert np.all(got[:, 5:7] == 0.0)
+    scale = np.max(np.abs(ref[:, :10]), axis=0)
+    assert np.all(np.abs(got - ref[:, :10]) <= 1e-12 * scale)
+
+
+def test_blow_up_record_is_non_finite():
+    # |y|^q y overflows on the first start-up half-step, so the run stops at a
+    # non-finite state; its record carries inf energies and norm, nan tips
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    y0, y1 = polynomial_state(gen, amplitude=160.0)
+    sc = Scenario(generator=gen, source=SourceKind.power(150.0), y0=y0, y1=y1,
+                  t_end=1.0, dt=0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = simulate(sc)
+    assert traj.blew_up
+    assert len(traj.times) == 2
+    assert not np.all(np.isfinite(traj.states[-1]))
+    e = traj.energies
+    for part in (e.kinetic, e.elastic, e.boundary, e.source, e.history, e.total):
+        assert math.isinf(part[-1]) and np.isfinite(part[0])
+    assert math.isinf(traj.state_norms[-1]) and math.isinf(traj.damping_rates[-1])
+    assert math.isnan(traj.tip_values[-1]) and math.isnan(traj.tip_velocities[-1])
 
 
 def test_cross_kind_energy_consistency(rng):
@@ -169,10 +239,12 @@ def test_bound_reports_violation():
                   t_end=0.2, dt=0.01)
     traj = simulate(sc)
     # fabricate rising energies to force a violation of C(t) = 1
-    fake = [EnergyBreakdown.build(e.kinetic, e.elastic, e.boundary, 0.0, 0.0)
-            for e in traj.energies]
-    fake[-1] = EnergyBreakdown.build(10 * fake[0].kinetic + 1.0, fake[0].elastic,
-                                     fake[0].boundary, 0.0, 0.0)
+    e = traj.energies
+    kinetic, elastic, boundary = e.kinetic.copy(), e.elastic.copy(), e.boundary.copy()
+    kinetic[-1] = 10 * kinetic[0] + 1.0
+    elastic[-1] = elastic[0]
+    boundary[-1] = boundary[0]
+    fake = EnergyBreakdown.build(kinetic, elastic, boundary, 0.0, 0.0)
     bad = Trajectory(times=traj.times, states=traj.states,
                      state_norms=traj.state_norms, energies=fake,
                      damping_rates=traj.damping_rates, tip_values=traj.tip_values,

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from degenwave import (BoundaryParams, CoefficientSpec, Grid, KernelSpec,
-                       NotExponentiallyStableError, OperatorKind, Scenario,
+from degenwave import (BoundaryParams, CoefficientSpec, Grid, HistoryBuffer,
+                       KernelSpec, NotExponentiallyStableError, OperatorKind,
+                       QueryOutOfWindowError, Scenario,
                        SourceKind, SubdomainP, apply_Bstar, assemble, classify,
                        decay_fit, duhamel_residual, eigenmode_state,
                        polynomial_state, semigroup_constants, simulate,
                        smallness_level, step)
-from degenwave.evolution import _state_weight_sqrt, spectral_abscissa
+from degenwave.evolution import _Stepper, _state_weight_sqrt, spectral_abscissa
 
 
 def make_gen(kind, alpha, n, beta=1.0, gamma=1.0):
@@ -81,7 +82,7 @@ def test_eigenmode_run_energy_monotone(kind, alpha):
     gen = make_gen(kind, alpha, 24)
     sc = simple_scenario(gen, t_end=2.0, dt=0.01)
     traj = simulate(sc)
-    totals = np.array([e.total for e in traj.energies])
+    totals = traj.energies.total
     assert np.all(np.diff(totals) <= 1e-12 * totals[0])
 
 
@@ -113,7 +114,7 @@ def test_desk_scale_simulation():
                   t_end=0.5, dt=0.0125, kernel=kernel, subdomain=sub)
     traj = simulate(sc)
     assert not traj.blew_up
-    totals = np.array([e.total for e in traj.energies])
+    totals = traj.energies.total
     assert totals[-1] <= totals[0] * 1.01
 
 
@@ -176,6 +177,42 @@ def test_blow_up_detected_and_flagged():
     traj = simulate(sc)
     assert traj.blew_up
     assert traj.times[-1] < 20.0
+
+
+def test_dt_tau_tolerance_shared_by_scenario_and_buffer():
+    # one rule: m dt may miss tau by at most 1e-9 tau; at tau = 0.5 that is 5e-10
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    y0, y1 = polynomial_state(gen)
+    sub = SubdomainP(0.25, 0.75)
+    tau = 0.5
+    for offset, accepted in ((0.7e-9, False), (-0.7e-9, False), (0.3e-9, True)):
+        dt = (tau + offset) / 200
+        make = [lambda: Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
+                                 t_end=1.0, dt=dt, kernel=KernelSpec.constant(0.1, tau),
+                                 subdomain=sub),
+                lambda: HistoryBuffer(sub, gen.grid, dt, tau)]
+        for build in make:
+            if accepted:
+                build()
+            else:
+                with pytest.raises(ValueError):
+                    build()
+
+
+def test_delayed_trace_slot_and_half_slot_only():
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    sub = SubdomainP(0.25, 0.75)
+    dt, tau = 0.05, 0.25
+    sc = simple_scenario(gen, t_end=1.0, dt=dt, kernel=KernelSpec.constant(0.1, tau),
+                         subdomain=sub, history=lambda s: s)
+    stepper = _Stepper(sc)
+    buffer = sc.make_buffer()
+    assert np.array_equal(stepper.delayed_trace(2 * dt, buffer), buffer.sample_step(-3))
+    mid = stepper.delayed_trace(2.5 * dt, buffer)
+    assert np.array_equal(mid, 0.5 * (buffer.sample_step(-3) + buffer.sample_step(-2)))
+    assert mid[0] == pytest.approx(-2.5 * dt)
+    with pytest.raises(QueryOutOfWindowError):
+        stepper.delayed_trace(2.25 * dt, buffer)
 
 
 def test_scenario_validation():

@@ -3,8 +3,7 @@ import pytest
 
 from degenwave import (BoundaryParams, CoefficientSpec, Grid, GridTooCoarseError,
                        InconsistentBCError, OperatorKind, assemble, classify,
-                       from_curvature, from_face_slopes, gauss_green_residual,
-                       weighted_norm)
+                       from_curvature, from_face_slopes, gauss_green_residual)
 from degenwave.operators import fd_weights, nodal_derivative
 
 from conftest import random_state
@@ -82,7 +81,7 @@ def test_wave_div_damping_is_tip_flux(rng):
 
 def test_norm_of_zero_state():
     gen = make_gen(OperatorKind.WAVE_NONDIV, 0.5, 32)
-    assert weighted_norm(gen, np.zeros(2 * gen.ndof)) == 0.0
+    assert gen.state_norm(np.zeros(2 * gen.ndof)) == 0.0
 
 
 def test_beam_norm_on_quadratic_displacement():
@@ -90,7 +89,7 @@ def test_beam_norm_on_quadratic_displacement():
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 64, beta=0.0, gamma=0.0)
     u = gen.grid.nodes ** 2
     state = gen.join(gen.restrict(u), np.zeros(gen.ndof))
-    assert weighted_norm(gen, state) ** 2 == pytest.approx(4.0, abs=1e-10)
+    assert gen.state_norm(state) ** 2 == pytest.approx(4.0, abs=1e-10)
 
 
 def test_weighted_velocity_norm_linear_profile():
@@ -98,7 +97,7 @@ def test_weighted_velocity_norm_linear_profile():
     gen = make_gen(OperatorKind.WAVE_NONDIV, 1.0, 256, beta=1.0)
     v = gen.grid.nodes
     state = gen.join(np.zeros(gen.ndof), gen.restrict(v))
-    assert weighted_norm(gen, state) ** 2 == pytest.approx(0.5, abs=1e-12)
+    assert gen.state_norm(state) ** 2 == pytest.approx(0.5, abs=1e-12)
 
 
 # -- assembly validation ---------------------------------------------------------
