@@ -13,12 +13,12 @@ from .diagnostics import (BoundReport, CertificationResult, DecayFit,
 from .errors import (BoundViolatedError, DegenerateFitError, DegenwaveError,
                      EigSolveFailureError, GridTooCoarseError, InconsistentBCError,
                      InfeasibleError, KOutOfRangeError, NonDegenerateError,
-                     NonFiniteStateError, NotExponentiallyStableError,
+                     NotExponentiallyStableError,
                      NotLocallyIntegrableError, NotPositiveError,
                      QueryOutOfWindowError, SubdomainNotAlignedError)
 from .evolution import (Scenario, SemigroupCertificate, Trajectory, certify_scenario,
                         duhamel_residual, eigenmode_state, polynomial_state,
-                        semigroup_constants, simulate, smallness_level, step)
+                        semigroup_constants, simulate, smallness_level)
 from .grids import Grid
 from .nonlinearity import (NonlinearityConstants, SourceKind, constants_for,
                            eval_F_functional, eval_f, h_eval, h_inverse,

@@ -274,11 +274,6 @@ class SubdomainP:
         i0, i1 = self.node_range(grid)
         return np.arange(i0, i1)
 
-    def mask(self, grid: Grid) -> np.ndarray:
-        m = np.zeros(grid.n, dtype=bool)
-        m[self.indices(grid)] = True
-        return m
-
 
 def apply_B(sub: SubdomainP, grid: Grid, values_on_p: np.ndarray) -> np.ndarray:
     """Extend a function on P by zero to a full nodal function."""

@@ -49,10 +49,6 @@ class LinearSolveFailureError(DegenwaveError):
     """Implicit-step linear solve failed."""
 
 
-class NonFiniteStateError(DegenwaveError):
-    """State norm left the finite range (blow-up)."""
-
-
 class NotExponentiallyStableError(DegenwaveError):
     """System matrix has spectral abscissa >= 0."""
 

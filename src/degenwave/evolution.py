@@ -6,11 +6,13 @@ The semi-discrete system is
 
 with A the assembled generator, B Y = (0, chi_P v) the subdomain feedback and
 F(Y) = (0, f(u)) the source.  Stepping is IMEX: the stiff linear part A is
-advanced by the trapezoidal rule; the delay term, whose values are known
-history slots on both step endpoints, is integrated by the midpoint rule;
-the source is extrapolated by a two-step Adams-Bashforth combination of
-current-state evaluations.  dt must divide tau, so delayed values are exact
-buffer slots and no interpolation error enters.
+advanced by the trapezoidal rule, whose implicit solve reduces exactly to
+one n x n system on the velocity block (see `_Stepper`); the delay term,
+whose values are known history slots on both step endpoints, is integrated
+by the midpoint rule; the source is extrapolated by a two-step
+Adams-Bashforth combination of current-state evaluations.  dt must divide
+tau, so delayed values are exact buffer slots and no interpolation error
+enters.
 
 Also here: sampled semigroup certificates ||e^{tA}|| <= M e^{-omega t} in the
 state norm, and a dense matrix-exponential evaluation of the
@@ -31,8 +33,8 @@ from . import diagnostics
 from .delay import (HistoryBuffer, HistoryInit, KernelSpec, SubdomainP,
                     kernel_growth_check, kernel_window_bound, slot_index,
                     subdomain_gain)
-from .errors import (LinearSolveFailureError, NonFiniteStateError,
-                     NotExponentiallyStableError, QueryOutOfWindowError)
+from .errors import (LinearSolveFailureError, NotExponentiallyStableError,
+                     QueryOutOfWindowError)
 from .nonlinearity import SourceKind, constants_for, eval_f
 from .operators import DiscreteGenerator
 
@@ -81,6 +83,13 @@ class Scenario:
             if gain * b * b * self.dt > 1.0:
                 warnings.warn("dt exceeds the explicit delay-term bound; "
                               "expect inaccuracy or growth", stacklevel=2)
+
+    @property
+    def subdomain_dofs(self) -> Optional[np.ndarray]:
+        """Free-dof positions of the subdomain nodes (all interior, hence free)."""
+        if self.subdomain is None:
+            return None
+        return np.searchsorted(self.generator.free, self.subdomain.indices(self.generator.grid))
 
     @property
     def initial_state(self) -> np.ndarray:
@@ -211,6 +220,16 @@ def semigroup_constants(generator: Union[DiscreteGenerator, np.ndarray],
 class _Stepper:
     """Trapezoidal linear part, midpoint delay term, AB2 source.
 
+    Every implicit stage goes through `solve`, which solves
+    (I - dt/2 A) x = r on the velocity block: with h = dt/2 and r = (r1, r2),
+
+        (M + h D + h^2 K) v = M r2 - h K r1,    u = r1 + h v,
+
+    so one LU factor of the n x n matrix M + h D + h^2 K serves every step
+    (Golub & Van Loan, section 4.3).  The trapezoid step is taken in its
+    implicit-midpoint form new = 2 solve(y + h G) - y, which is the same map
+    as (I - hA)^{-1}((I + hA) y + dt G) and needs no product with A.
+
     When explicit terms are active, the first `smoothing_steps` steps are
     taken as pairs of backward-Euler half-steps (Rannacher smoothing): the
     switch-on of the feedback excites the heavily damped tip mode, whose
@@ -223,22 +242,14 @@ class _Stepper:
         self.sc = scenario
         gen = scenario.generator
         self.gen = gen
-        n2 = 2 * gen.ndof
-        ident = np.eye(n2)
-        half = 0.5 * scenario.dt * gen.system_matrix
+        self.half_dt = h = 0.5 * scenario.dt
+        block = h * gen.damping_form + (h * h) * gen.stiffness_form
+        block[np.diag_indices_from(block)] += gen.mass
         try:
-            self.lu = scipy.linalg.lu_factor(ident - half)
+            self.lu = scipy.linalg.lu_factor(block)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise LinearSolveFailureError(str(exc)) from exc
-        self.rhs_mat = ident + half
-        self.sub_idx = (scenario.subdomain.indices(gen.grid)
-                        if scenario.subdomain is not None else None)
-        # free-dof positions of the subdomain nodes (all interior, hence free)
-        if self.sub_idx is not None:
-            lookup = {node: i for i, node in enumerate(gen.free)}
-            self.sub_free = np.array([lookup[i] for i in self.sub_idx])
-        else:
-            self.sub_free = None
+        self.sub_free = scenario.subdomain_dofs
         has_explicit = (scenario.kernel is not None) or (not scenario.source.is_none)
         self.smoothing_left = smoothing_steps if has_explicit else 0
         self.prev_source = None
@@ -283,18 +294,22 @@ class _Stepper:
                       buffer: Optional[HistoryBuffer]) -> np.ndarray:
         return self.delay_term(t, buffer) + self.source_term(state)
 
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """x with (I - dt/2 A) x = r, by the velocity-block reduction."""
+        gen, h = self.gen, self.half_dt
+        r1, r2 = gen.split(r)
+        v = scipy.linalg.lu_solve(self.lu, gen.mass * r2 - h * (gen.stiffness_form @ r1),
+                                  check_finite=False)
+        return gen.join(r1 + h * v, v)
+
     def step(self, t: float, state: np.ndarray,
              buffer: Optional[HistoryBuffer]) -> np.ndarray:
-        dt = self.sc.dt
+        dt, h = self.sc.dt, self.half_dt
         if self.smoothing_left > 0:
             self.smoothing_left -= 1
             # two backward-Euler half-steps with the shared (I - dt/2 A) factor
-            half_state = scipy.linalg.lu_solve(
-                self.lu, state + 0.5 * dt * self.explicit_term(t + 0.5 * dt, state, buffer),
-                check_finite=False)
-            new = scipy.linalg.lu_solve(
-                self.lu, half_state + 0.5 * dt * self.explicit_term(t + dt, half_state, buffer),
-                check_finite=False)
+            half_state = self.solve(state + h * self.explicit_term(t + h, state, buffer))
+            new = self.solve(half_state + h * self.explicit_term(t + dt, half_state, buffer))
             self.prev_source = self.source_term(new)
         else:
             # delay term at the midpoint in time: the two adjacent buffer
@@ -303,24 +318,13 @@ class _Stepper:
             # is Adams-Bashforth extrapolated from known states
             src = self.source_term(state)
             prev = self.prev_source if self.prev_source is not None else src
-            rhs = (self.rhs_mat @ state
-                   + dt * self.delay_term(t + 0.5 * dt, buffer)
-                   + dt * (1.5 * src - 0.5 * prev))
-            new = scipy.linalg.lu_solve(self.lu, rhs, check_finite=False)
+            explicit = self.delay_term(t + h, buffer) + (1.5 * src - 0.5 * prev)
+            new = 2.0 * self.solve(state + h * explicit) - state
             self.prev_source = src
         if buffer is not None:
             _, v = self.gen.split(new)
             buffer.push(v[self.sub_free])
         return new
-
-
-def step(scenario: Scenario, state: np.ndarray, buffer: Optional[HistoryBuffer],
-         t: float) -> np.ndarray:
-    """Single plain IMEX step (trapezoid + explicit data, no startup smoothing)."""
-    new = _Stepper(scenario, smoothing_steps=0).step(t, state, buffer)
-    if not np.all(np.isfinite(new)):
-        raise NonFiniteStateError(f"non-finite state after step at t = {t}")
-    return new
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -410,9 +414,7 @@ def duhamel_residual(scenario: Scenario, trajectory: Trajectory,
     phi = np.zeros((nrec, 2 * gen.ndof))
     if scenario.kernel is not None:
         buffer = scenario.make_buffer()
-        sub_idx = scenario.subdomain.indices(gen.grid)
-        lookup = {node: i for i, node in enumerate(gen.free)}
-        sub_free = np.array([lookup[i] for i in sub_idx])
+        sub_free = scenario.subdomain_dofs
         tau = scenario.kernel.tau
         for j in range(nrec):
             t_j = trajectory.times[j]
@@ -484,17 +486,8 @@ def polynomial_state(generator: DiscreteGenerator, amplitude: float = 1.0):
 def smallness_level(scenario: Scenario) -> float:
     """Left side of the small-data threshold:
     ||Y0||^2 + int_{-tau}^{0} |k(s + tau)| ||g(s)||_H^2 ds (slot trapezoid)."""
-    gen = scenario.generator
-    level = gen.state_norm(scenario.initial_state) ** 2
-    if scenario.kernel is not None:
-        buffer = scenario.make_buffer()
-        slot_times = buffer.window_steps() * scenario.dt  # [-tau, 0]
-        kvals = np.abs(np.atleast_1d(scenario.kernel.eval(slot_times + scenario.kernel.tau)))
-        weights = np.full(buffer.m + 1, scenario.dt)
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        level += float(np.sum(weights * kvals * buffer.window_norms_sq()))
-    return level
+    level = scenario.generator.state_norm(scenario.initial_state) ** 2
+    return level + 2.0 * diagnostics.history_energy(scenario.kernel, scenario.make_buffer())
 
 
 def certify_scenario(scenario: Scenario, horizon: float = 20.0, samples: int = 80,

@@ -10,6 +10,10 @@ built from three quadratic forms on the free nodal degrees of freedom:
     K  stiffness         (elastic quadrature + beta/gamma tip traces),
     D  tip damping       (rank <= 2, boundary traces only).
 
+These forms (with the factors C, W, e and g of K and D) are the generator's
+only stored representation; the dense 2n x 2n system matrix is built from
+them on first use, for the desk-scale oracles.
+
 The construction is variational: K = C^T W C with C the curvature (beams) or
 face-gradient (waves) map and W a positive diagonal quadrature, so the energy
 E = (1/2)(u^T K u + v^T M v) obeys dE/dt = -v^T D v exactly along the
@@ -24,6 +28,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -239,10 +244,8 @@ class DiscreteGenerator:
     gamma_eff: float
     damping_value_coeff: float                       # weight of v(1)^2 in D
     damping_slope_coeff: float                       # weight of v'(1)^2 in D
-    stiffness_form: np.ndarray = field(repr=False)   # K
-    damping_form: np.ndarray = field(repr=False)     # D
-    operator: np.ndarray = field(repr=False)         # M^{-1} K
-    system_matrix: np.ndarray = field(repr=False)    # 2n x 2n block matrix
+    stiffness_form: np.ndarray = field(repr=False)   # K = C^T W C + tip terms
+    damping_form: np.ndarray = field(repr=False)     # D (dense, rank <= 2)
 
     # -- state plumbing ----------------------------------------------------
 
@@ -264,6 +267,17 @@ class DiscreteGenerator:
 
     def split(self, state: np.ndarray):
         return state[:self.ndof], state[self.ndof:]
+
+    @cached_property
+    def system_matrix(self) -> np.ndarray:
+        """A = [[0, I], [-M^{-1} K, -M^{-1} D]], dense 2n x 2n, built on first use."""
+        ndof = self.ndof
+        system = np.zeros((2 * ndof, 2 * ndof))
+        system[:ndof, ndof:] = np.eye(ndof)
+        system[ndof:, :ndof] = -(self.stiffness_form / self.mass[:, None])
+        system[ndof:, ndof:] = -self.damping_form / self.mass[:, None]
+        system.setflags(write=False)
+        return system
 
     # -- quadratic forms -----------------------------------------------------
 
@@ -400,23 +414,14 @@ def assemble(kind: OperatorKind, profile: CoefficientProfile, bc: BoundaryParams
     else:
         mass = grid.trapezoid_weights()[free]
 
-    operator = stiffness / mass[:, None]
-    ndof = free.size
-    system = np.zeros((2 * ndof, 2 * ndof))
-    system[:ndof, ndof:] = np.eye(ndof)
-    system[ndof:, :ndof] = -operator
-    system[ndof:, ndof:] = -damping / mass[:, None]
-
-    for arr in (free, mass, rows_free, weights, e_free, g_free, stiffness,
-                damping, operator, system):
+    for arr in (free, mass, rows_free, weights, e_free, g_free, stiffness, damping):
         arr.setflags(write=False)
     return DiscreteGenerator(
         kind=kind, profile=profile, bc=bc, grid=grid, free=free, mass=mass,
         elastic_rows=rows_free, elastic_weights=weights, trace_value=e_free,
         trace_slope=g_free, beta_eff=beta_eff, gamma_eff=gamma_eff,
         damping_value_coeff=d_value, damping_slope_coeff=d_slope,
-        stiffness_form=stiffness, damping_form=damping, operator=operator,
-        system_matrix=system)
+        stiffness_form=stiffness, damping_form=damping)
 
 
 def gauss_green_residual(generator: DiscreteGenerator, u_full: np.ndarray,

@@ -10,7 +10,7 @@ from degenwave import (BoundaryParams, CoefficientSpec, Grid, HistoryBuffer,
                        SourceKind, SubdomainP, apply_Bstar, assemble, classify,
                        decay_fit, duhamel_residual, eigenmode_state,
                        polynomial_state, semigroup_constants, simulate,
-                       smallness_level, step)
+                       smallness_level)
 from degenwave.evolution import _Stepper, _state_weight_sqrt, spectral_abscissa
 
 
@@ -130,7 +130,7 @@ def test_single_step_matches_rk4_oracle():
                   history=lambda s: g_trace)
     buffer = sc.make_buffer()
     state0 = sc.initial_state
-    got = step(sc, state0, buffer, 0.0)
+    got = _Stepper(sc, smoothing_steps=0).step(0.0, state0, buffer)
 
     from degenwave.nonlinearity import eval_f
 
@@ -157,6 +157,55 @@ def test_single_step_matches_rk4_oracle():
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
     assert gen.state_norm(got - y) <= 1e-4 * gen.state_norm(y)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+def test_block_solve_matches_dense_trapezoid(kind, alpha, n, dt):
+    # the velocity-block solve and the midpoint-form step against the dense
+    # 2n x 2n trapezoid (I - dt/2 A)^{-1}((I + dt/2 A) y + dt G), with a
+    # delay kernel, a nonzero history and a power source in G
+    gen = make_gen(kind, alpha, n)
+    x = gen.grid.nodes
+    y0, _ = polynomial_state(gen)
+    sc = Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=x ** 2 * (1.0 - x),
+                  t_end=1.0, dt=dt, kernel=KernelSpec.exp_decay(0.4, 1.5, tau=0.1),
+                  subdomain=SubdomainP(0.25, 0.75), history=0.3)
+    stepper = _Stepper(sc, smoothing_steps=0)
+    buffer = sc.make_buffer()
+    state = sc.initial_state
+    explicit = stepper.explicit_term(0.5 * dt, state, buffer)
+    assert np.any(explicit[gen.ndof:] != 0.0)
+    ident = np.eye(2 * gen.ndof)
+    half = 0.5 * dt * gen.system_matrix
+
+    rhs = state + 0.5 * dt * explicit
+    dense = np.linalg.solve(ident - half, rhs)
+    assert gen.state_norm(stepper.solve(rhs) - dense) <= 1e-8 * gen.state_norm(dense)
+
+    dense = np.linalg.solve(ident - half, (ident + half) @ state + dt * explicit)
+    got = stepper.step(0.0, state, buffer)
+    assert gen.state_norm(got - dense) <= 1e-8 * gen.state_norm(dense)
+
+
+def test_system_matrix_built_on_demand():
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    assert "system_matrix" not in vars(gen)
+    y0, y1 = polynomial_state(gen)
+    sc = Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1, t_end=0.5,
+                  dt=0.0125, kernel=KernelSpec.constant(0.3, tau=0.25),
+                  subdomain=SubdomainP(0.25, 0.75), history=0.3)
+    assert not simulate(sc).blew_up
+    assert "system_matrix" not in vars(gen)
+    eigenmode_state(gen, 0)
+    assert "system_matrix" in vars(gen)
+    assert not gen.system_matrix.flags.writeable
+
+    gen = make_gen(OperatorKind.WAVE_DIV, 1.5, 16)
+    semigroup_constants(gen)
+    assert "system_matrix" in vars(gen)
 
 
 def test_linear_run_decays():
