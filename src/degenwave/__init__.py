@@ -4,7 +4,7 @@ with delayed distributed damping and nonlinear sources."""
 from .degeneracy import (CoefficientProfile, CoefficientSpec, STRONGLY_DEGENERATE,
                          WEAKLY_DEGENERATE, classify)
 from .delay import (GrowthEnvelope, HistoryBuffer, KernelSpec, SubdomainP,
-                    apply_B, apply_Bstar, kernel_growth_check, kernel_window_bound,
+                    apply_Bstar, kernel_growth_check, kernel_window_bound,
                     subdomain_gain)
 from .diagnostics import (BoundReport, CertificationResult, DecayFit,
                           EnergyBreakdown, ThresholdCertificate, decay_fit,
@@ -22,9 +22,8 @@ from .evolution import (Scenario, SemigroupCertificate, Trajectory, certify_scen
 from .grids import Grid
 from .nonlinearity import (NonlinearityConstants, SourceKind, constants_for,
                            eval_F_functional, eval_f, h_eval, h_inverse,
-                           hardy_poincare_constant, lipschitz_bound,
-                           sobolev_pointwise_bound_check)
+                           hardy_poincare_constant, lipschitz_bound)
 from .operators import (BoundaryParams, DiscreteGenerator, OperatorKind, assemble,
-                        from_curvature, from_face_slopes, gauss_green_residual)
+                        gauss_green_residual)
 
 __version__ = "0.1.0"

@@ -112,8 +112,10 @@ def build_initial(cfg, generator):
         y0 = amplitude * np.interp(x, data[:, 0], data[:, 1])
         y1 = amplitude * np.interp(x, data[:, 0], data[:, 2])
     elif preset == "eigenmode":
-        mode = int(_get_float(cfg, "initial", "mode", default=0.0))
-        y0, y1 = evolution.eigenmode_state(generator, mode, amplitude=amplitude)
+        mode = _get_float(cfg, "initial", "mode", default=0.0)
+        if not mode.is_integer():
+            raise ConfigError(f"[initial] mode = {mode!r} is not an integer")
+        y0, y1 = evolution.eigenmode_state(generator, int(mode), amplitude=amplitude)
     elif preset == "polynomial":
         y0, y1 = evolution.polynomial_state(generator, amplitude=amplitude)
     else:

@@ -275,35 +275,12 @@ class SubdomainP:
         return np.arange(i0, i1)
 
 
-def apply_B(sub: SubdomainP, grid: Grid, values_on_p: np.ndarray) -> np.ndarray:
-    """Extend a function on P by zero to a full nodal function."""
-    idx = sub.indices(grid)
-    values_on_p = np.asarray(values_on_p, dtype=float)
-    if values_on_p.shape != idx.shape:
-        raise SubdomainNotAlignedError(
-            f"expected {idx.size} subdomain values, got {values_on_p.shape}")
-    full = np.zeros(grid.n)
-    full[idx] = values_on_p
-    return full
-
-
 def apply_Bstar(sub: SubdomainP, grid: Grid, full: np.ndarray) -> np.ndarray:
     """Restrict a full nodal function to the snapped subdomain nodes."""
     full = np.asarray(full, dtype=float)
     if full.shape != (grid.n,):
         raise SubdomainNotAlignedError(f"expected {grid.n} nodal values")
     return full[sub.indices(grid)]
-
-
-def inner_H(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
-    """L2(P) inner product; node weight h matches the ambient quadrature."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    return float(grid.h * np.sum(f * g))
-
-
-def norm_H(grid: Grid, f: np.ndarray) -> float:
-    return math.sqrt(max(inner_H(grid, f, f), 0.0))
 
 
 def subdomain_gain(sub: SubdomainP, generator) -> float:

@@ -80,48 +80,24 @@ def history_energies(kernel: KernelSpec, dt: float, slot_norms_sq: np.ndarray) -
     return 0.5 * dt * (sums - 0.5 * (a[:-m] + a[m:]))
 
 
+def source_energy(generator: DiscreteGenerator, source: SourceKind,
+                  state: np.ndarray) -> float:
+    """-int F(y) (1/a-weighted where the velocity space is) of one state."""
+    if source.is_none:
+        return 0.0
+    u, _ = generator.split(state)
+    return -eval_F_functional(source, generator.embed(u), generator.profile,
+                              weighted=generator.kind.weighted_velocity)
+
+
 def energy_breakdown(generator: DiscreteGenerator, source: SourceKind,
                      state: np.ndarray, kernel: Optional[KernelSpec] = None,
                      buffer=None) -> EnergyBreakdown:
     """Kind-dispatched energy of one state (with its delay window)."""
     kinetic, elastic, boundary = generator.energy_parts(state)
-    u, _ = generator.split(state)
-    src = 0.0
-    if not source.is_none:
-        src = -eval_F_functional(source, generator.embed(u), generator.profile,
-                                 weighted=generator.kind.weighted_velocity)
-    hist = history_energy(kernel, buffer)
-    return EnergyBreakdown.build(kinetic, elastic, boundary, src, hist)
-
-
-def energy_records(generator: DiscreteGenerator, source: SourceKind, states: np.ndarray,
-                   history=0.0) -> EnergyBreakdown:
-    """`energy_breakdown` of every row of `states` at once, as arrays.
-
-    `history` is the history energy of each row (see `history_energies`).
-    Rows with a non-finite entry get inf in every field.
-    """
-    ndof = generator.ndof
-    u, v = states[:, :ndof], states[:, ndof:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        kinetic = 0.5 * ((v * v) @ generator.mass)
-        # one matrix-vector product per state, the arithmetic of `energy_parts`:
-        # at n = 1024 the curvature rows (entries ~ 1/h^2) cancel, and a blocked
-        # matrix-matrix product moves the elastic energy by ~1e-12 relative
-        cu = np.matmul(generator.elastic_rows, u[:, :, None])[:, :, 0]
-        elastic = 0.5 * ((cu * cu) @ generator.elastic_weights)
-        boundary = 0.5 * (generator.beta_eff * (u @ generator.trace_value) ** 2
-                          + generator.gamma_eff * (u @ generator.trace_slope) ** 2)
-    bad = ~np.all(np.isfinite(states), axis=1)
-    src = np.zeros(len(states))
-    if not source.is_none:
-        for i in np.flatnonzero(~bad):
-            src[i] = -eval_F_functional(source, generator.embed(u[i]), generator.profile,
-                                        weighted=generator.kind.weighted_velocity)
-    parts = [kinetic, elastic, boundary, src, np.full(len(states), history, dtype=float)]
-    for part in parts:
-        part[bad] = math.inf
-    return EnergyBreakdown.build(*parts)
+    return EnergyBreakdown.build(kinetic, elastic, boundary,
+                                 source_energy(generator, source, state),
+                                 history_energy(kernel, buffer))
 
 
 def growth_envelope_C(kernel: Optional[KernelSpec], b: float, t) -> np.ndarray:
@@ -335,7 +311,6 @@ class CertificationResult:
 class DecayFit:
     rate: float
     r_squared: float
-    n_points: int
 
 
 def decay_fit(trajectory_or_times, norms=None, window_frac: float = 0.6) -> DecayFit:
@@ -365,4 +340,4 @@ def decay_fit(trajectory_or_times, norms=None, window_frac: float = 0.6) -> Deca
     ss_res = float(np.sum((logs - pred) ** 2))
     ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(rate=float(-slope), r_squared=r2, n_points=int(t_fit.size))
+    return DecayFit(rate=float(-slope), r_squared=r2)

@@ -41,6 +41,9 @@ from .operators import DiscreteGenerator
 #: state-norm threshold treated as blow-up
 BLOWUP_NORM = 1e8
 
+#: off-grid times on which `semigroup_constants` re-checks its sampled M
+RECHECK_SAMPLES = 50
+
 
 @dataclass(eq=False)
 class Scenario:
@@ -117,9 +120,12 @@ class Trajectory:
     """The state at every step of a run, with per-record diagnostics.
 
     Every field is an array over the records (one per step, plus the initial
-    state), computed once in batch from `states` by `simulate`; `energies`
-    holds one array per energy summand.  The record of a non-finite state
-    carries inf energies, norm and damping rate and nan tip values.
+    state); `energies` holds one array per energy summand.  The kinetic,
+    elastic and boundary energies are each state's `energy_parts`, computed
+    once during the run, and `state_norms` is sqrt(2 (kinetic + elastic +
+    boundary)); the other fields are computed in batch from `states` by
+    `simulate`.  The record of a non-finite state carries inf energies, norm
+    and damping rate and nan tip values.
     """
 
     times: np.ndarray
@@ -153,40 +159,20 @@ def spectral_abscissa(system_matrix: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(system_matrix).real))
 
 
-def _state_weight_sqrt(generator: DiscreteGenerator):
-    """W^{1/2} and W^{-1/2} for the block weight diag(K, M) of the state norm."""
-    k = generator.stiffness_form
-    evals, evecs = np.linalg.eigh(k)
-    floor = max(evals[-1], 1.0) * 1e-13
-    evals = np.maximum(evals, floor)
-    k_half = evecs @ (np.sqrt(evals)[:, None] * evecs.T)
-    k_ihalf = evecs @ ((1.0 / np.sqrt(evals))[:, None] * evecs.T)
-    m_half = np.sqrt(generator.mass)
-    n = generator.ndof
-    whalf = np.zeros((2 * n, 2 * n))
-    wihalf = np.zeros((2 * n, 2 * n))
-    whalf[:n, :n] = k_half
-    wihalf[:n, :n] = k_ihalf
-    whalf[n:, n:] = np.diag(m_half)
-    wihalf[n:, n:] = np.diag(1.0 / m_half)
-    return whalf, wihalf
-
-
 def semigroup_constants(generator: Union[DiscreteGenerator, np.ndarray],
-                        horizon: float = 20.0, samples: int = 80,
-                        recheck: int = 50) -> SemigroupCertificate:
+                        horizon: float = 20.0, samples: int = 80) -> SemigroupCertificate:
     """Sampled (M, omega) with omega = 0.9 x (decay rate of the slowest mode).
 
-    The operator norm is taken in the generator's state norm via a similarity
-    transform by the square-root weight (Euclidean norm for a plain matrix).
-    The horizon is extended until ||e^{HA}|| e^{omega H} <= 1, which makes the
-    sampled bound valid for every t >= 0 by submultiplicativity; the bound is
-    then re-verified on `recheck` off-grid times.
+    The operator norm is taken in the generator's state norm, as the
+    Euclidean norm of the closed-form `DiscreteGenerator.state_norm_generator`
+    (a plain matrix is taken as it is).  The horizon is extended until
+    ||e^{HA}|| e^{omega H} <= 1, which makes the sampled bound valid for every
+    t >= 0 by submultiplicativity; the bound is then re-verified on
+    RECHECK_SAMPLES off-grid times.  M is the maximum over these samples, not
+    a bound between them.
     """
     if isinstance(generator, DiscreteGenerator):
-        sysm = generator.system_matrix
-        whalf, wihalf = _state_weight_sqrt(generator)
-        a_tilde = whalf @ sysm @ wihalf
+        a_tilde = generator.state_norm_generator()
     else:
         a_tilde = np.asarray(generator, dtype=float)
     if a_tilde.shape[0] > 1024:
@@ -206,10 +192,10 @@ def semigroup_constants(generator: Union[DiscreteGenerator, np.ndarray],
         horizon *= 2.0
     ts = np.linspace(0.0, horizon, samples + 1)
     m_const = max(opnorm(t) * math.exp(omega * t) for t in ts)
-    extra = (np.arange(recheck) + 0.5) * horizon / recheck
+    extra = (np.arange(RECHECK_SAMPLES) + 0.5) * horizon / RECHECK_SAMPLES
     m_extra = max(opnorm(t) * math.exp(omega * t) for t in extra)
     m_const = max(m_const, m_extra, 1.0)
-    note = (f"sampled on {samples + 1}+{recheck} times over [0, {horizon:g}], "
+    note = (f"sampled on {samples + 1}+{RECHECK_SAMPLES} times over [0, {horizon:g}], "
             f"omega = 0.9 x {-abscissa:.6g}")
     return SemigroupCertificate(M=m_const, omega=omega, method_note=note)
 
@@ -243,7 +229,7 @@ class _Stepper:
         gen = scenario.generator
         self.gen = gen
         self.half_dt = h = 0.5 * scenario.dt
-        block = h * gen.damping_form + (h * h) * gen.stiffness_form
+        block = h * gen.damping_matrix() + (h * h) * gen.stiffness_form
         block[np.diag_indices_from(block)] += gen.mass
         try:
             self.lu = scipy.linalg.lu_factor(block)
@@ -328,14 +314,17 @@ class _Stepper:
 
 
 def simulate(scenario: Scenario) -> Trajectory:
-    """Integrate to t_end, then record every state's diagnostics in one pass.
+    """Integrate to t_end, recording each state and its energy once.
 
-    The states fill one preallocated array; the run stops early at the first
-    non-finite state or state norm above BLOWUP_NORM.  Energies, norms,
-    damping rates and tip traces are then computed in batch over all records.
-    The history energy of record i is the slot trapezoid over the window
-    i - m .. i of the traces: the initial history for slots s <= 0, and the
-    recorded velocities on P for s >= 1.
+    The states fill one preallocated array, and each state's (kinetic,
+    elastic, boundary) `energy_parts` triple, computed once for the blow-up
+    check, fills a second one that gives the state norms and those energy
+    columns.  The run stops early at the first non-finite state or state
+    norm above BLOWUP_NORM.  Source energies, damping rates and tip traces
+    are then computed in batch over all records.  The history energy of
+    record i is the slot trapezoid over the window i - m .. i of the traces:
+    the initial history for slots s <= 0, and the recorded velocities on P
+    for s >= 1.
     """
     gen = scenario.generator
     stepper = _Stepper(scenario)
@@ -344,38 +333,49 @@ def simulate(scenario: Scenario) -> Trajectory:
     initial_norms_sq = buffer.window_norms_sq() if buffer is not None else None
 
     states = np.empty((nsteps + 1, 2 * gen.ndof))
+    parts = np.full((nsteps + 1, 3), math.inf)   # energy_parts; inf on non-finite states
     states[0] = scenario.initial_state
+    if np.all(np.isfinite(states[0])):
+        parts[0] = gen.energy_parts(states[0])
     nrec = nsteps + 1
     blew_up = False
     for ell in range(nsteps):
         state = stepper.step(ell * scenario.dt, states[ell], buffer)
         states[ell + 1] = state
-        if not np.all(np.isfinite(state)) or gen.state_norm(state) > BLOWUP_NORM:
+        if np.all(np.isfinite(state)):
+            kinetic, elastic, boundary = gen.energy_parts(state)
+            parts[ell + 1] = kinetic, elastic, boundary
+            blew_up = math.sqrt(2.0 * (kinetic + elastic + boundary)) > BLOWUP_NORM
+        else:
             blew_up = True
+        if blew_up:
             nrec = ell + 2
             break
-    states = states[:nrec]
+    states, parts = states[:nrec], parts[:nrec]
     times = np.arange(nrec) * scenario.dt
+    bad = ~np.all(np.isfinite(states), axis=1)
 
-    u, v = states[:, :gen.ndof], states[:, gen.ndof:]
-    history = 0.0
+    source = np.zeros(nrec)
+    if not scenario.source.is_none:
+        for i in np.flatnonzero(~bad):
+            source[i] = diagnostics.source_energy(gen, scenario.source, states[i])
+    history = np.zeros(nrec)
     with np.errstate(over="ignore", invalid="ignore"):
         if buffer is not None:
-            traces = v[1:, stepper.sub_free]
+            traces = gen.split(states)[1][1:, stepper.sub_free]
             slot_norms_sq = np.concatenate(
                 [initial_norms_sq, gen.grid.h * np.einsum("ij,ij->i", traces, traces)])
             history = diagnostics.history_energies(scenario.kernel, scenario.dt,
                                                    slot_norms_sq)
-        energies = diagnostics.energy_records(gen, scenario.source, states, history)
-        norms = np.sqrt(2.0 * (energies.kinetic + energies.elastic + energies.boundary))
-        tip_val = u @ gen.trace_value
-        tip_vel = v @ gen.trace_value
-        damping = (gen.damping_value_coeff * tip_vel ** 2
-                   + gen.damping_slope_coeff * (v @ gen.trace_slope) ** 2)
-    bad = ~np.all(np.isfinite(states), axis=1)
-    damping[bad] = math.inf
+        kinetic, elastic, boundary = parts.T
+        norms = np.sqrt(2.0 * (kinetic + elastic + boundary))
+        damping = gen.boundary_damping_rate(states)
+        tip_val, _, tip_vel, _ = gen.tip_traces(states)
+    for column in (source, history, damping):
+        column[bad] = math.inf
     tip_val[bad] = math.nan
     tip_vel[bad] = math.nan
+    energies = diagnostics.EnergyBreakdown.build(kinetic, elastic, boundary, source, history)
 
     return Trajectory(times=times, states=states, state_norms=norms, energies=energies,
                       damping_rates=damping, tip_values=tip_val, tip_velocities=tip_vel,
@@ -453,10 +453,12 @@ def eigenmode_state(generator: DiscreteGenerator, mode: int = 0,
 
     Eigenvalues are deduplicated by conjugacy and ordered by ascending
     frequency |Im| (by="frequency", the physical mode count) or by decreasing
-    real part (by="decay", slowest-decaying first).  The returned nodal data
-    is the real part of the eigenvector, scaled to the requested state-norm
-    amplitude.
+    real part (by="decay", slowest-decaying first).  `mode` must be an
+    integer in [0, number of modes).  The returned nodal data is the real
+    part of the eigenvector, scaled to the requested state-norm amplitude.
     """
+    if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)):
+        raise ValueError(f"mode must be an integer, got {mode!r}")
     vals, vecs = np.linalg.eig(generator.system_matrix)
     keep = vals.imag >= -1e-12
     vals, vecs = vals[keep], vecs[:, keep]
@@ -466,6 +468,8 @@ def eigenmode_state(generator: DiscreteGenerator, mode: int = 0,
         order = np.lexsort((np.abs(vals.imag), -vals.real))
     else:
         raise ValueError("by must be 'frequency' or 'decay'")
+    if not 0 <= mode < order.size:
+        raise ValueError(f"mode {mode} is outside [0, {order.size})")
     vec = vecs[:, order[mode]]
     state = vec.real
     nrm = generator.state_norm(state)

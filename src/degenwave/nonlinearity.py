@@ -120,15 +120,6 @@ def eval_f(source: SourceKind, y: np.ndarray, grid: Grid) -> np.ndarray:
     return norm_sq ** (source.p / 2.0) * y
 
 
-def weighted_l2_norm(y: np.ndarray, profile: CoefficientProfile) -> float:
-    """||y||_{L2_{1/a}} by the composite midpoint rule (x = 0 never touched)."""
-    grid = profile.grid
-    y = np.asarray(y, dtype=float)
-    mid_vals = 0.5 * (y[:-1] + y[1:])
-    a_mid = profile.value_at(grid.midpoints)
-    return float(np.sqrt(grid.h * np.sum(mid_vals * mid_vals / a_mid)))
-
-
 def weighted_inner(y: np.ndarray, z: np.ndarray, profile: CoefficientProfile) -> float:
     """<y, z>_{L2_{1/a}} by the composite midpoint rule."""
     grid = profile.grid
@@ -233,48 +224,3 @@ def hardy_poincare_constant(grid: Grid, profile: CoefficientProfile) -> float:
     if not np.isfinite(top) or top <= 0:
         raise EigSolveFailureError(f"nonpositive or non-finite top eigenvalue {top}")
     return top
-
-
-def curvature_seminorm(grid: Grid, u_full: np.ndarray) -> float:
-    """||u''|| of a nodal function in the clamped space {u(0)=u'(0)=0}."""
-    rows, wts = curvature_quadrature(grid)
-    cu = rows @ np.asarray(u_full, dtype=float)
-    return float(np.sqrt(wts @ (cu * cu)))
-
-
-def empirical_growth_constant(source: SourceKind, generator, samples) -> float:
-    """Sampled sup of <f(u), u> / ||u||_s^{m+2} in a generator's own pairing.
-
-    The explicit constants above are derived for the weighted clamped-beam
-    seminorm; for the other operator kinds the sign/growth hypothesis is
-    verified in inequality form by sampling: a finite, grid-stable supremum
-    certifies a gauge h(x) = C x^m for that kind's seminorm (||sqrt(a)u''||,
-    ||u'|| or ||sqrt(a)u'||).  `samples` are full nodal displacement vectors.
-    """
-    m = source.exponent
-    grid = generator.grid
-    profile = generator.profile
-    sup = 0.0
-    for u_full in samples:
-        u_full = np.asarray(u_full, dtype=float)
-        fu = eval_f(source, u_full, grid)
-        if generator.kind.weighted_velocity:
-            pairing = weighted_inner(fu, u_full, profile)
-        else:
-            pairing = grid.trapezoid(fu * u_full)
-        semi = generator.elastic_seminorm(generator.restrict(u_full))
-        if semi > 1e-12:
-            sup = max(sup, pairing / semi ** (m + 2.0))
-    return sup
-
-
-def sobolev_pointwise_bound_check(u_full: np.ndarray, grid: Grid,
-                                  rtol: float = 0.05, atol: float = 1e-12) -> bool:
-    """Check |u(x_i)| <= (2/3) x_i^{3/2} ||u''|| at every node (with slack).
-
-    The multiplicative slack absorbs the O(h^{3/2}) defect of the discrete
-    double-integration chain near x = 0.
-    """
-    u = np.asarray(u_full, dtype=float)
-    bound = (2.0 / 3.0) * grid.nodes ** 1.5 * curvature_seminorm(grid, u)
-    return bool(np.all(np.abs(u) <= bound * (1.0 + rtol) + atol))

@@ -8,11 +8,14 @@ built from three quadratic forms on the free nodal degrees of freedom:
 
     M  velocity weight   (1/a-weighted for non-divergence kinds),
     K  stiffness         (elastic quadrature + beta/gamma tip traces),
-    D  tip damping       (rank <= 2, boundary traces only).
+    D  tip damping       D = d_e e e^T + d_g g g^T, rank <= 2.
 
-These forms (with the factors C, W, e and g of K and D) are the generator's
-only stored representation; the dense 2n x 2n system matrix is built from
-them on first use, for the desk-scale oracles.
+M is stored as its diagonal, K dense with its factors C and W, and D only
+as its tip traces e, g and weights d_e, d_g: v^T D v = d_e (e.v)^2 +
+d_g (g.v)^2.  The dense D is formed from the traces where a dense block
+needs it (the step matrix and the system matrix); the dense 2n x 2n system
+matrix is built on first use, for the desk-scale oracles.  The generator in
+the state norm has the closed form `state_norm_generator`.
 
 The construction is variational: K = C^T W C with C the curvature (beams) or
 face-gradient (waves) map and W a positive diagonal quadrature, so the energy
@@ -33,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .degeneracy import CoefficientProfile
-from .errors import GridTooCoarseError, InconsistentBCError
+from .errors import DegenwaveError, GridTooCoarseError, InconsistentBCError
 from .grids import Grid
 
 
@@ -195,37 +198,6 @@ def weighted_mass_diagonal(grid: Grid, profile: CoefficientProfile) -> np.ndarra
     return w / profile.grid_values[1:]
 
 
-def from_curvature(grid: Grid, curvature: np.ndarray) -> np.ndarray:
-    """Nodal u with u(0)=u'(0)=0 whose discrete curvature rows equal the input.
-
-    curvature[k] feeds row k of curvature_quadrature (mirror row, then the
-    interior centered rows); the final one-sided row is not prescribed.  Used
-    to synthesize elements of the clamped discrete space in tests and checks.
-    """
-    curvature = np.asarray(curvature, dtype=float)
-    n, h = grid.n, grid.h
-    if curvature.shape[0] < n - 1:
-        raise ValueError("need n-1 curvature values (mirror row + interior rows)")
-    slopes = np.empty(n - 1)  # u' at faces j+1/2
-    slopes[0] = 0.5 * h * curvature[0]
-    for j in range(1, n - 1):
-        slopes[j] = slopes[j - 1] + h * curvature[j]
-    u = np.zeros(n)
-    u[1:] = np.cumsum(h * slopes)
-    return u
-
-
-def from_face_slopes(grid: Grid, slopes: np.ndarray, u0: float = 0.0) -> np.ndarray:
-    """Nodal u with prescribed face gradients (u_{j+1}-u_j)/h and u(0)=u0."""
-    slopes = np.asarray(slopes, dtype=float)
-    if slopes.shape[0] != grid.n - 1:
-        raise ValueError("need n-1 face slopes")
-    u = np.empty(grid.n)
-    u[0] = u0
-    u[1:] = u0 + np.cumsum(grid.h * slopes)
-    return u
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteGenerator:
     """Assembled first-order generator for one operator kind."""
@@ -242,10 +214,9 @@ class DiscreteGenerator:
     trace_slope: np.ndarray = field(repr=False)     # g: u'(1) on free dofs
     beta_eff: float                                  # beta (x a(1) for wave_div)
     gamma_eff: float
-    damping_value_coeff: float                       # weight of v(1)^2 in D
-    damping_slope_coeff: float                       # weight of v'(1)^2 in D
+    damping_value_coeff: float                       # d_e: weight of v(1)^2 in D
+    damping_slope_coeff: float                       # d_g: weight of v'(1)^2 in D
     stiffness_form: np.ndarray = field(repr=False)   # K = C^T W C + tip terms
-    damping_form: np.ndarray = field(repr=False)     # D (dense, rank <= 2)
 
     # -- state plumbing ----------------------------------------------------
 
@@ -266,7 +237,8 @@ class DiscreteGenerator:
         return np.concatenate([u_free, v_free])
 
     def split(self, state: np.ndarray):
-        return state[:self.ndof], state[self.ndof:]
+        """(u, v) of one state, or of a stack of states along the last axis."""
+        return state[..., :self.ndof], state[..., self.ndof:]
 
     @cached_property
     def system_matrix(self) -> np.ndarray:
@@ -275,9 +247,45 @@ class DiscreteGenerator:
         system = np.zeros((2 * ndof, 2 * ndof))
         system[:ndof, ndof:] = np.eye(ndof)
         system[ndof:, :ndof] = -(self.stiffness_form / self.mass[:, None])
-        system[ndof:, ndof:] = -self.damping_form / self.mass[:, None]
+        system[ndof:, ndof:] = -self.damping_matrix() / self.mass[:, None]
         system.setflags(write=False)
         return system
+
+    def damping_matrix(self, scale=1.0) -> np.ndarray:
+        """S D S = d_e (Se)(Se)^T + d_g (Sg)(Sg)^T, dense n x n, from the traces.
+
+        `scale` is the diagonal of S (D itself by default); the result is
+        exactly symmetric.
+        """
+        e = self.trace_value * scale
+        damping = self.damping_value_coeff * np.outer(e, e)
+        if self.damping_slope_coeff:
+            g = self.trace_slope * scale
+            damping += self.damping_slope_coeff * np.outer(g, g)
+        return damping
+
+    def state_norm_generator(self) -> np.ndarray:
+        """A in the state norm: A~ = [[0, B], [-B^T, -M^{-1/2} D M^{-1/2}]].
+
+        With K = L L^T (Cholesky) and B = L^T M^{-1/2}, the map
+        (u, v) -> (L^T u, M^{1/2} v) is an isometry from the state norm onto
+        the Euclidean norm that carries A to A~, so ||e^{tA}||_state =
+        ||e^{t A~}||_2.  The symmetric part of A~ is diag(0, -M^{-1/2} D M^{-1/2})
+        exactly.  Raises DegenwaveError when K is not numerically positive
+        definite (the state norm is then not a norm).
+        """
+        try:
+            chol = np.linalg.cholesky(self.stiffness_form)
+        except np.linalg.LinAlgError as exc:
+            raise DegenwaveError(f"stiffness form is not positive definite: {exc}") from exc
+        inv_sqrt_mass = 1.0 / np.sqrt(self.mass)
+        coupling = chol.T * inv_sqrt_mass
+        ndof = self.ndof
+        a_tilde = np.zeros((2 * ndof, 2 * ndof))
+        a_tilde[:ndof, ndof:] = coupling
+        a_tilde[ndof:, :ndof] = -coupling.T
+        a_tilde[ndof:, ndof:] = -self.damping_matrix(inv_sqrt_mass)
+        return a_tilde
 
     # -- quadratic forms -----------------------------------------------------
 
@@ -309,12 +317,14 @@ class DiscreteGenerator:
         """<A Y, Y> in the state inner product (nonpositive for every Y)."""
         return self.state_inner(self.system_matrix @ state, state)
 
-    def boundary_damping_rate(self, state: np.ndarray) -> float:
-        """v^T D v: the exact discrete energy dissipation rate -dE/dt."""
+    def boundary_damping_rate(self, state: np.ndarray):
+        """v^T D v: the exact discrete energy dissipation rate -dE/dt.
+
+        A float for one state, an array over a stack of states.
+        """
         _, v = self.split(state)
-        rate = self.damping_value_coeff * float(self.trace_value @ v) ** 2
-        rate += self.damping_slope_coeff * float(self.trace_slope @ v) ** 2
-        return rate
+        return (self.damping_value_coeff * (v @ self.trace_value) ** 2
+                + self.damping_slope_coeff * (v @ self.trace_slope) ** 2)
 
     def elastic_seminorm(self, u_free: np.ndarray) -> float:
         """Kind-appropriate seminorm: ||u''||, ||sqrt(a)u''||, ||u'||, ||sqrt(a)u'||."""
@@ -322,10 +332,11 @@ class DiscreteGenerator:
         return float(np.sqrt(self.elastic_weights @ (cu * cu)))
 
     def tip_traces(self, state: np.ndarray):
-        """(y(1), y'(1), y_t(1), y_t'(1)) boundary traces of the state."""
+        """(y(1), y'(1), y_t(1), y_t'(1)) boundary traces of a state (floats)
+        or of a stack of states (arrays)."""
         u, v = self.split(state)
-        return (float(self.trace_value @ u), float(self.trace_slope @ u),
-                float(self.trace_value @ v), float(self.trace_slope @ v))
+        return (u @ self.trace_value, u @ self.trace_slope,
+                v @ self.trace_value, v @ self.trace_slope)
 
     def dump_system(self, target) -> None:
         """Matrix-market dump of the 2n x 2n system matrix (debug aid)."""
@@ -405,23 +416,20 @@ def assemble(kind: OperatorKind, profile: CoefficientProfile, bc: BoundaryParams
     stiffness += beta_eff * np.outer(e_free, e_free)
     if gamma_eff:
         stiffness += gamma_eff * np.outer(g_free, g_free)
-    damping = d_value * np.outer(e_free, e_free)
-    if d_slope:
-        damping += d_slope * np.outer(g_free, g_free)
 
     if kind.weighted_velocity:
         mass = weighted_mass_diagonal(grid, profile)
     else:
         mass = grid.trapezoid_weights()[free]
 
-    for arr in (free, mass, rows_free, weights, e_free, g_free, stiffness, damping):
+    for arr in (free, mass, rows_free, weights, e_free, g_free, stiffness):
         arr.setflags(write=False)
     return DiscreteGenerator(
         kind=kind, profile=profile, bc=bc, grid=grid, free=free, mass=mass,
         elastic_rows=rows_free, elastic_weights=weights, trace_value=e_free,
         trace_slope=g_free, beta_eff=beta_eff, gamma_eff=gamma_eff,
         damping_value_coeff=d_value, damping_slope_coeff=d_slope,
-        stiffness_form=stiffness, damping_form=damping)
+        stiffness_form=stiffness)
 
 
 def gauss_green_residual(generator: DiscreteGenerator, u_full: np.ndarray,

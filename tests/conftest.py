@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from degenwave import (BoundaryParams, CoefficientSpec, Grid, OperatorKind,
-                       assemble, classify, from_curvature)
+                       assemble, classify)
+from helpers import curvature_seminorm, from_curvature
 
 
 @pytest.fixture
@@ -41,8 +42,6 @@ def random_clamped(grid, rng, target_seminorm=None):
     curv = rng.standard_normal(grid.n - 1)
     u = from_curvature(grid, curv)
     if target_seminorm is not None:
-        from degenwave.nonlinearity import curvature_seminorm
-
         nrm = curvature_seminorm(grid, u)
         if nrm > 0:
             u = u * (target_seminorm / nrm)

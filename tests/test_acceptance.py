@@ -20,11 +20,11 @@ from degenwave import (BoundaryParams, BoundViolatedError, CoefficientSpec, Grid
                        subdomain_gain, threshold_certificate)
 from degenwave.cli import main as cli_main
 from degenwave.evolution import spectral_abscissa
-from degenwave.nonlinearity import (curvature_seminorm, weighted_inner,
-                                    weighted_l2_norm)
+from degenwave.nonlinearity import weighted_inner
 from degenwave.operators import weighted_mass_diagonal
 
 from conftest import random_clamped, random_state
+from helpers import curvature_seminorm, weighted_l2_norm
 
 
 def report(num, text, ok):

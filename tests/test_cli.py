@@ -185,3 +185,13 @@ def test_dump_operators_flag(tmp_path):
                  "--quiet", "--dump-operators"]) == 0
     text = (out / "system_matrix.mtx").read_text()
     assert text.startswith("%%MatrixMarket")
+
+
+@pytest.mark.parametrize("mode", ["40", "-1", "2.7", "nan"])
+def test_eigenmode_mode_out_of_range_or_fractional_exits_3(tmp_path, capsys, mode):
+    cfg = write(tmp_path, "mode.ini", BASE_LINEAR.replace("n = 24", "n = 16")
+                .replace("mode = 0", f"mode = {mode}"))
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--command",
+                 "simulate", "--quiet"])
+    assert code == 3
+    assert "mode" in capsys.readouterr().err

@@ -9,10 +9,11 @@ from scipy.integrate import quad
 from degenwave import (BoundaryParams, CoefficientSpec, Grid, HistoryBuffer,
                        InfeasibleError, KernelSpec, OperatorKind,
                        QueryOutOfWindowError, SubdomainNotAlignedError, SubdomainP,
-                       apply_B, apply_Bstar, assemble, classify,
+                       apply_Bstar, assemble, classify,
                        kernel_growth_check, kernel_window_bound, subdomain_gain)
-from degenwave.delay import inner_H, norm_H
 from degenwave.errors import NotLocallyIntegrableError
+
+from helpers import apply_B, inner_H, norm_H
 
 
 def numeric_window(kernel, t):

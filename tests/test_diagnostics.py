@@ -142,6 +142,58 @@ def test_blow_up_record_is_non_finite():
     assert math.isnan(traj.tip_values[-1]) and math.isnan(traj.tip_velocities[-1])
 
 
+def assert_energy_columns_are_energy_parts(traj, path):
+    """E_kinetic, E_elastic, E_boundary and state_norm of the CSV are each
+    recorded state's `energy_parts`, bit for bit (inf on a non-finite state)."""
+    traj.to_csv(path)
+    got = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    gen = traj.scenario.generator
+    assert len(got) == len(traj.states)
+    for row, state in zip(got, traj.states):
+        if np.all(np.isfinite(state)):
+            k, e, b = gen.energy_parts(state)
+            expected = (k, e, b, math.sqrt(2.0 * (k + e + b)))
+        else:
+            expected = (math.inf,) * 4
+        assert tuple(row[[2, 3, 4, 7]]) == expected
+
+
+def test_energy_columns_are_energy_parts_delayed_source(tmp_path):
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 24)
+    y0, y1 = eigenmode_state(gen, 0, amplitude=0.5)
+    sc = Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1, t_end=1.0,
+                  dt=0.0125, kernel=KernelSpec.exp_decay(0.4, 1.5, tau=0.25),
+                  subdomain=SubdomainP(0.25, 0.75), history=0.3)
+    traj = simulate(sc)
+    assert not traj.blew_up and np.all(traj.energies.source != 0.0)
+    assert_energy_columns_are_energy_parts(traj, tmp_path / "trajectory.csv")
+
+
+def test_energy_columns_are_energy_parts_on_blow_up(tmp_path):
+    from degenwave.evolution import BLOWUP_NORM
+
+    # anti-damping: the last state is finite, with a norm above BLOWUP_NORM
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    y0, y1 = polynomial_state(gen)
+    with pytest.warns(UserWarning):
+        sc = Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1, t_end=20.0,
+                      dt=0.05, kernel=KernelSpec.constant(-40.0, tau=0.25),
+                      subdomain=SubdomainP(0.25, 0.75), history=1.0)
+    traj = simulate(sc)
+    assert traj.blew_up and np.all(np.isfinite(traj.states[-1]))
+    assert traj.state_norms[-1] > BLOWUP_NORM >= np.max(traj.state_norms[:-1])
+    assert_energy_columns_are_energy_parts(traj, tmp_path / "anti.csv")
+
+    # overflow: the last state is non-finite
+    y0, y1 = polynomial_state(gen, amplitude=160.0)
+    sc = Scenario(generator=gen, source=SourceKind.power(150.0), y0=y0, y1=y1,
+                  t_end=1.0, dt=0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = simulate(sc)
+    assert traj.blew_up and not np.all(np.isfinite(traj.states[-1]))
+    assert_energy_columns_are_energy_parts(traj, tmp_path / "overflow.csv")
+
+
 def test_cross_kind_energy_consistency(rng):
     # with a == c the divergence and non-divergence quadratic forms agree up
     # to the factor c; a constant profile is built directly (classify would

@@ -1,17 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from degenwave import (BoundaryParams, CoefficientSpec, Grid, HistoryBuffer,
-                       KernelSpec, NotExponentiallyStableError, OperatorKind,
+from degenwave import (BoundaryParams, CoefficientSpec, DegenwaveError, Grid,
+                       HistoryBuffer, KernelSpec, NotExponentiallyStableError, OperatorKind,
                        QueryOutOfWindowError, Scenario,
                        SourceKind, SubdomainP, apply_Bstar, assemble, classify,
                        decay_fit, duhamel_residual, eigenmode_state,
                        polynomial_state, semigroup_constants, simulate,
                        smallness_level)
-from degenwave.evolution import _Stepper, _state_weight_sqrt, spectral_abscissa
+from degenwave.evolution import _Stepper, spectral_abscissa
 
 
 def make_gen(kind, alpha, n, beta=1.0, gamma=1.0):
@@ -37,8 +38,7 @@ def test_semigroup_rejects_rotation():
 def test_semigroup_certificate_sound(rng):
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 24)
     cert = semigroup_constants(gen, horizon=10.0, samples=60)
-    whalf, wihalf = _state_weight_sqrt(gen)
-    a_tilde = whalf @ gen.system_matrix @ wihalf
+    a_tilde = gen.state_norm_generator()
     for t in rng.uniform(0.0, 10.0, size=50):
         prop = scipy.linalg.expm(t * gen.system_matrix)
         for _ in range(20):
@@ -47,6 +47,60 @@ def test_semigroup_certificate_sound(rng):
             assert lhs <= cert.M * math.exp(-cert.omega * t) * gen.state_norm(y0) \
                 * (1 + 1e-8)
     assert a_tilde.shape == gen.system_matrix.shape
+
+
+def eigh_state_norm_generator(gen):
+    """W^{1/2} A W^{-1/2} for the weight W = diag(K, M), with the symmetric
+    square root of K from its eigendecomposition (eigenvalues floored at
+    1e-13 of the largest): the reference for the closed form."""
+    evals, evecs = np.linalg.eigh(gen.stiffness_form)
+    evals = np.maximum(evals, max(evals[-1], 1.0) * 1e-13)
+    n = gen.ndof
+    whalf = np.zeros((2 * n, 2 * n))
+    wihalf = np.zeros((2 * n, 2 * n))
+    whalf[:n, :n] = evecs @ (np.sqrt(evals)[:, None] * evecs.T)
+    wihalf[:n, :n] = evecs @ ((1.0 / np.sqrt(evals))[:, None] * evecs.T)
+    whalf[n:, n:] = np.diag(np.sqrt(gen.mass))
+    wihalf[n:, n:] = np.diag(1.0 / np.sqrt(gen.mass))
+    return whalf @ gen.system_matrix @ wihalf
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("alpha, n", [(0.5, 16), (1.5, 32), (0.5, 64)])
+def test_state_norm_generator_matches_eigh_similarity(kind, alpha, n):
+    gen = make_gen(kind, alpha, n)
+    closed = gen.state_norm_generator()
+    reference = eigh_state_norm_generator(gen)
+    for t in (0.01, 0.1, 0.5, 2.0, 8.0):
+        got = np.linalg.norm(scipy.linalg.expm(t * closed), 2)
+        want = np.linalg.norm(scipy.linalg.expm(t * reference), 2)
+        assert abs(got - want) <= 1e-9, t
+    # the symmetric part is diag(0, -M^{-1/2} D M^{-1/2}) exactly
+    ndof = gen.ndof
+    sym = closed + closed.T
+    assert np.all(sym[:ndof, :ndof] == 0.0)
+    assert np.all(sym[:ndof, ndof:] == 0.0)
+    assert np.all(sym[ndof:, :ndof] == 0.0)
+    inv_sqrt_mass = 1.0 / np.sqrt(gen.mass)
+    damping = gen.damping_matrix() * np.outer(inv_sqrt_mass, inv_sqrt_mass)
+    assert np.allclose(closed[ndof:, ndof:], -damping, rtol=1e-14, atol=0.0)
+
+
+def test_semigroup_rejects_indefinite_stiffness():
+    gen = make_gen(OperatorKind.WAVE_NONDIV, 0.5, 16)
+    with pytest.raises(DegenwaveError, match="positive definite"):
+        semigroup_constants(dataclasses.replace(gen, stiffness_form=-gen.stiffness_form))
+
+
+def test_eigenmode_state_rejects_bad_mode():
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    vals = np.linalg.eigvals(gen.system_matrix)
+    count = int(np.sum(vals.imag >= -1e-12))
+    eigenmode_state(gen, count - 1)
+    eigenmode_state(gen, np.int64(1))
+    for mode in (count, 40, -1, 2.7, 2.0, True):
+        with pytest.raises(ValueError, match="mode"):
+            eigenmode_state(gen, mode)
 
 
 def test_beam_stable_without_tip_gains():
@@ -205,7 +259,7 @@ def test_system_matrix_built_on_demand():
 
     gen = make_gen(OperatorKind.WAVE_DIV, 1.5, 16)
     semigroup_constants(gen)
-    assert "system_matrix" in vars(gen)
+    assert "system_matrix" not in vars(gen)
 
 
 def test_linear_run_decays():

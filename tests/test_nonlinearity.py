@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from degenwave import (CoefficientSpec, Grid, SourceKind, classify, constants_for,
                        eval_F_functional, eval_f, h_eval, h_inverse,
-                       hardy_poincare_constant, lipschitz_bound,
-                       sobolev_pointwise_bound_check)
-from degenwave.nonlinearity import (curvature_seminorm, cq_factor, weighted_inner,
-                                    weighted_l2_norm)
+                       hardy_poincare_constant, lipschitz_bound)
+from degenwave.nonlinearity import cq_factor, weighted_inner
 from degenwave.operators import weighted_mass_diagonal
 
 from conftest import random_clamped
+from helpers import (curvature_seminorm, empirical_growth_constant, from_face_slopes,
+                     sobolev_pointwise_bound_check, weighted_l2_norm)
 
 
 @pytest.fixture(scope="module")
@@ -214,9 +214,7 @@ def test_growth_hypothesis_other_kinds_by_sampling(rng):
     # inequality-form check for the seminorms of the other operator kinds:
     # the sampled growth ratio is finite and stable under grid refinement,
     # and the potential bound holds with the sampled gauge constant
-    from degenwave import (BoundaryParams, OperatorKind, assemble,
-                           from_face_slopes)
-    from degenwave.nonlinearity import empirical_growth_constant
+    from degenwave import BoundaryParams, OperatorKind, assemble
 
     source = SourceKind.power(1.0)
     for kind in (OperatorKind.BEAM_DIV, OperatorKind.WAVE_NONDIV,

@@ -3,10 +3,11 @@ import pytest
 
 from degenwave import (BoundaryParams, CoefficientSpec, Grid, GridTooCoarseError,
                        InconsistentBCError, OperatorKind, assemble, classify,
-                       from_curvature, from_face_slopes, gauss_green_residual)
+                       gauss_green_residual)
 from degenwave.operators import fd_weights, nodal_derivative
 
 from conftest import random_state
+from helpers import from_curvature, from_face_slopes
 
 KINDS = list(OperatorKind)
 
