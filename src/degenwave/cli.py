@@ -48,6 +48,13 @@ def _get_float(cfg, section, key, default=None):
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
 
 
+def _get_int(cfg, section, key, default=None):
+    value = _get_float(cfg, section, key, default)
+    if not float(value).is_integer():
+        raise ConfigError(f"[{section}] {key} = {value!r} is not an integer")
+    return int(value)
+
+
 def build_coefficient(cfg) -> degeneracy.CoefficientSpec:
     kind = _require(cfg, "coefficient", "kind").strip().lower()
     if kind == "power":
@@ -112,10 +119,8 @@ def build_initial(cfg, generator):
         y0 = amplitude * np.interp(x, data[:, 0], data[:, 1])
         y1 = amplitude * np.interp(x, data[:, 0], data[:, 2])
     elif preset == "eigenmode":
-        mode = _get_float(cfg, "initial", "mode", default=0.0)
-        if not mode.is_integer():
-            raise ConfigError(f"[initial] mode = {mode!r} is not an integer")
-        y0, y1 = evolution.eigenmode_state(generator, int(mode), amplitude=amplitude)
+        mode = _get_int(cfg, "initial", "mode", default=0)
+        y0, y1 = evolution.eigenmode_state(generator, mode, amplitude=amplitude)
     elif preset == "polynomial":
         y0, y1 = evolution.polynomial_state(generator, amplitude=amplitude)
     else:
@@ -133,7 +138,7 @@ def build_initial(cfg, generator):
 
 def build_scenario(cfg) -> evolution.Scenario:
     try:
-        grid = Grid.uniform(int(_get_float(cfg, "operator", "n")))
+        grid = Grid.uniform(_get_int(cfg, "operator", "n"))
         spec = build_coefficient(cfg)
         profile = degeneracy.classify(spec, grid)
         kind = operators.OperatorKind(_require(cfg, "operator", "kind").strip().lower())
@@ -306,7 +311,7 @@ def main(argv=None) -> int:
                         help="also write the system matrix in matrix-market form")
     args = parser.parse_args(argv)
 
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         if not cfg.read(args.config):
             raise ConfigError(f"cannot read config {args.config!r}")

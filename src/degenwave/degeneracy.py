@@ -64,7 +64,9 @@ class CoefficientSpec:
     @classmethod
     def from_csv(cls, path) -> "CoefficientSpec":
         """Two-column CSV (x, a(x)); header row optional; x ascending from 0."""
-        xs, values = _read_two_column_csv(path)
+        xs, values = read_two_column_csv(path)
+        if xs.size < 3:
+            raise ValueError(f"{path}: need at least 3 data rows")
         return cls.tabulated(xs, values)
 
     @classmethod
@@ -122,21 +124,27 @@ class CoefficientProfile:
         return float(max(np.max(self.grid_values), np.max(mids)))
 
 
-def _read_two_column_csv(path):
-    xs, values = [], []
+def read_two_column_csv(path):
+    """(first, second) column arrays of a two-column numeric CSV.
+
+    Blank rows and rows whose first two cells are not both numbers (headers,
+    comments) are skipped; a numeric row with a single column raises
+    ValueError.  Callers set their own minimum row count.
+    """
+    first, second = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not "".join(row).strip():
+        for line, row in enumerate(csv.reader(fh), start=1):
+            if not "".join(row).strip():
                 continue
             try:
-                x, v = float(row[0]), float(row[1])
+                cells = [float(cell) for cell in row[:2]]
             except ValueError:
                 continue  # header or comment row
-            xs.append(x)
-            values.append(v)
-    if len(xs) < 3:
-        raise ValueError(f"{path}: need at least 3 data rows")
-    return np.asarray(xs), np.asarray(values)
+            if len(cells) < 2:
+                raise ValueError(f"{path}: line {line} has one column, need two")
+            first.append(cells[0])
+            second.append(cells[1])
+    return np.asarray(first), np.asarray(second)
 
 
 def _grid_sup_ratio(spec: CoefficientSpec, grid: Grid) -> float:

@@ -17,7 +17,6 @@ is resolved in closed form per kernel kind; infeasibility raises.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .degeneracy import read_two_column_csv
 from .errors import (InfeasibleError, NotLocallyIntegrableError,
                      QueryOutOfWindowError, SubdomainNotAlignedError)
 from .grids import Grid
@@ -101,18 +101,8 @@ class KernelSpec:
     @classmethod
     def from_csv(cls, path, tau: float) -> "KernelSpec":
         """Two-column CSV (t, k(t)) with step-function semantics."""
-        times, values = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or not "".join(row).strip():
-                    continue
-                try:
-                    t, v = float(row[0]), float(row[1])
-                except ValueError:
-                    continue
-                times.append(t)
-                values.append(v)
-        if not times:
+        times, values = read_two_column_csv(path)
+        if not times.size:
             raise ValueError(f"{path}: no data rows")
         return cls.tabulated(times, values, tau)
 
@@ -302,11 +292,13 @@ HistoryInit = Union[None, float, Callable[[float], Union[float, np.ndarray]]]
 
 
 class HistoryBuffer:
-    """Ring of B* y_t traces over one delay window, on the exact slot grid.
+    """The delay history: B* y_t traces and their norms on the slot grid.
 
-    Slots live at integer multiples of dt; dt must divide tau so no
-    interpolation ever happens.  One extra slot of lookback is kept so
-    multi-step schemes can reread the previous delayed value.
+    Slots sit at integer multiples of dt, and dt must divide tau.  The ring
+    holds the m + 1 = tau/dt + 1 traces of the current window [t - tau, t];
+    `sample` reads a slot, or blends the two slots around a half-slot time.
+    Every filled slot, from the m + 1 initial-history slots on, also appends
+    h ||trace||^2 to `slot_norms_sq`, the record the history energies read.
     """
 
     def __init__(self, sub: SubdomainP, grid: Grid, dt: float, tau: float,
@@ -314,16 +306,16 @@ class HistoryBuffer:
         m = slot_index(tau, dt, tau)
         if m is None or m < 1:
             raise ValueError(f"dt = {dt} must divide tau = {tau} exactly")
-        self.sub = sub
         self.grid = grid
         self.dt = float(dt)
         self.tau = float(tau)
         self.m = m
         self._width = sub.indices(grid).size
-        self._slots = np.zeros((m + 2, self._width))
-        self._step = 0  # slot index of the newest entry (time = _step * dt)
-        for j in range(-m - 1, 1):
-            self._slots[self._pos(j)] = self._init_values(j * self.dt, init)
+        self._slots = np.zeros((m + 1, self._width))
+        self._norms_sq = []
+        self._step = -m - 1  # slot index of the newest entry (time = _step * dt)
+        for j in range(-m, 1):
+            self._fill(self._init_values(j * self.dt, init))
 
     def _init_values(self, s: float, init: HistoryInit) -> np.ndarray:
         if init is None:
@@ -340,25 +332,35 @@ class HistoryBuffer:
                 f"history values must be scalar or length {self._width}")
         return val
 
-    def _pos(self, step: int) -> int:
-        return step % (self.m + 2)
-
-    def window_steps(self) -> np.ndarray:
-        """Slot step indices covering [t - tau, t], oldest first."""
-        return np.arange(self._step - self.m, self._step + 1)
+    def _fill(self, trace: np.ndarray) -> None:
+        self._step += 1
+        self._slots[self._step % (self.m + 1)] = trace
+        self._norms_sq.append(self.grid.h * float(trace @ trace))
 
     def sample_step(self, step: int) -> np.ndarray:
-        if step > self._step or step < self._step - self.m - 1:
+        """The trace at slot `step`, one of newest - m .. newest."""
+        if step > self._step or step < self._step - self.m:
             raise QueryOutOfWindowError(
                 f"step {step} outside buffer window ending at {self._step}")
-        return self._slots[self._pos(step)]
+        return self._slots[step % (self.m + 1)]
 
-    def sample(self, t_query: float) -> np.ndarray:
-        """Exact slot retrieval; t_query must sit on the slot grid."""
-        step = slot_index(t_query, self.dt, self.tau)
-        if step is None:
-            raise QueryOutOfWindowError(f"t = {t_query} is off the slot grid")
-        return self.sample_step(step)
+    def sample(self, s: float) -> np.ndarray:
+        """B* y_t(s) at a slot time, or between the two adjacent slots at a
+        half-slot time; any other time raises.
+
+        The half-slot weights are (1 - frac, frac) with frac = s/dt - lo, which
+        is 1/2 up to the rounding of s.  Runs are sensitive to that rounding:
+        on the README scenario, weights of exactly 1/2 move the final state
+        norm (t = 10) by 5e-6 relative.
+        """
+        half_slots = slot_index(s, 0.5 * self.dt, self.tau)
+        if half_slots is None:
+            raise QueryOutOfWindowError(f"s = {s} is not a slot or half-slot time")
+        lo, odd = divmod(half_slots, 2)
+        if not odd:
+            return self.sample_step(lo)
+        frac = s / self.dt - lo
+        return (1.0 - frac) * self.sample_step(lo) + frac * self.sample_step(lo + 1)
 
     def push(self, trace: np.ndarray) -> None:
         """Append the trace for the next slot time."""
@@ -366,13 +368,13 @@ class HistoryBuffer:
         if trace.shape != (self._width,):
             raise SubdomainNotAlignedError(
                 f"trace must have length {self._width}")
-        self._step += 1
-        self._slots[self._pos(self._step)] = trace
+        self._fill(trace)
+
+    @property
+    def slot_norms_sq(self) -> np.ndarray:
+        """h ||trace||^2 at every slot filled so far, from slot -m on."""
+        return np.array(self._norms_sq)
 
     def window_norms_sq(self) -> np.ndarray:
-        """||trace||_H^2 at the m+1 slots of the current window, oldest first."""
-        out = np.empty(self.m + 1)
-        for i, step in enumerate(self.window_steps()):
-            tr = self._slots[self._pos(step)]
-            out[i] = self.grid.h * float(tr @ tr)
-        return out
+        """h ||trace||^2 at the m+1 slots of the current window, oldest first."""
+        return np.array(self._norms_sq[-(self.m + 1):])

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .delay import KernelSpec, kernel_window_bound
+from .delay import HistoryBuffer, KernelSpec, kernel_window_bound
 from .errors import BoundViolatedError, DegenerateFitError, InfeasibleError
 from .nonlinearity import (NonlinearityConstants, SourceKind, eval_F_functional,
                            h_eval, h_inverse, lipschitz_bound)
@@ -52,32 +52,30 @@ class EnergyBreakdown:
                    total=kinetic + elastic + boundary + source + history)
 
 
-def history_energy(kernel: Optional[KernelSpec], buffer) -> float:
-    """(1/2) int_{t-tau}^{t} |k(s+tau)| ||B* y_t(s)||_H^2 ds by slot trapezoid."""
-    if kernel is None or buffer is None:
-        return 0.0
-    slot_times = buffer.window_steps() * buffer.dt
-    kvals = np.abs(np.atleast_1d(kernel.eval(slot_times + kernel.tau)))
-    weights = np.full(buffer.m + 1, buffer.dt)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return 0.5 * float(np.sum(weights * kvals * buffer.window_norms_sq()))
+def history_energies(kernel: KernelSpec, buffer: HistoryBuffer) -> np.ndarray:
+    """(1/2) int_{t-tau}^{t} |k(s+tau)| ||B* y_t(s)||_H^2 ds by slot trapezoid,
+    at every time t_i = i dt the buffer has reached, oldest first.
 
-
-def history_energies(kernel: KernelSpec, dt: float, slot_norms_sq: np.ndarray) -> np.ndarray:
-    """`history_energy` at every record t_i = i dt of a run, in one pass.
-
-    slot_norms_sq[j] is ||B* y_t||_H^2 at the slot time (j - m) dt, with
-    m = tau / dt: the first m + 1 entries are the initial history, and
-    record i takes the slot trapezoid over entries i .. i + m.  Each window
+    Entry i is the trapezoid over the slots i - m .. i of the buffer's
+    `slot_norms_sq` record (slot j at time j dt, from j = -m on).  Each window
     is summed on its own; a running-sum difference would lose relative
     accuracy once the energy has decayed.
     """
-    m = round(kernel.tau / dt)
-    slot_times = np.arange(-m, len(slot_norms_sq) - m) * dt
-    a = np.abs(np.atleast_1d(kernel.eval(slot_times + kernel.tau))) * slot_norms_sq
+    m, dt = buffer.m, buffer.dt
+    norms_sq = buffer.slot_norms_sq
+    slot_times = np.arange(-m, len(norms_sq) - m) * dt
+    a = np.abs(np.atleast_1d(kernel.eval(slot_times + kernel.tau))) * norms_sq
     sums = np.lib.stride_tricks.sliding_window_view(a, m + 1).sum(axis=1)
     return 0.5 * dt * (sums - 0.5 * (a[:-m] + a[m:]))
+
+
+def history_energy(kernel: Optional[KernelSpec],
+                   buffer: Optional[HistoryBuffer]) -> float:
+    """The newest of `history_energies`: the history energy at the buffer's
+    current time (0 without a delay)."""
+    if kernel is None or buffer is None:
+        return 0.0
+    return float(history_energies(kernel, buffer)[-1])
 
 
 def source_energy(generator: DiscreteGenerator, source: SourceKind,
@@ -194,6 +192,13 @@ def energy_bound_check(trajectory, kernel: Optional[KernelSpec], b: float,
 # -- small-data threshold ----------------------------------------------------------
 
 
+#: candidate horizons T of the small-data certificate, ascending
+HORIZON_GRID = np.geomspace(1.0, 1e3, 241)
+
+#: the halving search for rho gives up below this radius
+RHO_FLOOR = 1e-12
+
+
 @dataclass(frozen=True)
 class ThresholdCertificate:
     """Small-data threshold and certified decay rate."""
@@ -209,12 +214,11 @@ class ThresholdCertificate:
 
 
 def threshold_certificate(semigroup, kernel: KernelSpec, envelope, b: float,
-                          source: SourceKind, constants: NonlinearityConstants,
-                          t_grid: Optional[np.ndarray] = None,
-                          rho_floor: float = 1e-12) -> ThresholdCertificate:
+                          source: SourceKind,
+                          constants: NonlinearityConstants) -> ThresholdCertificate:
     """Resolve (T, rho, C_rho) of the small-data global decay certificate.
 
-    T is the smallest grid point with
+    T is the smallest point of HORIZON_GRID with
 
         C_T = 2 M^2 e^{2 alpha} (1 + Lambda e^{omega tau} b^2)
               (1 + Lambda e^{2 omega tau} b^2) e^{-(omega - omega') T} <= 1,
@@ -222,7 +226,7 @@ def threshold_certificate(semigroup, kernel: KernelSpec, envelope, b: float,
     rho starts at h^{-1}(1/2) / (2 sqrt(C(T))) and halves until
     L(2 sqrt(C(T)) rho) < (omega - omega') / (2M).  Certified rate:
     (omega - omega') / 2.  Raises InfeasibleError when no T fits the grid or
-    rho underflows.
+    rho falls below RHO_FLOOR.
     """
     m_const, omega = semigroup.M, semigroup.omega
     alpha, omega_prime = envelope.alpha, envelope.omega_prime
@@ -230,18 +234,16 @@ def threshold_certificate(semigroup, kernel: KernelSpec, envelope, b: float,
         raise InfeasibleError("omega' >= omega")
     lam = kernel_window_bound(kernel)
     tau = kernel.tau
-    if t_grid is None:
-        t_grid = np.geomspace(1.0, 1e3, 241)
 
     gap = omega - omega_prime
     prefactor = (2.0 * m_const ** 2 * math.exp(2.0 * alpha)
                  * (1.0 + lam * math.exp(omega * tau) * b * b)
                  * (1.0 + lam * math.exp(2.0 * omega * tau) * b * b))
-    ct_values = prefactor * np.exp(-gap * np.asarray(t_grid))
+    ct_values = prefactor * np.exp(-gap * HORIZON_GRID)
     feasible_idx = np.nonzero(ct_values <= 1.0)[0]
     if feasible_idx.size == 0:
         raise InfeasibleError("no horizon T on the search grid satisfies C_T <= 1")
-    t_star = float(t_grid[feasible_idx[0]])
+    t_star = float(HORIZON_GRID[feasible_idx[0]])
     ct_value = float(ct_values[feasible_idx[0]])
 
     c_of_t = float(np.atleast_1d(growth_envelope_C(kernel, b, t_star))[0])
@@ -250,8 +252,8 @@ def threshold_certificate(semigroup, kernel: KernelSpec, envelope, b: float,
     rate_cap = gap / (2.0 * m_const)
     while lipschitz_bound_safe(source, constants, 2.0 * sqrt_c * rho) >= rate_cap:
         rho *= 0.5
-        if rho < rho_floor:
-            raise InfeasibleError("rho underflowed below 1e-12")
+        if rho < RHO_FLOOR:
+            raise InfeasibleError(f"rho underflowed below {RHO_FLOOR:g}")
     c_rho = 2.0 * sqrt_c * rho
     l_val = lipschitz_bound_safe(source, constants, c_rho)
     return ThresholdCertificate(
@@ -307,14 +309,19 @@ class CertificationResult:
 # -- decay fitting -------------------------------------------------------------------
 
 
+#: share of the records, counted from the end, that `decay_fit` fits
+FIT_WINDOW_FRAC = 0.6
+
+
 @dataclass(frozen=True)
 class DecayFit:
     rate: float
     r_squared: float
 
 
-def decay_fit(trajectory_or_times, norms=None, window_frac: float = 0.6) -> DecayFit:
-    """Least-squares decay rate of log ||Y(t)|| over the trailing window.
+def decay_fit(trajectory_or_times, norms=None) -> DecayFit:
+    """Least-squares decay rate of log ||Y(t)|| over the trailing
+    FIT_WINDOW_FRAC of the records.
 
     Accepts a Trajectory or (times, norms) arrays.  Points with norm below
     1e-14 are dropped; if none survive anywhere, DegenerateFitError.
@@ -327,7 +334,7 @@ def decay_fit(trajectory_or_times, norms=None, window_frac: float = 0.6) -> Deca
         norms = np.asarray(norms, dtype=float)
     if not np.any(norms > 1e-14):
         raise DegenerateFitError("state norm below 1e-14 everywhere")
-    start = int(len(times) * (1.0 - window_frac))
+    start = int(len(times) * (1.0 - FIT_WINDOW_FRAC))
     t_fit = times[start:]
     n_fit = norms[start:]
     keep = np.isfinite(n_fit) & (n_fit > 1e-14)

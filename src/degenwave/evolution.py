@@ -11,8 +11,9 @@ one n x n system on the velocity block (see `_Stepper`); the delay term,
 whose values are known history slots on both step endpoints, is integrated
 by the midpoint rule; the source is extrapolated by a two-step
 Adams-Bashforth combination of current-state evaluations.  dt must divide
-tau, so delayed values are exact buffer slots and no interpolation error
-enters.
+tau, so every delayed time the stepper reads is a history slot or half a
+slot, and a half-slot value is the blend of the two slots around it
+(`HistoryBuffer.sample`).
 
 Also here: sampled semigroup certificates ||e^{tA}|| <= M e^{-omega t} in the
 state norm, and a dense matrix-exponential evaluation of the
@@ -33,8 +34,7 @@ from . import diagnostics
 from .delay import (HistoryBuffer, HistoryInit, KernelSpec, SubdomainP,
                     kernel_growth_check, kernel_window_bound, slot_index,
                     subdomain_gain)
-from .errors import (LinearSolveFailureError, NotExponentiallyStableError,
-                     QueryOutOfWindowError)
+from .errors import LinearSolveFailureError, NotExponentiallyStableError
 from .nonlinearity import SourceKind, constants_for, eval_f
 from .operators import DiscreteGenerator
 
@@ -240,31 +240,13 @@ class _Stepper:
         self.smoothing_left = smoothing_steps if has_explicit else 0
         self.prev_source = None
 
-    def delayed_trace(self, t: float, buffer: HistoryBuffer) -> np.ndarray:
-        """B* y_t(t - tau) at a slot time, or between the two adjacent slots at
-        a half-slot time; any other time raises.
-
-        The half-slot weights are (1 - frac, frac) with frac = (t - tau)/dt - lo,
-        which is 1/2 up to the rounding of t.  Runs are sensitive to that
-        rounding: on the README scenario, weights of exactly 1/2 move the
-        final state norm (t = 10) by 5e-6 relative.
-        """
-        tau, dt = self.sc.kernel.tau, self.sc.dt
-        half_slots = slot_index(t - tau, 0.5 * dt, tau)
-        if half_slots is None:
-            raise QueryOutOfWindowError(f"t - tau = {t - tau} is not a slot or half-slot time")
-        lo, odd = divmod(half_slots, 2)
-        if not odd:
-            return buffer.sample_step(lo)
-        frac = (t - tau) / dt - lo
-        return (1.0 - frac) * buffer.sample_step(lo) + frac * buffer.sample_step(lo + 1)
-
     def delay_term(self, t: float, buffer: Optional[HistoryBuffer]) -> np.ndarray:
         out = np.zeros(2 * self.gen.ndof)
         if buffer is not None:
             k_t = float(self.sc.kernel.eval(t))
             if k_t != 0.0:
-                out[self.gen.ndof:][self.sub_free] -= k_t * self.delayed_trace(t, buffer)
+                delayed = buffer.sample(t - self.sc.kernel.tau)
+                out[self.gen.ndof:][self.sub_free] -= k_t * delayed
         return out
 
     def source_term(self, state: np.ndarray) -> np.ndarray:
@@ -321,16 +303,13 @@ def simulate(scenario: Scenario) -> Trajectory:
     check, fills a second one that gives the state norms and those energy
     columns.  The run stops early at the first non-finite state or state
     norm above BLOWUP_NORM.  Source energies, damping rates and tip traces
-    are then computed in batch over all records.  The history energy of
-    record i is the slot trapezoid over the window i - m .. i of the traces:
-    the initial history for slots s <= 0, and the recorded velocities on P
-    for s >= 1.
+    are then computed in batch over all records, and the history energies
+    from the slot norms the history buffer recorded as it was filled.
     """
     gen = scenario.generator
     stepper = _Stepper(scenario)
     buffer = scenario.make_buffer()
     nsteps = int(round(scenario.t_end / scenario.dt))
-    initial_norms_sq = buffer.window_norms_sq() if buffer is not None else None
 
     states = np.empty((nsteps + 1, 2 * gen.ndof))
     parts = np.full((nsteps + 1, 3), math.inf)   # energy_parts; inf on non-finite states
@@ -362,11 +341,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     history = np.zeros(nrec)
     with np.errstate(over="ignore", invalid="ignore"):
         if buffer is not None:
-            traces = gen.split(states)[1][1:, stepper.sub_free]
-            slot_norms_sq = np.concatenate(
-                [initial_norms_sq, gen.grid.h * np.einsum("ij,ij->i", traces, traces)])
-            history = diagnostics.history_energies(scenario.kernel, scenario.dt,
-                                                   slot_norms_sq)
+            history = diagnostics.history_energies(scenario.kernel, buffer)
         kinetic, elastic, boundary = parts.T
         norms = np.sqrt(2.0 * (kinetic + elastic + boundary))
         damping = gen.boundary_damping_rate(states)
@@ -419,7 +394,7 @@ def duhamel_residual(scenario: Scenario, trajectory: Trajectory,
         for j in range(nrec):
             t_j = trajectory.times[j]
             k_t = float(scenario.kernel.eval(t_j))
-            delayed_step = round((t_j - tau) / dt)
+            delayed_step = slot_index(t_j - tau, dt, tau)
             if delayed_step <= 0:
                 trace = buffer.sample_step(delayed_step)
             else:

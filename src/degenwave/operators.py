@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .degeneracy import CoefficientProfile
-from .errors import DegenwaveError, GridTooCoarseError, InconsistentBCError
+from .errors import DegenwaveError, InconsistentBCError
 from .grids import Grid
 
 
@@ -367,8 +367,6 @@ def assemble(kind: OperatorKind, profile: CoefficientProfile, bc: BoundaryParams
     kind = OperatorKind(kind)
     if not np.array_equal(grid.nodes, profile.grid.nodes):
         raise ValueError("profile was classified on a different grid")
-    if grid.n < 8:
-        raise GridTooCoarseError("need at least 8 nodes")
     _stability_requirements(kind, profile, bc)
 
     n, h = grid.n, grid.h

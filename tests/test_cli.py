@@ -1,7 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from degenwave.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_LINEAR = """\
 [coefficient]
@@ -195,3 +200,37 @@ def test_eigenmode_mode_out_of_range_or_fractional_exits_3(tmp_path, capsys, mod
                  "simulate", "--quiet"])
     assert code == 3
     assert "mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["64.7", "nan"])
+def test_fractional_or_nan_grid_size_exits_3(tmp_path, capsys, n):
+    cfg = write(tmp_path, "n.ini", BASE_LINEAR.replace("n = 24", f"n = {n}"))
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--command",
+                 "simulate", "--quiet"])
+    assert code == 3
+    assert "[operator] n" in capsys.readouterr().err
+
+
+def test_readme_example_config_runs(tmp_path):
+    # the ```ini block of README.md, verbatim, inline comments included
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    cfg = write(tmp_path, "readme.ini", block)
+    for command in ("simulate", "certify"):
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--command",
+                     command, "--quiet"]) == 0
+    assert "feasible: yes" in (tmp_path / "o" / "certificate.txt").read_text()
+
+
+@pytest.mark.parametrize("table", ["coefficient", "kernel"])
+def test_one_column_csv_row_exits_3(tmp_path, capsys, table):
+    text = DELAYED.replace("t_end = 2.0", "t_end = 0.1")
+    if table == "coefficient":
+        csv = write(tmp_path, "a.csv", "x,a\n0.0,0.0\n0.5\n1.0,1.0\n")
+        text = text.replace("kind = power\nalpha = 0.5", f"kind = tabulated\ncsv = {csv}")
+    else:
+        csv = write(tmp_path, "k.csv", "t,k\n0.0,0.005\n1.0\n")
+        text = text.replace("kind = constant\nk0 = 0.005", f"kind = tabulated\ncsv = {csv}")
+    code = main(["--config", write(tmp_path, "t.ini", text), "--out", str(tmp_path / "o"),
+                 "--command", "simulate", "--quiet"])
+    assert code == 3
+    assert "one column" in capsys.readouterr().err

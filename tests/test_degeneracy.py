@@ -87,6 +87,16 @@ def test_csv_round_trip(tmp_path, grid64):
     assert prof.degeneracy_class == direct.degeneracy_class
 
 
+def test_csv_one_column_row_and_short_table_rejected(tmp_path):
+    path = tmp_path / "coef.csv"
+    path.write_text("x,a\n0.0,0.0\n0.5\n1.0,1.0\n")
+    with pytest.raises(ValueError, match="line 3"):
+        CoefficientSpec.from_csv(path)
+    path.write_text("x,a\n0.0,0.0\n1.0,1.0\n")
+    with pytest.raises(ValueError, match="at least 3"):
+        CoefficientSpec.from_csv(path)
+
+
 def test_power_law_requires_positive_exponent():
     with pytest.raises(ValueError):
         CoefficientSpec.power_law(-0.5)

@@ -252,6 +252,44 @@ def test_history_window_errors(grid65, sub):
         HistoryBuffer(sub, grid65, dt=0.3, tau=1.0)  # dt does not divide tau
 
 
+def test_history_slot_norms_recorded_once_per_slot(grid65, sub, rng):
+    dt, tau = 0.25, 1.0
+    width = sub.indices(grid65).size
+    initial = {j: rng.standard_normal(width) for j in range(-4, 1)}
+    buf = HistoryBuffer(sub, grid65, dt, tau, init=lambda s: initial[round(s / dt)])
+    traces = [initial[j] for j in range(-4, 1)]
+    for _ in range(7):
+        traces.append(rng.standard_normal(width))
+        buf.push(traces[-1])
+    expected = np.array([grid65.h * float(tr @ tr) for tr in traces])
+    assert np.array_equal(buf.slot_norms_sq, expected)
+    assert np.array_equal(buf.window_norms_sq(), expected[-5:])
+
+
+def test_history_sample_slots_and_half_slots(grid65, sub, rng):
+    dt, tau = 0.2, 1.0
+    buf = HistoryBuffer(sub, grid65, dt, tau, init=lambda s: s)
+    width = sub.indices(grid65).size
+    for _ in range(8):
+        buf.push(rng.standard_normal(width))
+    # newest slot 8; the window holds slots 3 .. 8
+    for step in range(3, 9):
+        assert np.array_equal(buf.sample(step * dt), buf.sample_step(step))
+    for lo in range(3, 8):
+        s = (lo + buf.m) * dt + 0.5 * dt - tau  # a midpoint time as the stepper forms it
+        frac = s / dt - lo  # 1/2 up to the rounding of s
+        blend = (1.0 - frac) * buf.sample_step(lo) + frac * buf.sample_step(lo + 1)
+        assert np.array_equal(buf.sample(s), blend)
+    for off_grid in (4.25 * dt, 5.1 * dt):
+        with pytest.raises(QueryOutOfWindowError):
+            buf.sample(off_grid)
+    for outside in (2 * dt, 2.5 * dt, 8.5 * dt, 9 * dt):
+        with pytest.raises(QueryOutOfWindowError):
+            buf.sample(outside)
+    with pytest.raises(QueryOutOfWindowError):
+        buf.sample_step(2)  # newest - m - 1
+
+
 def test_history_bad_trace_shape(grid65, sub):
     buf = HistoryBuffer(sub, grid65, dt=0.25, tau=1.0)
     with pytest.raises(SubdomainNotAlignedError):

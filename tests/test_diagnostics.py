@@ -67,6 +67,30 @@ def test_history_term_closed_form():
     assert history_energy(kernel, buf) == pytest.approx(k0 / 4.0, abs=1e-14)
 
 
+def weights_trapezoid(kernel, buf, newest):
+    """The history energy of the window newest - m .. newest as a weighted sum."""
+    slot_times = np.arange(newest - buf.m, newest + 1) * buf.dt
+    kvals = np.abs(np.atleast_1d(kernel.eval(slot_times + kernel.tau)))
+    weights = np.full(buf.m + 1, buf.dt)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return 0.5 * float(np.sum(weights * kvals * buf.window_norms_sq()))
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.constant(0.8, tau=0.5),
+                                    KernelSpec.exp_decay(0.8, 1.5, tau=0.5),
+                                    KernelSpec.pulse(0.8, 0.9, tau=0.5)])
+def test_history_energy_matches_weights_trapezoid(kernel, rng):
+    grid = Grid.uniform(65)
+    sub = SubdomainP(0.25, 0.75)
+    buf = HistoryBuffer(sub, grid, dt=0.05, tau=0.5, init=0.3)
+    width = sub.indices(grid).size
+    for newest in range(1, 25):
+        buf.push(rng.standard_normal(width))
+        ref = weights_trapezoid(kernel, buf, newest)
+        assert history_energy(kernel, buf) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
 def reference_table(sc, traj):
     """The CSV columns of `traj` recomputed state by state, with a replayed buffer."""
     gen = sc.generator

@@ -308,14 +308,13 @@ def test_delayed_trace_slot_and_half_slot_only():
     dt, tau = 0.05, 0.25
     sc = simple_scenario(gen, t_end=1.0, dt=dt, kernel=KernelSpec.constant(0.1, tau),
                          subdomain=sub, history=lambda s: s)
-    stepper = _Stepper(sc)
     buffer = sc.make_buffer()
-    assert np.array_equal(stepper.delayed_trace(2 * dt, buffer), buffer.sample_step(-3))
-    mid = stepper.delayed_trace(2.5 * dt, buffer)
+    assert np.array_equal(buffer.sample(2 * dt - tau), buffer.sample_step(-3))
+    mid = buffer.sample(2.5 * dt - tau)
     assert np.array_equal(mid, 0.5 * (buffer.sample_step(-3) + buffer.sample_step(-2)))
     assert mid[0] == pytest.approx(-2.5 * dt)
     with pytest.raises(QueryOutOfWindowError):
-        stepper.delayed_trace(2.25 * dt, buffer)
+        buffer.sample(2.25 * dt - tau)
 
 
 def test_scenario_validation():
