@@ -14,7 +14,7 @@ import math
 from degenwave import (BoundaryParams, CoefficientSpec, Grid, InfeasibleError,
                        KernelSpec, OperatorKind, Scenario, SourceKind, SubdomainP,
                        apply_Bstar, assemble, certify_scenario, classify, decay_fit,
-                       eigenmode_state, simulate, smallness_level)
+                       eigenmode_state, semigroup_constants, simulate, smallness_level)
 from degenwave.errors import DegenerateFitError
 
 
@@ -31,6 +31,7 @@ def main():
     sub = SubdomainP(0.25, 0.75)
     source = SourceKind.power(1.0)
     tau = 0.5
+    semigroup = semigroup_constants(gen)   # one generator for every gain
 
     rows = []
     for k0 in gains:
@@ -41,7 +42,7 @@ def main():
                          dt=tau / 40, kernel=kernel, subdomain=sub,
                          history=lambda s: g_trace)
         try:
-            result = certify_scenario(probe)
+            result = certify_scenario(probe, semigroup)
             rho = result.threshold.rho
             predicted = result.threshold.predicted_rate
             feasible = True

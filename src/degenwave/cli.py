@@ -252,10 +252,15 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
     values = [v.strip() for v in _require(cfg, "sweep", "values").split(",")]
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
+    # semigroup constants per generator: `assemble` reads only the
+    # [coefficient] and [operator] sections, so their contents are the key
+    semigroups = {}
     for value in values:
         sub_cfg = copy.deepcopy(cfg)
         _set_config_value(sub_cfg, parameter, value)
         scenario = build_scenario(sub_cfg)
+        generator_key = tuple(tuple(sub_cfg.items(section, raw=True))
+                              for section in ("coefficient", "operator"))
         trajectory = evolution.simulate(scenario)
         fitted = ""
         r2 = ""
@@ -271,7 +276,10 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
         try:
             if (scenario.source.is_none
                     or scenario.generator.kind is operators.OperatorKind.BEAM_NONDIV):
-                result = evolution.certify_scenario(scenario)
+                if generator_key not in semigroups:
+                    semigroups[generator_key] = evolution.semigroup_constants(
+                        scenario.generator)
+                result = evolution.certify_scenario(scenario, semigroups[generator_key])
                 feasible = "yes"
                 predicted = f"{result.threshold.predicted_rate:.12g}"
         except (InfeasibleError, NotExponentiallyStableError):

@@ -303,6 +303,7 @@ class CertificationResult:
             f"L_at_C_rho: {th.L_at_C_rho:.12g}",
             f"predicted_rate: {th.predicted_rate:.12g}",
             f"feasible: {'yes' if th.feasible else 'no'}",
+            f"semigroup: {self.semigroup_note}",
         ]
 
 

@@ -16,8 +16,9 @@ slot, and a half-slot value is the blend of the two slots around it
 (`HistoryBuffer.sample`).
 
 Also here: sampled semigroup certificates ||e^{tA}|| <= M e^{-omega t} in the
-state norm, and a dense matrix-exponential evaluation of the
-variation-of-constants formula used as an integration oracle.
+state norm, whose samples are powers of one matrix exponential per sample
+grid, and a dense matrix-exponential evaluation of the variation-of-constants
+formula used as an integration oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import diagnostics
 from .delay import (HistoryBuffer, HistoryInit, KernelSpec, SubdomainP,
                     kernel_growth_check, kernel_window_bound, slot_index,
                     subdomain_gain)
-from .errors import LinearSolveFailureError, NotExponentiallyStableError
+from .errors import DegenwaveError, LinearSolveFailureError, NotExponentiallyStableError
 from .nonlinearity import SourceKind, constants_for, eval_f
 from .operators import DiscreteGenerator
 
@@ -43,6 +44,9 @@ BLOWUP_NORM = 1e8
 
 #: off-grid times on which `semigroup_constants` re-checks its sampled M
 RECHECK_SAMPLES = 50
+
+#: largest state dimension whose dense matrix exponentials are computed
+MAX_EXPM_DIM = 1024
 
 
 @dataclass(eq=False)
@@ -165,38 +169,57 @@ def semigroup_constants(generator: Union[DiscreteGenerator, np.ndarray],
 
     The operator norm is taken in the generator's state norm, as the
     Euclidean norm of the closed-form `DiscreteGenerator.state_norm_generator`
-    (a plain matrix is taken as it is).  The horizon is extended until
+    (a plain matrix is taken as it is).  The horizon H is extended until
     ||e^{HA}|| e^{omega H} <= 1, which makes the sampled bound valid for every
     t >= 0 by submultiplicativity; the bound is then re-verified on
     RECHECK_SAMPLES off-grid times.  M is the maximum over these samples, not
     a bound between them.
+
+    The samples are products of three exponentials: e^{kHA/samples} is the
+    k-th power of E = e^{(H/samples)A}, and the re-check time (j + 1/2)H/R,
+    R = RECHECK_SAMPLES, is e^{(H/2R)A} times the j-th power of e^{(H/R)A}
+    (Higham 2008, Functions of Matrices, ch. 10).  The symmetric part of a
+    state-norm generator is negative semidefinite, so every factor is a
+    contraction and the rounding of the k-th power grows at most linearly
+    in k.  State dimensions above MAX_EXPM_DIM raise DegenwaveError before
+    any factorisation.
     """
-    if isinstance(generator, DiscreteGenerator):
-        a_tilde = generator.state_norm_generator()
-    else:
-        a_tilde = np.asarray(generator, dtype=float)
-    if a_tilde.shape[0] > 1024:
-        raise ValueError("state dimension too large for dense matrix exponentials")
+    is_generator = isinstance(generator, DiscreteGenerator)
+    dim = 2 * generator.ndof if is_generator else np.shape(generator)[0]
+    if dim > MAX_EXPM_DIM:
+        raise DegenwaveError(f"state dimension {dim} exceeds {MAX_EXPM_DIM}, the limit "
+                             "for the dense matrix exponentials of the semigroup constants")
+    a_tilde = (generator.state_norm_generator() if is_generator
+               else np.asarray(generator, dtype=float))
     abscissa = spectral_abscissa(a_tilde)
     if abscissa >= -1e-12:
         raise NotExponentiallyStableError(
             f"spectral abscissa {abscissa:.3e} is not negative")
     omega = 0.9 * (-abscissa)
 
-    def opnorm(t: float) -> float:
-        return float(scipy.linalg.norm(scipy.linalg.expm(t * a_tilde), 2))
+    def weighted_norm(propagator: np.ndarray, t: float) -> float:
+        return float(scipy.linalg.norm(propagator, 2)) * math.exp(omega * t)
+
+    def sampled_max(power: np.ndarray, step: np.ndarray, times: np.ndarray) -> float:
+        """max over i of ||power step^i|| e^{omega times[i]}."""
+        best = weighted_norm(power, times[0])
+        for t in times[1:]:
+            power = step @ power
+            best = max(best, weighted_norm(power, t))
+        return best
 
     for _ in range(8):
-        if opnorm(horizon) * math.exp(omega * horizon) <= 1.0:
+        if weighted_norm(scipy.linalg.expm(horizon * a_tilde), horizon) <= 1.0:
             break
         horizon *= 2.0
     ts = np.linspace(0.0, horizon, samples + 1)
-    m_const = max(opnorm(t) * math.exp(omega * t) for t in ts)
+    m_const = sampled_max(np.eye(dim), scipy.linalg.expm((horizon / samples) * a_tilde), ts)
     extra = (np.arange(RECHECK_SAMPLES) + 0.5) * horizon / RECHECK_SAMPLES
-    m_extra = max(opnorm(t) * math.exp(omega * t) for t in extra)
+    m_extra = sampled_max(scipy.linalg.expm((0.5 * horizon / RECHECK_SAMPLES) * a_tilde),
+                          scipy.linalg.expm((horizon / RECHECK_SAMPLES) * a_tilde), extra)
     m_const = max(m_const, m_extra, 1.0)
-    note = (f"sampled on {samples + 1}+{RECHECK_SAMPLES} times over [0, {horizon:g}], "
-            f"omega = 0.9 x {-abscissa:.6g}")
+    note = (f"M = max of ||e^(tA)|| e^(omega t) sampled at {samples + 1}+{RECHECK_SAMPLES} "
+            f"times in [0, {horizon:g}], omega = 0.9 x {-abscissa:.6g}")
     return SemigroupCertificate(M=m_const, omega=omega, method_note=note)
 
 
@@ -469,16 +492,20 @@ def smallness_level(scenario: Scenario) -> float:
     return level + 2.0 * diagnostics.history_energy(scenario.kernel, scenario.make_buffer())
 
 
-def certify_scenario(scenario: Scenario, horizon: float = 20.0, samples: int = 80,
+def certify_scenario(scenario: Scenario, semigroup: Optional[SemigroupCertificate] = None,
                      constants=None) -> "diagnostics.CertificationResult":
     """End-to-end certificate pipeline for one scenario.
 
-    Computes the semigroup constants of the scenario's generator, the kernel
-    window/growth certificates, and the small-data threshold.  Raises
-    NotExponentiallyStableError or InfeasibleError when no certificate exists.
+    Takes the semigroup constants of the scenario's generator from
+    `semigroup`, or computes them with `semigroup_constants` when it is None,
+    then the kernel window/growth certificates and the small-data threshold.
+    A caller that certifies several scenarios on one generator (a sweep over
+    the kernel, source or data) computes the constants once and passes them.
+    Raises NotExponentiallyStableError or InfeasibleError when no certificate
+    exists.
     """
     gen = scenario.generator
-    semi = semigroup_constants(gen, horizon=horizon, samples=samples)
+    semi = semigroup if semigroup is not None else semigroup_constants(gen)
     kernel = scenario.kernel if scenario.kernel is not None \
         else KernelSpec.zero(tau=1.0)
     if scenario.subdomain is not None:

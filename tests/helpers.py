@@ -1,14 +1,16 @@
 """Test-side constructions and norms that the package itself does not need.
 
 Synthetic elements of the clamped and pinned discrete spaces, the subdomain
-extension B and the L2(P) pairing, and the pointwise and sampled checks of
-the source hypotheses.  Each is a reference that tests compare the
+extension B and the L2(P) pairing, the pointwise and sampled checks of the
+source hypotheses, and a semigroup-constant sampler with one matrix
+exponential per sample time.  Each is a reference that tests compare the
 package's forms and constants against.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 
 from degenwave.errors import SubdomainNotAlignedError
 from degenwave.nonlinearity import eval_f, weighted_inner
@@ -119,3 +121,25 @@ def sobolev_pointwise_bound_check(u_full, grid, rtol=0.05, atol=1e-12):
     u = np.asarray(u_full, dtype=float)
     bound = (2.0 / 3.0) * grid.nodes ** 1.5 * curvature_seminorm(grid, u)
     return bool(np.all(np.abs(u) <= bound * (1.0 + rtol) + atol))
+
+
+def direct_semigroup_constants(a_tilde, horizon=20.0, samples=80, recheck=50):
+    """(M, omega, horizon) of `evolution.semigroup_constants`, sampled with one
+    `expm` of t A per sample time t instead of powers of one exponential.
+
+    Same horizon-doubling rule, sample grid, re-check times, omega and floor
+    M >= 1; `a_tilde` is the state-norm generator (or any stable matrix).
+    """
+    a_tilde = np.asarray(a_tilde, dtype=float)
+    omega = 0.9 * -float(np.max(np.linalg.eigvals(a_tilde).real))
+
+    def weighted_norm(t):
+        return float(scipy.linalg.norm(scipy.linalg.expm(t * a_tilde), 2)) * math.exp(omega * t)
+
+    for _ in range(8):
+        if weighted_norm(horizon) <= 1.0:
+            break
+        horizon *= 2.0
+    times = np.concatenate((np.linspace(0.0, horizon, samples + 1),
+                            (np.arange(recheck) + 0.5) * horizon / recheck))
+    return max(max(weighted_norm(t) for t in times), 1.0), omega, horizon

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from degenwave import evolution
 from degenwave.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -181,6 +182,44 @@ def test_sweep_summary(tmp_path):
     assert len(lines) == 4
     for line in lines[1:]:
         assert line.split(",")[6] == "no"  # no blow-up in any run
+
+
+@pytest.mark.parametrize("parameter, values, expected_calls",
+                         [("kernel.k0", "0.002, 0.008", 1), ("operator.beta", "1.0, 2.0", 2)])
+def test_sweep_semigroup_constants_once_per_generator(tmp_path, monkeypatch, parameter,
+                                                      values, expected_calls):
+    text = DELAYED.replace("t_end = 2.0", "t_end = 0.5")
+    cfg = write(tmp_path, "sweep.ini",
+                text + f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n")
+    calls = []
+    semigroup_constants = evolution.semigroup_constants
+    monkeypatch.setattr(evolution, "semigroup_constants",
+                        lambda *a, **k: calls.append(1) or semigroup_constants(*a, **k))
+    assert main(["--config", cfg, "--out", str(tmp_path / "shared"), "--command",
+                 "sweep", "--quiet"]) == 0
+    assert len(calls) == expected_calls
+    # the same sweep with a certificate computed afresh for every value
+    certify = evolution.certify_scenario
+    monkeypatch.setattr(evolution, "certify_scenario",
+                        lambda scenario, semigroup=None, constants=None: certify(scenario))
+    assert main(["--config", cfg, "--out", str(tmp_path / "fresh"), "--command",
+                 "sweep", "--quiet"]) == 0
+    summary = (tmp_path / "shared" / "summary.csv").read_text()
+    assert summary == (tmp_path / "fresh" / "summary.csv").read_text()
+    assert all(row.split(",")[1] == "yes" for row in summary.splitlines()[1:])
+
+
+@pytest.mark.parametrize("command", ["certify", "sweep"])
+def test_state_dimension_above_expm_limit_exits_3(tmp_path, capsys, command):
+    text = (DELAYED.replace("n = 24", "n = 600")
+            .replace("preset = eigenmode", "preset = polynomial")
+            .replace("t_end = 2.0", "t_end = 0.025"))
+    cfg = write(tmp_path, "big.ini", text + "\n[sweep]\nparameter = kernel.k0\nvalues = 0.005\n")
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--command", command,
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "exceeds 1024" in err and "Traceback" not in err
 
 
 def test_dump_operators_flag(tmp_path):

@@ -13,6 +13,7 @@ from degenwave import (BoundaryParams, CoefficientSpec, DegenwaveError, Grid,
                        polynomial_state, semigroup_constants, simulate,
                        smallness_level)
 from degenwave.evolution import _Stepper, spectral_abscissa
+from helpers import direct_semigroup_constants
 
 
 def make_gen(kind, alpha, n, beta=1.0, gamma=1.0):
@@ -47,6 +48,43 @@ def test_semigroup_certificate_sound(rng):
             assert lhs <= cert.M * math.exp(-cert.omega * t) * gen.state_norm(y0) \
                 * (1 + 1e-8)
     assert a_tilde.shape == gen.system_matrix.shape
+
+
+def check_against_direct_sampler(monkeypatch, generator, a_tilde):
+    """M and omega within 1e-10 of the one-expm-per-time sampler, and
+    3 exponentials besides the horizon checks."""
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda *a, **k: calls.append(1) or expm(*a, **k))
+    cert = semigroup_constants(generator)
+    monkeypatch.undo()
+    want_m, want_omega, horizon = direct_semigroup_constants(a_tilde)
+    assert abs(cert.M - want_m) <= 1e-10 * want_m
+    assert abs(cert.omega - want_omega) <= 1e-10 * want_omega
+    assert f"in [0, {horizon:g}]" in cert.method_note
+    doublings = round(math.log2(horizon / 20.0))
+    assert len(calls) == 3 + min(doublings + 1, 8)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("n", [16, 32])
+def test_semigroup_powers_match_direct_sampler(monkeypatch, kind, alpha, n):
+    gen = make_gen(kind, alpha, n)
+    check_against_direct_sampler(monkeypatch, gen, gen.state_norm_generator())
+
+
+def test_semigroup_powers_match_direct_sampler_plain_matrix(monkeypatch):
+    # non-normal: transient growth (M > 5) and a horizon doubled twice
+    a = -np.diag(np.linspace(0.3, 2.0, 6)) + np.eye(6, k=1)
+    check_against_direct_sampler(monkeypatch, a, a)
+    cert = semigroup_constants(a)
+    assert cert.M > 5.0 and "in [0, 80]" in cert.method_note
+
+
+def test_semigroup_rejects_large_state_dimension():
+    with pytest.raises(DegenwaveError, match="state dimension 1026 exceeds 1024"):
+        semigroup_constants(-np.eye(1026))
 
 
 def eigh_state_norm_generator(gen):
