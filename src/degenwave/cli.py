@@ -1,7 +1,10 @@
 """Scenario-driven command line: simulate, certify, and sweep from INI configs.
 
-Exit codes: 0 success, 2 infeasible certificate, 3 config error, 4 blow-up
-during simulate.  Outputs are deterministic (fixed formatting, no sampling),
+Exit codes: 0 success, 2 infeasible certificate, 3 error, 4 blow-up during
+simulate.  An exit 3 prints "config error: ..." when the config is invalid,
+or does not build a scenario, and "error: ..." for any other package error
+raised by a valid config, such as the size limit of the dense matrix
+exponentials.  Outputs are deterministic (fixed formatting, no sampling),
 so identical configs produce bit-identical files.
 """
 
@@ -152,7 +155,7 @@ def build_scenario(cfg) -> evolution.Scenario:
             generator=generator, source=source, y0=y0, y1=y1,
             t_end=_get_float(cfg, "run", "t_end"), dt=_get_float(cfg, "run", "dt"),
             kernel=kernel, subdomain=subdomain, history=history)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DegenwaveError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -334,8 +337,11 @@ def main(argv=None) -> int:
         if args.command == "certify":
             return run_certify(cfg, out_dir, args.quiet)
         return run_sweep(cfg, out_dir, args.quiet)
-    except (ConfigError, DegenwaveError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DegenwaveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -12,7 +12,9 @@ The cumulative gain condition
     M b^2 e^{omega tau} int_0^t |k(s + tau)| ds <= alpha + omega' t,
     omega' in [0, omega),
 
-is resolved in closed form per kernel kind; infeasibility raises.
+is resolved for the two kernel representations: the exponential gain in
+closed form, and a step table (constant, pulse and tabulated gains) over its
+breakpoints.  Infeasibility raises.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -47,7 +50,13 @@ def slot_index(t: float, dt: float, tau: float) -> Optional[int]:
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """Damping gain k(t) (zero for t < 0) together with the delay tau."""
+    """Damping gain k(t) (zero for t < 0) together with the delay tau.
+
+    Every kind but exp_decay is a step table: k = values[i] on
+    [times[i], times[i+1]), the last value from times[-1] on, and 0 before
+    times[0].  A constant gain is the table ([0], [k0]) and a pulse the table
+    ([0, support_end], [k0, 0]); exp_decay is the one closed form.
+    """
 
     kind: str
     tau: float
@@ -63,7 +72,7 @@ class KernelSpec:
 
     @classmethod
     def constant(cls, k0: float, tau: float) -> "KernelSpec":
-        return cls(kind=KERNEL_CONSTANT, tau=float(tau), k0=float(k0))
+        return cls._steps(KERNEL_CONSTANT, [0.0], [k0], tau, k0=float(k0))
 
     @classmethod
     def zero(cls, tau: float) -> "KernelSpec":
@@ -79,11 +88,15 @@ class KernelSpec:
     def pulse(cls, k0: float, support_end: float, tau: float) -> "KernelSpec":
         if not support_end > 0:
             raise ValueError("pulse needs support_end > 0")
-        return cls(kind=KERNEL_PULSE, tau=float(tau), k0=float(k0),
-                   support_end=float(support_end))
+        return cls._steps(KERNEL_PULSE, [0.0, support_end], [k0, 0.0], tau,
+                          k0=float(k0), support_end=float(support_end))
 
     @classmethod
     def tabulated(cls, times, values, tau: float) -> "KernelSpec":
+        return cls._steps(KERNEL_TABULATED, times, values, tau)
+
+    @classmethod
+    def _steps(cls, kind: str, times, values, tau: float, **fields) -> "KernelSpec":
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 1:
@@ -96,7 +109,7 @@ class KernelSpec:
             raise ValueError("tabulated kernel breakpoints must start at t >= 0")
         times.setflags(write=False)
         values.setflags(write=False)
-        return cls(kind=KERNEL_TABULATED, tau=float(tau), times=times, values=values)
+        return cls(kind=kind, tau=float(tau), times=times, values=values, **fields)
 
     @classmethod
     def from_csv(cls, path, tau: float) -> "KernelSpec":
@@ -108,88 +121,75 @@ class KernelSpec:
 
     # -- evaluation -----------------------------------------------------------
 
+    @cached_property
+    def _levels(self) -> np.ndarray:
+        """k on step segment i = searchsorted(times, t, "right"): 0, then values."""
+        return np.concatenate([[0.0], self.values])
+
+    @cached_property
+    def _segments(self):
+        """(starts, masses, slopes) of the step segments on t >= 0.
+
+        Segment i starts at starts[i] (0 for the segment before times[0]),
+        carries int_0^{starts[i]} |k| = masses[i], and |k| = slopes[i] on it.
+        """
+        starts = np.concatenate([[0.0], self.times])
+        slopes = np.abs(self._levels)
+        masses = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(starts))])
+        return starts, masses, slopes
+
     def eval(self, t) -> np.ndarray:
-        """k(t); step-function semantics for tabulated kinds; 0 for t < 0."""
+        """k(t); 0 for t < 0."""
         t = np.asarray(t, dtype=float)
-        if self.kind == KERNEL_CONSTANT:
-            out = np.where(t >= 0.0, self.k0, 0.0)
-        elif self.kind == KERNEL_EXP_DECAY:
+        if self.kind == KERNEL_EXP_DECAY:
             out = np.where(t >= 0.0, self.k0 * np.exp(-self.rate * np.maximum(t, 0.0)), 0.0)
-        elif self.kind == KERNEL_PULSE:
-            out = np.where((t >= 0.0) & (t < self.support_end), self.k0, 0.0)
         else:
-            idx = np.searchsorted(self.times, t, side="right") - 1
-            out = np.where(idx >= 0, self.values[np.clip(idx, 0, None)], 0.0)
+            out = self._levels[np.searchsorted(self.times, t, side="right")]
         return out if out.ndim else float(out)
 
     def cumabs(self, t) -> np.ndarray:
         """int_0^t |k(s)| ds in closed form (0 for t <= 0)."""
         t = np.asarray(t, dtype=float)
         tp = np.maximum(t, 0.0)
-        if self.kind == KERNEL_CONSTANT:
-            out = abs(self.k0) * tp
-        elif self.kind == KERNEL_EXP_DECAY:
+        if self.kind == KERNEL_EXP_DECAY:
             out = abs(self.k0) / self.rate * (1.0 - np.exp(-self.rate * tp))
-        elif self.kind == KERNEL_PULSE:
-            out = abs(self.k0) * np.minimum(tp, self.support_end)
         else:
-            knots, cum, seg_abs = self._cumulative_table()
-            idx = np.clip(np.searchsorted(knots, tp, side="right") - 1,
-                          0, len(knots) - 1)
-            out = cum[idx] + seg_abs[idx] * (tp - knots[idx])
+            starts, masses, slopes = self._segments
+            i = np.searchsorted(self.times, tp, side="right")
+            out = masses[i] + slopes[i] * (tp - starts[i])
         return out if out.ndim else float(out)
-
-    def _cumulative_table(self):
-        """Breakpoints, cumulative |k| mass at them, and per-segment |k| slopes.
-
-        seg_abs[i] is |k| on [knots[i], knots[i+1}) and, for the last entry,
-        on [knots[-1], inf).
-        """
-        if self.times[0] > 0:
-            knots = np.concatenate([[0.0], self.times])
-            vals = np.concatenate([[0.0], self.values])
-        else:
-            knots, vals = self.times, self.values
-        seg_abs = np.abs(vals)
-        cum = np.concatenate([[0.0], np.cumsum(seg_abs[:-1] * np.diff(knots))])
-        return knots, cum, seg_abs
 
     @property
     def is_l1(self) -> bool:
         """True when |k| has finite total mass on [0, inf)."""
-        if self.kind == KERNEL_EXP_DECAY or self.kind == KERNEL_PULSE:
-            return True
-        if self.kind == KERNEL_CONSTANT:
-            return self.k0 == 0.0
-        return self.values[-1] == 0.0
+        return self.kind == KERNEL_EXP_DECAY or self.values[-1] == 0.0
 
     def total_mass(self) -> float:
         """||k||_{L1[0, inf)} (inf when not integrable)."""
-        if self.kind == KERNEL_CONSTANT:
-            return 0.0 if self.k0 == 0.0 else math.inf
         if self.kind == KERNEL_EXP_DECAY:
             return abs(self.k0) / self.rate
-        if self.kind == KERNEL_PULSE:
-            return abs(self.k0) * self.support_end
         if self.values[-1] != 0.0:
             return math.inf
         return float(self.cumabs(self.times[-1]))
 
 
 def kernel_window_bound(kernel: KernelSpec) -> float:
-    """Lambda = sup_{t >= 0} int_{t-tau}^t |k| ds, exactly per kernel kind."""
+    """Lambda = sup_{t >= 0} int_{t-tau}^t |k| ds, exactly.
+
+    The exponential gain decreases, so its worst window is [0, tau].  The
+    window mass of a step table is piecewise linear in t, with kinks where
+    either end of the window crosses a breakpoint, so its sup is taken over
+    those ends.  It is capped at tau max|k|, which no window exceeds but a
+    difference of rounded masses can, by a few ulps.
+    """
     tau = kernel.tau
-    if kernel.kind == KERNEL_CONSTANT:
-        return abs(kernel.k0) * tau
     if kernel.kind == KERNEL_EXP_DECAY:
-        return float(kernel.cumabs(tau))  # decreasing gain: worst window is [0, tau]
-    if kernel.kind == KERNEL_PULSE:
-        return abs(kernel.k0) * min(kernel.support_end, tau)
-    knots, _, _ = kernel._cumulative_table()
-    candidates = np.unique(np.concatenate([knots, knots + tau, [knots[-1] + 2 * tau]]))
+        return float(kernel.cumabs(tau))
+    starts, _, slopes = kernel._segments
+    candidates = np.unique(np.concatenate([starts, starts + tau, [starts[-1] + 2 * tau]]))
     candidates = candidates[candidates >= 0.0]
     windows = kernel.cumabs(candidates) - kernel.cumabs(candidates - tau)
-    return float(np.max(windows))
+    return min(float(np.max(windows)), float(np.max(slopes)) * tau)
 
 
 @dataclass(frozen=True)
@@ -205,30 +205,22 @@ def kernel_growth_check(kernel: KernelSpec, M: float, omega: float,
     """Smallest feasible (alpha, omega') for the cumulative gain condition.
 
     L1 kernels give omega' = 0 and alpha = M b^2 e^{omega tau} ||k||_{L1};
-    a constant gain gives a pure slope, feasible only below omega; tabulated
-    kernels get a linear envelope over the breakpoints.  Raises
-    InfeasibleError when no omega' < omega works.
+    a step table with a nonzero final value (a constant gain among them) gets
+    the slope of that value and a linear envelope over the breakpoints.
+    Raises InfeasibleError when no omega' < omega works.
     """
     if M < 1 or omega <= 0 or b < 0:
         raise ValueError("need M >= 1, omega > 0, b >= 0")
     scale = M * b * b * math.exp(omega * kernel.tau)
-    if kernel.kind == KERNEL_CONSTANT:
-        slope = scale * abs(kernel.k0)
-        if slope == 0.0:
-            return GrowthEnvelope(alpha=0.0, omega_prime=0.0)
-        if slope >= omega:
-            raise InfeasibleError(
-                f"constant gain slope {slope:.3e} >= omega {omega:.3e}")
-        return GrowthEnvelope(alpha=0.0, omega_prime=slope)
     if kernel.is_l1:
         return GrowthEnvelope(alpha=scale * kernel.total_mass(), omega_prime=0.0)
-    # tabulated with persistent final value: asymptotic slope + breakpoint envelope
+    # step table with a persistent final value: asymptotic slope + breakpoint envelope
     tail_slope = scale * abs(kernel.values[-1])
     if tail_slope >= omega:
         raise InfeasibleError(
-            f"tabulated tail slope {tail_slope:.3e} >= omega {omega:.3e}")
-    knots, _, _seg = kernel._cumulative_table()
-    t_cand = np.unique(np.concatenate([[0.0], knots - kernel.tau, [knots[-1]]]))
+            f"{kernel.kind} tail slope {tail_slope:.3e} >= omega {omega:.3e}")
+    starts, _, _ = kernel._segments
+    t_cand = np.unique(np.concatenate([[0.0], starts - kernel.tau, [starts[-1]]]))
     t_cand = t_cand[t_cand >= 0.0]
     shifted = kernel.cumabs(t_cand + kernel.tau) - kernel.cumabs(kernel.tau)
     alpha = float(np.max(scale * shifted - tail_slope * t_cand))

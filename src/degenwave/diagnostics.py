@@ -250,27 +250,15 @@ def threshold_certificate(semigroup, kernel: KernelSpec, envelope, b: float,
     sqrt_c = math.sqrt(c_of_t)
     rho = h_inverse(source, constants, 0.5) / (2.0 * sqrt_c)
     rate_cap = gap / (2.0 * m_const)
-    while lipschitz_bound_safe(source, constants, 2.0 * sqrt_c * rho) >= rate_cap:
+    while lipschitz_bound(source, constants, 2.0 * sqrt_c * rho) >= rate_cap:
         rho *= 0.5
         if rho < RHO_FLOOR:
             raise InfeasibleError(f"rho underflowed below {RHO_FLOOR:g}")
     c_rho = 2.0 * sqrt_c * rho
-    l_val = lipschitz_bound_safe(source, constants, c_rho)
+    l_val = lipschitz_bound(source, constants, c_rho)
     return ThresholdCertificate(
         T=t_star, C_of_T=c_of_t, rho=rho, C_rho=c_rho, L_at_C_rho=l_val,
         predicted_rate=0.5 * gap, C_T_condition=ct_value, feasible=True)
-
-
-def lipschitz_bound_safe(source: SourceKind, constants: NonlinearityConstants,
-                         r: float) -> float:
-    """L(r) extended by continuity to r = 0 and r = inf (for the none source)."""
-    if source.is_none:
-        return 0.0
-    if r == 0.0:
-        return 0.0
-    if math.isinf(r):
-        return math.inf
-    return lipschitz_bound(source, constants, r)
 
 
 @dataclass(frozen=True)

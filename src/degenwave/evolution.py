@@ -35,7 +35,8 @@ from . import diagnostics
 from .delay import (HistoryBuffer, HistoryInit, KernelSpec, SubdomainP,
                     kernel_growth_check, kernel_window_bound, slot_index,
                     subdomain_gain)
-from .errors import DegenwaveError, LinearSolveFailureError, NotExponentiallyStableError
+from .errors import (DegenwaveError, InfeasibleError, LinearSolveFailureError,
+                     NotExponentiallyStableError)
 from .nonlinearity import SourceKind, constants_for, eval_f
 from .operators import DiscreteGenerator
 
@@ -44,6 +45,9 @@ BLOWUP_NORM = 1e8
 
 #: off-grid times on which `semigroup_constants` re-checks its sampled M
 RECHECK_SAMPLES = 50
+
+#: times `semigroup_constants` may double its horizon before it gives up
+HORIZON_DOUBLINGS = 8
 
 #: largest state dimension whose dense matrix exponentials are computed
 MAX_EXPM_DIM = 1024
@@ -84,7 +88,7 @@ class Scenario:
                 raise ValueError("dt must divide the delay tau exactly")
             # explicit terms want dt below the inverse feedback strength;
             # deliberately violent gains are allowed to run (blow-up detection)
-            gain = abs(self.kernel.k0) if self.kernel.kind != "tabulated" \
+            gain = abs(self.kernel.k0) if self.kernel.values is None \
                 else float(np.max(np.abs(self.kernel.values)))
             b = subdomain_gain(self.subdomain, gen)
             if gain * b * b * self.dt > 1.0:
@@ -169,11 +173,13 @@ def semigroup_constants(generator: Union[DiscreteGenerator, np.ndarray],
 
     The operator norm is taken in the generator's state norm, as the
     Euclidean norm of the closed-form `DiscreteGenerator.state_norm_generator`
-    (a plain matrix is taken as it is).  The horizon H is extended until
-    ||e^{HA}|| e^{omega H} <= 1, which makes the sampled bound valid for every
-    t >= 0 by submultiplicativity; the bound is then re-verified on
-    RECHECK_SAMPLES off-grid times.  M is the maximum over these samples, not
-    a bound between them.
+    (a plain matrix is taken as it is).  The horizon H is doubled, at most
+    HORIZON_DOUBLINGS times, until ||e^{HA}|| e^{omega H} <= 1, which makes
+    the sampled bound valid for every t >= 0 by submultiplicativity; the
+    bound is then re-verified on RECHECK_SAMPLES off-grid times.  M is the
+    maximum over these samples, not a bound between them.  InfeasibleError
+    is raised when the rule has not held at the last horizon, or when
+    e^{omega H} overflows first.
 
     The samples are products of three exponentials: e^{kHA/samples} is the
     k-th power of E = e^{(H/samples)A}, and the re-check time (j + 1/2)H/R,
@@ -208,10 +214,17 @@ def semigroup_constants(generator: Union[DiscreteGenerator, np.ndarray],
             best = max(best, weighted_norm(power, t))
         return best
 
-    for _ in range(8):
-        if weighted_norm(scipy.linalg.expm(horizon * a_tilde), horizon) <= 1.0:
+    for horizon in [horizon * 2.0 ** k for k in range(HORIZON_DOUBLINGS + 1)]:
+        try:
+            tail = weighted_norm(scipy.linalg.expm(horizon * a_tilde), horizon)
+        except OverflowError:
+            raise InfeasibleError(f"e^(omega H) overflows at the horizon H = {horizon:g} "
+                                  "before ||e^(HA)|| e^(omega H) <= 1 held") from None
+        if tail <= 1.0:
             break
-        horizon *= 2.0
+    else:
+        raise InfeasibleError(f"||e^(HA)|| e^(omega H) = {tail:.6g} > 1 at the last horizon "
+                              f"H = {horizon:g}, after {HORIZON_DOUBLINGS} doublings")
     ts = np.linspace(0.0, horizon, samples + 1)
     m_const = sampled_max(np.eye(dim), scipy.linalg.expm((horizon / samples) * a_tilde), ts)
     extra = (np.arange(RECHECK_SAMPLES) + 0.5) * horizon / RECHECK_SAMPLES
@@ -492,8 +505,8 @@ def smallness_level(scenario: Scenario) -> float:
     return level + 2.0 * diagnostics.history_energy(scenario.kernel, scenario.make_buffer())
 
 
-def certify_scenario(scenario: Scenario, semigroup: Optional[SemigroupCertificate] = None,
-                     constants=None) -> "diagnostics.CertificationResult":
+def certify_scenario(scenario: Scenario, semigroup: Optional[SemigroupCertificate] = None
+                     ) -> "diagnostics.CertificationResult":
     """End-to-end certificate pipeline for one scenario.
 
     Takes the semigroup constants of the scenario's generator from
@@ -514,10 +527,9 @@ def certify_scenario(scenario: Scenario, semigroup: Optional[SemigroupCertificat
         b = 0.0
     lam = kernel_window_bound(kernel)
     envelope = kernel_growth_check(kernel, semi.M, semi.omega, b)
-    if constants is None:
-        constants = constants_for(scenario.source, gen.profile)
     threshold = diagnostics.threshold_certificate(
-        semi, kernel, envelope, b, scenario.source, constants)
+        semi, kernel, envelope, b, scenario.source,
+        constants_for(scenario.source, gen.profile))
     return diagnostics.CertificationResult(
         M=semi.M, omega=semi.omega, b=b, lambda_window=lam,
         alpha=envelope.alpha, omega_prime=envelope.omega_prime,

@@ -28,7 +28,6 @@ realized weakly and appear only in D and in the beta/gamma part of K.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -204,7 +203,6 @@ class DiscreteGenerator:
 
     kind: OperatorKind
     profile: CoefficientProfile
-    bc: BoundaryParams
     grid: Grid
     free: np.ndarray = field(repr=False)            # retained node indices
     mass: np.ndarray = field(repr=False)            # diagonal of M
@@ -338,17 +336,12 @@ class DiscreteGenerator:
         return (u @ self.trace_value, u @ self.trace_slope,
                 v @ self.trace_value, v @ self.trace_slope)
 
-    def dump_system(self, target) -> None:
+    def dump_system(self, path) -> None:
         """Matrix-market dump of the 2n x 2n system matrix (debug aid)."""
         from scipy.io import mmwrite
 
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            with open(target, "wb") as fh:
-                mmwrite(fh, self.system_matrix)
-        else:
-            buf = io.BytesIO()
-            mmwrite(buf, self.system_matrix)
-            target.write(buf.getvalue().decode())
+        with open(path, "wb") as fh:
+            mmwrite(fh, self.system_matrix)
 
 
 def _stability_requirements(kind: OperatorKind, profile: CoefficientProfile,
@@ -423,7 +416,7 @@ def assemble(kind: OperatorKind, profile: CoefficientProfile, bc: BoundaryParams
     for arr in (free, mass, rows_free, weights, e_free, g_free, stiffness):
         arr.setflags(write=False)
     return DiscreteGenerator(
-        kind=kind, profile=profile, bc=bc, grid=grid, free=free, mass=mass,
+        kind=kind, profile=profile, grid=grid, free=free, mass=mass,
         elastic_rows=rows_free, elastic_weights=weights, trace_value=e_free,
         trace_slope=g_free, beta_eff=beta_eff, gamma_eff=gamma_eff,
         damping_value_coeff=d_value, damping_slope_coeff=d_slope,

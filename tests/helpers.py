@@ -2,9 +2,10 @@
 
 Synthetic elements of the clamped and pinned discrete spaces, the subdomain
 extension B and the L2(P) pairing, the pointwise and sampled checks of the
-source hypotheses, and a semigroup-constant sampler with one matrix
-exponential per sample time.  Each is a reference that tests compare the
-package's forms and constants against.
+source hypotheses, a semigroup-constant sampler with one matrix exponential
+per sample time, and the closed forms of the constant and pulse gains.  Each
+is a reference that tests compare the package's forms and constants
+against.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from degenwave.errors import SubdomainNotAlignedError
+from degenwave.errors import InfeasibleError, SubdomainNotAlignedError
 from degenwave.nonlinearity import eval_f, weighted_inner
 from degenwave.operators import curvature_quadrature
 
@@ -143,3 +144,54 @@ def direct_semigroup_constants(a_tilde, horizon=20.0, samples=80, recheck=50):
     times = np.concatenate((np.linspace(0.0, horizon, samples + 1),
                             (np.arange(recheck) + 0.5) * horizon / recheck))
     return max(max(weighted_norm(t) for t in times), 1.0), omega, horizon
+
+
+class ClosedFormGain:
+    """A constant gain k0 (support_end None) or a pulse k0 on [0, support_end),
+    in the closed forms the package used before both became step tables:
+    k, int_0^t |k|, L1-ness, total mass, the window bound Lambda and the
+    growth envelope (alpha, omega')."""
+
+    def __init__(self, k0, tau, support_end=None):
+        self.k0, self.tau, self.support_end = float(k0), float(tau), support_end
+
+    def _scalar(self, out):
+        return out if out.ndim else float(out)
+
+    def eval(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.support_end is None:
+            return self._scalar(np.where(t >= 0.0, self.k0, 0.0))
+        return self._scalar(np.where((t >= 0.0) & (t < self.support_end), self.k0, 0.0))
+
+    def cumabs(self, t):
+        tp = np.maximum(np.asarray(t, dtype=float), 0.0)
+        if self.support_end is None:
+            return self._scalar(abs(self.k0) * tp)
+        return self._scalar(abs(self.k0) * np.minimum(tp, self.support_end))
+
+    @property
+    def is_l1(self):
+        return self.support_end is not None or self.k0 == 0.0
+
+    def total_mass(self):
+        if self.support_end is None:
+            return 0.0 if self.k0 == 0.0 else math.inf
+        return abs(self.k0) * self.support_end
+
+    def window_bound(self):
+        if self.support_end is None:
+            return abs(self.k0) * self.tau
+        return abs(self.k0) * min(self.support_end, self.tau)
+
+    def growth(self, M, omega, b):
+        """(alpha, omega'); raises InfeasibleError when no omega' < omega works."""
+        scale = M * b * b * math.exp(omega * self.tau)
+        if self.support_end is not None:
+            return scale * self.total_mass(), 0.0
+        slope = scale * abs(self.k0)
+        if slope == 0.0:
+            return 0.0, 0.0
+        if slope >= omega:
+            raise InfeasibleError(f"constant gain slope {slope:.3e} >= omega {omega:.3e}")
+        return 0.0, slope

@@ -1,3 +1,4 @@
+import configparser
 import re
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from degenwave import evolution
-from degenwave.cli import main
+from degenwave.cli import ConfigError, build_scenario, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -220,6 +221,20 @@ def test_state_dimension_above_expm_limit_exits_3(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert code == 3
     assert "exceeds 1024" in err and "Traceback" not in err
+    # a valid config that hits a package limit is not a config error
+    assert err.startswith("error: state dimension 1198")
+
+
+def test_package_error_while_building_is_config_error(tmp_path, capsys):
+    # a = x^2.5 has K >= 2, so classify raises KOutOfRangeError
+    path = write(tmp_path, "k.ini", BASE_LINEAR.replace("alpha = 0.5", "alpha = 2.5"))
+    cfg = configparser.ConfigParser()
+    cfg.read(path)
+    with pytest.raises(ConfigError):
+        build_scenario(cfg)
+    assert main(["--config", path, "--out", str(tmp_path / "o"), "--command",
+                 "simulate", "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_dump_operators_flag(tmp_path):

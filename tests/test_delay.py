@@ -13,7 +13,7 @@ from degenwave import (BoundaryParams, CoefficientSpec, Grid, HistoryBuffer,
                        kernel_growth_check, kernel_window_bound, subdomain_gain)
 from degenwave.errors import NotLocallyIntegrableError
 
-from helpers import apply_B, inner_H, norm_H
+from helpers import ClosedFormGain, apply_B, inner_H, norm_H
 
 
 def numeric_window(kernel, t):
@@ -82,11 +82,47 @@ def test_tabulated_cumabs_piecewise():
     assert float(kernel.eval(2.0)) == -0.1
 
 
+@pytest.mark.parametrize("k0", [0.0, 0.3, -0.2])
+@pytest.mark.parametrize("support_end", [None, 0.3, 0.5, 0.75, 1.3])
+def test_step_table_matches_closed_forms(k0, support_end):
+    # a constant (None) or a pulse ending before, at and after tau = 0.5,
+    # bit for bit against the closed forms the step table replaced
+    tau = 0.5
+    ref = ClosedFormGain(k0, tau, support_end)
+    if support_end is None:
+        kernel, end = KernelSpec.constant(k0, tau), 1.0
+    else:
+        kernel, end = KernelSpec.pulse(k0, support_end, tau), support_end
+    ts = [-1.0, 0.0, math.nextafter(end, 0.0), end, math.nextafter(end, 2.0), 1e6]
+    for t in ts:
+        for got, want in ((kernel.eval(t), ref.eval(t)), (kernel.cumabs(t), ref.cumabs(t))):
+            assert type(got) is float and got == want
+    assert np.array_equal(kernel.eval(ts), ref.eval(ts))
+    assert np.array_equal(kernel.cumabs(ts), ref.cumabs(ts))
+    assert kernel.is_l1 == ref.is_l1
+    assert kernel.total_mass() == ref.total_mass()
+    assert kernel_window_bound(kernel) == ref.window_bound()
+    for m_const, omega, b in ((1.0, 0.5, 1.0), (1.3, 2.0, 0.7), (2.5, 0.05, 1.4)):
+        try:
+            want = ref.growth(m_const, omega, b)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError, match="constant tail slope"):
+                kernel_growth_check(kernel, m_const, omega, b)
+            continue
+        env = kernel_growth_check(kernel, m_const, omega, b)
+        assert (env.alpha, env.omega_prime) == want
+
+
 def test_tabulated_rejects_bad_tables():
     with pytest.raises(NotLocallyIntegrableError):
         KernelSpec.tabulated([0.0, 0.0], [1.0, 1.0], tau=1.0)
     with pytest.raises(NotLocallyIntegrableError):
         KernelSpec.tabulated([0.0, 1.0], [1.0, math.inf], tau=1.0)
+    # constant and pulse gains are step tables and pass the same checks
+    with pytest.raises(NotLocallyIntegrableError):
+        KernelSpec.constant(math.nan, tau=1.0)
+    with pytest.raises(NotLocallyIntegrableError):
+        KernelSpec.pulse(1.0, math.inf, tau=1.0)
 
 
 def test_kernel_csv_round_trip(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 
 from degenwave import (BoundaryParams, CoefficientSpec, DegenwaveError, Grid,
-                       HistoryBuffer, KernelSpec, NotExponentiallyStableError, OperatorKind,
+                       HistoryBuffer, InfeasibleError, KernelSpec,
+                       NotExponentiallyStableError, OperatorKind,
                        QueryOutOfWindowError, Scenario,
                        SourceKind, SubdomainP, apply_Bstar, assemble, classify,
                        decay_fit, duhamel_residual, eigenmode_state,
@@ -85,6 +86,19 @@ def test_semigroup_powers_match_direct_sampler_plain_matrix(monkeypatch):
 def test_semigroup_rejects_large_state_dimension():
     with pytest.raises(DegenwaveError, match="state dimension 1026 exceeds 1024"):
         semigroup_constants(-np.eye(1026))
+
+
+@pytest.mark.parametrize("matrix, message", [
+    # the rule ||e^(HA)|| e^(omega H) <= 1 still fails after 8 doublings
+    (-np.diag(np.linspace(0.01, 2.0, 6)) + 3.0 * np.eye(6, k=1),
+     "> 1 at the last horizon H = 5120"),
+    # e^(omega H) overflows (omega H > 709) before the rule holds
+    (-np.eye(12) + np.triu(3.0 * np.random.RandomState(20240817).randn(12, 12), 1),
+     "overflows at the horizon H = 1280"),
+])
+def test_semigroup_rejects_horizon_rule_that_never_holds(matrix, message):
+    with pytest.raises(InfeasibleError, match=message):
+        semigroup_constants(matrix)
 
 
 def eigh_state_norm_generator(gen):
