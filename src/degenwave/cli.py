@@ -115,12 +115,12 @@ def build_initial(cfg, generator):
     amplitude = _get_float(cfg, "initial", "amplitude", default=1.0)
     if preset.startswith("csv:"):
         path = preset[4:]
-        data = np.loadtxt(path, delimiter=",", skiprows=0, ndmin=2)
-        if data.shape[1] < 3:
-            raise ConfigError(f"{path}: need columns x, y0, y1")
+        xs, y0s, y1s = degeneracy.read_csv_columns(path, 3)
+        if not xs.size:
+            raise ConfigError(f"{path}: no data rows; need columns x, y0, y1")
         x = generator.grid.nodes
-        y0 = amplitude * np.interp(x, data[:, 0], data[:, 1])
-        y1 = amplitude * np.interp(x, data[:, 0], data[:, 2])
+        y0 = amplitude * np.interp(x, xs, y0s)
+        y1 = amplitude * np.interp(x, xs, y1s)
     elif preset == "eigenmode":
         mode = _get_int(cfg, "initial", "mode", default=0)
         y0, y1 = evolution.eigenmode_state(generator, mode, amplitude=amplitude)

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .degeneracy import read_two_column_csv
+from .degeneracy import read_csv_columns
 from .errors import (InfeasibleError, NotLocallyIntegrableError,
                      QueryOutOfWindowError, SubdomainNotAlignedError)
 from .grids import Grid
@@ -97,8 +97,8 @@ class KernelSpec:
 
     @classmethod
     def _steps(cls, kind: str, times, values, tau: float, **fields) -> "KernelSpec":
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
+        times = np.array(times, dtype=float)
+        values = np.array(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 1:
             raise ValueError("tabulated kernel needs matching 1-d arrays")
         if np.any(np.diff(times) <= 0):
@@ -114,7 +114,7 @@ class KernelSpec:
     @classmethod
     def from_csv(cls, path, tau: float) -> "KernelSpec":
         """Two-column CSV (t, k(t)) with step-function semantics."""
-        times, values = read_two_column_csv(path)
+        times, values = read_csv_columns(path, 2)
         if not times.size:
             raise ValueError(f"{path}: no data rows")
         return cls.tabulated(times, values, tau)

@@ -119,7 +119,6 @@ class BoundReport:
     max_ratio: float
     n_excluded: int
     lower_bound_checked: bool
-    lower_bound_ok: bool
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -163,7 +162,6 @@ def energy_bound_check(trajectory, kernel: Optional[KernelSpec], b: float,
             step=worst, time=float(times[worst]), ratio=max_ratio)
 
     lower_checked = False
-    lower_ok = True
     if (max_ratio <= 1.0 + tol and source is not None and constants is not None
             and gen.kind is OperatorKind.BEAM_NONDIV):
         u0, _ = gen.split(trajectory.states[0])
@@ -175,18 +173,16 @@ def energy_bound_check(trajectory, kernel: Optional[KernelSpec], b: float,
             nrm_sq = np.asarray(trajectory.state_norms) ** 2
             below = np.flatnonzero(np.isfinite(total)
                                    & (total <= 0.25 * nrm_sq * (1.0 - tol) - 1e-14))
-            if below.size:
-                lower_ok = False
+            if below.size and raise_on_violation:
                 i = int(below[0])
-                if raise_on_violation:
-                    raise BoundViolatedError(
-                        f"quarter lower bound violated at t = {times[i]:.6g}",
-                        step=i, time=float(times[i]),
-                        ratio=total[i] / (0.25 * nrm_sq[i]))
+                raise BoundViolatedError(
+                    f"quarter lower bound violated at t = {times[i]:.6g}",
+                    step=i, time=float(times[i]),
+                    ratio=total[i] / (0.25 * nrm_sq[i]))
 
     return BoundReport(times=times, ratios=ratios, included=included,
                        max_ratio=max_ratio, n_excluded=int(len(times) - included.sum()),
-                       lower_bound_checked=lower_checked, lower_bound_ok=lower_ok)
+                       lower_bound_checked=lower_checked)
 
 
 # -- small-data threshold ----------------------------------------------------------

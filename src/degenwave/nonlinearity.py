@@ -125,7 +125,7 @@ def weighted_inner(y: np.ndarray, z: np.ndarray, profile: CoefficientProfile) ->
     grid = profile.grid
     ym = 0.5 * (np.asarray(y, float)[:-1] + np.asarray(y, float)[1:])
     zm = 0.5 * (np.asarray(z, float)[:-1] + np.asarray(z, float)[1:])
-    a_mid = profile.value_at(grid.midpoints)
+    a_mid = profile.spec(grid.midpoints)
     return float(grid.h * np.sum(ym * zm / a_mid))
 
 
@@ -146,7 +146,7 @@ def eval_F_functional(source: SourceKind, y: np.ndarray, profile: CoefficientPro
         q = source.q
         if weighted:
             mid_vals = 0.5 * (y[:-1] + y[1:])
-            a_mid = profile.value_at(grid.midpoints)
+            a_mid = profile.spec(grid.midpoints)
             integrand = np.abs(mid_vals) ** (q + 2.0) / (q + 2.0) / a_mid
             return float(grid.h * np.sum(integrand))
         return grid.trapezoid(np.abs(y) ** (q + 2.0) / (q + 2.0))

@@ -371,13 +371,13 @@ def assemble(kind: OperatorKind, profile: CoefficientProfile, bc: BoundaryParams
         mirror = (kind is OperatorKind.BEAM_NONDIV) or wd
         rows, wts, locs = _curvature_rows(grid, mirror_at_zero=mirror)
         if kind is OperatorKind.BEAM_DIV:
-            coef = profile.value_at(np.where(locs == 0.0, 0.5 * h, locs))
+            coef = profile.spec(np.where(locs == 0.0, 0.5 * h, locs))
         else:
             coef = np.ones_like(wts)
         free = np.arange(1, n)
     else:
         rows, wts, locs = _gradient_rows(grid)
-        coef = profile.value_at(locs) if kind is OperatorKind.WAVE_DIV else np.ones_like(wts)
+        coef = profile.spec(locs) if kind is OperatorKind.WAVE_DIV else np.ones_like(wts)
         if kind is OperatorKind.WAVE_DIV and not wd:
             free = np.arange(0, n)  # zero-flux condition at x = 0 is natural
         else:

@@ -76,7 +76,7 @@ def weighted_l2_norm(y, profile):
     grid = profile.grid
     y = np.asarray(y, dtype=float)
     mid_vals = 0.5 * (y[:-1] + y[1:])
-    a_mid = profile.value_at(grid.midpoints)
+    a_mid = profile.spec(grid.midpoints)
     return float(np.sqrt(grid.h * np.sum(mid_vals * mid_vals / a_mid)))
 
 

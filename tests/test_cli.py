@@ -288,3 +288,28 @@ def test_one_column_csv_row_exits_3(tmp_path, capsys, table):
                  "--command", "simulate", "--quiet"])
     assert code == 3
     assert "one column" in capsys.readouterr().err
+
+
+def _csv_initial_config(tmp_path, text):
+    csv = write(tmp_path, "initial.csv", text)
+    return write(tmp_path, "csv.ini", BASE_LINEAR.replace("preset = eigenmode\nmode = 0",
+                                                          f"preset = csv:{csv}"))
+
+
+@pytest.mark.parametrize("header", ["", "x,y0,y1\n"])
+def test_csv_initial_data_on_the_nodes_come_back_exactly(tmp_path, header):
+    x = np.linspace(0.0, 1.0, 24)
+    y0, y1 = x ** 2 * np.cos(3.0 * x), -x ** 2 * np.sin(2.0 * x)
+    rows = "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in zip(x, y0, y1))
+    cfg = configparser.ConfigParser()
+    cfg.read(_csv_initial_config(tmp_path, header + rows))
+    sc = build_scenario(cfg)
+    assert np.array_equal(sc.y0, y0) and np.array_equal(sc.y1, y1)
+
+
+def test_csv_initial_short_row_exits_3(tmp_path, capsys):
+    path = _csv_initial_config(tmp_path, "x,y0,y1\n0.0,0.0,0.0\n0.5,0.1\n1.0,1.0,0.0\n")
+    code = main(["--config", path, "--out", str(tmp_path / "o"), "--command", "simulate",
+                 "--quiet"])
+    assert code == 3
+    assert "line 3 has 2 columns, need 3" in capsys.readouterr().err

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenwave import (CoefficientSpec, Grid, KOutOfRangeError, NonDegenerateError,
-                       NotPositiveError, classify)
+from degenwave import (CoefficientSpec, Grid, KernelSpec, KOutOfRangeError,
+                       NonDegenerateError, NotPositiveError, classify)
 from degenwave.degeneracy import _grid_sup_ratio
 
 
@@ -31,11 +31,19 @@ def test_power_law_k_equals_alpha_on_any_grid(alpha, n):
 def test_parabolic_coefficient_snaps_to_sd():
     # a = x(2-x): the sup of x|a'|/a is attained only as x -> 0+
     grid = Grid.uniform(256)
-    spec = CoefficientSpec.closed_form(lambda x: x * (2.0 - x),
-                                       dfunc=lambda x: 2.0 - 2.0 * x)
-    prof = classify(spec, grid)
+    x = grid.nodes
+    prof = classify(CoefficientSpec.tabulated(x, x * (2.0 - x)), grid)
     assert prof.K == 1.0
     assert prof.degeneracy_class == "SD"
+
+
+@pytest.mark.parametrize("alpha, cls", [(0.3, "WD"), (0.5, "WD"), (1.0 - 1e-7, "WD"),
+                                        (1.0, "SD"), (1.5, "SD"), (1.9, "SD")])
+def test_power_law_k_is_alpha_exactly(grid64, alpha, cls):
+    # no sampling and no snap: just below 1 stays weakly degenerate
+    prof = classify(CoefficientSpec.power_law(alpha), grid64)
+    assert prof.K == alpha
+    assert prof.degeneracy_class == cls
 
 
 def test_k_at_least_two_rejected(grid64):
@@ -44,7 +52,7 @@ def test_k_at_least_two_rejected(grid64):
 
 
 def test_non_vanishing_coefficient_rejected(grid64):
-    spec = CoefficientSpec.closed_form(lambda x: x + 1.0)
+    spec = CoefficientSpec.tabulated(grid64.nodes, grid64.nodes + 1.0)
     with pytest.raises(NonDegenerateError):
         classify(spec, grid64)
 
@@ -100,3 +108,18 @@ def test_csv_one_column_row_and_short_table_rejected(tmp_path):
 def test_power_law_requires_positive_exponent():
     with pytest.raises(ValueError):
         CoefficientSpec.power_law(-0.5)
+
+
+def test_table_constructors_copy_the_callers_arrays():
+    xs, values = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5) ** 0.5
+    times, gains = np.array([0.0, 0.5]), np.array([0.3, 0.1])
+    coefficient = CoefficientSpec.tabulated(xs, values)
+    kernel = KernelSpec.tabulated(times, gains, tau=1.0)
+    for arr in (xs, values, times, gains):
+        assert arr.flags.writeable
+        arr[:] = 7.0
+    assert np.array_equal(coefficient.xs, np.linspace(0.0, 1.0, 5))
+    assert np.array_equal(coefficient.values, np.linspace(0.0, 1.0, 5) ** 0.5)
+    assert np.array_equal(kernel.times, [0.0, 0.5])
+    assert np.array_equal(kernel.values, [0.3, 0.1])
+    assert not coefficient.xs.flags.writeable and not kernel.values.flags.writeable

@@ -226,7 +226,7 @@ def test_cross_kind_energy_consistency(rng):
 
     grid = Grid.uniform(32)
     c = 2.0
-    spec = CoefficientSpec.closed_form(lambda x: np.full_like(np.asarray(x, float), c))
+    spec = CoefficientSpec.tabulated(grid.nodes, np.full(grid.n, c))
     profile = CoefficientProfile(spec=spec, grid=grid,
                                  grid_values=np.full(grid.n, c), K=0.5,
                                  degeneracy_class="WD")

@@ -33,3 +33,9 @@ def test_kernel_gain_sweep_script(tmp_path):
     lines = (tmp_path / "gain_sweep.csv").read_text().splitlines()
     assert lines[0] == "k0,feasible,rho,predicted_rate,fitted_rate,blew_up"
     assert len(lines) == 2 and lines[1].startswith("0.004,True,")
+
+
+def test_linear_decay_study_script_imports(tmp_path):
+    proc = run_script("linear_decay_study.py", ["--help"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout
