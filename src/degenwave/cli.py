@@ -118,6 +118,8 @@ def build_initial(cfg, generator):
         xs, y0s, y1s = degeneracy.read_csv_columns(path, 3)
         if not xs.size:
             raise ConfigError(f"{path}: no data rows; need columns x, y0, y1")
+        if np.any(np.diff(xs) <= 0):
+            raise ConfigError(f"{path}: x must be strictly ascending")
         x = generator.grid.nodes
         y0 = amplitude * np.interp(x, xs, y0s)
         y1 = amplitude * np.interp(x, xs, y1s)

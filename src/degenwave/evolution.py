@@ -265,7 +265,9 @@ class _Stepper:
         gen = scenario.generator
         self.gen = gen
         self.half_dt = h = 0.5 * scenario.dt
-        block = h * gen.damping_matrix() + (h * h) * gen.stiffness_form
+        block = gen.stiffness_form
+        block *= h * h
+        block += h * gen.damping_matrix()
         block[np.diag_indices_from(block)] += gen.mass
         try:
             self.lu = scipy.linalg.lu_factor(block)
@@ -302,7 +304,7 @@ class _Stepper:
         """x with (I - dt/2 A) x = r, by the velocity-block reduction."""
         gen, h = self.gen, self.half_dt
         r1, r2 = gen.split(r)
-        v = scipy.linalg.lu_solve(self.lu, gen.mass * r2 - h * (gen.stiffness_form @ r1),
+        v = scipy.linalg.lu_solve(self.lu, gen.mass * r2 - h * gen.stiffness_product(r1),
                                   check_finite=False)
         return gen.join(r1 + h * v, v)
 

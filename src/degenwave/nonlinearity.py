@@ -33,7 +33,7 @@ import scipy.linalg
 from .degeneracy import CoefficientProfile
 from .errors import EigSolveFailureError
 from .grids import Grid
-from .operators import curvature_quadrature, weighted_mass_diagonal
+from .operators import BoundaryParams, OperatorKind, assemble
 
 SOURCE_NONE = "none"
 SOURCE_POWER = "power"
@@ -208,16 +208,13 @@ def h_inverse(source: SourceKind, constants: NonlinearityConstants, y: float) ->
 def hardy_poincare_constant(grid: Grid, profile: CoefficientProfile) -> float:
     """Best discrete constant of  int u^2/a <= C_HP ||u''||^2  on the clamped space.
 
-    Largest eigenvalue of the generalized problem  M_w u = lambda K_s u  with
-    M_w the 1/a-weighted mass and K_s the curvature seminorm form; both act on
-    nodes 1..n-1 of the space {u(0) = u'(0) = 0}.
+    Largest eigenvalue of the generalized problem  M u = lambda K u  for the
+    beam_nondiv generator without tip gains: M is the 1/a-weighted mass and
+    K the curvature seminorm form, both on nodes 1..n-1 of {u(0) = u'(0) = 0}.
     """
-    rows, wts = curvature_quadrature(grid)
-    rows = rows[:, 1:]
-    ks = rows.T @ (wts[:, None] * rows)
-    mw = np.diag(weighted_mass_diagonal(grid, profile))
+    gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(), grid)
     try:
-        eigvals = scipy.linalg.eigh(mw, ks, eigvals_only=True)
+        eigvals = scipy.linalg.eigh(np.diag(gen.mass), gen.stiffness_form, eigvals_only=True)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:  # pragma: no cover
         raise EigSolveFailureError(str(exc)) from exc
     top = float(eigvals[-1])

@@ -10,20 +10,22 @@ built from three quadratic forms on the free nodal degrees of freedom:
     K  stiffness         (elastic quadrature + beta/gamma tip traces),
     D  tip damping       D = d_e e e^T + d_g g g^T, rank <= 2.
 
-M is stored as its diagonal, K dense with its factors C and W, and D only
-as its tip traces e, g and weights d_e, d_g: v^T D v = d_e (e.v)^2 +
-d_g (g.v)^2.  The dense D is formed from the traces where a dense block
-needs it (the step matrix and the system matrix); the dense 2n x 2n system
-matrix is built on first use, for the desk-scale oracles.  The generator in
-the state norm has the closed form `state_norm_generator`.
+M is stored as its diagonal; C, the curvature (beams) or face-gradient
+(waves) map, in LAPACK general band storage with its weights W; K only as
+its upper bands (the dpbtrf layout); and D only as its tip traces e, g and
+weights d_e, d_g: v^T D v = d_e (e.v)^2 + d_g (g.v)^2.  Products with C and
+K are BLAS band products.  Dense K and D are expanded only for the step
+factor, the closed-form state-norm generator `state_norm_generator` and the
+dense 2n x 2n system matrix, built on first use for the desk-scale oracles.
 
-The construction is variational: K = C^T W C with C the curvature (beams) or
-face-gradient (waves) map and W a positive diagonal quadrature, so the energy
-E = (1/2)(u^T K u + v^T M v) obeys dE/dt = -v^T D v exactly along the
-semi-discrete flow.  Essential conditions at x = 0 are removed by pinning the
-node; the clamped-slope condition for beams enters through a mirrored
-curvature row at node 0.  The dissipative tip conditions at x = 1 are
-realized weakly and appear only in D and in the beta/gamma part of K.
+The construction is variational: K = C^T W C + beta e e^T + gamma g g^T with
+W a nonnegative diagonal quadrature, so the energy E = (1/2)(u^T K u +
+v^T M v) obeys dE/dt = -v^T D v exactly along the semi-discrete flow.
+Pinning node 0 removes the essential conditions at x = 0 and column 0 of C;
+the clamped-slope condition for beams enters through a mirrored curvature
+row at node 0, weighted 0 in the kinds without it.  The dissipative tip
+conditions at x = 1 are realized weakly and appear only in D and in the
+beta/gamma part of K.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import dgbmv, dsbmv
 
 from .degeneracy import CoefficientProfile
 from .errors import DegenwaveError, InconsistentBCError
@@ -131,60 +134,35 @@ def boundary_derivative(values: np.ndarray, grid: Grid, m: int) -> float:
     return float(w @ np.asarray(values, dtype=float)[-npts:])
 
 
-def _curvature_rows(grid: Grid, mirror_at_zero: bool):
-    """Curvature map rows (full nodal columns) and their quadrature weights.
+def curvature_map(grid: Grid):
+    """(ab, kl, ku, weights): the curvature map on full nodal vectors.
 
-    Rows: optional mirrored row at node 0 (valid under u(0)=u'(0)=0), centered
-    rows at interior nodes, one one-sided row at node n-1.  Weights are the
-    trapezoid cell sizes of the row locations.
+    One row per node, in LAPACK general band storage ab[ku + i - j, j] = C[i, j]
+    (Fortran order): the mirrored row at node 0 (valid under u(0) = u'(0) = 0),
+    centered rows at interior nodes and one one-sided row at node n-1.  The
+    quadrature weights are the trapezoid weights of the nodes, so the squared
+    clamped-end seminorm ||u''||^2 is sum_i w_i (C u)_i^2.
     """
     n, h = grid.n, grid.h
-    rows = []
-    weights = []
-    locations = []
-    if mirror_at_zero:
-        r = np.zeros(n)
-        r[0] = -2.0 / h**2
-        r[1] = 2.0 / h**2
-        rows.append(r)
-        weights.append(0.5 * h)
-        locations.append(0.0)
-    for i in range(1, n - 1):
-        r = np.zeros(n)
-        r[i - 1] = 1.0 / h**2
-        r[i] = -2.0 / h**2
-        r[i + 1] = 1.0 / h**2
-        rows.append(r)
-        weights.append(h)
-        locations.append(grid.nodes[i])
-    r = np.zeros(n)
-    r[n - 4:] = fd_weights(grid.nodes[-4:], 1.0, 2)
-    rows.append(r)
-    weights.append(0.5 * h)
-    locations.append(1.0)
-    return np.array(rows), np.array(weights), np.array(locations)
+    kl, ku = 3, 1
+    ab = np.zeros((kl + ku + 1, n), order="F")
+    ab[ku - 1, 1:] = 1.0 / h**2  # C[i, i+1]
+    ab[ku, :] = -2.0 / h**2  # C[i, i]
+    ab[ku + 1, :-1] = 1.0 / h**2  # C[i+1, i]
+    ab[ku - 1, 1] = 2.0 / h**2  # mirrored row 0: 2 (u_1 - u_0) / h^2
+    # one-sided row n-1 on the last four nodes, C[n-1, n-4+k] at ab[ku + 3 - k, n-4+k]
+    ab[ku + np.arange(3, -1, -1), np.arange(n - 4, n)] = fd_weights(grid.nodes[-4:], 1.0, 2)
+    return ab, kl, ku, grid.trapezoid_weights()
 
 
-def _gradient_rows(grid: Grid):
-    """Face-gradient map rows at x_{j+1/2} with midpoint-cell weights."""
+def gradient_map(grid: Grid):
+    """(ab, kl, ku, weights): the face-gradient map, rows at x_{j+1/2}, in
+    general band storage as `curvature_map`, with midpoint-cell weights."""
     n, h = grid.n, grid.h
-    rows = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
-    rows[idx, idx] = -1.0 / h
-    rows[idx, idx + 1] = 1.0 / h
-    weights = np.full(n - 1, h)
-    return rows, weights, grid.midpoints
-
-
-def curvature_quadrature(grid: Grid):
-    """(rows, weights) realizing the clamped-end curvature seminorm ||u''||.
-
-    The map acts on full nodal vectors of the space {u(0)=0, u'(0)=0}; the
-    squared seminorm is sum_k w_k (rows_k . u)^2.  Shared with the module that
-    computes the weighted embedding constant.
-    """
-    rows, weights, _ = _curvature_rows(grid, mirror_at_zero=True)
-    return rows, weights
+    ab = np.zeros((2, n), order="F")
+    ab[0, 1:] = 1.0 / h  # C[j, j+1]
+    ab[1, :-1] = -1.0 / h  # C[j, j]
+    return ab, 0, 1, np.full(n - 1, h)
 
 
 def weighted_mass_diagonal(grid: Grid, profile: CoefficientProfile) -> np.ndarray:
@@ -206,15 +184,16 @@ class DiscreteGenerator:
     grid: Grid
     free: np.ndarray = field(repr=False)            # retained node indices
     mass: np.ndarray = field(repr=False)            # diagonal of M
-    elastic_rows: np.ndarray = field(repr=False)    # C (rows x ndof)
-    elastic_weights: np.ndarray = field(repr=False) # w incl. coefficient
+    elastic_bands: np.ndarray = field(repr=False)   # C (rows x ndof), general band storage
+    elastic_offsets: tuple                           # (kl, ku) of C
+    elastic_weights: np.ndarray = field(repr=False) # w incl. coefficient, one per row
     trace_value: np.ndarray = field(repr=False)     # e: u(1) on free dofs
     trace_slope: np.ndarray = field(repr=False)     # g: u'(1) on free dofs
     beta_eff: float                                  # beta (x a(1) for wave_div)
     gamma_eff: float
     damping_value_coeff: float                       # d_e: weight of v(1)^2 in D
     damping_slope_coeff: float                       # d_g: weight of v'(1)^2 in D
-    stiffness_form: np.ndarray = field(repr=False)   # K = C^T W C + tip terms
+    stiffness_bands: np.ndarray = field(repr=False)  # K = C^T W C + tip terms, upper bands
 
     # -- state plumbing ----------------------------------------------------
 
@@ -237,6 +216,26 @@ class DiscreteGenerator:
     def split(self, state: np.ndarray):
         """(u, v) of one state, or of a stack of states along the last axis."""
         return state[..., :self.ndof], state[..., self.ndof:]
+
+    @property
+    def stiffness_form(self) -> np.ndarray:
+        """K, dense and symmetric, expanded from its bands on each access."""
+        kd = self.stiffness_bands.shape[0] - 1
+        dense = np.zeros((self.ndof, self.ndof))
+        for d in range(kd + 1):
+            i = np.arange(self.ndof - d)
+            dense[i, i + d] = dense[i + d, i] = self.stiffness_bands[kd - d, d:]
+        return dense
+
+    def stiffness_product(self, u: np.ndarray) -> np.ndarray:
+        """K u from the upper bands (BLAS dsbmv)."""
+        return dsbmv(self.stiffness_bands.shape[0] - 1, 1.0, self.stiffness_bands, u)
+
+    def elastic_product(self, u: np.ndarray) -> np.ndarray:
+        """C u, one curvature or face gradient per quadrature row (BLAS dgbmv)."""
+        kl, ku = self.elastic_offsets
+        return dgbmv(self.elastic_weights.size, self.ndof, kl, ku, 1.0,
+                     self.elastic_bands, u)
 
     @cached_property
     def system_matrix(self) -> np.ndarray:
@@ -291,7 +290,7 @@ class DiscreteGenerator:
         """(kinetic, elastic, boundary) halves of the squared state norm."""
         u, v = self.split(state)
         kinetic = 0.5 * float(self.mass @ (v * v))
-        cu = self.elastic_rows @ u
+        cu = self.elastic_product(u)
         elastic = 0.5 * float(self.elastic_weights @ (cu * cu))
         boundary = 0.5 * (self.beta_eff * float(self.trace_value @ u) ** 2
                           + self.gamma_eff * float(self.trace_slope @ u) ** 2)
@@ -300,12 +299,7 @@ class DiscreteGenerator:
     def state_inner(self, a: np.ndarray, b: np.ndarray) -> float:
         ua, va = self.split(a)
         ub, vb = self.split(b)
-        val = float((self.elastic_rows @ ua) * self.elastic_weights
-                    @ (self.elastic_rows @ ub))
-        val += self.beta_eff * float(self.trace_value @ ua) * float(self.trace_value @ ub)
-        val += self.gamma_eff * float(self.trace_slope @ ua) * float(self.trace_slope @ ub)
-        val += float(self.mass @ (va * vb))
-        return val
+        return float(ua @ self.stiffness_product(ub) + self.mass @ (va * vb))
 
     def state_norm(self, state: np.ndarray) -> float:
         k, e, b = self.energy_parts(state)
@@ -326,7 +320,7 @@ class DiscreteGenerator:
 
     def elastic_seminorm(self, u_free: np.ndarray) -> float:
         """Kind-appropriate seminorm: ||u''||, ||sqrt(a)u''||, ||u'||, ||sqrt(a)u'||."""
-        cu = self.elastic_rows @ u_free
+        cu = self.elastic_product(u_free)
         return float(np.sqrt(self.elastic_weights @ (cu * cu)))
 
     def tip_traces(self, state: np.ndarray):
@@ -368,30 +362,27 @@ def assemble(kind: OperatorKind, profile: CoefficientProfile, bc: BoundaryParams
     wd = profile.is_weakly_degenerate
 
     if kind.is_beam:
-        mirror = (kind is OperatorKind.BEAM_NONDIV) or wd
-        rows, wts, locs = _curvature_rows(grid, mirror_at_zero=mirror)
+        ab, kl, ku, weights = curvature_map(grid)
         if kind is OperatorKind.BEAM_DIV:
-            coef = profile.spec(np.where(locs == 0.0, 0.5 * h, locs))
-        else:
-            coef = np.ones_like(wts)
-        free = np.arange(1, n)
+            weights = weights * profile.spec(np.concatenate(([0.5 * h], grid.nodes[1:])))
+            if not wd:
+                weights[0] = 0.0  # no mirrored clamped-slope row
     else:
-        rows, wts, locs = _gradient_rows(grid)
-        coef = profile.spec(locs) if kind is OperatorKind.WAVE_DIV else np.ones_like(wts)
-        if kind is OperatorKind.WAVE_DIV and not wd:
-            free = np.arange(0, n)  # zero-flux condition at x = 0 is natural
-        else:
-            free = np.arange(1, n)
+        ab, kl, ku, weights = gradient_map(grid)
+        if kind is OperatorKind.WAVE_DIV:
+            weights = weights * profile.spec(grid.midpoints)
+    if kind is OperatorKind.WAVE_DIV and not wd:
+        free = np.arange(0, n)  # zero-flux condition at x = 0 is natural
+    else:
+        free = np.arange(1, n)
+        ab, kl, ku = ab[:, 1:], kl + 1, ku - 1  # pinning node 0 drops column 0 of C
 
-    rows_free = rows[:, free]
-    weights = wts * coef
-
-    e = np.zeros(n)
-    e[-1] = 1.0
-    g = np.zeros(n)
-    g[-3:] = fd_weights(grid.nodes[-3:], 1.0, 1)
-    e_free = e[free]
-    g_free = g[free]
+    ndof, kd = free.size, kl + ku
+    e_free = np.zeros(ndof)
+    e_free[-1] = 1.0
+    slope = fd_weights(grid.nodes[-3:], 1.0, 1)  # u'(1) from the last three nodes
+    g_free = np.zeros(ndof)
+    g_free[-3:] = slope
 
     if kind is OperatorKind.WAVE_DIV:
         beta_eff, gamma_eff = bc.beta * a_right, 0.0
@@ -403,24 +394,32 @@ def assemble(kind: OperatorKind, profile: CoefficientProfile, bc: BoundaryParams
         beta_eff, gamma_eff = bc.beta, bc.gamma
         d_value, d_slope = 1.0, 1.0
 
-    stiffness = rows_free.T @ (weights[:, None] * rows_free)
-    stiffness += beta_eff * np.outer(e_free, e_free)
-    if gamma_eff:
-        stiffness += gamma_eff * np.outer(g_free, g_free)
+    # K = C^T W C in upper band storage, K[j-d, j] = sum_r C[r, j-d] w_r C[r, j]:
+    # the band entry of C[r, c] sits at row ku + r - c, so `weighted` holds w_r C[r, c]
+    # (r is clipped where the entry lies outside C, which holds 0 there)
+    row_of = np.clip(np.arange(ndof) + np.arange(-ku, kl + 1)[:, None], 0, weights.size - 1)
+    weighted = ab * weights[row_of]
+    stiffness = np.zeros((kd + 1, ndof), order="F")
+    for d in range(kd + 1):
+        stiffness[kd - d, d:] = np.sum(ab[d:, :ndof - d] * weighted[:kd + 1 - d, d:], axis=0)
+    stiffness[kd, -1] += beta_eff  # e e^T
+    if gamma_eff:  # g g^T on the last three nodes (beams, kd = 4)
+        for d in range(3):
+            stiffness[kd - d, ndof - 3 + d:] += gamma_eff * (slope[:3 - d] * slope[d:])
 
     if kind.weighted_velocity:
         mass = weighted_mass_diagonal(grid, profile)
     else:
         mass = grid.trapezoid_weights()[free]
 
-    for arr in (free, mass, rows_free, weights, e_free, g_free, stiffness):
+    for arr in (free, mass, ab, weights, e_free, g_free, stiffness):
         arr.setflags(write=False)
     return DiscreteGenerator(
         kind=kind, profile=profile, grid=grid, free=free, mass=mass,
-        elastic_rows=rows_free, elastic_weights=weights, trace_value=e_free,
-        trace_slope=g_free, beta_eff=beta_eff, gamma_eff=gamma_eff,
+        elastic_bands=ab, elastic_offsets=(kl, ku), elastic_weights=weights,
+        trace_value=e_free, trace_slope=g_free, beta_eff=beta_eff, gamma_eff=gamma_eff,
         damping_value_coeff=d_value, damping_slope_coeff=d_slope,
-        stiffness_form=stiffness)
+        stiffness_bands=stiffness)
 
 
 def gauss_green_residual(generator: DiscreteGenerator, u_full: np.ndarray,

@@ -1,37 +1,38 @@
 """Test-side constructions and norms that the package itself does not need.
 
-Synthetic elements of the clamped and pinned discrete spaces, the subdomain
-extension B and the L2(P) pairing, the pointwise and sampled checks of the
-source hypotheses, a semigroup-constant sampler with one matrix exponential
-per sample time, and the closed forms of the constant and pulse gains.  Each
-is a reference that tests compare the package's forms and constants
-against.
+Synthetic elements of the clamped and pinned discrete spaces, the clamped
+curvature seminorm read from `curvature_map`, the dense row-by-row elastic
+map and stiffness of a generator, the subdomain extension B and the L2(P)
+pairing, the pointwise and sampled checks of the source hypotheses, a
+semigroup-constant sampler with one matrix exponential per sample time, and
+the closed forms of the constant and pulse gains.  Each is a reference that
+tests compare the package's forms and constants against.
 """
 
 import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgbmv
 
 from degenwave.errors import InfeasibleError, SubdomainNotAlignedError
 from degenwave.nonlinearity import eval_f, weighted_inner
-from degenwave.operators import curvature_quadrature
+from degenwave.operators import OperatorKind, curvature_map, fd_weights
 
 
 def from_curvature(grid, curvature):
     """Nodal u with u(0)=u'(0)=0 whose discrete curvature rows equal the input.
 
-    curvature[k] feeds row k of curvature_quadrature (mirror row, then the
-    interior centered rows); the final one-sided row is not prescribed.
+    curvature[k] feeds row k of `curvature_map` (the mirrored row at node 0,
+    then the interior centered rows); the final one-sided row is not
+    prescribed.
     """
     curvature = np.asarray(curvature, dtype=float)
     n, h = grid.n, grid.h
     if curvature.shape[0] < n - 1:
         raise ValueError("need n-1 curvature values (mirror row + interior rows)")
-    slopes = np.empty(n - 1)  # u' at faces j+1/2
-    slopes[0] = 0.5 * h * curvature[0]
-    for j in range(1, n - 1):
-        slopes[j] = slopes[j - 1] + h * curvature[j]
+    # u' at the faces j+1/2: half a cell of the mirrored row, then one cell per row
+    slopes = np.cumsum(np.concatenate(([0.5 * h * curvature[0]], h * curvature[1:n - 1])))
     u = np.zeros(n)
     u[1:] = np.cumsum(h * slopes)
     return u
@@ -82,9 +83,52 @@ def weighted_l2_norm(y, profile):
 
 def curvature_seminorm(grid, u_full):
     """||u''|| of a nodal function in the clamped space {u(0)=u'(0)=0}."""
-    rows, wts = curvature_quadrature(grid)
-    cu = rows @ np.asarray(u_full, dtype=float)
+    ab, kl, ku, wts = curvature_map(grid)
+    cu = dgbmv(grid.n, grid.n, kl, ku, 1.0, ab, np.asarray(u_full, dtype=float))
     return float(np.sqrt(wts @ (cu * cu)))
+
+
+def dense_elastic_reference(generator):
+    """(C, w, K) of a generator, dense, from the stencil definitions row by row.
+
+    C has the curvature rows (beams: the mirrored row at node 0 when the kind
+    has one, the centered interior rows, the one-sided row at x = 1) or the
+    face-gradient rows (waves), restricted to the free nodes; w holds the
+    quadrature weights times the coefficient at each row's location; and
+    K = C^T W C + beta e e^T + gamma g g^T with the generator's tip gains.
+    """
+    kind, grid, profile = generator.kind, generator.grid, generator.profile
+    n, h = grid.n, grid.h
+    entries = []  # (row, quadrature weight, where the coefficient is read)
+    if kind.is_beam:
+        if kind is OperatorKind.BEAM_NONDIV or profile.is_weakly_degenerate:
+            r = np.zeros(n)
+            r[0], r[1] = -2.0 / h**2, 2.0 / h**2
+            entries.append((r, 0.5 * h, 0.5 * h))
+        for i in range(1, n - 1):
+            r = np.zeros(n)
+            r[i - 1], r[i], r[i + 1] = 1.0 / h**2, -2.0 / h**2, 1.0 / h**2
+            entries.append((r, h, grid.nodes[i]))
+        r = np.zeros(n)
+        r[n - 4:] = fd_weights(grid.nodes[-4:], 1.0, 2)
+        entries.append((r, 0.5 * h, 1.0))
+    else:
+        for j in range(n - 1):
+            r = np.zeros(n)
+            r[j], r[j + 1] = -1.0 / h, 1.0 / h
+            entries.append((r, h, grid.midpoints[j]))
+    rows, weights, locations = (np.array(column) for column in zip(*entries))
+    if kind.is_divergence_form:
+        weights = weights * profile.spec(locations)
+    pinned = not (kind is OperatorKind.WAVE_DIV and not profile.is_weakly_degenerate)
+    c = rows[:, 1:] if pinned else rows
+    e = np.zeros(c.shape[1])
+    e[-1] = 1.0
+    g = np.zeros(c.shape[1])
+    g[-3:] = fd_weights(grid.nodes[-3:], 1.0, 1)
+    k = c.T @ (weights[:, None] * c)
+    k += generator.beta_eff * np.outer(e, e) + generator.gamma_eff * np.outer(g, g)
+    return c, weights, k
 
 
 def empirical_growth_constant(source, generator, samples):

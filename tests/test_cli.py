@@ -313,3 +313,14 @@ def test_csv_initial_short_row_exits_3(tmp_path, capsys):
                  "--quiet"])
     assert code == 3
     assert "line 3 has 2 columns, need 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["descending", "repeated"])
+def test_csv_initial_x_not_ascending_exits_3(tmp_path, capsys, order):
+    x = np.linspace(0.0, 1.0, 64)
+    x = x[::-1] if order == "descending" else np.concatenate((x[:32], x[31:63]))
+    rows = "".join(f"{a:.17g},{a * a:.17g},0\n" for a in x)
+    code = main(["--config", _csv_initial_config(tmp_path, "x,y0,y1\n" + rows), "--out",
+                 str(tmp_path / "o"), "--command", "simulate", "--quiet"])
+    assert code == 3
+    assert "x must be strictly ascending" in capsys.readouterr().err

@@ -141,7 +141,7 @@ def test_state_norm_generator_matches_eigh_similarity(kind, alpha, n):
 def test_semigroup_rejects_indefinite_stiffness():
     gen = make_gen(OperatorKind.WAVE_NONDIV, 0.5, 16)
     with pytest.raises(DegenwaveError, match="positive definite"):
-        semigroup_constants(dataclasses.replace(gen, stiffness_form=-gen.stiffness_form))
+        semigroup_constants(dataclasses.replace(gen, stiffness_bands=-gen.stiffness_bands))
 
 
 def test_eigenmode_state_rejects_bad_mode():

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg.blas import dgbmv
 
 from degenwave import (BoundaryParams, CoefficientSpec, Grid, GridTooCoarseError,
-                       InconsistentBCError, OperatorKind, assemble, classify,
-                       gauss_green_residual)
-from degenwave.operators import fd_weights, nodal_derivative
+                       InconsistentBCError, OperatorKind, Scenario, SourceKind, assemble,
+                       classify, gauss_green_residual, polynomial_state)
+from degenwave.evolution import _Stepper
+from degenwave.operators import curvature_map, fd_weights, nodal_derivative
 
 from conftest import random_state
-from helpers import from_curvature, from_face_slopes
+from helpers import dense_elastic_reference, from_curvature, from_face_slopes
 
 KINDS = list(OperatorKind)
 
@@ -159,16 +162,64 @@ def test_spectral_abscissa_strictly_negative(kind, n):
     assert abscissa < 0.0
 
 
+# -- band storage against the dense reference ------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_band_path_matches_dense_reference(kind, alpha, n, rng, monkeypatch):
+    gen = make_gen(kind, alpha, n)
+    c_ref, w_ref, k_ref = dense_elastic_reference(gen)
+    u = rng.standard_normal(gen.ndof)
+    cu, w = gen.elastic_product(u), gen.elastic_weights
+    if cu.size == w_ref.size + 1:  # beam_div SD: the mirrored row is kept at weight 0
+        assert w[0] == 0.0
+        cu, w = cu[1:], w[1:]
+    # componentwise against |C| |u|, the scale of the rounding in a product
+    assert np.all(np.abs(cu - c_ref @ u) <= 1e-13 * (np.abs(c_ref) @ np.abs(u)))
+    np.testing.assert_allclose(w, w_ref, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(gen.stiffness_form, k_ref, rtol=1e-13, atol=0.0)
+
+    # the stepper's right-hand side M r2 - h K r1, as handed to the LU solve
+    y0, y1 = polynomial_state(gen)
+    stepper = _Stepper(Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
+                                t_end=0.01, dt=0.01))
+    seen = []
+    lu_solve = scipy.linalg.lu_solve
+
+    def spy(lu, b, **kwargs):
+        seen.append(b.copy())
+        return lu_solve(lu, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", spy)
+    r1, r2 = rng.standard_normal(gen.ndof), rng.standard_normal(gen.ndof)
+    stepper.solve(gen.join(r1, r2))
+    h = stepper.half_dt
+    want = gen.mass * r2 - h * (k_ref @ r1)
+    scale = gen.mass * np.abs(r2) + h * (np.abs(k_ref) @ np.abs(r1))
+    assert len(seen) == 1 and np.all(np.abs(seen[0] - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_assembly_holds_linear_storage(kind, alpha):
+    n = 4096
+    gen = make_gen(kind, alpha, n)
+    sizes = {name: value.size for name, value in vars(gen).items()
+             if isinstance(value, np.ndarray)}
+    assert "stiffness_bands" in sizes and "system_matrix" not in vars(gen)
+    assert max(sizes.values()) <= 5 * n, sizes
+
+
 # -- space synthesis helpers ------------------------------------------------------
 
 
 def test_from_curvature_reproduces_rows(grid48, rng):
     curv = rng.standard_normal(grid48.n - 1)
     u = from_curvature(grid48, curv)
-    from degenwave.operators import curvature_quadrature
-
-    rows, _ = curvature_quadrature(grid48)
-    recovered = rows @ u
+    ab, kl, ku, _ = curvature_map(grid48)
+    recovered = dgbmv(grid48.n, grid48.n, kl, ku, 1.0, ab, u)
     assert np.allclose(recovered[:-1], curv, atol=1e-9)
     assert u[0] == 0.0
 
@@ -212,8 +263,6 @@ def test_trace_slope_exact_on_quadratics(grid48, wd_profile48):
 
 
 def _conservative_fundamental(gen):
-    import scipy.linalg
-
     evals = scipy.linalg.eigh(gen.stiffness_form, np.diag(gen.mass),
                               eigvals_only=True)
     return float(np.sqrt(evals[0]))
