@@ -120,6 +120,9 @@ def build_initial(cfg, generator):
             raise ConfigError(f"{path}: no data rows; need columns x, y0, y1")
         if np.any(np.diff(xs) <= 0):
             raise ConfigError(f"{path}: x must be strictly ascending")
+        tol = degeneracy.ADMISSIBILITY_TOL
+        if abs(xs[0]) > tol or abs(xs[-1] - 1.0) > tol:
+            raise ConfigError(f"{path}: x must run from 0 to 1, got {xs[0]:g} to {xs[-1]:g}")
         x = generator.grid.nodes
         y0 = amplitude * np.interp(x, xs, y0s)
         y1 = amplitude * np.interp(x, xs, y1s)

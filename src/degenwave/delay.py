@@ -15,6 +15,10 @@ The cumulative gain condition
 is resolved for the two kernel representations: the exponential gain in
 closed form, and a step table (constant, pulse and tabulated gains) over its
 breakpoints.  Infeasibility raises.
+
+The delay history lives on the slot grid t = j dt, and dt must divide tau
+(`delay_slots`, the one place that tolerance is decided), so a delayed value
+is read by slot index j, never looked up by time.
 """
 
 from __future__ import annotations
@@ -37,15 +41,17 @@ KERNEL_EXP_DECAY = "exp_decay"
 KERNEL_PULSE = "pulse"
 KERNEL_TABULATED = "tabulated"
 
-#: a time sits on the slot grid of step dt when it is within this share of
-#: tau of a whole multiple of dt; dt | tau is the case t = tau
+#: dt divides tau when a whole multiple m dt is within this share of tau of it
 _SLOT_TOL = 1e-9
 
 
-def slot_index(t: float, dt: float, tau: float) -> Optional[int]:
-    """The j with |t - j dt| <= 1e-9 tau, or None when t is off the slot grid."""
-    j = round(t / dt)
-    return j if abs(j * dt - t) <= _SLOT_TOL * tau else None
+def delay_slots(dt: float, tau: float) -> int:
+    """m = tau/dt, the slot count of one delay window; ValueError unless a
+    whole m >= 1 has |m dt - tau| <= 1e-9 tau."""
+    m = round(tau / dt)
+    if m < 1 or abs(m * dt - tau) > _SLOT_TOL * tau:
+        raise ValueError(f"dt = {dt} must divide tau = {tau} exactly")
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,21 +292,19 @@ HistoryInit = Union[None, float, Callable[[float], Union[float, np.ndarray]]]
 class HistoryBuffer:
     """The delay history: B* y_t traces and their norms on the slot grid.
 
-    Slots sit at integer multiples of dt, and dt must divide tau.  The ring
-    holds the m + 1 = tau/dt + 1 traces of the current window [t - tau, t];
-    `sample` reads a slot, or blends the two slots around a half-slot time.
-    Every filled slot, from the m + 1 initial-history slots on, also appends
-    h ||trace||^2 to `slot_norms_sq`, the record the history energies read.
+    Slot j holds the trace at time j dt, and dt must divide tau, so a delay
+    window [t_l - tau, t_l] is the m + 1 = tau/dt + 1 slots l - m .. l.  The
+    ring holds the slots of the current window, and `sample_step` reads one
+    by its index.  Every filled slot, from the m + 1 initial-history slots
+    on, also appends h ||trace||^2 to `slot_norms_sq`, the record the
+    history energies read.
     """
 
     def __init__(self, sub: SubdomainP, grid: Grid, dt: float, tau: float,
                  init: HistoryInit = None):
-        m = slot_index(tau, dt, tau)
-        if m is None or m < 1:
-            raise ValueError(f"dt = {dt} must divide tau = {tau} exactly")
+        m = delay_slots(dt, tau)
         self.grid = grid
         self.dt = float(dt)
-        self.tau = float(tau)
         self.m = m
         self._width = sub.indices(grid).size
         self._slots = np.zeros((m + 1, self._width))
@@ -335,24 +339,6 @@ class HistoryBuffer:
             raise QueryOutOfWindowError(
                 f"step {step} outside buffer window ending at {self._step}")
         return self._slots[step % (self.m + 1)]
-
-    def sample(self, s: float) -> np.ndarray:
-        """B* y_t(s) at a slot time, or between the two adjacent slots at a
-        half-slot time; any other time raises.
-
-        The half-slot weights are (1 - frac, frac) with frac = s/dt - lo, which
-        is 1/2 up to the rounding of s.  Runs are sensitive to that rounding:
-        on the README scenario, weights of exactly 1/2 move the final state
-        norm (t = 10) by 5e-6 relative.
-        """
-        half_slots = slot_index(s, 0.5 * self.dt, self.tau)
-        if half_slots is None:
-            raise QueryOutOfWindowError(f"s = {s} is not a slot or half-slot time")
-        lo, odd = divmod(half_slots, 2)
-        if not odd:
-            return self.sample_step(lo)
-        frac = s / self.dt - lo
-        return (1.0 - frac) * self.sample_step(lo) + frac * self.sample_step(lo + 1)
 
     def push(self, trace: np.ndarray) -> None:
         """Append the trace for the next slot time."""

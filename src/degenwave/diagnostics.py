@@ -78,9 +78,9 @@ def history_energy(kernel: Optional[KernelSpec],
     return float(history_energies(kernel, buffer)[-1])
 
 
-def source_energy(generator: DiscreteGenerator, source: SourceKind,
-                  state: np.ndarray) -> float:
-    """-int F(y) (1/a-weighted where the velocity space is) of one state."""
+def source_energy(generator: DiscreteGenerator, source: SourceKind, state: np.ndarray):
+    """-int F(y) (1/a-weighted where the velocity space is) of one state (a
+    float), or of each state of a stack along the last axis (an array)."""
     if source.is_none:
         return 0.0
     u, _ = generator.split(state)

@@ -10,10 +10,10 @@ advanced by the trapezoidal rule, whose implicit solve reduces exactly to
 one n x n system on the velocity block (see `_Stepper`); the delay term,
 whose values are known history slots on both step endpoints, is integrated
 by the midpoint rule; the source is extrapolated by a two-step
-Adams-Bashforth combination of current-state evaluations.  dt must divide
-tau, so every delayed time the stepper reads is a history slot or half a
-slot, and a half-slot value is the blend of the two slots around it
-(`HistoryBuffer.sample`).
+Adams-Bashforth combination of current-state evaluations; both act on the
+velocity block only.  dt divides tau, m = tau/dt, so the step from t_l = l dt
+reads the delayed trace by slot index: slot l + 1 - m at t_l + dt, the mean
+of slots l - m and l + 1 - m at t_l + dt/2 (Bellen & Zennaro 2003, ch. 3).
 
 Also here: sampled semigroup certificates ||e^{tA}|| <= M e^{-omega t} in the
 state norm, whose samples are powers of one matrix exponential per sample
@@ -32,9 +32,8 @@ import numpy as np
 import scipy.linalg
 
 from . import diagnostics
-from .delay import (HistoryBuffer, HistoryInit, KernelSpec, SubdomainP,
-                    kernel_growth_check, kernel_window_bound, slot_index,
-                    subdomain_gain)
+from .delay import (HistoryBuffer, HistoryInit, KernelSpec, SubdomainP, delay_slots,
+                    kernel_growth_check, kernel_window_bound, subdomain_gain)
 from .errors import (DegenwaveError, InfeasibleError, LinearSolveFailureError,
                      NotExponentiallyStableError)
 from .nonlinearity import SourceKind, constants_for, eval_f
@@ -51,6 +50,9 @@ HORIZON_DOUBLINGS = 8
 
 #: largest state dimension whose dense matrix exponentials are computed
 MAX_EXPM_DIM = 1024
+
+#: records per call of the batched source-energy pass; bounds its temporaries
+SOURCE_BATCH = 256
 
 
 @dataclass(eq=False)
@@ -83,9 +85,7 @@ class Scenario:
         if (self.kernel is None) != (self.subdomain is None):
             raise ValueError("kernel and subdomain must be given together")
         if self.kernel is not None:
-            m = slot_index(self.kernel.tau, self.dt, self.kernel.tau)
-            if m is None or m < 1:
-                raise ValueError("dt must divide the delay tau exactly")
+            delay_slots(self.dt, self.kernel.tau)
             # explicit terms want dt below the inverse feedback strength;
             # deliberately violent gains are allowed to run (blow-up detection)
             gain = abs(self.kernel.k0) if self.kernel.values is None \
@@ -243,14 +243,16 @@ class _Stepper:
     """Trapezoidal linear part, midpoint delay term, AB2 source.
 
     Every implicit stage goes through `solve`, which solves
-    (I - dt/2 A) x = r on the velocity block: with h = dt/2 and r = (r1, r2),
+    (I - dt/2 A)(x1, x2) = (r1, r2) on the velocity block: with h = dt/2,
 
-        (M + h D + h^2 K) v = M r2 - h K r1,    u = r1 + h v,
+        (M + h D + h^2 K) x2 = M r2 - h K r1,    x1 = r1 + h x2,
 
     so one LU factor of the n x n matrix M + h D + h^2 K serves every step
-    (Golub & Van Loan, section 4.3).  The trapezoid step is taken in its
-    implicit-midpoint form new = 2 solve(y + h G) - y, which is the same map
-    as (I - hA)^{-1}((I + hA) y + dt G) and needs no product with A.
+    (Golub & Van Loan, section 4.3).  The explicit terms G = (0, g) have a
+    zero displacement half, so `delay_term` and `source_term` return g alone,
+    and 0.0 when the term is off.  The trapezoid step is taken in its
+    implicit-midpoint form new = 2 solve(u, v + h g) - (u, v), which is the
+    same map as (I - hA)^{-1}((I + hA) y + dt G) and needs no product with A.
 
     When explicit terms are active, the first `smoothing_steps` steps are
     taken as pairs of backward-Euler half-steps (Rannacher smoothing): the
@@ -278,59 +280,62 @@ class _Stepper:
         self.smoothing_left = smoothing_steps if has_explicit else 0
         self.prev_source = None
 
-    def delay_term(self, t: float, buffer: Optional[HistoryBuffer]) -> np.ndarray:
-        out = np.zeros(2 * self.gen.ndof)
-        if buffer is not None:
-            k_t = float(self.sc.kernel.eval(t))
-            if k_t != 0.0:
-                delayed = buffer.sample(t - self.sc.kernel.tau)
-                out[self.gen.ndof:][self.sub_free] -= k_t * delayed
-        return out
+    def delay_term(self, ell: int, buffer: Optional[HistoryBuffer], midpoint: bool):
+        """g = -k(t) B B* y_t(t - tau) at t = t_ell + dt (slot ell + 1 - m), or at
+        the midpoint t_ell + dt/2 (the mean of slots ell - m and ell + 1 - m)."""
+        if buffer is None:
+            return 0.0
+        k_t = float(self.sc.kernel.eval(ell * self.sc.dt
+                                        + (self.half_dt if midpoint else self.sc.dt)))
+        slot = ell + 1 - buffer.m
+        delayed = buffer.sample_step(slot)
+        if midpoint:
+            delayed = 0.5 * (buffer.sample_step(slot - 1) + delayed)
+        g = np.zeros(self.gen.ndof)
+        g[self.sub_free] -= k_t * delayed
+        return g
 
-    def source_term(self, state: np.ndarray) -> np.ndarray:
+    def source_term(self, u: np.ndarray):
+        """g = f(u) on the free dofs."""
+        if self.sc.source.is_none:
+            return 0.0
         gen = self.gen
-        out = np.zeros(2 * gen.ndof)
-        if not self.sc.source.is_none:
-            u, _ = gen.split(state)
-            f_full = eval_f(self.sc.source, gen.embed(u), gen.grid)
-            out[gen.ndof:] = f_full[gen.free]
-        return out
+        return eval_f(self.sc.source, gen.embed(u), gen.grid)[gen.free]
 
-    def explicit_term(self, t: float, state: np.ndarray,
-                      buffer: Optional[HistoryBuffer]) -> np.ndarray:
-        return self.delay_term(t, buffer) + self.source_term(state)
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """x with (I - dt/2 A) x = r, by the velocity-block reduction."""
+    def solve(self, r1: np.ndarray, r2: np.ndarray):
+        """(x1, x2) with (I - dt/2 A)(x1, x2) = (r1, r2), by the velocity-block reduction."""
         gen, h = self.gen, self.half_dt
-        r1, r2 = gen.split(r)
-        v = scipy.linalg.lu_solve(self.lu, gen.mass * r2 - h * gen.stiffness_product(r1),
-                                  check_finite=False)
-        return gen.join(r1 + h * v, v)
+        x2 = scipy.linalg.lu_solve(self.lu, gen.mass * r2 - h * gen.stiffness_product(r1),
+                                   check_finite=False)
+        return r1 + h * x2, x2
 
-    def step(self, t: float, state: np.ndarray,
+    def step(self, ell: int, state: np.ndarray,
              buffer: Optional[HistoryBuffer]) -> np.ndarray:
-        dt, h = self.sc.dt, self.half_dt
+        """The state at t_{ell + 1} from the state at t_ell = ell dt."""
+        h = self.half_dt
+        u, v = self.gen.split(state)
         if self.smoothing_left > 0:
             self.smoothing_left -= 1
             # two backward-Euler half-steps with the shared (I - dt/2 A) factor
-            half_state = self.solve(state + h * self.explicit_term(t + h, state, buffer))
-            new = self.solve(half_state + h * self.explicit_term(t + dt, half_state, buffer))
-            self.prev_source = self.source_term(new)
+            u, v = self.solve(u, v + h * (self.delay_term(ell, buffer, midpoint=True)
+                                          + self.source_term(u)))
+            u, v = self.solve(u, v + h * (self.delay_term(ell, buffer, midpoint=False)
+                                          + self.source_term(u)))
+            self.prev_source = self.source_term(u)
         else:
             # delay term at the midpoint in time: the two adjacent buffer
             # slots average to the half-slot trace, which also annihilates
             # any step-frequency ringing before it can feed back; the source
             # is Adams-Bashforth extrapolated from known states
-            src = self.source_term(state)
+            src = self.source_term(u)
             prev = self.prev_source if self.prev_source is not None else src
-            explicit = self.delay_term(t + h, buffer) + (1.5 * src - 0.5 * prev)
-            new = 2.0 * self.solve(state + h * explicit) - state
+            g = self.delay_term(ell, buffer, midpoint=True) + (1.5 * src - 0.5 * prev)
+            u_mid, v_mid = self.solve(u, v + h * g)
+            u, v = 2.0 * u_mid - u, 2.0 * v_mid - v
             self.prev_source = src
         if buffer is not None:
-            _, v = self.gen.split(new)
             buffer.push(v[self.sub_free])
-        return new
+        return self.gen.join(u, v)
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -340,9 +345,10 @@ def simulate(scenario: Scenario) -> Trajectory:
     elastic, boundary) `energy_parts` triple, computed once for the blow-up
     check, fills a second one that gives the state norms and those energy
     columns.  The run stops early at the first non-finite state or state
-    norm above BLOWUP_NORM.  Source energies, damping rates and tip traces
-    are then computed in batch over all records, and the history energies
-    from the slot norms the history buffer recorded as it was filled.
+    norm above BLOWUP_NORM.  Damping rates and tip traces are then computed
+    in batch over all records, source energies in batches of SOURCE_BATCH
+    records, and the history energies from the slot norms the history buffer
+    recorded as it was filled.
     """
     gen = scenario.generator
     stepper = _Stepper(scenario)
@@ -357,7 +363,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     nrec = nsteps + 1
     blew_up = False
     for ell in range(nsteps):
-        state = stepper.step(ell * scenario.dt, states[ell], buffer)
+        state = stepper.step(ell, states[ell], buffer)
         states[ell + 1] = state
         if np.all(np.isfinite(state)):
             kinetic, elastic, boundary = gen.energy_parts(state)
@@ -373,11 +379,12 @@ def simulate(scenario: Scenario) -> Trajectory:
     bad = ~np.all(np.isfinite(states), axis=1)
 
     source = np.zeros(nrec)
-    if not scenario.source.is_none:
-        for i in np.flatnonzero(~bad):
-            source[i] = diagnostics.source_energy(gen, scenario.source, states[i])
     history = np.zeros(nrec)
     with np.errstate(over="ignore", invalid="ignore"):
+        if not scenario.source.is_none:
+            for start in range(0, nrec, SOURCE_BATCH):
+                batch = slice(start, start + SOURCE_BATCH)
+                source[batch] = diagnostics.source_energy(gen, scenario.source, states[batch])
         if buffer is not None:
             history = diagnostics.history_energies(scenario.kernel, buffer)
         kinetic, elastic, boundary = parts.T
@@ -427,18 +434,12 @@ def duhamel_residual(scenario: Scenario, trajectory: Trajectory,
     phi = np.zeros((nrec, 2 * gen.ndof))
     if scenario.kernel is not None:
         buffer = scenario.make_buffer()
-        sub_free = scenario.subdomain_dofs
-        tau = scenario.kernel.tau
-        for j in range(nrec):
-            t_j = trajectory.times[j]
-            k_t = float(scenario.kernel.eval(t_j))
-            delayed_step = slot_index(t_j - tau, dt, tau)
-            if delayed_step <= 0:
-                trace = buffer.sample_step(delayed_step)
-            else:
-                _, v = gen.split(trajectory.states[delayed_step])
-                trace = v[sub_free]
-            phi[j, gen.ndof:][sub_free] = -k_t * trace
+        on_p = gen.ndof + scenario.subdomain_dofs
+        # t_j - tau is slot j - m: the initial history up to slot 0, then the states
+        history = [buffer.sample_step(j) for j in range(-buffer.m, 1)]
+        traces = np.concatenate([history, trajectory.states[1:, on_p]])[:nrec]
+        k = np.atleast_1d(scenario.kernel.eval(trajectory.times))
+        phi[:, on_p] = -k[:, None] * traces
 
     y_hom = trajectory.states[0].copy()
     integral = np.zeros(2 * gen.ndof)

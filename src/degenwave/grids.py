@@ -54,6 +54,8 @@ class Grid:
         w[0] = w[-1] = 0.5 * self.h
         return w
 
-    def trapezoid(self, values: np.ndarray) -> float:
-        """Composite trapezoid of nodal values over [0, 1]."""
-        return float(self.trapezoid_weights() @ np.asarray(values, dtype=float))
+    def trapezoid(self, values: np.ndarray):
+        """Composite trapezoid of nodal values over [0, 1]: a float, or an
+        array over a stack of nodal functions along the last axis."""
+        out = np.asarray(values, dtype=float) @ self.trapezoid_weights()
+        return out if out.ndim else float(out)

@@ -120,43 +120,48 @@ def eval_f(source: SourceKind, y: np.ndarray, grid: Grid) -> np.ndarray:
     return norm_sq ** (source.p / 2.0) * y
 
 
-def weighted_inner(y: np.ndarray, z: np.ndarray, profile: CoefficientProfile) -> float:
-    """<y, z>_{L2_{1/a}} by the composite midpoint rule."""
+def weighted_inner(y: np.ndarray, z: np.ndarray, profile: CoefficientProfile):
+    """<y, z>_{L2_{1/a}} by the composite midpoint rule: a float, or an array
+    over stacks of nodal functions along the last axis."""
     grid = profile.grid
-    ym = 0.5 * (np.asarray(y, float)[:-1] + np.asarray(y, float)[1:])
-    zm = 0.5 * (np.asarray(z, float)[:-1] + np.asarray(z, float)[1:])
+    y, z = np.asarray(y, float), np.asarray(z, float)
+    ym = 0.5 * (y[..., :-1] + y[..., 1:])
+    zm = 0.5 * (z[..., :-1] + z[..., 1:])
     a_mid = profile.spec(grid.midpoints)
-    return float(grid.h * np.sum(ym * zm / a_mid))
+    out = grid.h * np.sum(ym * zm / a_mid, axis=-1)
+    return out if out.ndim else float(out)
 
 
 def eval_F_functional(source: SourceKind, y: np.ndarray, profile: CoefficientProfile,
-                      weighted: bool) -> float:
+                      weighted: bool):
     """The potential integral: int F(y)/a dx (weighted) or int F(y) dx.
 
     F(y) = int_0^y f(s) ds pointwise for the power source.  For the nonlocal
     source F is taken along the ray s -> s y, giving the closed form
     (1/(p+2)) ||y||_{L2}^p <y, y> with the pairing in the weighted or plain
     L2 product; this is the quantity the energy functional subtracts.
+    A float for one nodal function y, an array for a stack of them along the
+    last axis.
     """
     y = np.asarray(y, dtype=float)
     grid = profile.grid
     if source.kind == SOURCE_NONE:
-        return 0.0
-    if source.kind == SOURCE_POWER:
+        out = np.zeros(y.shape[:-1])
+    elif source.kind == SOURCE_POWER:
         q = source.q
         if weighted:
-            mid_vals = 0.5 * (y[:-1] + y[1:])
+            mid_vals = 0.5 * (y[..., :-1] + y[..., 1:])
             a_mid = profile.spec(grid.midpoints)
             integrand = np.abs(mid_vals) ** (q + 2.0) / (q + 2.0) / a_mid
-            return float(grid.h * np.sum(integrand))
-        return grid.trapezoid(np.abs(y) ** (q + 2.0) / (q + 2.0))
-    p = source.p
-    norm_l2 = math.sqrt(max(grid.trapezoid(y * y), 0.0))
-    if weighted:
-        pairing = weighted_inner(y, y, profile)
+            out = grid.h * np.sum(integrand, axis=-1)
+        else:
+            out = grid.trapezoid(np.abs(y) ** (q + 2.0) / (q + 2.0))
     else:
-        pairing = grid.trapezoid(y * y)
-    return norm_l2 ** p * pairing / (p + 2.0)
+        p = source.p
+        norm_sq = grid.trapezoid(y * y)
+        pairing = weighted_inner(y, y, profile) if weighted else norm_sq
+        out = np.sqrt(np.maximum(norm_sq, 0.0)) ** p * pairing / (p + 2.0)
+    return out if np.ndim(out) else float(out)
 
 
 # -- explicit constants --------------------------------------------------------

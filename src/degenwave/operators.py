@@ -202,9 +202,10 @@ class DiscreteGenerator:
         return self.free.size
 
     def embed(self, u_free: np.ndarray) -> np.ndarray:
-        """Free-dof vector -> full nodal vector (pinned nodes set to 0)."""
-        full = np.zeros(self.grid.n)
-        full[self.free] = u_free
+        """Free-dof vector -> full nodal vector (pinned nodes set to 0), also
+        for a stack of them along the last axis."""
+        full = np.zeros(np.shape(u_free)[:-1] + (self.grid.n,))
+        full[..., self.free] = u_free
         return full
 
     def restrict(self, u_full: np.ndarray) -> np.ndarray:

@@ -1,9 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from degenwave import (BoundaryParams, CoefficientSpec, Grid, OperatorKind,
+# one BLAS thread, fixed before numpy loads, as bench/run.py runs the program;
+# the suite's dense products are small, and a second thread only adds overhead
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from degenwave import (BoundaryParams, CoefficientSpec, Grid, OperatorKind,  # noqa: E402
                        assemble, classify)
-from helpers import curvature_seminorm, from_curvature
+from helpers import curvature_seminorm, from_curvature  # noqa: E402
 
 
 @pytest.fixture

@@ -324,3 +324,14 @@ def test_csv_initial_x_not_ascending_exits_3(tmp_path, capsys, order):
                  str(tmp_path / "o"), "--command", "simulate", "--quiet"])
     assert code == 3
     assert "x must be strictly ascending" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lower, upper", [(0.0, 0.6), (0.1, 1.0)])
+def test_csv_initial_x_not_spanning_the_interval_exits_3(tmp_path, capsys, lower, upper):
+    # np.interp would hold y0 and y1 flat beyond the table
+    x = np.linspace(lower, upper, 30)
+    rows = "".join(f"{a:.17g},{a * a:.17g},0\n" for a in x)
+    code = main(["--config", _csv_initial_config(tmp_path, "x,y0,y1\n" + rows), "--out",
+                 str(tmp_path / "o"), "--command", "simulate", "--quiet"])
+    assert code == 3
+    assert "x must run from 0 to 1" in capsys.readouterr().err

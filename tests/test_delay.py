@@ -259,7 +259,7 @@ def test_history_zero_until_pushed(grid65, sub):
 
 def test_history_linear_slots(grid65, sub):
     buf = HistoryBuffer(sub, grid65, dt=0.25, tau=1.0, init=lambda s: s)
-    got = [buf.sample(t)[0] for t in (-1.0, -0.75, -0.5, -0.25, 0.0)]
+    got = [buf.sample_step(j)[0] for j in range(-4, 1)]  # slot j at time j dt
     assert np.allclose(got, [-1.0, -0.75, -0.5, -0.25, 0.0])
 
 
@@ -281,9 +281,9 @@ def test_history_ring_exactness(grid65, sub, rng):
 def test_history_window_errors(grid65, sub):
     buf = HistoryBuffer(sub, grid65, dt=0.25, tau=1.0)
     with pytest.raises(QueryOutOfWindowError):
-        buf.sample(-2.0)
+        buf.sample_step(-8)  # time -2, before the window -4 .. 0
     with pytest.raises(QueryOutOfWindowError):
-        buf.sample(0.1)  # off the slot grid
+        buf.sample_step(1)  # not filled yet
     with pytest.raises(ValueError):
         HistoryBuffer(sub, grid65, dt=0.3, tau=1.0)  # dt does not divide tau
 
@@ -302,28 +302,20 @@ def test_history_slot_norms_recorded_once_per_slot(grid65, sub, rng):
     assert np.array_equal(buf.window_norms_sq(), expected[-5:])
 
 
-def test_history_sample_slots_and_half_slots(grid65, sub, rng):
+def test_history_window_reads_by_slot(grid65, sub, rng):
     dt, tau = 0.2, 1.0
     buf = HistoryBuffer(sub, grid65, dt, tau, init=lambda s: s)
     width = sub.indices(grid65).size
-    for _ in range(8):
-        buf.push(rng.standard_normal(width))
+    pushed = {}
+    for step in range(1, 9):
+        pushed[step] = rng.standard_normal(width)
+        buf.push(pushed[step])
     # newest slot 8; the window holds slots 3 .. 8
     for step in range(3, 9):
-        assert np.array_equal(buf.sample(step * dt), buf.sample_step(step))
-    for lo in range(3, 8):
-        s = (lo + buf.m) * dt + 0.5 * dt - tau  # a midpoint time as the stepper forms it
-        frac = s / dt - lo  # 1/2 up to the rounding of s
-        blend = (1.0 - frac) * buf.sample_step(lo) + frac * buf.sample_step(lo + 1)
-        assert np.array_equal(buf.sample(s), blend)
-    for off_grid in (4.25 * dt, 5.1 * dt):
+        assert np.array_equal(buf.sample_step(step), pushed[step])
+    for outside in (2, 9):  # newest - m - 1, newest + 1
         with pytest.raises(QueryOutOfWindowError):
-            buf.sample(off_grid)
-    for outside in (2 * dt, 2.5 * dt, 8.5 * dt, 9 * dt):
-        with pytest.raises(QueryOutOfWindowError):
-            buf.sample(outside)
-    with pytest.raises(QueryOutOfWindowError):
-        buf.sample_step(2)  # newest - m - 1
+            buf.sample_step(outside)
 
 
 def test_history_bad_trace_shape(grid65, sub):

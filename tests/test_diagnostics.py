@@ -10,11 +10,11 @@ from degenwave import (BoundaryParams, BoundViolatedError, CoefficientSpec,
                        DegenerateFitError, Grid, InfeasibleError, KernelSpec,
                        OperatorKind, Scenario, SourceKind, SubdomainP, assemble,
                        certify_scenario, classify, constants_for, decay_fit,
-                       eigenmode_state, energy_bound_check, energy_breakdown,
+                       eigenmode_state, energy_bound_check, energy_breakdown, evolution,
                        growth_envelope_C, kernel_growth_check, polynomial_state,
                        semigroup_constants, simulate, threshold_certificate)
 from degenwave.delay import HistoryBuffer
-from degenwave.diagnostics import EnergyBreakdown, history_energy
+from degenwave.diagnostics import EnergyBreakdown, history_energy, source_energy
 from degenwave.evolution import Trajectory
 
 
@@ -146,6 +146,29 @@ def test_batch_records_match_reference_undelayed(tmp_path):
     scale = np.max(np.abs(ref[:, :10]), axis=0)
     assert np.all(np.abs(got - ref[:, :10]) <= 1e-12 * scale)
 
+
+
+@pytest.mark.parametrize("kind, source", [
+    (OperatorKind.BEAM_NONDIV, SourceKind.power(1.0)),      # 1/a-weighted
+    (OperatorKind.WAVE_DIV, SourceKind.power(1.5)),         # plain L2
+    (OperatorKind.BEAM_NONDIV, SourceKind.nonlocal_l2(2.0)),
+    (OperatorKind.BEAM_DIV, SourceKind.nonlocal_l2(1.0)),
+])
+def test_source_column_matches_per_state_evaluation(kind, source, monkeypatch):
+    # simulate evaluates the source energy over stacks of records: 81 records
+    # in batches of 20 end with a batch of one
+    monkeypatch.setattr(evolution, "SOURCE_BATCH", 20)
+    gen = make_gen(kind, 0.5, 24)
+    y0, y1 = eigenmode_state(gen, 0, amplitude=0.5)
+    sc = Scenario(generator=gen, source=source, y0=y0, y1=y1, t_end=1.0, dt=0.0125)
+    traj = simulate(sc)
+    per_state = np.array([source_energy(gen, source, state) for state in traj.states])
+    assert np.all(per_state < 0.0)
+    scale = np.max(np.abs(per_state))
+    assert np.max(np.abs(traj.energies.source - per_state)) <= 1e-14 * scale
+    stacked = source_energy(gen, source, traj.states.reshape(3, 27, 2 * gen.ndof))
+    assert np.max(np.abs(stacked - per_state.reshape(3, 27))) <= 1e-14 * scale
+    assert source_energy(gen, SourceKind.none(), traj.states[0]) == 0.0
 
 def test_blow_up_record_is_non_finite():
     # |y|^q y overflows on the first start-up half-step, so the run stops at a

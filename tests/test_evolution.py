@@ -236,7 +236,7 @@ def test_single_step_matches_rk4_oracle():
                   history=lambda s: g_trace)
     buffer = sc.make_buffer()
     state0 = sc.initial_state
-    got = _Stepper(sc, smoothing_steps=0).step(0.0, state0, buffer)
+    got = _Stepper(sc, smoothing_steps=0).step(0, state0, buffer)
 
     from degenwave.nonlinearity import eval_f
 
@@ -282,17 +282,20 @@ def test_block_solve_matches_dense_trapezoid(kind, alpha, n, dt):
     stepper = _Stepper(sc, smoothing_steps=0)
     buffer = sc.make_buffer()
     state = sc.initial_state
-    explicit = stepper.explicit_term(0.5 * dt, state, buffer)
-    assert np.any(explicit[gen.ndof:] != 0.0)
+    u, _ = gen.split(state)
+    g = stepper.delay_term(0, buffer, midpoint=True) + stepper.source_term(u)
+    assert np.any(g != 0.0)
+    explicit = gen.join(np.zeros(gen.ndof), g)
     ident = np.eye(2 * gen.ndof)
     half = 0.5 * dt * gen.system_matrix
 
     rhs = state + 0.5 * dt * explicit
     dense = np.linalg.solve(ident - half, rhs)
-    assert gen.state_norm(stepper.solve(rhs) - dense) <= 1e-8 * gen.state_norm(dense)
+    got = gen.join(*stepper.solve(*gen.split(rhs)))
+    assert gen.state_norm(got - dense) <= 1e-8 * gen.state_norm(dense)
 
     dense = np.linalg.solve(ident - half, (ident + half) @ state + dt * explicit)
-    got = stepper.step(0.0, state, buffer)
+    got = stepper.step(0, state, buffer)
     assert gen.state_norm(got - dense) <= 1e-8 * gen.state_norm(dense)
 
 
@@ -355,19 +358,55 @@ def test_dt_tau_tolerance_shared_by_scenario_and_buffer():
 
 
 def test_delayed_trace_slot_and_half_slot_only():
+    # m = tau/dt = 5: the step from t_l reads slot l + 1 - m at t_l + dt and
+    # the exact mean of slots l - m and l + 1 - m at the midpoint
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
     sub = SubdomainP(0.25, 0.75)
-    dt, tau = 0.05, 0.25
-    sc = simple_scenario(gen, t_end=1.0, dt=dt, kernel=KernelSpec.constant(0.1, tau),
+    dt, tau, k0 = 0.05, 0.25, 0.1
+    sc = simple_scenario(gen, t_end=1.0, dt=dt, kernel=KernelSpec.constant(k0, tau),
                          subdomain=sub, history=lambda s: s)
+    stepper = _Stepper(sc)
     buffer = sc.make_buffer()
-    assert np.array_equal(buffer.sample(2 * dt - tau), buffer.sample_step(-3))
-    mid = buffer.sample(2.5 * dt - tau)
-    assert np.array_equal(mid, 0.5 * (buffer.sample_step(-3) + buffer.sample_step(-2)))
-    assert mid[0] == pytest.approx(-2.5 * dt)
+    on_p = sc.subdomain_dofs
+    off_p = np.setdiff1d(np.arange(gen.ndof), on_p)
+    end = stepper.delay_term(1, buffer, midpoint=False)
+    assert np.array_equal(end[on_p], -k0 * buffer.sample_step(-3))
+    mid = stepper.delay_term(1, buffer, midpoint=True)
+    assert np.array_equal(mid[on_p], -k0 * (0.5 * (buffer.sample_step(-4)
+                                                   + buffer.sample_step(-3))))
+    assert mid[on_p][0] == pytest.approx(k0 * 3.5 * dt)  # history s at s = -3.5 dt
+    assert np.all(end[off_p] == 0.0) and np.all(mid[off_p] == 0.0)
+    stepper.delay_term(4, buffer, midpoint=False)  # slot 0, the newest
     with pytest.raises(QueryOutOfWindowError):
-        buffer.sample(2.25 * dt - tau)
+        stepper.delay_term(5, buffer, midpoint=False)  # slot 1 is not filled yet
 
+
+
+@pytest.mark.parametrize("k0", [0.005, -0.02, 0.05])
+def test_delayed_energy_identity(k0):
+    # after the two start-up steps every trapezoid step satisfies
+    # E(l+1) - E(l) = dt (vb^T M g - vb^T D vb), vb the midpoint velocity and
+    # g = -k0 (slot l - m + slot l + 1 - m) / 2 on P, slots read off the states
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 64)
+    dt, tau = 0.0125, 0.5
+    sc = simple_scenario(gen, t_end=3.0, dt=dt, kernel=KernelSpec.constant(k0, tau),
+                         subdomain=SubdomainP(0.25, 0.75))
+    traj = simulate(sc)
+    e_quad = traj.energies.kinetic + traj.energies.elastic + traj.energies.boundary
+    m = round(tau / dt)
+    on_p = sc.subdomain_dofs
+    _, v = gen.split(traj.states)
+    slots = np.zeros((m + v.shape[0], on_p.size))  # slot j in row j + m; zero history
+    slots[m + 1:] = v[1:, on_p]
+    g = np.zeros_like(v[1:])
+    g[:, on_p] = -k0 * 0.5 * (slots[:-m - 1] + slots[1:-m])
+    mid = 0.5 * (traj.states[:-1] + traj.states[1:])
+    _, v_mid = gen.split(mid)
+    work = dt * np.einsum("ij,j,ij->i", v_mid, gen.mass, g)
+    dissipation = dt * gen.boundary_damping_rate(mid)
+    residual = (np.diff(e_quad) - work + dissipation)[2:]
+    assert np.max(np.abs(work)) > 1e-7 * e_quad[0]  # the delay term does work
+    assert np.max(np.abs(residual)) <= 1e-10 * e_quad[0]
 
 def test_scenario_validation():
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)

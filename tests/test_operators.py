@@ -194,7 +194,7 @@ def test_band_path_matches_dense_reference(kind, alpha, n, rng, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "lu_solve", spy)
     r1, r2 = rng.standard_normal(gen.ndof), rng.standard_normal(gen.ndof)
-    stepper.solve(gen.join(r1, r2))
+    stepper.solve(r1, r2)
     h = stepper.half_dt
     want = gen.mass * r2 - h * (k_ref @ r1)
     scale = gen.mass * np.abs(r2) + h * (np.abs(k_ref) @ np.abs(r1))
