@@ -3,7 +3,7 @@
 For each operator kind and grid size, assemble the generator, take the
 slowest-decaying eigenmode as initial data, integrate the undelayed unforced
 system, and compare the fitted decay rate of ||Y(t)|| against the spectral
-abscissa and the sampled semigroup constants (M, omega).
+abscissa and the semigroup constants (M, omega), M a bound for every t.
 
 Usage: python scripts/linear_decay_study.py [--out decay_study.csv]
 """

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
+import math
 import sys
 from pathlib import Path
 
@@ -46,9 +47,12 @@ def _get_float(cfg, section, key, default=None):
             raise ConfigError(f"missing [{section}] {key}")
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a finite number")
+    return value
 
 
 def _get_int(cfg, section, key, default=None):
@@ -250,6 +254,8 @@ def _set_config_value(cfg, dotted: str, value: str) -> None:
         raise ConfigError(f"sweep parameter {dotted!r} must be section.key") from exc
     if section not in cfg:
         raise ConfigError(f"sweep parameter section [{section}] not in config")
+    if key not in cfg[section]:
+        raise ConfigError(f"sweep parameter key {key!r} not in [{section}]")
     cfg[section][key] = value
 
 

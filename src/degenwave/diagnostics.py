@@ -304,19 +304,15 @@ class DecayFit:
     r_squared: float
 
 
-def decay_fit(trajectory_or_times, norms=None) -> DecayFit:
+def decay_fit(trajectory) -> DecayFit:
     """Least-squares decay rate of log ||Y(t)|| over the trailing
-    FIT_WINDOW_FRAC of the records.
+    FIT_WINDOW_FRAC of a trajectory's records.
 
-    Accepts a Trajectory or (times, norms) arrays.  Points with norm below
-    1e-14 are dropped; if none survive anywhere, DegenerateFitError.
+    Reads the trajectory's `times` and `state_norms`.  Points with norm
+    below 1e-14 are dropped; if none survive anywhere, DegenerateFitError.
     """
-    if norms is None:
-        times = np.asarray(trajectory_or_times.times, dtype=float)
-        norms = np.asarray(trajectory_or_times.state_norms, dtype=float)
-    else:
-        times = np.asarray(trajectory_or_times, dtype=float)
-        norms = np.asarray(norms, dtype=float)
+    times = np.asarray(trajectory.times, dtype=float)
+    norms = np.asarray(trajectory.state_norms, dtype=float)
     if not np.any(norms > 1e-14):
         raise DegenerateFitError("state norm below 1e-14 everywhere")
     start = int(len(times) * (1.0 - FIT_WINDOW_FRAC))

@@ -15,10 +15,10 @@ velocity block only.  dt divides tau, m = tau/dt, so the step from t_l = l dt
 reads the delayed trace by slot index: slot l + 1 - m at t_l + dt, the mean
 of slots l - m and l + 1 - m at t_l + dt/2 (Bellen & Zennaro 2003, ch. 3).
 
-Also here: sampled semigroup certificates ||e^{tA}|| <= M e^{-omega t} in the
-state norm, whose samples are powers of one matrix exponential per sample
-grid, and a dense matrix-exponential evaluation of the variation-of-constants
-formula used as an integration oracle.
+Also here: semigroup certificates ||e^{tA}|| <= M e^{-omega t} in the state
+norm, whose M bounds the sampled profile between its samples through the
+logarithmic norm of A, and a dense matrix-exponential evaluation of the
+variation-of-constants formula used as an integration oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -42,8 +42,12 @@ from .operators import DiscreteGenerator
 #: state-norm threshold treated as blow-up
 BLOWUP_NORM = 1e8
 
-#: off-grid times on which `semigroup_constants` re-checks its sampled M
-RECHECK_SAMPLES = 50
+#: `semigroup_constants` halves a cell while its bound exceeds the sampled
+#: maximum by more than this share
+REFINE_GAP = 0.005
+
+#: times `semigroup_constants` may halve a cell of its sample grid
+REFINE_LEVELS = 8
 
 #: times `semigroup_constants` may double its horizon before it gives up
 HORIZON_DOUBLINGS = 8
@@ -53,6 +57,9 @@ MAX_EXPM_DIM = 1024
 
 #: records per call of the batched source-energy pass; bounds its temporaries
 SOURCE_BATCH = 256
+
+#: start-up steps taken as backward-Euler half-step pairs when explicit terms act
+STARTUP_STEPS = 2
 
 
 @dataclass(eq=False)
@@ -116,7 +123,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SemigroupCertificate:
-    """Constants with ||e^{tA}||_state <= M e^{-omega t} at all sampled t."""
+    """Constants with ||e^{tA}||_state <= M e^{-omega t} for every t >= 0, up to
+    the rounding of the matrix exponentials and the SVDs."""
 
     M: float
     omega: float
@@ -167,52 +175,48 @@ def spectral_abscissa(system_matrix: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(system_matrix).real))
 
 
-def semigroup_constants(generator: Union[DiscreteGenerator, np.ndarray],
-                        horizon: float = 20.0, samples: int = 80) -> SemigroupCertificate:
-    """Sampled (M, omega) with omega = 0.9 x (decay rate of the slowest mode).
+def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
+                        samples: int = 80) -> SemigroupCertificate:
+    """(M, omega) with omega = 0.9 x (decay rate of the slowest mode) and M a
+    bound on ||e^{tA}|| e^{omega t} for every t >= 0.
 
     The operator norm is taken in the generator's state norm, as the
     Euclidean norm of the closed-form `DiscreteGenerator.state_norm_generator`
-    (a plain matrix is taken as it is).  The horizon H is doubled, at most
-    HORIZON_DOUBLINGS times, until ||e^{HA}|| e^{omega H} <= 1, which makes
-    the sampled bound valid for every t >= 0 by submultiplicativity; the
-    bound is then re-verified on RECHECK_SAMPLES off-grid times.  M is the
-    maximum over these samples, not a bound between them.  InfeasibleError
-    is raised when the rule has not held at the last horizon, or when
-    e^{omega H} overflows first.
+    A~.  The horizon H is doubled, at most HORIZON_DOUBLINGS times, until
+    ||e^{HA}|| e^{omega H} <= 1, so that a bound on [0, H] holds for every
+    t >= 0 by submultiplicativity.  InfeasibleError is raised when the rule
+    has not held at the last horizon, or when e^{omega H} overflows first.
 
-    The samples are products of three exponentials: e^{kHA/samples} is the
-    k-th power of E = e^{(H/samples)A}, and the re-check time (j + 1/2)H/R,
-    R = RECHECK_SAMPLES, is e^{(H/2R)A} times the j-th power of e^{(H/R)A}
-    (Higham 2008, Functions of Matrices, ch. 10).  The symmetric part of a
-    state-norm generator is negative semidefinite, so every factor is a
-    contraction and the rounding of the k-th power grows at most linearly
-    in k.  State dimensions above MAX_EXPM_DIM raise DegenwaveError before
-    any factorisation.
+    On [0, H] the profile is sampled at the `samples` + 1 powers of
+    E = e^{(H/samples)A~} (Higham 2008, Functions of Matrices, ch. 10).  With
+    mu the logarithmic norm of A~, the top eigenvalue of its symmetric part,
+    ||e^{rA~}|| <= e^{mu r} (Soederlind 2006, BIT 46), so on a cell
+    [t, t + w] the profile is at most s e^{max(omega + mu, 0) w}, s its value
+    at t.  A cell whose bound exceeds (1 + REFINE_GAP) times the sampled
+    maximum is halved, its midpoint sampled as its start propagator times
+    e^{(w/2)A~}: one exponential per level, at most REFINE_LEVELS levels.
+    M is the largest cell bound, and at least 1.  The chain of powers is
+    walked twice, once for the samples and once to refine cell by cell, so
+    that only O(REFINE_LEVELS) propagators are alive at a time.  M is a bound
+    up to the rounding of the exponentials and the SVDs; no interval
+    arithmetic is used.  State dimensions above MAX_EXPM_DIM raise
+    DegenwaveError before any factorisation.
     """
-    is_generator = isinstance(generator, DiscreteGenerator)
-    dim = 2 * generator.ndof if is_generator else np.shape(generator)[0]
+    dim = 2 * generator.ndof
     if dim > MAX_EXPM_DIM:
         raise DegenwaveError(f"state dimension {dim} exceeds {MAX_EXPM_DIM}, the limit "
                              "for the dense matrix exponentials of the semigroup constants")
-    a_tilde = (generator.state_norm_generator() if is_generator
-               else np.asarray(generator, dtype=float))
+    a_tilde = generator.state_norm_generator()
     abscissa = spectral_abscissa(a_tilde)
     if abscissa >= -1e-12:
         raise NotExponentiallyStableError(
             f"spectral abscissa {abscissa:.3e} is not negative")
     omega = 0.9 * (-abscissa)
+    log_norm = float(np.linalg.eigvalsh(0.5 * (a_tilde + a_tilde.T))[-1])
+    growth = max(omega + log_norm, 0.0)
 
     def weighted_norm(propagator: np.ndarray, t: float) -> float:
         return float(scipy.linalg.norm(propagator, 2)) * math.exp(omega * t)
-
-    def sampled_max(power: np.ndarray, step: np.ndarray, times: np.ndarray) -> float:
-        """max over i of ||power step^i|| e^{omega times[i]}."""
-        best = weighted_norm(power, times[0])
-        for t in times[1:]:
-            power = step @ power
-            best = max(best, weighted_norm(power, t))
-        return best
 
     for horizon in [horizon * 2.0 ** k for k in range(HORIZON_DOUBLINGS + 1)]:
         try:
@@ -225,14 +229,41 @@ def semigroup_constants(generator: Union[DiscreteGenerator, np.ndarray],
     else:
         raise InfeasibleError(f"||e^(HA)|| e^(omega H) = {tail:.6g} > 1 at the last horizon "
                               f"H = {horizon:g}, after {HORIZON_DOUBLINGS} doublings")
-    ts = np.linspace(0.0, horizon, samples + 1)
-    m_const = sampled_max(np.eye(dim), scipy.linalg.expm((horizon / samples) * a_tilde), ts)
-    extra = (np.arange(RECHECK_SAMPLES) + 0.5) * horizon / RECHECK_SAMPLES
-    m_extra = sampled_max(scipy.linalg.expm((0.5 * horizon / RECHECK_SAMPLES) * a_tilde),
-                          scipy.linalg.expm((horizon / RECHECK_SAMPLES) * a_tilde), extra)
-    m_const = max(m_const, m_extra, 1.0)
-    note = (f"M = max of ||e^(tA)|| e^(omega t) sampled at {samples + 1}+{RECHECK_SAMPLES} "
-            f"times in [0, {horizon:g}], omega = 0.9 x {-abscissa:.6g}")
+
+    width = horizon / samples
+    step = scipy.linalg.expm(width * a_tilde)
+    power = np.eye(dim)
+    values = [weighted_norm(power, 0.0)]
+    for k in range(1, samples + 1):
+        power = step @ power
+        values.append(weighted_norm(power, k * width))
+    sampled = max(values)
+
+    halves = []                 # halves[level] = e^{(width / 2^(level + 1)) A~}
+    m_const, cells = 1.0, 0
+    power = np.eye(dim)
+    for k in range(samples):
+        if k:
+            power = step @ power
+        cell_stack = [(power, k * width, values[k], 0)]
+        while cell_stack:
+            start, t, value, level = cell_stack.pop()
+            w = width / 2.0 ** level
+            bound = value * math.exp(growth * w)
+            if bound <= (1.0 + REFINE_GAP) * sampled or level == REFINE_LEVELS:
+                m_const = max(m_const, bound)
+                cells += 1
+                continue
+            if len(halves) == level:
+                halves.append(scipy.linalg.expm(0.5 * w * a_tilde))
+            mid = halves[level] @ start
+            mid_value = weighted_norm(mid, t + 0.5 * w)
+            sampled = max(sampled, mid_value)
+            cell_stack += [(mid, t + 0.5 * w, mid_value, level + 1),
+                           (start, t, value, level + 1)]
+    note = (f"M = {m_const:.6g} bounds ||e^(tA)|| e^(omega t) on {cells} cells in "
+            f"[0, {horizon:g}] after {len(halves)} halvings of {samples}, sampled max "
+            f"{sampled:.6g}, omega = 0.9 x {-abscissa:.6g}")
     return SemigroupCertificate(M=m_const, omega=omega, method_note=note)
 
 
@@ -254,7 +285,7 @@ class _Stepper:
     implicit-midpoint form new = 2 solve(u, v + h g) - (u, v), which is the
     same map as (I - hA)^{-1}((I + hA) y + dt G) and needs no product with A.
 
-    When explicit terms are active, the first `smoothing_steps` steps are
+    When explicit terms are active, the first STARTUP_STEPS steps are
     taken as pairs of backward-Euler half-steps (Rannacher smoothing): the
     switch-on of the feedback excites the heavily damped tip mode, whose
     trapezoidal ringing otherwise degrades the global order below two.
@@ -262,7 +293,7 @@ class _Stepper:
     telescopes exactly.
     """
 
-    def __init__(self, scenario: Scenario, smoothing_steps: int = 2):
+    def __init__(self, scenario: Scenario):
         self.sc = scenario
         gen = scenario.generator
         self.gen = gen
@@ -277,7 +308,7 @@ class _Stepper:
             raise LinearSolveFailureError(str(exc)) from exc
         self.sub_free = scenario.subdomain_dofs
         has_explicit = (scenario.kernel is not None) or (not scenario.source.is_none)
-        self.smoothing_left = smoothing_steps if has_explicit else 0
+        self.smoothing_left = STARTUP_STEPS if has_explicit else 0
         self.prev_source = None
 
     def delay_term(self, ell: int, buffer: Optional[HistoryBuffer], midpoint: bool):

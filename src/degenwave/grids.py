@@ -11,37 +11,26 @@ from .errors import GridTooCoarseError
 #: minimum node count so that every stencil in the package fits
 MIN_NODES = 8
 
-_UNIFORMITY_TOL = 1e-14
-
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Uniform node set x_0 = 0 < x_1 < ... < x_{n-1} = 1."""
+    """Uniform node set x_0 = 0 < x_1 < ... < x_{n-1} = 1 of n nodes."""
 
     n: int
-    nodes: np.ndarray = field(repr=False)
-    h: float
+    nodes: np.ndarray = field(init=False, repr=False)
+    h: float = field(init=False)
 
     def __post_init__(self):
         if self.n < MIN_NODES:
             raise GridTooCoarseError(f"need at least {MIN_NODES} nodes, got {self.n}")
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.shape != (self.n,):
-            raise ValueError("nodes/n mismatch")
-        if abs(nodes[0]) > _UNIFORMITY_TOL or abs(nodes[-1] - 1.0) > _UNIFORMITY_TOL:
-            raise ValueError("grid must span exactly [0, 1]")
-        spacings = np.diff(nodes)
-        if np.max(np.abs(spacings - self.h)) > _UNIFORMITY_TOL:
-            raise ValueError("grid must be uniform to 1e-14")
+        nodes = np.linspace(0.0, 1.0, self.n)
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "h", 1.0 / (self.n - 1))
 
     @classmethod
     def uniform(cls, n: int) -> "Grid":
-        if n < MIN_NODES:
-            raise GridTooCoarseError(f"need at least {MIN_NODES} nodes, got {n}")
-        h = 1.0 / (n - 1)
-        return cls(n=n, nodes=np.linspace(0.0, 1.0, n), h=h)
+        return cls(n=n)
 
     @property
     def midpoints(self) -> np.ndarray:

@@ -4,9 +4,10 @@ Synthetic elements of the clamped and pinned discrete spaces, the clamped
 curvature seminorm read from `curvature_map`, the dense row-by-row elastic
 map and stiffness of a generator, the subdomain extension B and the L2(P)
 pairing, the pointwise and sampled checks of the source hypotheses, a
-semigroup-constant sampler with one matrix exponential per sample time, and
-the closed forms of the constant and pulse gains.  Each is a reference that
-tests compare the package's forms and constants against.
+semigroup-constant sampler with one matrix exponential per sample time, a
+stand-in generator that serves a given matrix as its state-norm generator,
+and the closed forms of the constant and pulse gains.  Each is a reference
+that tests compare the package's forms and constants against.
 """
 
 import math
@@ -168,12 +169,26 @@ def sobolev_pointwise_bound_check(u_full, grid, rtol=0.05, atol=1e-12):
     return bool(np.all(np.abs(u) <= bound * (1.0 + rtol) + atol))
 
 
-def direct_semigroup_constants(a_tilde, horizon=20.0, samples=80, recheck=50):
-    """(M, omega, horizon) of `evolution.semigroup_constants`, sampled with one
-    `expm` of t A per sample time t instead of powers of one exponential.
+class MatrixGenerator:
+    """The two members of a `DiscreteGenerator` that `semigroup_constants`
+    reads, serving a given square matrix of even order as A~."""
 
-    Same horizon-doubling rule, sample grid, re-check times, omega and floor
-    M >= 1; `a_tilde` is the state-norm generator (or any stable matrix).
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.ndof = self.matrix.shape[0] // 2
+
+    def state_norm_generator(self):
+        return self.matrix
+
+
+def direct_semigroup_constants(a_tilde, horizon=20.0, samples=80, recheck=50):
+    """(sampled max, omega, horizon) of ||e^{tA}|| e^{omega t}, with one `expm`
+    of t A per sample time t: a lower reference for the M of
+    `evolution.semigroup_constants`.
+
+    Same horizon-doubling rule, sample grid, omega and floor >= 1, plus
+    `recheck` cell-centred times off that grid; `a_tilde` is the state-norm
+    generator (or any stable matrix).
     """
     a_tilde = np.asarray(a_tilde, dtype=float)
     omega = 0.9 * -float(np.max(np.linalg.eigvals(a_tilde).real))
@@ -188,6 +203,22 @@ def direct_semigroup_constants(a_tilde, horizon=20.0, samples=80, recheck=50):
     times = np.concatenate((np.linspace(0.0, horizon, samples + 1),
                             (np.arange(recheck) + 0.5) * horizon / recheck))
     return max(max(weighted_norm(t) for t in times), 1.0), omega, horizon
+
+
+def eig_semigroup_profile(a_tilde, omega, times):
+    """||e^{tA}|| e^{omega t} at each t, with e^{tA} = V e^{t Lambda} V^{-1}
+    from one eigendecomposition; V must be well conditioned (below 1e4)."""
+    evals, evecs = np.linalg.eig(np.asarray(a_tilde, dtype=float))
+    if np.linalg.cond(evecs) > 1e4:
+        raise ValueError("eigenvector basis too ill-conditioned for the profile")
+    inv = np.linalg.inv(evecs)
+    times = np.asarray(times, dtype=float)
+    out = np.empty(times.size)
+    for start in range(0, times.size, 50):   # 50 propagators at a time
+        ts = times[start:start + 50]
+        props = ((evecs[None] * np.exp(np.outer(ts, evals))[:, None, :]) @ inv).real
+        out[start:start + 50] = np.linalg.norm(props, 2, axis=(1, 2)) * np.exp(omega * ts)
+    return out
 
 
 class ClosedFormGain:

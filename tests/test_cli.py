@@ -265,14 +265,46 @@ def test_fractional_or_nan_grid_size_exits_3(tmp_path, capsys, n):
     assert "[operator] n" in capsys.readouterr().err
 
 
+def readme_config():
+    """The ```ini block of README.md, verbatim, inline comments included."""
+    return re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+
+
 def test_readme_example_config_runs(tmp_path):
-    # the ```ini block of README.md, verbatim, inline comments included
-    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
-    cfg = write(tmp_path, "readme.ini", block)
+    cfg = write(tmp_path, "readme.ini", readme_config())
     for command in ("simulate", "certify"):
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--command",
                      command, "--quiet"]) == 0
     assert "feasible: yes" in (tmp_path / "o" / "certificate.txt").read_text()
+
+
+@pytest.mark.parametrize("command, section, key, raw", [
+    ("simulate", "initial", "amplitude", "nan"),   # ran to a blow-up exit 4
+    ("certify", "initial", "amplitude", "nan"),    # certified with exit 0
+    ("simulate", "run", "t_end", "inf"),           # OverflowError traceback
+    ("certify", "operator", "beta", "nan"),        # LinAlgError traceback
+    ("simulate", "kernel", "k0", "-inf"),
+])
+def test_non_finite_config_number_exits_3(tmp_path, capsys, command, section, key, raw):
+    text = readme_config().replace("n = 64", "n = 16")
+    text = re.sub(rf"^{key} = \S+", f"{key} = {raw}", text, flags=re.M)
+    code = main(["--config", write(tmp_path, "r.ini", text), "--out", str(tmp_path / "o"),
+                 "--command", command, "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"config error: [{section}] {key} = '{raw}' is not a finite number\n"
+
+
+def test_sweep_parameter_missing_from_its_section_exits_3(tmp_path, capsys):
+    # a misspelt key used to add an unread key and write identical rows
+    cfg = write(tmp_path, "sweep.ini", DELAYED + "\n[sweep]\nparameter = kernel.k00\n"
+                                                 "values = 0.002, 0.008\n")
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--command", "sweep",
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "config error: sweep parameter key 'k00' not in [kernel]\n"
+    assert not (tmp_path / "o" / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("table", ["coefficient", "kernel"])

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -449,7 +450,7 @@ def test_threshold_monotone_in_gain():
 
 def test_decay_fit_synthetic_exponential():
     ts = np.linspace(0.0, 10.0, 400)
-    fit = decay_fit(ts, np.exp(-0.7 * ts))
+    fit = decay_fit(SimpleNamespace(times=ts, state_norms=np.exp(-0.7 * ts)))
     assert fit.rate == pytest.approx(0.7, abs=1e-6)
     assert fit.r_squared > 1 - 1e-12
 
@@ -457,4 +458,4 @@ def test_decay_fit_synthetic_exponential():
 def test_decay_fit_degenerate():
     ts = np.linspace(0.0, 1.0, 50)
     with pytest.raises(DegenerateFitError):
-        decay_fit(ts, np.full_like(ts, 1e-16))
+        decay_fit(SimpleNamespace(times=ts, state_norms=np.full_like(ts, 1e-16)))
