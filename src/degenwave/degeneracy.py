@@ -15,6 +15,7 @@ table read by linear interpolation, whose K is taken on the grid.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -104,22 +105,38 @@ def read_csv_columns(path, count: int):
     Blank rows and rows whose first `count` cells are not all numbers
     (headers, comments) are skipped; a numeric row with fewer than `count`
     cells raises ValueError naming its line.  Callers set their own minimum
-    row count.
+    row count.  The rows are parsed in one `np.loadtxt` call; a block of rows
+    that call rejects is halved until each rejected row is read on its own,
+    so a header or a comment costs O(log rows) further calls.
     """
-    rows = []
     with open(path, newline="") as fh:
-        for line, row in enumerate(csv.reader(fh), start=1):
-            if not "".join(row).strip():
-                continue
-            try:
-                cells = [float(cell) for cell in row[:count]]
-            except ValueError:
-                continue  # header or comment row
-            if len(cells) < count:
-                have = "one column" if len(cells) == 1 else f"{len(cells)} columns"
-                raise ValueError(f"{path}: line {line} has {have}, need {count}")
-            rows.append(cells)
-    return tuple(np.array(rows, dtype=float).reshape(-1, count).T)
+        lines = fh.readlines()
+    return tuple(_parse_rows(path, lines, 1, count).T)
+
+
+def _parse_rows(path, lines, first: int, count: int) -> np.ndarray:
+    """The numeric rows of `lines`, which start at line `first`, as a
+    (rows, count) array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a block of blank rows
+        try:
+            return np.loadtxt(lines, delimiter=",", usecols=range(count), comments=None,
+                              ndmin=2)
+        except ValueError:
+            pass
+    if len(lines) > 1:
+        mid = len(lines) // 2
+        return np.concatenate((_parse_rows(path, lines[:mid], first, count),
+                               _parse_rows(path, lines[mid:], first + mid, count)))
+    row = next(csv.reader(lines), [])
+    try:
+        cells = [float(cell) for cell in row[:count]]
+    except ValueError:
+        cells = []  # header or comment row
+    if 0 < len(cells) < count:
+        have = "one column" if len(cells) == 1 else f"{len(cells)} columns"
+        raise ValueError(f"{path}: line {first} has {have}, need {count}")
+    return np.array(cells, dtype=float).reshape(-1, count)
 
 
 def _grid_sup_ratio(spec: CoefficientSpec, grid: Grid) -> float:

@@ -7,7 +7,7 @@ The semi-discrete system is
 with A the assembled generator, B Y = (0, chi_P v) the subdomain feedback and
 F(Y) = (0, f(u)) the source.  Stepping is IMEX: the stiff linear part A is
 advanced by the trapezoidal rule, whose implicit solve reduces exactly to
-one n x n system on the velocity block (see `_Stepper`); the delay term,
+one banded n x n system on the velocity block (see `_Stepper`); the delay term,
 whose values are known history slots on both step endpoints, is integrated
 by the midpoint rule; the source is extrapolated by a two-step
 Adams-Bashforth combination of current-state evaluations; both act on the
@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import diagnostics
 from .delay import (HistoryBuffer, HistoryInit, KernelSpec, SubdomainP, delay_slots,
@@ -278,8 +279,11 @@ class _Stepper:
 
         (M + h D + h^2 K) x2 = M r2 - h K r1,    x1 = r1 + h x2,
 
-    so one LU factor of the n x n matrix M + h D + h^2 K serves every step
-    (Golub & Van Loan, section 4.3).  The explicit terms G = (0, g) have a
+    so one banded Cholesky factor of the n x n matrix M + h D + h^2 K serves
+    every step: the matrix is symmetric positive definite (M > 0, K and D >= 0)
+    with the bandwidth kd of K, factored once by LAPACK dpbtrf and solved per
+    stage by dpbtrs, O(kd^2 n) and O(kd n) work (Golub & Van Loan, section
+    4.3).  No dense n x n array is formed.  The explicit terms G = (0, g) have a
     zero displacement half, so `delay_term` and `source_term` return g alone,
     and 0.0 when the term is off.  The trapezoid step is taken in its
     implicit-midpoint form new = 2 solve(u, v + h g) - (u, v), which is the
@@ -298,14 +302,23 @@ class _Stepper:
         gen = scenario.generator
         self.gen = gen
         self.half_dt = h = 0.5 * scenario.dt
-        block = gen.stiffness_form
-        block *= h * h
-        block += h * gen.damping_matrix()
-        block[np.diag_indices_from(block)] += gen.mass
-        try:
-            self.lu = scipy.linalg.lu_factor(block)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise LinearSolveFailureError(str(exc)) from exc
+        # M + h D + h^2 K in the upper band storage of K.  D = d_e e e^T + d_g g g^T
+        # touches only the last three dofs (e the last one, g the last three);
+        # waves have kd = 1 and d_g = 0, so their D is the last diagonal entry
+        bands = gen.stiffness_bands * (h * h)
+        kd, ndof = bands.shape[0] - 1, gen.ndof
+        bands[kd] += gen.mass
+        e, g = gen.trace_value[-3:], gen.trace_slope[-3:]
+        for d in range(min(3, kd + 1)):
+            bands[kd - d, ndof - 3 + d:] += h * (gen.damping_value_coeff * e[:3 - d] * e[d:]
+                                                 + gen.damping_slope_coeff * g[:3 - d] * g[d:])
+        if not np.all(np.isfinite(bands)):
+            raise LinearSolveFailureError("the step matrix M + hD + h^2 K has non-finite entries")
+        self.chol, info = dpbtrf(bands, lower=0, overwrite_ab=1)
+        if info > 0:
+            raise LinearSolveFailureError(
+                f"M + hD + h^2 K is not positive definite: banded Cholesky (dpbtrf) "
+                f"failed at its leading minor of order {info}")
         self.sub_free = scenario.subdomain_dofs
         has_explicit = (scenario.kernel is not None) or (not scenario.source.is_none)
         self.smoothing_left = STARTUP_STEPS if has_explicit else 0
@@ -336,8 +349,9 @@ class _Stepper:
     def solve(self, r1: np.ndarray, r2: np.ndarray):
         """(x1, x2) with (I - dt/2 A)(x1, x2) = (r1, r2), by the velocity-block reduction."""
         gen, h = self.gen, self.half_dt
-        x2 = scipy.linalg.lu_solve(self.lu, gen.mass * r2 - h * gen.stiffness_product(r1),
-                                   check_finite=False)
+        # dpbtrs has no numerical failure mode: its info flags illegal arguments only
+        x2, _ = dpbtrs(self.chol, gen.mass * r2 - h * gen.stiffness_product(r1),
+                       lower=0, overwrite_b=1)
         return r1 + h * x2, x2
 
     def step(self, ell: int, state: np.ndarray,

@@ -14,9 +14,10 @@ M is stored as its diagonal; C, the curvature (beams) or face-gradient
 (waves) map, in LAPACK general band storage with its weights W; K only as
 its upper bands (the dpbtrf layout); and D only as its tip traces e, g and
 weights d_e, d_g: v^T D v = d_e (e.v)^2 + d_g (g.v)^2.  Products with C and
-K are BLAS band products.  Dense K and D are expanded only for the step
-factor, the closed-form state-norm generator `state_norm_generator` and the
-dense 2n x 2n system matrix, built on first use for the desk-scale oracles.
+K are BLAS band products.  Dense K and D are expanded only for the
+closed-form state-norm generator `state_norm_generator`, the dense 2n x 2n
+system matrix, built on first use for the desk-scale oracles, and the
+eigenproblem of `nonlinearity.hardy_poincare_constant`.
 
 The construction is variational: K = C^T W C + beta e e^T + gamma g g^T with
 W a nonnegative diagonal quadrature, so the energy E = (1/2)(u^T K u +

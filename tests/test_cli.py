@@ -1,11 +1,12 @@
 import configparser
+import dataclasses
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from degenwave import evolution
+from degenwave import evolution, operators
 from degenwave.cli import ConfigError, build_scenario, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -223,6 +224,25 @@ def test_state_dimension_above_expm_limit_exits_3(tmp_path, capsys, command):
     assert "exceeds 1024" in err and "Traceback" not in err
     # a valid config that hits a package limit is not a config error
     assert err.startswith("error: state dimension 1198")
+
+
+def test_step_factor_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a generator whose step matrix M + hD + h^2 K is indefinite (K negated)
+    assemble = operators.assemble
+
+    def negated(*args):
+        gen = assemble(*args)
+        return dataclasses.replace(gen, stiffness_bands=-gen.stiffness_bands)
+
+    monkeypatch.setattr(operators, "assemble", negated)
+    cfg = write(tmp_path, "lin.ini",
+                BASE_LINEAR.replace("preset = eigenmode", "preset = polynomial"))
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--command", "simulate",
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: M + hD + h^2 K is not positive definite")
+    assert "leading minor of order" in err and "Traceback" not in err
 
 
 def test_package_error_while_building_is_config_error(tmp_path, capsys):

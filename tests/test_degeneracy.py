@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from degenwave import (CoefficientSpec, Grid, KernelSpec, KOutOfRangeError,
                        NonDegenerateError, NotPositiveError, classify)
-from degenwave.degeneracy import _grid_sup_ratio
+from degenwave.degeneracy import _grid_sup_ratio, read_csv_columns
 
 
 def test_power_half_is_weakly_degenerate(grid64):
@@ -103,6 +105,47 @@ def test_csv_one_column_row_and_short_table_rejected(tmp_path):
     path.write_text("x,a\n0.0,0.0\n1.0,1.0\n")
     with pytest.raises(ValueError, match="at least 3"):
         CoefficientSpec.from_csv(path)
+
+
+def _row_by_row_columns(path, count):
+    """Reference reader: one csv row and one Python float per cell."""
+    rows = []
+    with open(path, newline="") as fh:
+        for line, row in enumerate(csv.reader(fh), start=1):
+            if not "".join(row).strip():
+                continue
+            try:
+                cells = [float(cell) for cell in row[:count]]
+            except ValueError:
+                continue
+            if len(cells) < count:
+                raise ValueError(f"{path}: line {line} has {len(cells)} columns")
+            rows.append(cells)
+    return tuple(np.array(rows, dtype=float).reshape(-1, count).T)
+
+
+def test_read_csv_columns_matches_row_by_row_reference(tmp_path, rng):
+    # plain rows mixed with the rows the bulk parse rejects: headers, comments,
+    # blank and whitespace rows, quoted cells, underscores, CRLF endings
+    lines = [f"{x!r},{y!r},{z!r}" for x, y, z in rng.standard_normal((1000, 3)).tolist()]
+    lines[0:0] = ["x,y0,y1", "# comment"]
+    lines[37] = '"0.25","1e-3",7'
+    lines[400] = "1_000,2,3,extra"
+    lines[401] = ""
+    lines[402] = "   "
+    lines[777] = "nan,inf,-Infinity\r"
+    lines[900] = "4,5,6 # trailing comment"
+    path = tmp_path / "mixed.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got = read_csv_columns(path, 3)
+    want = _row_by_row_columns(path, 3)
+    assert len(got) == 3 and got[0].size == want[0].size == 997
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    lines[700] = "0.5,0.25"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 701 has 2 columns, need 3"):
+        read_csv_columns(path, 3)
 
 
 def test_power_law_requires_positive_exponent():

@@ -14,7 +14,9 @@ from degenwave import (BoundaryParams, CoefficientSpec, DegenwaveError, Grid,
                        decay_fit, duhamel_residual, eigenmode_state, evolution,
                        polynomial_state, semigroup_constants, simulate,
                        smallness_level)
+from degenwave.errors import LinearSolveFailureError
 from degenwave.evolution import REFINE_GAP, REFINE_LEVELS, _Stepper, spectral_abscissa
+from degenwave.operators import DiscreteGenerator
 from helpers import MatrixGenerator, direct_semigroup_constants, eig_semigroup_profile
 
 
@@ -335,14 +337,73 @@ def test_block_solve_matches_dense_trapezoid(monkeypatch, kind, alpha, n, dt):
     assert gen.state_norm(got - dense) <= 1e-8 * gen.state_norm(dense)
 
 
-def test_system_matrix_built_on_demand():
+@pytest.mark.parametrize("kind", list(OperatorKind))
+def test_energy_identity_at_large_n(kind):
+    # undelayed, unforced trapezoid steps: E(l+1) - E(l) = -dt vb^T D vb with vb
+    # the midpoint velocity, checked at n = 1024, where K is too ill-conditioned
+    # (about h^-4) for a comparison with a dense solve to mean much
+    gen = make_gen(kind, 0.5, 1024)
+    y0, y1 = polynomial_state(gen)
+    dt = 1e-3
+    traj = simulate(Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
+                             t_end=0.2, dt=dt))
+    e_quad = traj.energies.kinetic + traj.energies.elastic + traj.energies.boundary
+    dissipation = dt * gen.boundary_damping_rate(0.5 * (traj.states[:-1] + traj.states[1:]))
+    assert np.max(dissipation) > 1e-6 * e_quad[0]  # the tip damps
+    assert np.max(np.abs(np.diff(e_quad) + dissipation)) <= 1e-8 * e_quad[0]
+
+
+def _first_indefinite_minor(matrix):
+    """The order of the first leading principal minor that is not positive definite."""
+    for order in range(1, matrix.shape[0] + 1):
+        try:
+            np.linalg.cholesky(matrix[:order, :order])
+        except np.linalg.LinAlgError:
+            return order
+    return None
+
+
+def test_step_factor_failure_names_the_minor():
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    bad = dataclasses.replace(gen, stiffness_bands=-gen.stiffness_bands)
+    y0, y1 = polynomial_state(gen)
+    dt = 1.0
+    h = 0.5 * dt
+    block = -h * h * gen.stiffness_form + h * gen.damping_matrix() + np.diag(gen.mass)
+    order = _first_indefinite_minor(block)
+    assert order is not None
+    with pytest.raises(LinearSolveFailureError, match=f"leading minor of order {order}$"):
+        _Stepper(Scenario(generator=bad, source=SourceKind.none(), y0=y0, y1=y1,
+                          t_end=dt, dt=dt))
+
+
+def test_step_factor_rejects_non_finite_bands():
+    gen = make_gen(OperatorKind.WAVE_NONDIV, 0.5, 16)
+    bands = gen.stiffness_bands.copy()
+    bands[-1, 5] = math.nan
+    y0, y1 = polynomial_state(gen)
+    with pytest.raises(LinearSolveFailureError, match="non-finite"):
+        simulate(Scenario(generator=dataclasses.replace(gen, stiffness_bands=bands),
+                          source=SourceKind.none(), y0=y0, y1=y1, t_end=0.1, dt=0.01))
+
+
+def test_system_matrix_built_on_demand(monkeypatch):
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
     assert "system_matrix" not in vars(gen)
     y0, y1 = polynomial_state(gen)
     sc = Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1, t_end=0.5,
                   dt=0.0125, kernel=KernelSpec.constant(0.3, tau=0.25),
                   subdomain=SubdomainP(0.25, 0.75), history=0.3)
-    assert not simulate(sc).blew_up
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense n x n form was built on the stepping path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DiscreteGenerator, "stiffness_form", property(dense))
+        patch.setattr(DiscreteGenerator, "damping_matrix", dense)
+        patch.setattr(scipy.linalg, "lu_factor", dense)
+        patch.setattr(scipy.linalg, "lu_solve", dense)
+        assert not simulate(sc).blew_up
     assert "system_matrix" not in vars(gen)
     eigenmode_state(gen, 0)
     assert "system_matrix" in vars(gen)

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg.blas import dgbmv
 
 from degenwave import (BoundaryParams, CoefficientSpec, Grid, GridTooCoarseError,
-                       InconsistentBCError, OperatorKind, Scenario, SourceKind, assemble,
-                       classify, gauss_green_residual, polynomial_state)
+                       InconsistentBCError, KernelSpec, OperatorKind, Scenario, SourceKind,
+                       SubdomainP, assemble, classify, evolution, gauss_green_residual,
+                       polynomial_state)
 from degenwave.evolution import _Stepper
 from degenwave.operators import curvature_map, fd_weights, nodal_derivative
 
@@ -181,24 +184,62 @@ def test_band_path_matches_dense_reference(kind, alpha, n, rng, monkeypatch):
     np.testing.assert_allclose(w, w_ref, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(gen.stiffness_form, k_ref, rtol=1e-13, atol=0.0)
 
-    # the stepper's right-hand side M r2 - h K r1, as handed to the LU solve
+    # the stepper's right-hand side M r2 - h K r1, as handed to the banded solve
     y0, y1 = polynomial_state(gen)
     stepper = _Stepper(Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
                                 t_end=0.01, dt=0.01))
     seen = []
-    lu_solve = scipy.linalg.lu_solve
+    dpbtrs = evolution.dpbtrs
 
-    def spy(lu, b, **kwargs):
+    def spy(ab, b, **kwargs):
         seen.append(b.copy())
-        return lu_solve(lu, b, **kwargs)
+        return dpbtrs(ab, b, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_solve", spy)
+    monkeypatch.setattr(evolution, "dpbtrs", spy)
     r1, r2 = rng.standard_normal(gen.ndof), rng.standard_normal(gen.ndof)
     stepper.solve(r1, r2)
     h = stepper.half_dt
     want = gen.mass * r2 - h * (k_ref @ r1)
     scale = gen.mass * np.abs(r2) + h * (np.abs(k_ref) @ np.abs(r1))
     assert len(seen) == 1 and np.all(np.abs(seen[0] - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_step_bands_match_dense_block(kind, alpha, n, monkeypatch):
+    # the bands handed to the step factor hold M + hD + h^2 K, D in its own bands
+    gen = make_gen(kind, alpha, n)
+    factored = []
+    dpbtrf = evolution.dpbtrf
+
+    def spy(ab, **kwargs):
+        factored.append(ab.copy())
+        return dpbtrf(ab, **kwargs)
+
+    monkeypatch.setattr(evolution, "dpbtrf", spy)
+    y0, y1 = polynomial_state(gen)
+    dt = 0.01
+    _Stepper(Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
+                      t_end=dt, dt=dt))
+    h = 0.5 * dt
+    want = h * h * gen.stiffness_form + h * gen.damping_matrix() + np.diag(gen.mass)
+    assert len(factored) == 1 and factored[0].shape == gen.stiffness_bands.shape
+    expanded = dataclasses.replace(gen, stiffness_bands=factored[0]).stiffness_form
+    np.testing.assert_allclose(expanded, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stepper_holds_linear_storage(kind):
+    gen = make_gen(kind, 0.5, 4096)
+    y0, y1 = polynomial_state(gen)
+    stepper = _Stepper(Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1,
+                                t_end=0.1, dt=0.01, kernel=KernelSpec.constant(0.1, 0.05),
+                                subdomain=SubdomainP(0.25, 0.75)))
+    sizes = {name: value.size for name, value in vars(stepper).items()
+             if isinstance(value, np.ndarray)}
+    assert "chol" in sizes
+    assert max(sizes.values()) <= gen.stiffness_bands.size, sizes
 
 
 @pytest.mark.parametrize("kind", KINDS)
