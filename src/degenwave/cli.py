@@ -40,19 +40,24 @@ def _require(cfg, section, key):
         raise ConfigError(f"missing [{section}] {key}") from exc
 
 
+def _finite_float(raw: str, where: str) -> float:
+    """`raw` as a finite float; ConfigError naming `where` otherwise."""
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where} = {raw!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} = {raw!r} is not a finite number")
+    return value
+
+
 def _get_float(cfg, section, key, default=None):
     raw = cfg[section].get(key) if section in cfg else None
     if raw is None:
         if default is None:
             raise ConfigError(f"missing [{section}] {key}")
         return default
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a finite number")
-    return value
+    return _finite_float(raw, f"[{section}] {key}")
 
 
 def _get_int(cfg, section, key, default=None):
@@ -142,7 +147,7 @@ def build_initial(cfg, generator):
     if raw_hist == "zero":
         history = None
     elif raw_hist.startswith("constant:"):
-        history = float(raw_hist.split(":", 1)[1])
+        history = _finite_float(raw_hist.split(":", 1)[1], "[initial] history constant")
     else:
         raise ConfigError(f"unknown history preset {raw_hist!r}")
     return y0, y1, history
@@ -199,8 +204,7 @@ def run_simulate(cfg, out_dir: Path, quiet: bool, dump_operators: bool = False) 
         except DegenwaveError:
             fit = None
         if scenario.kernel is not None:
-            b = delay.subdomain_gain(scenario.subdomain, scenario.generator)
-            bound = diagnostics.energy_bound_check(trajectory, scenario.kernel, b,
+            bound = diagnostics.energy_bound_check(trajectory, scenario.kernel, scenario.b,
                                                    raise_on_violation=False)
             bound.to_csv(out_dir / "margins.csv")
             lines_extra.append(f"bound_max_ratio: {bound.max_ratio:.12g}")
@@ -300,9 +304,8 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
             feasible = "no"
         margin = ""
         if not trajectory.blew_up and scenario.kernel is not None:
-            b = delay.subdomain_gain(scenario.subdomain, scenario.generator)
             try:
-                rep = diagnostics.energy_bound_check(trajectory, scenario.kernel, b)
+                rep = diagnostics.energy_bound_check(trajectory, scenario.kernel, scenario.b)
                 margin = f"{rep.max_ratio:.12g}"
             except DegenwaveError:
                 margin = "violated"

@@ -55,6 +55,8 @@ class CoefficientSpec:
         values = np.array(values, dtype=float)
         if xs.ndim != 1 or xs.shape != values.shape or xs.size < 3:
             raise ValueError("tabulated spec needs matching 1-d arrays, >= 3 samples")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(values))):
+            raise ValueError("coefficient table contains non-finite entries")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("tabulated x must be strictly ascending")
         if abs(xs[0]) > ADMISSIBILITY_TOL:

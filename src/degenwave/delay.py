@@ -18,7 +18,9 @@ breakpoints.  Infeasibility raises.
 
 The delay history lives on the slot grid t = j dt, and dt must divide tau
 (`delay_slots`, the one place that tolerance is decided), so a delayed value
-is read by slot index j, never looked up by time.
+is read by slot index j, never looked up by time.  `resolve_history` evaluates
+the initial history g once per slot; `HistoryBuffer` is a plain ring seeded
+from those slots, with no knowledge of the subdomain, the grid or tau.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ class KernelSpec:
     values: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("delay tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("delay tau must be positive and finite")
 
     @classmethod
     def constant(cls, k0: float, tau: float) -> "KernelSpec":
@@ -86,8 +88,8 @@ class KernelSpec:
 
     @classmethod
     def exp_decay(cls, k0: float, rate: float, tau: float) -> "KernelSpec":
-        if not rate > 0:
-            raise ValueError("exp_decay needs rate > 0")
+        if not (math.isfinite(k0) and 0 < rate < math.inf):
+            raise ValueError("exp_decay needs a finite k0 and a finite rate > 0")
         return cls(kind=KERNEL_EXP_DECAY, tau=float(tau), k0=float(k0), rate=float(rate))
 
     @classmethod
@@ -289,49 +291,53 @@ def subdomain_gain(sub: SubdomainP, generator) -> float:
 HistoryInit = Union[None, float, Callable[[float], Union[float, np.ndarray]]]
 
 
-class HistoryBuffer:
-    """The delay history: B* y_t traces and their norms on the slot grid.
+def resolve_history(init: HistoryInit, m: int, dt: float, width: int) -> np.ndarray:
+    """The (m + 1) x width initial history g at the slot times j dt, j = -m .. 0.
 
-    Slot j holds the trace at time j dt, and dt must divide tau, so a delay
-    window [t_l - tau, t_l] is the m + 1 = tau/dt + 1 slots l - m .. l.  The
-    ring holds the slots of the current window, and `sample_step` reads one
-    by its index.  Every filled slot, from the m + 1 initial-history slots
-    on, also appends h ||trace||^2 to `slot_norms_sq`, the record the
-    history energies read.
+    `init` is None (zero history), a scalar, or a callable of the time that
+    returns a scalar or `width` values; it is evaluated once per slot.  Raises
+    ValueError on a non-finite value.
+    """
+    slots = np.zeros((m + 1, width))
+    if init is None:
+        return slots
+    for row, j in enumerate(range(-m, 1)):
+        val = np.asarray(init(j * dt) if callable(init) else init, dtype=float)
+        if val.ndim and val.shape != (width,):
+            raise SubdomainNotAlignedError(f"history values must be scalar or length {width}")
+        slots[row] = val
+    if not np.all(np.isfinite(slots)):
+        raise ValueError("initial history has non-finite values")
+    return slots
+
+
+class HistoryBuffer:
+    """A ring of the delay traces on the slot grid, seeded from resolved slots.
+
+    The buffer knows no geometry: it is given the m + 1 traces of the initial
+    history (slot j at time j dt, j = -m .. 0), the step dt and the node
+    spacing h of its norms.  Slot j holds the trace at time j dt, so a delay
+    window [t_l - tau, t_l] is the m + 1 slots l - m .. l; the ring holds the
+    slots of the current window, and `sample_step` reads one by its index.
+    Every filled slot, from slot -m on, also appends h ||trace||^2 to
+    `slot_norms_sq`, the record the history energies read.
     """
 
-    def __init__(self, sub: SubdomainP, grid: Grid, dt: float, tau: float,
-                 init: HistoryInit = None):
-        m = delay_slots(dt, tau)
-        self.grid = grid
+    def __init__(self, slots: np.ndarray, dt: float, h: float):
+        self.m = slots.shape[0] - 1
         self.dt = float(dt)
-        self.m = m
-        self._width = sub.indices(grid).size
-        self._slots = np.zeros((m + 1, self._width))
+        self.h = float(h)
+        self._width = slots.shape[1]
+        self._slots = np.zeros(slots.shape)
         self._norms_sq = []
-        self._step = -m - 1  # slot index of the newest entry (time = _step * dt)
-        for j in range(-m, 1):
-            self._fill(self._init_values(j * self.dt, init))
-
-    def _init_values(self, s: float, init: HistoryInit) -> np.ndarray:
-        if init is None:
-            return np.zeros(self._width)
-        if callable(init):
-            val = init(s)
-        else:
-            val = init
-        val = np.asarray(val, dtype=float)
-        if val.ndim == 0:
-            return np.full(self._width, float(val))
-        if val.shape != (self._width,):
-            raise SubdomainNotAlignedError(
-                f"history values must be scalar or length {self._width}")
-        return val
+        self._step = -self.m - 1  # slot index of the newest entry (time = _step * dt)
+        for trace in slots:
+            self._fill(trace)
 
     def _fill(self, trace: np.ndarray) -> None:
         self._step += 1
         self._slots[self._step % (self.m + 1)] = trace
-        self._norms_sq.append(self.grid.h * float(trace @ trace))
+        self._norms_sq.append(self.h * float(trace @ trace))
 
     def sample_step(self, step: int) -> np.ndarray:
         """The trace at slot `step`, one of newest - m .. newest."""

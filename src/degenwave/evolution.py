@@ -34,7 +34,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import diagnostics
 from .delay import (HistoryBuffer, HistoryInit, KernelSpec, SubdomainP, delay_slots,
-                    kernel_growth_check, kernel_window_bound, subdomain_gain)
+                    kernel_growth_check, kernel_window_bound, resolve_history,
+                    subdomain_gain)
 from .errors import (DegenwaveError, InfeasibleError, LinearSolveFailureError,
                      NotExponentiallyStableError)
 from .nonlinearity import SourceKind, constants_for, eval_f
@@ -65,7 +66,16 @@ STARTUP_STEPS = 2
 
 @dataclass(eq=False)
 class Scenario:
-    """Full problem description: operator, delay feedback, source, data, run."""
+    """Full problem description: operator, delay feedback, source, data, run.
+
+    `__post_init__` resolves a delayed run once, and every other layer reads
+    what it resolved: the slot count m = tau/dt, the free-dof positions
+    `subdomain_dofs` of the snapped subdomain P, the gain b = ||B|| and
+    `history_slots`, the (m + 1) x |P| initial history g at the times j dt,
+    j = -m .. 0, the only evaluation of `history`.  For an undelayed run they
+    keep their defaults (None, and b = 0.0).  Non-finite initial data or
+    history values raise ValueError.
+    """
 
     generator: DiscreteGenerator
     source: SourceKind
@@ -76,6 +86,10 @@ class Scenario:
     kernel: Optional[KernelSpec] = None
     subdomain: Optional[SubdomainP] = None
     history: HistoryInit = None
+    m: Optional[int] = field(default=None, init=False, repr=False)
+    subdomain_dofs: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    b: float = field(default=0.0, init=False, repr=False)
+    history_slots: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         gen = self.generator
@@ -83,6 +97,8 @@ class Scenario:
         self.y1 = np.asarray(self.y1, dtype=float)
         if self.y0.shape != (gen.grid.n,) or self.y1.shape != (gen.grid.n,):
             raise ValueError("initial data must be full nodal vectors")
+        if not (np.all(np.isfinite(self.y0)) and np.all(np.isfinite(self.y1))):
+            raise ValueError("initial data has non-finite values")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
         pinned = np.setdiff1d(np.arange(gen.grid.n), gen.free)
@@ -92,23 +108,22 @@ class Scenario:
             raise ValueError("initial data violates the essential x = 0 conditions")
         if (self.kernel is None) != (self.subdomain is None):
             raise ValueError("kernel and subdomain must be given together")
-        if self.kernel is not None:
-            delay_slots(self.dt, self.kernel.tau)
-            # explicit terms want dt below the inverse feedback strength;
-            # deliberately violent gains are allowed to run (blow-up detection)
-            gain = abs(self.kernel.k0) if self.kernel.values is None \
-                else float(np.max(np.abs(self.kernel.values)))
-            b = subdomain_gain(self.subdomain, gen)
-            if gain * b * b * self.dt > 1.0:
-                warnings.warn("dt exceeds the explicit delay-term bound; "
-                              "expect inaccuracy or growth", stacklevel=2)
-
-    @property
-    def subdomain_dofs(self) -> Optional[np.ndarray]:
-        """Free-dof positions of the subdomain nodes (all interior, hence free)."""
-        if self.subdomain is None:
-            return None
-        return np.searchsorted(self.generator.free, self.subdomain.indices(self.generator.grid))
+        if self.kernel is None:
+            return
+        self.m = delay_slots(self.dt, self.kernel.tau)
+        # subdomain nodes are interior, hence free
+        self.subdomain_dofs = np.searchsorted(gen.free, self.subdomain.indices(gen.grid))
+        self.b = subdomain_gain(self.subdomain, gen)
+        # explicit terms want dt below the inverse feedback strength;
+        # deliberately violent gains are allowed to run (blow-up detection)
+        gain = abs(self.kernel.k0) if self.kernel.values is None \
+            else float(np.max(np.abs(self.kernel.values)))
+        if gain * self.b * self.b * self.dt > 1.0:
+            warnings.warn("dt exceeds the explicit delay-term bound; "
+                          "expect inaccuracy or growth", stacklevel=3)
+        self.history_slots = resolve_history(self.history, self.m, self.dt,
+                                             self.subdomain_dofs.size)
+        self.history_slots.setflags(write=False)
 
     @property
     def initial_state(self) -> np.ndarray:
@@ -116,10 +131,10 @@ class Scenario:
         return gen.join(gen.restrict(self.y0), gen.restrict(self.y1))
 
     def make_buffer(self) -> Optional[HistoryBuffer]:
+        """A fresh history ring seeded from `history_slots` (None when undelayed)."""
         if self.kernel is None:
             return None
-        return HistoryBuffer(self.subdomain, self.generator.grid, self.dt,
-                             self.kernel.tau, init=self.history)
+        return HistoryBuffer(self.history_slots, self.dt, self.generator.grid.h)
 
 
 @dataclass(frozen=True)
@@ -295,6 +310,10 @@ class _Stepper:
     trapezoidal ringing otherwise degrades the global order below two.
     Undelayed unforced runs are pure trapezoid, so the discrete energy
     telescopes exactly.
+
+    The stepper owns the run's history: `buffer` is a ring seeded from the
+    scenario's resolved `history_slots` (None when undelayed), and `step`
+    pushes each new subdomain velocity trace onto it.
     """
 
     def __init__(self, scenario: Scenario):
@@ -319,24 +338,24 @@ class _Stepper:
             raise LinearSolveFailureError(
                 f"M + hD + h^2 K is not positive definite: banded Cholesky (dpbtrf) "
                 f"failed at its leading minor of order {info}")
-        self.sub_free = scenario.subdomain_dofs
+        self.buffer = scenario.make_buffer()
         has_explicit = (scenario.kernel is not None) or (not scenario.source.is_none)
         self.smoothing_left = STARTUP_STEPS if has_explicit else 0
         self.prev_source = None
 
-    def delay_term(self, ell: int, buffer: Optional[HistoryBuffer], midpoint: bool):
+    def delay_term(self, ell: int, midpoint: bool):
         """g = -k(t) B B* y_t(t - tau) at t = t_ell + dt (slot ell + 1 - m), or at
         the midpoint t_ell + dt/2 (the mean of slots ell - m and ell + 1 - m)."""
-        if buffer is None:
+        if self.buffer is None:
             return 0.0
         k_t = float(self.sc.kernel.eval(ell * self.sc.dt
                                         + (self.half_dt if midpoint else self.sc.dt)))
-        slot = ell + 1 - buffer.m
-        delayed = buffer.sample_step(slot)
+        slot = ell + 1 - self.buffer.m
+        delayed = self.buffer.sample_step(slot)
         if midpoint:
-            delayed = 0.5 * (buffer.sample_step(slot - 1) + delayed)
+            delayed = 0.5 * (self.buffer.sample_step(slot - 1) + delayed)
         g = np.zeros(self.gen.ndof)
-        g[self.sub_free] -= k_t * delayed
+        g[self.sc.subdomain_dofs] -= k_t * delayed
         return g
 
     def source_term(self, u: np.ndarray):
@@ -354,17 +373,16 @@ class _Stepper:
                        lower=0, overwrite_b=1)
         return r1 + h * x2, x2
 
-    def step(self, ell: int, state: np.ndarray,
-             buffer: Optional[HistoryBuffer]) -> np.ndarray:
+    def step(self, ell: int, state: np.ndarray) -> np.ndarray:
         """The state at t_{ell + 1} from the state at t_ell = ell dt."""
         h = self.half_dt
         u, v = self.gen.split(state)
         if self.smoothing_left > 0:
             self.smoothing_left -= 1
             # two backward-Euler half-steps with the shared (I - dt/2 A) factor
-            u, v = self.solve(u, v + h * (self.delay_term(ell, buffer, midpoint=True)
+            u, v = self.solve(u, v + h * (self.delay_term(ell, midpoint=True)
                                           + self.source_term(u)))
-            u, v = self.solve(u, v + h * (self.delay_term(ell, buffer, midpoint=False)
+            u, v = self.solve(u, v + h * (self.delay_term(ell, midpoint=False)
                                           + self.source_term(u)))
             self.prev_source = self.source_term(u)
         else:
@@ -374,12 +392,12 @@ class _Stepper:
             # is Adams-Bashforth extrapolated from known states
             src = self.source_term(u)
             prev = self.prev_source if self.prev_source is not None else src
-            g = self.delay_term(ell, buffer, midpoint=True) + (1.5 * src - 0.5 * prev)
+            g = self.delay_term(ell, midpoint=True) + (1.5 * src - 0.5 * prev)
             u_mid, v_mid = self.solve(u, v + h * g)
             u, v = 2.0 * u_mid - u, 2.0 * v_mid - v
             self.prev_source = src
-        if buffer is not None:
-            buffer.push(v[self.sub_free])
+        if self.buffer is not None:
+            self.buffer.push(v[self.sc.subdomain_dofs])
         return self.gen.join(u, v)
 
 
@@ -390,25 +408,24 @@ def simulate(scenario: Scenario) -> Trajectory:
     elastic, boundary) `energy_parts` triple, computed once for the blow-up
     check, fills a second one that gives the state norms and those energy
     columns.  The run stops early at the first non-finite state or state
-    norm above BLOWUP_NORM.  Damping rates and tip traces are then computed
-    in batch over all records, source energies in batches of SOURCE_BATCH
-    records, and the history energies from the slot norms the history buffer
-    recorded as it was filled.
+    norm above BLOWUP_NORM.  `Scenario` rejects non-finite initial data, so
+    only the last record can be non-finite.  Damping rates and tip traces are
+    then computed in batch over all records, source energies in batches of
+    SOURCE_BATCH records, and the history energies from the slot norms the
+    stepper's history buffer recorded as it was filled.
     """
     gen = scenario.generator
     stepper = _Stepper(scenario)
-    buffer = scenario.make_buffer()
     nsteps = int(round(scenario.t_end / scenario.dt))
 
     states = np.empty((nsteps + 1, 2 * gen.ndof))
     parts = np.full((nsteps + 1, 3), math.inf)   # energy_parts; inf on non-finite states
     states[0] = scenario.initial_state
-    if np.all(np.isfinite(states[0])):
-        parts[0] = gen.energy_parts(states[0])
+    parts[0] = gen.energy_parts(states[0])
     nrec = nsteps + 1
     blew_up = False
     for ell in range(nsteps):
-        state = stepper.step(ell, states[ell], buffer)
+        state = stepper.step(ell, states[ell])
         states[ell + 1] = state
         if np.all(np.isfinite(state)):
             kinetic, elastic, boundary = gen.energy_parts(state)
@@ -430,8 +447,8 @@ def simulate(scenario: Scenario) -> Trajectory:
             for start in range(0, nrec, SOURCE_BATCH):
                 batch = slice(start, start + SOURCE_BATCH)
                 source[batch] = diagnostics.source_energy(gen, scenario.source, states[batch])
-        if buffer is not None:
-            history = diagnostics.history_energies(scenario.kernel, buffer)
+        if stepper.buffer is not None:
+            history = diagnostics.history_energies(scenario.kernel, stepper.buffer)
         kinetic, elastic, boundary = parts.T
         norms = np.sqrt(2.0 * (kinetic + elastic + boundary))
         damping = gen.boundary_damping_rate(states)
@@ -478,11 +495,9 @@ def duhamel_residual(scenario: Scenario, trajectory: Trajectory,
     nrec = trajectory.states.shape[0]
     phi = np.zeros((nrec, 2 * gen.ndof))
     if scenario.kernel is not None:
-        buffer = scenario.make_buffer()
         on_p = gen.ndof + scenario.subdomain_dofs
         # t_j - tau is slot j - m: the initial history up to slot 0, then the states
-        history = [buffer.sample_step(j) for j in range(-buffer.m, 1)]
-        traces = np.concatenate([history, trajectory.states[1:, on_p]])[:nrec]
+        traces = np.concatenate([scenario.history_slots, trajectory.states[1:, on_p]])[:nrec]
         k = np.atleast_1d(scenario.kernel.eval(trajectory.times))
         phi[:, on_p] = -k[:, None] * traces
 
@@ -569,16 +584,12 @@ def certify_scenario(scenario: Scenario, semigroup: Optional[SemigroupCertificat
     semi = semigroup if semigroup is not None else semigroup_constants(gen)
     kernel = scenario.kernel if scenario.kernel is not None \
         else KernelSpec.zero(tau=1.0)
-    if scenario.subdomain is not None:
-        b = subdomain_gain(scenario.subdomain, gen)
-    else:
-        b = 0.0
     lam = kernel_window_bound(kernel)
-    envelope = kernel_growth_check(kernel, semi.M, semi.omega, b)
+    envelope = kernel_growth_check(kernel, semi.M, semi.omega, scenario.b)
     threshold = diagnostics.threshold_certificate(
-        semi, kernel, envelope, b, scenario.source,
+        semi, kernel, envelope, scenario.b, scenario.source,
         constants_for(scenario.source, gen.profile))
     return diagnostics.CertificationResult(
-        M=semi.M, omega=semi.omega, b=b, lambda_window=lam,
+        M=semi.M, omega=semi.omega, b=scenario.b, lambda_window=lam,
         alpha=envelope.alpha, omega_prime=envelope.omega_prime,
         threshold=threshold, semigroup_note=semi.method_note)

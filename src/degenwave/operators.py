@@ -71,8 +71,8 @@ class BoundaryParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.beta < 0 or self.gamma < 0:
-            raise ValueError("boundary gains must be nonnegative")
+        if not (0 <= self.beta < np.inf and 0 <= self.gamma < np.inf):
+            raise ValueError("boundary gains must be finite and nonnegative")
 
 
 def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:

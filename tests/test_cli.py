@@ -387,3 +387,65 @@ def test_csv_initial_x_not_spanning_the_interval_exits_3(tmp_path, capsys, lower
                  str(tmp_path / "o"), "--command", "simulate", "--quiet"])
     assert code == 3
     assert "x must run from 0 to 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
+def test_commands_read_the_resolved_subdomain(tmp_path, monkeypatch, command):
+    # each scenario snaps P onto the grid while it is built; nothing after does
+    from degenwave import cli
+    from degenwave.delay import SubdomainP
+
+    snaps = {"building": True, "while_building": 0, "after": 0}
+    node_range, build = SubdomainP.node_range, cli.build_scenario
+
+    def counted_node_range(self, grid):
+        snaps["while_building" if snaps["building"] else "after"] += 1
+        return node_range(self, grid)
+
+    def counted_build(cfg):
+        snaps["building"] = True
+        scenario = build(cfg)
+        snaps["building"] = False
+        return scenario
+
+    monkeypatch.setattr(SubdomainP, "node_range", counted_node_range)
+    monkeypatch.setattr(cli, "build_scenario", counted_build)
+    text = DELAYED + "\n[sweep]\nparameter = kernel.k0\nvalues = 0.002, 0.005\n"
+    code = main(["--config", write(tmp_path, "d.ini", text), "--out", str(tmp_path / "o"),
+                 "--command", command, "--quiet"])
+    assert code == 0
+    assert snaps["while_building"] > 0 and snaps["after"] == 0
+
+
+def _non_finite_input_config(tmp_path, where):
+    text = readme_config().replace("n = 64", "n = 16")
+    if where == "coefficient":
+        csv = write(tmp_path, "a.csv", "x,a\n0.0,0.0\n0.5,nan\n1.0,1.0\n")
+        return text.replace("kind = power            ; power | tabulated (csv = path to "
+                            "two-column x,a)\nalpha = 0.5", f"kind = tabulated\ncsv = {csv}")
+    if where == "initial":
+        csv = write(tmp_path, "i.csv", "x,y0,y1\n0.0,0.0,0.0\n0.5,nan,0.0\n1.0,0.0,0.0\n")
+        return re.sub(r"^preset = .*$", f"preset = csv:{csv}", text, flags=re.M)
+    return re.sub(r"^history = .*$", f"history = constant:{where}", text, flags=re.M)
+
+
+NON_FINITE_INPUT_ERRORS = {
+    "coefficient": "coefficient table contains non-finite entries",
+    "initial": "initial data has non-finite values",
+    "nan": "[initial] history constant = 'nan' is not a finite number",
+    "inf": "[initial] history constant = 'inf' is not a finite number",
+    "1e400": "[initial] history constant = '1e400' is not a finite number",
+    "abc": "[initial] history constant = 'abc' is not a number",
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+@pytest.mark.parametrize("where", list(NON_FINITE_INPUT_ERRORS))
+def test_non_finite_input_exits_3(tmp_path, capsys, command, where):
+    # a nan table entry, data value or history constant used to run to a
+    # blow-up, certify with smallness nan, or end in a traceback
+    text = _non_finite_input_config(tmp_path, where)
+    code = main(["--config", write(tmp_path, "r.ini", text), "--out", str(tmp_path / "o"),
+                 "--command", command, "--quiet"])
+    assert code == 3
+    assert capsys.readouterr().err == f"config error: {NON_FINITE_INPUT_ERRORS[where]}\n"

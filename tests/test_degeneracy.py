@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ def test_read_csv_columns_matches_row_by_row_reference(tmp_path, rng):
 def test_power_law_requires_positive_exponent():
     with pytest.raises(ValueError):
         CoefficientSpec.power_law(-0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_tabulated_coefficient_rejects_non_finite_entries(bad):
+    xs, values = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5) ** 0.5
+    values[2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        CoefficientSpec.tabulated(xs, values)
+    xs[4] = bad
+    with pytest.raises(ValueError):
+        CoefficientSpec.tabulated(xs, np.linspace(0.0, 1.0, 5))
 
 
 def test_table_constructors_copy_the_callers_arrays():

@@ -11,6 +11,7 @@ from degenwave import (BoundaryParams, CoefficientSpec, Grid, HistoryBuffer,
                        QueryOutOfWindowError, SubdomainNotAlignedError, SubdomainP,
                        apply_Bstar, assemble, classify,
                        kernel_growth_check, kernel_window_bound, subdomain_gain)
+from degenwave.delay import delay_slots, resolve_history
 from degenwave.errors import NotLocallyIntegrableError
 
 from helpers import ClosedFormGain, apply_B, inner_H, norm_H
@@ -123,6 +124,20 @@ def test_tabulated_rejects_bad_tables():
         KernelSpec.constant(math.nan, tau=1.0)
     with pytest.raises(NotLocallyIntegrableError):
         KernelSpec.pulse(1.0, math.inf, tau=1.0)
+
+
+@pytest.mark.parametrize("k0, rate", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf),
+                                     (1.0, math.nan)])
+def test_exp_decay_rejects_non_finite_parameters(k0, rate):
+    # nan > 0 is False and inf > 0 is True, so a sign check alone let both through
+    with pytest.raises(ValueError):
+        KernelSpec.exp_decay(k0, rate, tau=1.0)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0])
+def test_kernel_rejects_non_finite_or_nonpositive_delay(tau):
+    with pytest.raises(ValueError):
+        KernelSpec.constant(0.1, tau)
 
 
 def test_kernel_csv_round_trip(tmp_path):
@@ -251,21 +266,27 @@ def test_snap_warns_when_coarse():
 # -- history buffer -------------------------------------------------------------------
 
 
+def history_buffer(sub, grid, dt, tau, init=None):
+    """The ring a delayed scenario on `grid` with subdomain `sub` would seed."""
+    slots = resolve_history(init, delay_slots(dt, tau), dt, sub.indices(grid).size)
+    return HistoryBuffer(slots, dt, grid.h)
+
+
 def test_history_zero_until_pushed(grid65, sub):
-    buf = HistoryBuffer(sub, grid65, dt=0.25, tau=1.0)
+    buf = history_buffer(sub, grid65, dt=0.25, tau=1.0)
     for j in range(-4, 1):
         assert np.all(buf.sample_step(j) == 0.0)
 
 
 def test_history_linear_slots(grid65, sub):
-    buf = HistoryBuffer(sub, grid65, dt=0.25, tau=1.0, init=lambda s: s)
+    buf = history_buffer(sub, grid65, dt=0.25, tau=1.0, init=lambda s: s)
     got = [buf.sample_step(j)[0] for j in range(-4, 1)]  # slot j at time j dt
     assert np.allclose(got, [-1.0, -0.75, -0.5, -0.25, 0.0])
 
 
 def test_history_ring_exactness(grid65, sub, rng):
     dt, tau = 0.2, 1.0
-    buf = HistoryBuffer(sub, grid65, dt, tau)
+    buf = history_buffer(sub, grid65, dt, tau)
     width = sub.indices(grid65).size
     pushed = {}
     for j in range(1, 12):
@@ -279,20 +300,20 @@ def test_history_ring_exactness(grid65, sub, rng):
 
 
 def test_history_window_errors(grid65, sub):
-    buf = HistoryBuffer(sub, grid65, dt=0.25, tau=1.0)
+    buf = history_buffer(sub, grid65, dt=0.25, tau=1.0)
     with pytest.raises(QueryOutOfWindowError):
         buf.sample_step(-8)  # time -2, before the window -4 .. 0
     with pytest.raises(QueryOutOfWindowError):
         buf.sample_step(1)  # not filled yet
     with pytest.raises(ValueError):
-        HistoryBuffer(sub, grid65, dt=0.3, tau=1.0)  # dt does not divide tau
+        history_buffer(sub, grid65, dt=0.3, tau=1.0)  # dt does not divide tau
 
 
 def test_history_slot_norms_recorded_once_per_slot(grid65, sub, rng):
     dt, tau = 0.25, 1.0
     width = sub.indices(grid65).size
     initial = {j: rng.standard_normal(width) for j in range(-4, 1)}
-    buf = HistoryBuffer(sub, grid65, dt, tau, init=lambda s: initial[round(s / dt)])
+    buf = history_buffer(sub, grid65, dt, tau, init=lambda s: initial[round(s / dt)])
     traces = [initial[j] for j in range(-4, 1)]
     for _ in range(7):
         traces.append(rng.standard_normal(width))
@@ -304,7 +325,7 @@ def test_history_slot_norms_recorded_once_per_slot(grid65, sub, rng):
 
 def test_history_window_reads_by_slot(grid65, sub, rng):
     dt, tau = 0.2, 1.0
-    buf = HistoryBuffer(sub, grid65, dt, tau, init=lambda s: s)
+    buf = history_buffer(sub, grid65, dt, tau, init=lambda s: s)
     width = sub.indices(grid65).size
     pushed = {}
     for step in range(1, 9):
@@ -319,6 +340,17 @@ def test_history_window_reads_by_slot(grid65, sub, rng):
 
 
 def test_history_bad_trace_shape(grid65, sub):
-    buf = HistoryBuffer(sub, grid65, dt=0.25, tau=1.0)
+    buf = history_buffer(sub, grid65, dt=0.25, tau=1.0)
     with pytest.raises(SubdomainNotAlignedError):
         buf.push(np.ones(3))
+
+
+def test_resolved_history_one_evaluation_per_slot(grid65, sub):
+    times = []
+    width = sub.indices(grid65).size
+    slots = resolve_history(lambda s: times.append(s) or s, 4, 0.25, width)
+    assert times == [-1.0, -0.75, -0.5, -0.25, 0.0]
+    assert slots.shape == (5, width) and np.array_equal(slots[:, 0], times)
+    assert np.array_equal(resolve_history(None, 4, 0.25, width), np.zeros((5, width)))
+    with pytest.raises(SubdomainNotAlignedError):
+        resolve_history(lambda s: np.ones(3), 4, 0.25, width)

@@ -14,7 +14,7 @@ from degenwave import (BoundaryParams, BoundViolatedError, CoefficientSpec,
                        eigenmode_state, energy_bound_check, energy_breakdown, evolution,
                        growth_envelope_C, kernel_growth_check, polynomial_state,
                        semigroup_constants, simulate, threshold_certificate)
-from degenwave.delay import HistoryBuffer
+from degenwave.delay import HistoryBuffer, resolve_history
 from degenwave.diagnostics import EnergyBreakdown, history_energy, source_energy
 from degenwave.evolution import Trajectory
 
@@ -64,7 +64,7 @@ def test_history_term_closed_form():
     sub = SubdomainP(0.25, 0.75)
     k0 = 0.8
     kernel = KernelSpec.constant(k0, tau=1.0)
-    buf = HistoryBuffer(sub, grid, dt=0.125, tau=1.0, init=1.0)
+    buf = HistoryBuffer(resolve_history(1.0, 8, 0.125, sub.indices(grid).size), 0.125, grid.h)
     assert history_energy(kernel, buf) == pytest.approx(k0 / 4.0, abs=1e-14)
 
 
@@ -84,8 +84,8 @@ def weights_trapezoid(kernel, buf, newest):
 def test_history_energy_matches_weights_trapezoid(kernel, rng):
     grid = Grid.uniform(65)
     sub = SubdomainP(0.25, 0.75)
-    buf = HistoryBuffer(sub, grid, dt=0.05, tau=0.5, init=0.3)
     width = sub.indices(grid).size
+    buf = HistoryBuffer(resolve_history(0.3, 10, 0.05, width), 0.05, grid.h)
     for newest in range(1, 25):
         buf.push(rng.standard_normal(width))
         ref = weights_trapezoid(kernel, buf, newest)

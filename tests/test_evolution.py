@@ -1,17 +1,18 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from degenwave import (BoundaryParams, CoefficientSpec, DegenwaveError, Grid,
-                       HistoryBuffer, InfeasibleError, KernelSpec,
+                       InfeasibleError, KernelSpec,
                        NotExponentiallyStableError, OperatorKind,
                        QueryOutOfWindowError, Scenario,
-                       SourceKind, SubdomainP, apply_Bstar, assemble, classify,
-                       decay_fit, duhamel_residual, eigenmode_state, evolution,
+                       SourceKind, SubdomainP, apply_Bstar, assemble, certify_scenario,
+                       classify, decay_fit, duhamel_residual, eigenmode_state, evolution,
                        polynomial_state, semigroup_constants, simulate,
                        smallness_level)
 from degenwave.errors import LinearSolveFailureError
@@ -270,10 +271,9 @@ def test_single_step_matches_rk4_oracle(monkeypatch):
     sc = Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1,
                   t_end=1.0, dt=dt, kernel=kernel, subdomain=sub,
                   history=lambda s: g_trace)
-    buffer = sc.make_buffer()
     state0 = sc.initial_state
     monkeypatch.setattr(evolution, "STARTUP_STEPS", 0)
-    got = _Stepper(sc).step(0, state0, buffer)
+    got = _Stepper(sc).step(0, state0)
 
     from degenwave.nonlinearity import eval_f
 
@@ -318,10 +318,9 @@ def test_block_solve_matches_dense_trapezoid(monkeypatch, kind, alpha, n, dt):
                   subdomain=SubdomainP(0.25, 0.75), history=0.3)
     monkeypatch.setattr(evolution, "STARTUP_STEPS", 0)
     stepper = _Stepper(sc)
-    buffer = sc.make_buffer()
     state = sc.initial_state
     u, _ = gen.split(state)
-    g = stepper.delay_term(0, buffer, midpoint=True) + stepper.source_term(u)
+    g = stepper.delay_term(0, midpoint=True) + stepper.source_term(u)
     assert np.any(g != 0.0)
     explicit = gen.join(np.zeros(gen.ndof), g)
     ident = np.eye(2 * gen.ndof)
@@ -333,7 +332,7 @@ def test_block_solve_matches_dense_trapezoid(monkeypatch, kind, alpha, n, dt):
     assert gen.state_norm(got - dense) <= 1e-8 * gen.state_norm(dense)
 
     dense = np.linalg.solve(ident - half, (ident + half) @ state + dt * explicit)
-    got = stepper.step(0, state, buffer)
+    got = stepper.step(0, state)
     assert gen.state_norm(got - dense) <= 1e-8 * gen.state_norm(dense)
 
 
@@ -434,24 +433,27 @@ def test_blow_up_detected_and_flagged():
     assert traj.times[-1] < 20.0
 
 
-def test_dt_tau_tolerance_shared_by_scenario_and_buffer():
-    # one rule: m dt may miss tau by at most 1e-9 tau; at tau = 0.5 that is 5e-10
+def test_dt_tau_tolerance_of_scenario():
+    # one rule: m dt may miss tau by at most 1e-9 tau; at tau = 0.5 that is 5e-10.
+    # The scenario resolves m once; its history buffer never sees tau
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
     y0, y1 = polynomial_state(gen)
     sub = SubdomainP(0.25, 0.75)
     tau = 0.5
     for offset, accepted in ((0.7e-9, False), (-0.7e-9, False), (0.3e-9, True)):
         dt = (tau + offset) / 200
-        make = [lambda: Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
-                                 t_end=1.0, dt=dt, kernel=KernelSpec.constant(0.1, tau),
-                                 subdomain=sub),
-                lambda: HistoryBuffer(sub, gen.grid, dt, tau)]
-        for build in make:
-            if accepted:
+
+        def build():
+            return Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
+                            t_end=1.0, dt=dt, kernel=KernelSpec.constant(0.1, tau),
+                            subdomain=sub)
+        if accepted:
+            sc = build()
+            assert sc.m == 200 and sc.history_slots.shape == (201, sc.subdomain_dofs.size)
+            assert sc.make_buffer().m == 200
+        else:
+            with pytest.raises(ValueError):
                 build()
-            else:
-                with pytest.raises(ValueError):
-                    build()
 
 
 def test_delayed_trace_slot_and_half_slot_only():
@@ -463,19 +465,19 @@ def test_delayed_trace_slot_and_half_slot_only():
     sc = simple_scenario(gen, t_end=1.0, dt=dt, kernel=KernelSpec.constant(k0, tau),
                          subdomain=sub, history=lambda s: s)
     stepper = _Stepper(sc)
-    buffer = sc.make_buffer()
+    buffer = stepper.buffer
     on_p = sc.subdomain_dofs
     off_p = np.setdiff1d(np.arange(gen.ndof), on_p)
-    end = stepper.delay_term(1, buffer, midpoint=False)
+    end = stepper.delay_term(1, midpoint=False)
     assert np.array_equal(end[on_p], -k0 * buffer.sample_step(-3))
-    mid = stepper.delay_term(1, buffer, midpoint=True)
+    mid = stepper.delay_term(1, midpoint=True)
     assert np.array_equal(mid[on_p], -k0 * (0.5 * (buffer.sample_step(-4)
                                                    + buffer.sample_step(-3))))
     assert mid[on_p][0] == pytest.approx(k0 * 3.5 * dt)  # history s at s = -3.5 dt
     assert np.all(end[off_p] == 0.0) and np.all(mid[off_p] == 0.0)
-    stepper.delay_term(4, buffer, midpoint=False)  # slot 0, the newest
+    stepper.delay_term(4, midpoint=False)  # slot 0, the newest
     with pytest.raises(QueryOutOfWindowError):
-        stepper.delay_term(5, buffer, midpoint=False)  # slot 1 is not filled yet
+        stepper.delay_term(5, midpoint=False)  # slot 1 is not filled yet
 
 
 
@@ -504,6 +506,65 @@ def test_delayed_energy_identity(k0):
     residual = (np.diff(e_quad) - work + dissipation)[2:]
     assert np.max(np.abs(work)) > 1e-7 * e_quad[0]  # the delay term does work
     assert np.max(np.abs(residual)) <= 1e-10 * e_quad[0]
+
+def test_delayed_inputs_resolved_once(monkeypatch):
+    # the scenario evaluates g at the m + 1 slot times and snaps P once; the
+    # stepper, the smallness level, the Duhamel oracle and the certificate
+    # read what it resolved
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    dt, tau = 0.0125, 0.5
+    times = []
+
+    def history(s):
+        times.append(s)
+        return 0.01
+
+    sc = simple_scenario(gen, t_end=1.0, dt=dt, kernel=KernelSpec.constant(0.005, tau),
+                         subdomain=SubdomainP(0.25, 0.75), history=history, amplitude=0.01)
+    m = round(tau / dt)
+    assert sc.m == m and times == [j * dt for j in range(-m, 1)]
+
+    def snap(*args):
+        raise AssertionError("the subdomain was snapped after the scenario was built")
+
+    monkeypatch.setattr(SubdomainP, "node_range", snap)
+    traj = simulate(sc)
+    assert not traj.blew_up
+    assert smallness_level(sc) > 0.0
+    assert duhamel_residual(sc, traj) <= 1e-3
+    assert certify_scenario(sc).b == sc.b
+    assert len(times) == m + 1
+
+
+@pytest.mark.parametrize("name", ["y0", "y1", "history", "history_at_a_slot"])
+def test_scenario_rejects_non_finite_inputs(name):
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    y0, y1 = polynomial_state(gen)
+    data = dict(y0=y0, y1=y1, history=0.1)
+    if name == "history_at_a_slot":
+        data["history"] = lambda s: math.inf if s == -0.25 else 0.1
+    elif name == "history":
+        data["history"] = math.nan
+    else:
+        data[name] = data[name].copy()
+        data[name][5] = math.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Scenario(generator=gen, source=SourceKind.none(), t_end=1.0, dt=0.025,
+                 kernel=KernelSpec.constant(0.1, tau=0.5), subdomain=SubdomainP(0.25, 0.75),
+                 **data)
+
+
+def test_dt_bound_warning_points_at_the_caller():
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    y0, y1 = polynomial_state(gen)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1, t_end=1.0,
+                 dt=0.05, kernel=KernelSpec.constant(-40.0, tau=0.25),
+                 subdomain=SubdomainP(0.25, 0.75))
+    assert [w.filename for w in caught] == [__file__]
+    assert "explicit delay-term bound" in str(caught[0].message)
+
 
 def test_scenario_validation():
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)

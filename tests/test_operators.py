@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -133,6 +134,14 @@ def test_grid_too_coarse():
 def test_negative_gains_rejected():
     with pytest.raises(ValueError):
         BoundaryParams(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("beta, gamma", [(math.nan, 0.0), (math.inf, 0.0),
+                                         (0.0, math.nan), (0.0, math.inf)])
+def test_non_finite_gains_rejected(beta, gamma):
+    # nan < 0 is False, so a sign check alone let nan through
+    with pytest.raises(ValueError):
+        BoundaryParams(beta, gamma)
 
 
 def test_system_matrix_block_shape():

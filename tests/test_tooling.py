@@ -1,12 +1,16 @@
-"""The test session runs BLAS with the thread count conftest.py sets."""
+"""Repository tooling: the BLAS thread count of the test session, and no
+unused imports in the package modules."""
 
+import ast
 import importlib.util
 import os
 from pathlib import Path
 
 import pytest
 
-RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+RUN = ROOT / "bench" / "run.py"
+PACKAGE = ROOT / "src" / "degenwave"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -21,3 +25,23 @@ def test_openblas_thread_count_is_the_session_setting(monkeypatch):
     if not counts:
         pytest.skip("numpy and scipy loaded no OpenBLAS")
     assert set(counts.values()) == {expected}, counts
+
+
+def test_package_modules_use_every_import():
+    # deletions tend to leave imports behind; __init__.py re-exports on purpose
+    modules = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
+    assert len(modules) >= 8
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update({(a.asname or a.name.split(".")[0]): node.lineno
+                              for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update({(a.asname or a.name): node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
+                   if name not in used]
+    assert not unused
