@@ -248,8 +248,9 @@ class SubdomainP:
         if not (0.0 < self.lower < self.upper < 1.0):
             raise ValueError("subdomain must satisfy 0 < lower < upper < 1")
 
-    def node_range(self, grid: Grid):
-        """Snapped half-open node index range [i0, i1); warns on coarse snaps."""
+    def node_range(self, grid: Grid, stacklevel: int = 2):
+        """Snapped half-open node index range [i0, i1); warns on coarse snaps,
+        naming the frame `stacklevel` levels up (the caller by default)."""
         i0 = max(int(round(self.lower / grid.h)), 1)
         i1 = min(int(round(self.upper / grid.h)), grid.n - 1)
         if i1 <= i0:
@@ -257,7 +258,7 @@ class SubdomainP:
         snap = max(abs(grid.nodes[i0] - self.lower), abs(grid.nodes[i1] - self.upper))
         if snap > 0.5 * grid.h + 1e-15:
             warnings.warn(f"subdomain endpoints snapped by {snap:.3e} > h/2",
-                          stacklevel=2)
+                          stacklevel=stacklevel)
         return i0, i1
 
     def indices(self, grid: Grid) -> np.ndarray:
@@ -273,16 +274,16 @@ def apply_Bstar(sub: SubdomainP, grid: Grid, full: np.ndarray) -> np.ndarray:
     return full[sub.indices(grid)]
 
 
-def subdomain_gain(sub: SubdomainP, generator) -> float:
-    """b = ||B|| from H = L2(P) into the generator's velocity space.
+def subdomain_gain(nodes: np.ndarray, generator) -> float:
+    """b = ||B|| from H = L2(P) into the generator's velocity space, for P
+    snapped to the node indices `nodes` (`SubdomainP.indices`).
 
     Multiplication by an indicator has unit norm into plain L2; into the
     1/a-weighted space the norm is the largest node ratio on P.
     """
     if not generator.kind.weighted_velocity:
         return 1.0
-    idx = sub.indices(generator.grid)
-    a_on_p = generator.profile.grid_values[idx]
+    a_on_p = generator.profile.grid_values[nodes]
     return float(np.sqrt(np.max(1.0 / a_on_p)))
 
 

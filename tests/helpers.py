@@ -4,7 +4,8 @@ Synthetic elements of the clamped and pinned discrete spaces, the clamped
 curvature seminorm read from `curvature_map`, the dense row-by-row elastic
 map and stiffness of a generator, the subdomain extension B and the L2(P)
 pairing, the pointwise and sampled checks of the source hypotheses, a
-semigroup-constant sampler with one matrix exponential per sample time, a
+semigroup-constant sampler with one matrix exponential per sample time, the
+certificate route with full SVD norms and two full walks of the powers, a
 stand-in generator that serves a given matrix as its state-norm generator,
 and the closed forms of the constant and pulse gains.  Each is a reference
 that tests compare the package's forms and constants against.
@@ -17,6 +18,8 @@ import scipy.linalg
 from scipy.linalg.blas import dgbmv
 
 from degenwave.errors import InfeasibleError, SubdomainNotAlignedError
+from degenwave.evolution import (HORIZON_DOUBLINGS, REFINE_GAP, REFINE_LEVELS,
+                                 SemigroupCertificate)
 from degenwave.nonlinearity import eval_f, weighted_inner
 from degenwave.operators import OperatorKind, curvature_map, fd_weights
 
@@ -203,6 +206,63 @@ def direct_semigroup_constants(a_tilde, horizon=20.0, samples=80, recheck=50):
     times = np.concatenate((np.linspace(0.0, horizon, samples + 1),
                             (np.arange(recheck) + 0.5) * horizon / recheck))
     return max(max(weighted_norm(t) for t in times), 1.0), omega, horizon
+
+
+def reference_semigroup_constants(generator, horizon=20.0, samples=80):
+    """`evolution.semigroup_constants` with each norm a full SVD and the chain
+    of powers walked twice in full, once for the samples and once to refine
+    cell by cell: the reference its M and note are checked against."""
+    a_tilde = generator.state_norm_generator()
+    dim = a_tilde.shape[0]
+    abscissa = float(np.max(np.linalg.eigvals(a_tilde).real))
+    omega = 0.9 * (-abscissa)
+    log_norm = float(np.linalg.eigvalsh(0.5 * (a_tilde + a_tilde.T))[-1])
+    growth = max(omega + log_norm, 0.0)
+
+    def weighted_norm(propagator, t):
+        return float(scipy.linalg.norm(propagator, 2)) * math.exp(omega * t)
+
+    for horizon in [horizon * 2.0 ** k for k in range(HORIZON_DOUBLINGS + 1)]:
+        if weighted_norm(scipy.linalg.expm(horizon * a_tilde), horizon) <= 1.0:
+            break
+    else:
+        raise InfeasibleError("the horizon rule never held")
+
+    width = horizon / samples
+    step = scipy.linalg.expm(width * a_tilde)
+    power = np.eye(dim)
+    values = [weighted_norm(power, 0.0)]
+    for k in range(1, samples + 1):
+        power = step @ power
+        values.append(weighted_norm(power, k * width))
+    sampled = max(values)
+
+    halves = []
+    m_const, cells = 1.0, 0
+    power = np.eye(dim)
+    for k in range(samples):
+        if k:
+            power = step @ power
+        cell_stack = [(power, k * width, values[k], 0)]
+        while cell_stack:
+            start, t, value, level = cell_stack.pop()
+            w = width / 2.0 ** level
+            bound = value * math.exp(growth * w)
+            if bound <= (1.0 + REFINE_GAP) * sampled or level == REFINE_LEVELS:
+                m_const = max(m_const, bound)
+                cells += 1
+                continue
+            if len(halves) == level:
+                halves.append(scipy.linalg.expm(0.5 * w * a_tilde))
+            mid = halves[level] @ start
+            mid_value = weighted_norm(mid, t + 0.5 * w)
+            sampled = max(sampled, mid_value)
+            cell_stack += [(mid, t + 0.5 * w, mid_value, level + 1),
+                           (start, t, value, level + 1)]
+    note = (f"M = {m_const:.6g} bounds ||e^(tA)|| e^(omega t) on {cells} cells in "
+            f"[0, {horizon:g}] after {len(halves)} halvings of {samples}, sampled max "
+            f"{sampled:.6g}, omega = 0.9 x {-abscissa:.6g}")
+    return SemigroupCertificate(M=m_const, omega=omega, method_note=note)
 
 
 def eig_semigroup_profile(a_tilde, omega, times):

@@ -219,7 +219,7 @@ def test_criterion_7_growth_bound():
         source = sources[trial % 4]
         kernel = kernels[trial % 3]
         sub = subs[trial % 3]
-        b = subdomain_gain(sub, gen)
+        b = subdomain_gain(sub.indices(grid), gen)
         amp = 10.0 ** rng.uniform(-3.0, -1.3)
         y0, y1 = eigenmode_state(gen, int(rng.integers(0, 3)), by="frequency",
                                  amplitude=amp)
@@ -250,7 +250,7 @@ def test_criterion_8_certified_decay():
     gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0), grid)
     semi = semigroup_constants(gen, horizon=12.0, samples=60)
     sub = SubdomainP(0.25, 0.75)
-    b = subdomain_gain(sub, gen)
+    b = subdomain_gain(sub.indices(grid), gen)
     configs = [
         (SourceKind.power(1.0), KernelSpec.constant(0.004, 0.5)),
         (SourceKind.power(1.0), KernelSpec.pulse(0.02, 1.0, 0.5)),

@@ -398,9 +398,9 @@ def test_commands_read_the_resolved_subdomain(tmp_path, monkeypatch, command):
     snaps = {"building": True, "while_building": 0, "after": 0}
     node_range, build = SubdomainP.node_range, cli.build_scenario
 
-    def counted_node_range(self, grid):
+    def counted_node_range(self, grid, **kwargs):
         snaps["while_building" if snaps["building"] else "after"] += 1
-        return node_range(self, grid)
+        return node_range(self, grid, **kwargs)
 
     def counted_build(cfg):
         snaps["building"] = True

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.integrate import quad
 
 from degenwave import (BoundaryParams, CoefficientSpec, Grid, HistoryBuffer,
                        InfeasibleError, KernelSpec, OperatorKind,
-                       QueryOutOfWindowError, SubdomainNotAlignedError, SubdomainP,
+                       QueryOutOfWindowError, Scenario, SourceKind,
+                       SubdomainNotAlignedError, SubdomainP,
                        apply_Bstar, assemble, classify,
                        kernel_growth_check, kernel_window_bound, subdomain_gain)
 from degenwave.delay import delay_slots, resolve_history
@@ -226,19 +228,19 @@ def test_extension_restriction_adjoint(grid65, sub, rng):
 def test_subdomain_gain_values(grid65, sub):
     profile = classify(CoefficientSpec.power_law(0.5), grid65)
     gen_div = assemble(OperatorKind.WAVE_DIV, profile, BoundaryParams(1.0, 0.0), grid65)
-    assert subdomain_gain(sub, gen_div) == 1.0
+    assert subdomain_gain(sub.indices(grid65), gen_div) == 1.0
     gen_beam = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0),
                         grid65)
     i0 = sub.indices(grid65)[0]
     expected = math.sqrt(1.0 / profile.grid_values[i0])
-    assert subdomain_gain(sub, gen_beam) == pytest.approx(expected)
+    assert subdomain_gain(sub.indices(grid65), gen_beam) == pytest.approx(expected)
 
 
 def test_gain_bounds_weighted_extension(grid65, sub, rng):
     profile = classify(CoefficientSpec.power_law(0.5), grid65)
     gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0), grid65)
-    b = subdomain_gain(sub, gen)
     idx = sub.indices(grid65)
+    b = subdomain_gain(idx, gen)
     from degenwave.operators import weighted_mass_diagonal
 
     mass = weighted_mass_diagonal(grid65, profile)
@@ -261,6 +263,18 @@ def test_snap_warns_when_coarse():
     grid = Grid.uniform(9)
     with pytest.warns(UserWarning):
         SubdomainP(0.01, 0.75).node_range(grid)
+
+
+def test_scenario_snaps_once_and_warns_at_its_caller():
+    grid = Grid.uniform(9)
+    profile = classify(CoefficientSpec.power_law(0.5), grid)
+    gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0), grid)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        Scenario(generator=gen, source=SourceKind.none(), y0=np.zeros(9), y1=np.zeros(9),
+                 t_end=1.0, dt=0.125, kernel=KernelSpec.constant(0.005, 0.5),
+                 subdomain=SubdomainP(0.01, 0.75))
+    assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
 
 
 # -- history buffer -------------------------------------------------------------------

@@ -432,7 +432,7 @@ def test_threshold_monotone_in_gain():
     sub = SubdomainP(0.25, 0.75)
     from degenwave import subdomain_gain
 
-    b = subdomain_gain(sub, gen)
+    b = subdomain_gain(sub.indices(gen.grid), gen)
     profile = gen.profile
     consts = constants_for(SourceKind.power(1.0), profile)
     rhos = []

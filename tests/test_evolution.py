@@ -16,9 +16,14 @@ from degenwave import (BoundaryParams, CoefficientSpec, DegenwaveError, Grid,
                        polynomial_state, semigroup_constants, simulate,
                        smallness_level)
 from degenwave.errors import LinearSolveFailureError
-from degenwave.evolution import REFINE_GAP, REFINE_LEVELS, _Stepper, spectral_abscissa
+from degenwave.evolution import (REFINE_GAP, REFINE_LEVELS, _Stepper, spectral_abscissa,
+                                 spectral_norm)
 from degenwave.operators import DiscreteGenerator
-from helpers import MatrixGenerator, direct_semigroup_constants, eig_semigroup_profile
+from helpers import (MatrixGenerator, direct_semigroup_constants, eig_semigroup_profile,
+                     reference_semigroup_constants)
+
+#: the non-normal 6 x 6 generator: transient growth (M > 5), horizon doubled twice
+NON_NORMAL = -np.diag(np.linspace(0.3, 2.0, 6)) + np.eye(6, k=1)
 
 
 def make_gen(kind, alpha, n, beta=1.0, gamma=1.0):
@@ -66,7 +71,9 @@ def note_figures(cert):
 def check_against_direct_sampler(monkeypatch, generator, a_tilde):
     """M at least the one-expm-per-time sampled maximum, omega within 1e-10 of
     its omega, and one exponential per horizon check and per halving level
-    besides the sample step."""
+    besides the sample step; against the reference route of SVD norms and two
+    full walks, M within 1e-12 and the note's horizon, cells, halvings and
+    sampled maximum identical."""
     calls = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda *a, **k: calls.append(1) or expm(*a, **k))
@@ -79,6 +86,11 @@ def check_against_direct_sampler(monkeypatch, generator, a_tilde):
     assert noted_horizon == horizon
     doublings = round(math.log2(horizon / 20.0))
     assert len(calls) <= min(doublings + 1, 8) + 1 + halvings
+    reference = reference_semigroup_constants(generator)
+    assert cert.M == pytest.approx(reference.M, rel=1e-12, abs=0.0)
+    assert cert.omega == reference.omega
+    figures = re.compile(r"^M = \S+ ")
+    assert figures.sub("", cert.method_note) == figures.sub("", reference.method_note)
 
 
 @pytest.mark.parametrize("kind", list(OperatorKind))
@@ -90,11 +102,35 @@ def test_semigroup_powers_match_direct_sampler(monkeypatch, kind, alpha, n):
 
 
 def test_semigroup_powers_match_direct_sampler_plain_matrix(monkeypatch):
-    # non-normal: transient growth (M > 5) and a horizon doubled twice
-    a = -np.diag(np.linspace(0.3, 2.0, 6)) + np.eye(6, k=1)
-    check_against_direct_sampler(monkeypatch, MatrixGenerator(a), a)
-    cert = semigroup_constants(MatrixGenerator(a))
+    check_against_direct_sampler(monkeypatch, MatrixGenerator(NON_NORMAL), NON_NORMAL)
+    cert = semigroup_constants(MatrixGenerator(NON_NORMAL))
     assert cert.M > 5.0 and "in [0, 80]" in cert.method_note
+
+
+def test_spectral_norm_matches_the_svd(rng):
+    # the top eigenvalue of P^T P against the largest singular value, to 4 dim u
+    readme = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 64).state_norm_generator()
+    step = scipy.linalg.expm(0.25 * readme)
+    powers = [np.eye(readme.shape[0])]
+    for _ in range(80):
+        powers.append(step @ powers[-1])
+    inputs = [rng.standard_normal((dim, dim)) for dim in (2, 7, 40, 126)]
+    inputs += [1e-200 * inputs[2], 1e200 * inputs[2]]   # P^T P would leave the range
+    inputs += [NON_NORMAL] + [scipy.linalg.expm(t * NON_NORMAL) for t in (0.5, 4.0, 40.0)]
+    for matrix in inputs + powers:
+        want = np.linalg.norm(matrix, 2)
+        assert abs(spectral_norm(matrix) - want) <= 4 * matrix.shape[0] * np.finfo(float).eps * want
+
+
+def test_semigroup_constants_take_no_svd(monkeypatch):
+    def svd(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+
+    for module, name in [(np.linalg, "svd"), (scipy.linalg, "norm"), (scipy.linalg, "svd"),
+                         (scipy.linalg, "svdvals")]:
+        monkeypatch.setattr(module, name, svd)
+    assert semigroup_constants(make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)).M >= 1.0
+    assert semigroup_constants(MatrixGenerator(NON_NORMAL)).M > 5.0
 
 
 def test_semigroup_rejects_large_state_dimension():

@@ -1,8 +1,10 @@
-"""Repository tooling: the BLAS thread count of the test session, and no
-unused imports in the package modules."""
+"""Repository tooling: the BLAS thread count of the test session, no unused
+imports in the package modules, and the layout of the root `BENCH_*.json`
+measurement files."""
 
 import ast
 import importlib.util
+import json
 import os
 from pathlib import Path
 
@@ -45,3 +47,13 @@ def test_package_modules_use_every_import():
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
                    if name not in used]
     assert not unused
+
+
+def test_bench_files_record_environment_parent_and_change():
+    # each BENCH file cites the harness results of the parent and of the change,
+    # measured under one recorded environment
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        bench = json.loads(path.read_text())
+        assert bench["environment"]["blas_threads"], path.name
+        for side in ("parent", "change"):
+            assert bench[side]["result"]["metrics"], (path.name, side)
