@@ -30,6 +30,17 @@ from .nonlinearity import (NonlinearityConstants, SourceKind, eval_F_functional,
 from .operators import DiscreteGenerator, OperatorKind
 
 
+#: table rows per `tolist` of the CSV writers; bounds the Python floats alive at once
+CSV_BATCH = 256
+
+
+def csv_lines(line_format: str, table: np.ndarray):
+    """`line_format % row` for each row of a 2-d table, CSV_BATCH rows at a time."""
+    for start in range(0, len(table), CSV_BATCH):
+        for row in table[start:start + CSV_BATCH].tolist():
+            yield line_format % tuple(row)
+
+
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """Summands of the energy; total is their exact arithmetic sum.
@@ -123,8 +134,8 @@ class BoundReport:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("t,included,bound_ratio\n")
-            for t, inc, r in zip(self.times, self.included, self.ratios):
-                fh.write(f"{t:.17g},{int(inc)},{r:.17g}\n")
+            fh.writelines(csv_lines("%.17g,%d,%.17g\n", np.column_stack(
+                (self.times, self.included, self.ratios))))
 
 
 def energy_bound_check(trajectory, kernel: Optional[KernelSpec], b: float,

@@ -38,7 +38,7 @@ from .delay import (HistoryBuffer, HistoryInit, KernelSpec, SubdomainP, delay_sl
                     subdomain_gain)
 from .errors import (DegenwaveError, InfeasibleError, LinearSolveFailureError,
                      NotExponentiallyStableError)
-from .nonlinearity import SourceKind, constants_for, eval_f
+from .nonlinearity import SOURCE_POWER, SourceKind, constants_for, eval_f
 from .operators import DiscreteGenerator
 
 #: state-norm threshold treated as blow-up
@@ -68,13 +68,15 @@ STARTUP_STEPS = 2
 class Scenario:
     """Full problem description: operator, delay feedback, source, data, run.
 
-    `__post_init__` resolves a delayed run once, and every other layer reads
-    what it resolved: the slot count m = tau/dt, the free-dof positions
-    `subdomain_dofs` of the snapped subdomain P, the gain b = ||B|| and
-    `history_slots`, the (m + 1) x |P| initial history g at the times j dt,
-    j = -m .. 0, the only evaluation of `history`.  For an undelayed run they
-    keep their defaults (None, and b = 0.0).  Non-finite initial data or
-    history values raise ValueError.
+    `__post_init__` resolves the run once, and every other layer reads what
+    it resolved: the step count `nsteps` = round(t_end/dt), and for a delayed
+    run the slot count m = tau/dt, the free-dof positions `subdomain_dofs` of
+    the snapped subdomain P (a contiguous ascending range), the gain b = ||B||
+    and `history_slots`, the (m + 1) x |P| initial history g at the times
+    j dt, j = -m .. 0, the only evaluation of `history`.  For an undelayed run
+    the delay fields keep their defaults (None, and b = 0.0).  Non-finite
+    initial data or history values, and a run of no whole step, raise
+    ValueError.
     """
 
     generator: DiscreteGenerator
@@ -86,6 +88,7 @@ class Scenario:
     kernel: Optional[KernelSpec] = None
     subdomain: Optional[SubdomainP] = None
     history: HistoryInit = None
+    nsteps: int = field(default=0, init=False, repr=False)
     m: Optional[int] = field(default=None, init=False, repr=False)
     subdomain_dofs: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     b: float = field(default=0.0, init=False, repr=False)
@@ -101,6 +104,11 @@ class Scenario:
             raise ValueError("initial data has non-finite values")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
+        steps = self.t_end / self.dt
+        if not (math.isfinite(steps) and round(steps) >= 1):
+            raise ValueError(f"t_end/dt = {steps:g} must round to a whole number "
+                             "of steps >= 1")
+        self.nsteps = round(steps)
         pinned = np.setdiff1d(np.arange(gen.grid.n), gen.free)
         scale = max(float(np.max(np.abs(self.y0))), float(np.max(np.abs(self.y1))), 1.0)
         if pinned.size and (np.max(np.abs(self.y0[pinned])) > 1e-10 * scale
@@ -180,10 +188,10 @@ class Trajectory:
         table = np.column_stack((self.times, e.total, e.kinetic, e.elastic, e.boundary,
                                  e.source, e.history, self.state_norms, self.tip_values,
                                  self.tip_velocities))
+        line = ",".join(["%.17g"] * len(self.CSV_COLUMNS)) + "\n"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.CSV_COLUMNS) + "\n")
-            for row in table.tolist():
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            fh.writelines(diagnostics.csv_lines(line, table))
 
 
 # -- semigroup constants ---------------------------------------------------------
@@ -320,10 +328,10 @@ class _Stepper:
     with the bandwidth kd of K, factored once by LAPACK dpbtrf and solved per
     stage by dpbtrs, O(kd^2 n) and O(kd n) work (Golub & Van Loan, section
     4.3).  No dense n x n array is formed.  The explicit terms G = (0, g) have a
-    zero displacement half, so `delay_term` and `source_term` return g alone,
-    and 0.0 when the term is off.  The trapezoid step is taken in its
-    implicit-midpoint form new = 2 solve(u, v + h g) - (u, v), which is the
-    same map as (I - hA)^{-1}((I + hA) y + dt G) and needs no product with A.
+    zero displacement half, so `delay_term` and `source_term` give g alone.
+    The trapezoid step is taken in its implicit-midpoint form
+    new = 2 solve(u, v + h g) - (u, v), which is the same map as
+    (I - hA)^{-1}((I + hA) y + dt G) and needs no product with A.
 
     When explicit terms are active, the first STARTUP_STEPS steps are
     taken as pairs of backward-Euler half-steps (Rannacher smoothing): the
@@ -332,7 +340,12 @@ class _Stepper:
     Undelayed unforced runs are pure trapezoid, so the discrete energy
     telescopes exactly.
 
-    The stepper owns the run's history: `buffer` is a ring seeded from the
+    `step` reads the state at t_ell and writes the state at t_{ell + 1}
+    through views into rows ell and ell + 1 of the run's preallocated states
+    array; the stage vectors are work vectors allocated here, once per run,
+    and the kernel values k(t_ell + dt/2) and k(t_ell + dt) the delay term
+    reads are evaluated here too, as one vector each over all steps.  The
+    stepper owns the run's history: `buffer` is a ring seeded from the
     scenario's resolved `history_slots` (None when undelayed), and `step`
     pushes each new subdomain velocity trace onto it.
     """
@@ -359,85 +372,116 @@ class _Stepper:
             raise LinearSolveFailureError(
                 f"M + hD + h^2 K is not positive definite: banded Cholesky (dpbtrf) "
                 f"failed at its leading minor of order {info}")
+        # work vectors: the delay term (zero off P, and everywhere when
+        # undelayed), the explicit term, the stage right-hand side and solution
+        self.delay = np.zeros(ndof)
+        self.g, self.r2, self.rhs, self.x1 = (np.empty(ndof) for _ in range(4))
         self.buffer = scenario.make_buffer()
+        if self.buffer is not None:
+            dofs = scenario.subdomain_dofs   # a contiguous ascending range
+            self.on_p = slice(int(dofs[0]), int(dofs[-1]) + 1)
+            times = np.arange(scenario.nsteps) * scenario.dt
+            self.k_mid = scenario.kernel.eval(times + h)
+            self.k_end = scenario.kernel.eval(times + scenario.dt)
         has_explicit = (scenario.kernel is not None) or (not scenario.source.is_none)
         self.smoothing_left = STARTUP_STEPS if has_explicit else 0
         self.prev_source = None
 
-    def delay_term(self, ell: int, midpoint: bool):
+    def delay_term(self, ell: int, midpoint: bool) -> np.ndarray:
         """g = -k(t) B B* y_t(t - tau) at t = t_ell + dt (slot ell + 1 - m), or at
-        the midpoint t_ell + dt/2 (the mean of slots ell - m and ell + 1 - m)."""
+        the midpoint t_ell + dt/2 (the mean of slots ell - m and ell + 1 - m),
+        in the work vector `delay`; zero when undelayed."""
         if self.buffer is None:
-            return 0.0
-        k_t = float(self.sc.kernel.eval(ell * self.sc.dt
-                                        + (self.half_dt if midpoint else self.sc.dt)))
+            return self.delay
         slot = ell + 1 - self.buffer.m
         delayed = self.buffer.sample_step(slot)
         if midpoint:
             delayed = 0.5 * (self.buffer.sample_step(slot - 1) + delayed)
-        g = np.zeros(self.gen.ndof)
-        g[self.sc.subdomain_dofs] -= k_t * delayed
-        return g
+        k_t = (self.k_mid if midpoint else self.k_end)[ell]
+        # 0 - k slot on P, as zeros -= k slot gives (never a negative zero)
+        np.subtract(0.0, k_t * delayed, out=self.delay[self.on_p])
+        return self.delay
 
-    def source_term(self, u: np.ndarray):
-        """g = f(u) on the free dofs."""
-        if self.sc.source.is_none:
-            return 0.0
-        gen = self.gen
-        return eval_f(self.sc.source, gen.embed(u), gen.grid)[gen.free]
+    def source_term(self, u: np.ndarray) -> Optional[np.ndarray]:
+        """g = f(u) on the free dofs, None without a source.  A pointwise source
+        reads u alone; the nonlocal norm integrates over the full grid."""
+        source, gen = self.sc.source, self.gen
+        if source.is_none:
+            return None
+        if source.kind == SOURCE_POWER:
+            return eval_f(source, u, gen.grid)
+        return eval_f(source, gen.embed(u), gen.grid)[gen.free]
+
+    def velocity_rhs(self, v: np.ndarray, ell: int, midpoint: bool,
+                     source: Optional[np.ndarray]) -> np.ndarray:
+        """v + h g in the work vector `r2`, g the delay term plus `source`."""
+        g = self.delay_term(ell, midpoint)
+        if source is not None:
+            g = np.add(g, source, out=self.g)
+        r2 = np.multiply(g, self.half_dt, out=self.r2)
+        return np.add(v, r2, out=r2)
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
-        """(x1, x2) with (I - dt/2 A)(x1, x2) = (r1, r2), by the velocity-block reduction."""
+        """(x1, x2) with (I - dt/2 A)(x1, x2) = (r1, r2), by the velocity-block
+        reduction, in the work vectors `x1` and `rhs`; r1 may be `x1` itself."""
         gen, h = self.gen, self.half_dt
+        rhs = np.multiply(gen.mass, r2, out=self.rhs)
+        rhs -= h * gen.stiffness_product(r1)
         # dpbtrs has no numerical failure mode: its info flags illegal arguments only
-        x2, _ = dpbtrs(self.chol, gen.mass * r2 - h * gen.stiffness_product(r1),
-                       lower=0, overwrite_b=1)
-        return r1 + h * x2, x2
+        x2, _ = dpbtrs(self.chol, rhs, lower=0, overwrite_b=1)
+        return np.add(r1, h * x2, out=self.x1), x2
 
-    def step(self, ell: int, state: np.ndarray) -> np.ndarray:
-        """The state at t_{ell + 1} from the state at t_ell = ell dt."""
-        h = self.half_dt
-        u, v = self.gen.split(state)
+    def step(self, ell: int, states: np.ndarray) -> None:
+        """Write states[ell + 1], the state at t_{ell + 1}, from states[ell],
+        the state at t_ell = ell dt."""
+        n = self.gen.ndof
+        u, v = states[ell, :n], states[ell, n:]
+        u_new, v_new = states[ell + 1, :n], states[ell + 1, n:]
         if self.smoothing_left > 0:
             self.smoothing_left -= 1
             # two backward-Euler half-steps with the shared (I - dt/2 A) factor
-            u, v = self.solve(u, v + h * (self.delay_term(ell, midpoint=True)
-                                          + self.source_term(u)))
-            u, v = self.solve(u, v + h * (self.delay_term(ell, midpoint=False)
-                                          + self.source_term(u)))
-            self.prev_source = self.source_term(u)
+            u1, v1 = self.solve(u, self.velocity_rhs(v, ell, True, self.source_term(u)))
+            u_new[:], v_new[:] = self.solve(
+                u1, self.velocity_rhs(v1, ell, False, self.source_term(u1)))
+            self.prev_source = self.source_term(u_new)
         else:
             # delay term at the midpoint in time: the two adjacent buffer
             # slots average to the half-slot trace, which also annihilates
             # any step-frequency ringing before it can feed back; the source
             # is Adams-Bashforth extrapolated from known states
             src = self.source_term(u)
-            prev = self.prev_source if self.prev_source is not None else src
-            g = self.delay_term(ell, midpoint=True) + (1.5 * src - 0.5 * prev)
-            u_mid, v_mid = self.solve(u, v + h * g)
-            u, v = 2.0 * u_mid - u, 2.0 * v_mid - v
-            self.prev_source = src
+            extrapolated = None
+            if src is not None:
+                prev = self.prev_source if self.prev_source is not None else src
+                extrapolated = np.multiply(src, 1.5, out=self.g)
+                extrapolated -= 0.5 * prev
+                self.prev_source = src
+            u_mid, v_mid = self.solve(u, self.velocity_rhs(v, ell, True, extrapolated))
+            np.subtract(2.0 * u_mid, u, out=u_new)
+            np.subtract(2.0 * v_mid, v, out=v_new)
         if self.buffer is not None:
-            self.buffer.push(v[self.sc.subdomain_dofs])
-        return self.gen.join(u, v)
+            self.buffer.push(v_new[self.on_p])
 
 
 def simulate(scenario: Scenario) -> Trajectory:
     """Integrate to t_end, recording each state and its energy once.
 
-    The states fill one preallocated array, and each state's (kinetic,
-    elastic, boundary) `energy_parts` triple, computed once for the blow-up
-    check, fills a second one that gives the state norms and those energy
-    columns.  The run stops early at the first non-finite state or state
-    norm above BLOWUP_NORM.  `Scenario` rejects non-finite initial data, so
-    only the last record can be non-finite.  Damping rates and tip traces are
-    then computed in batch over all records, source energies in batches of
-    SOURCE_BATCH records, and the history energies from the slot norms the
-    stepper's history buffer recorded as it was filled.
+    `_Stepper.step` writes the `scenario.nsteps` + 1 states into one
+    preallocated array, row by row, and each state's (kinetic, elastic,
+    boundary) `energy_parts` triple, computed once for the blow-up check,
+    fills a second one that gives the state norms and those energy columns.
+    The run stops early at the first non-finite state or state norm above
+    BLOWUP_NORM; a state is searched for non-finite entries only when the
+    sum of its energy parts is not finite.  `Scenario` rejects non-finite
+    initial data, so only the last record can be non-finite.  Damping rates
+    and tip traces are then computed in batch over all records, source
+    energies in batches of SOURCE_BATCH records, and the history energies
+    from the slot norms the stepper's history buffer recorded as it was
+    filled.
     """
     gen = scenario.generator
     stepper = _Stepper(scenario)
-    nsteps = int(round(scenario.t_end / scenario.dt))
+    nsteps = scenario.nsteps
 
     states = np.empty((nsteps + 1, 2 * gen.ndof))
     parts = np.full((nsteps + 1, 3), math.inf)   # energy_parts; inf on non-finite states
@@ -446,12 +490,13 @@ def simulate(scenario: Scenario) -> Trajectory:
     nrec = nsteps + 1
     blew_up = False
     for ell in range(nsteps):
-        state = stepper.step(ell, states[ell])
-        states[ell + 1] = state
-        if np.all(np.isfinite(state)):
-            kinetic, elastic, boundary = gen.energy_parts(state)
+        stepper.step(ell, states)
+        state = states[ell + 1]
+        kinetic, elastic, boundary = gen.energy_parts(state)
+        total = kinetic + elastic + boundary
+        if math.isfinite(total) or np.all(np.isfinite(state)):
             parts[ell + 1] = kinetic, elastic, boundary
-            blew_up = math.sqrt(2.0 * (kinetic + elastic + boundary)) > BLOWUP_NORM
+            blew_up = math.sqrt(2.0 * total) > BLOWUP_NORM
         else:
             blew_up = True
         if blew_up:

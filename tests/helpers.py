@@ -7,8 +7,9 @@ pairing, the pointwise and sampled checks of the source hypotheses, a
 semigroup-constant sampler with one matrix exponential per sample time, the
 certificate route with full SVD norms and two full walks of the powers, a
 stand-in generator that serves a given matrix as its state-norm generator,
-and the closed forms of the constant and pulse gains.  Each is a reference
-that tests compare the package's forms and constants against.
+the closed forms of the constant and pulse gains, and the trajectory and
+margins CSV writers as one formatted value at a time.  Each is a reference
+that tests compare the package's forms, constants and files against.
 """
 
 import math
@@ -330,3 +331,23 @@ class ClosedFormGain:
         if slope >= omega:
             raise InfeasibleError(f"constant gain slope {slope:.3e} >= omega {omega:.3e}")
         return 0.0, slope
+
+
+def reference_trajectory_csv(trajectory, path):
+    """`Trajectory.to_csv` with one f"{x:.17g}" per value."""
+    e = trajectory.energies
+    table = np.column_stack((trajectory.times, e.total, e.kinetic, e.elastic, e.boundary,
+                             e.source, e.history, trajectory.state_norms,
+                             trajectory.tip_values, trajectory.tip_velocities))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(trajectory.CSV_COLUMNS) + "\n")
+        for row in table.tolist():
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def reference_margins_csv(report, path):
+    """`BoundReport.to_csv` with one f-string per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,included,bound_ratio\n")
+        for t, inc, r in zip(report.times, report.included, report.ratios):
+            fh.write(f"{t:.17g},{int(inc)},{r:.17g}\n")

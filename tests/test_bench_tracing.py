@@ -5,8 +5,9 @@ from pathlib import Path
 
 import scipy.linalg
 
-from degenwave import (BoundaryParams, CoefficientSpec, Grid, OperatorKind, Scenario,
-                       SourceKind, assemble, classify, evolution, polynomial_state)
+from degenwave import (BoundaryParams, CoefficientSpec, Grid, KernelSpec, OperatorKind,
+                       Scenario, SourceKind, SubdomainP, assemble, classify, evolution,
+                       polynomial_state)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -52,6 +53,24 @@ def test_tracer_counts_and_restores(monkeypatch):
         evolution.simulate(sc)  # looked up at call time, as the CLI does
     assert tracer.calls["evolution.simulate"] == 1
     assert lapack_calls == {"dpbtrf": 1, "dpbtrs": 10}
+    assert tracer.steps == 10
+
+    # delayed and forced: 2 start-up steps of two solves and three source
+    # evaluations, then one of each per step; one energy per state, one push
+    # per step, and the source energy pass outside the step loop
+    sc = Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1, t_end=0.1,
+                  dt=0.01, kernel=KernelSpec.constant(0.1, tau=0.05),
+                  subdomain=SubdomainP(0.25, 0.75))
+    lapack_calls.update(dpbtrf=0, dpbtrs=0)
+    tracer.start_round(1)
+    with tracer.installed():
+        evolution.simulate(sc)
+    assert lapack_calls == {"dpbtrf": 1, "dpbtrs": 12}
+    assert {name: tracer.calls[name] for name in
+            ("operators.energy_parts", "delay.push", "nonlinearity.eval_f",
+             "nonlinearity.eval_F_functional")} == {
+        "operators.energy_parts": 11, "delay.push": 10, "nonlinearity.eval_f": 14,
+        "nonlinearity.eval_F_functional": 1}
     assert tracer.steps == 10
     for owner, attr, original in before:
         assert lookup(owner, attr) is original, attr

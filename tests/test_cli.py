@@ -285,6 +285,15 @@ def test_fractional_or_nan_grid_size_exits_3(tmp_path, capsys, n):
     assert "[operator] n" in capsys.readouterr().err
 
 
+def test_run_of_no_whole_step_exits_3(tmp_path, capsys):
+    cfg = write(tmp_path, "short.ini", BASE_LINEAR.replace("t_end = 2.0", "t_end = 0.004"))
+    out = tmp_path / "o"
+    code = main(["--config", cfg, "--out", str(out), "--command", "simulate", "--quiet"])
+    assert code == 3
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def readme_config():
     """The ```ini block of README.md, verbatim, inline comments included."""
     return re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)

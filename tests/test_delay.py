@@ -277,6 +277,28 @@ def test_scenario_snaps_once_and_warns_at_its_caller():
     assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
 
 
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("n", [9, 33])
+@pytest.mark.parametrize("lower, upper", [(0.25, 0.75), (0.01, 0.75), (0.3, 0.99),
+                                          (0.45, 0.6), (0.1, 0.2)])
+def test_subdomain_dofs_are_a_contiguous_range(kind, n, lower, upper):
+    # the stepper writes the delay term on the slice these dofs span
+    grid = Grid.uniform(n)
+    gen = assemble(kind, classify(CoefficientSpec.power_law(0.5), grid),
+                   BoundaryParams(1.0, 1.0), grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # coarse snaps
+        sub = SubdomainP(lower, upper)
+        sc = Scenario(generator=gen, source=SourceKind.none(), y0=np.zeros(n),
+                      y1=np.zeros(n), t_end=1.0, dt=0.125,
+                      kernel=KernelSpec.constant(0.005, 0.5), subdomain=sub)
+        nodes = sub.indices(grid)
+    dofs = sc.subdomain_dofs
+    assert dofs.size >= 1
+    assert np.array_equal(dofs, np.arange(dofs[0], dofs[0] + dofs.size))
+    assert np.array_equal(gen.free[dofs], nodes)
+
+
 # -- history buffer -------------------------------------------------------------------
 
 

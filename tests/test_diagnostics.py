@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from degenwave import (BoundaryParams, BoundViolatedError, CoefficientSpec,
+from degenwave import (BoundaryParams, BoundReport, BoundViolatedError, CoefficientSpec,
                        DegenerateFitError, Grid, InfeasibleError, KernelSpec,
                        OperatorKind, Scenario, SourceKind, SubdomainP, assemble,
                        certify_scenario, classify, constants_for, decay_fit,
@@ -17,6 +17,7 @@ from degenwave import (BoundaryParams, BoundViolatedError, CoefficientSpec,
 from degenwave.delay import HistoryBuffer, resolve_history
 from degenwave.diagnostics import EnergyBreakdown, history_energy, source_energy
 from degenwave.evolution import Trajectory
+from helpers import reference_margins_csv, reference_trajectory_csv
 
 
 def make_gen(kind, alpha, n, beta=1.0, gamma=1.0):
@@ -374,6 +375,66 @@ def test_bound_report_csv(tmp_path):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "t,included,bound_ratio"
     assert len(rows) == len(report.times) + 1
+
+
+#: values whose %.17g text is easy to get wrong, then a spread of ordinary ones
+AWKWARD = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e308,
+           -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1e16,
+           123456789.0, -1e-5, 1.0, 100.0]
+
+
+def awkward_values(rng):
+    spread = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
+    return np.concatenate([AWKWARD, spread])
+
+
+def test_trajectory_csv_bytes_match_the_reference(tmp_path, rng):
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    y0, y1 = polynomial_state(gen)
+    sc = Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1, t_end=0.25,
+                  dt=0.0125, kernel=KernelSpec.exp_decay(0.4, 1.5, tau=0.125),
+                  subdomain=SubdomainP(0.25, 0.75), history=0.3)
+    values = awkward_values(rng)
+    # every awkward value in every column
+    cols = [np.roll(values, k) for k in range(len(Trajectory.CSV_COLUMNS))]
+    made_up = Trajectory(
+        times=cols[0], states=np.zeros((values.size, 2 * gen.ndof)), state_norms=cols[7],
+        energies=EnergyBreakdown(kinetic=cols[2], elastic=cols[3], boundary=cols[4],
+                                 source=cols[5], history=cols[6], total=cols[1]),
+        damping_rates=np.zeros(values.size), tip_values=cols[8], tip_velocities=cols[9],
+        blew_up=False, scenario=sc)
+    overflow = Scenario(generator=gen, source=SourceKind.power(150.0), y1=y1, t_end=1.0,
+                        dt=0.01, y0=polynomial_state(gen, amplitude=160.0)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        blown = simulate(overflow)
+    assert not np.all(np.isfinite(blown.states[-1]))
+    for name, traj in [("made_up", made_up), ("run", simulate(sc)), ("blown", blown)]:
+        traj.to_csv(tmp_path / f"{name}.csv")
+        reference_trajectory_csv(traj, tmp_path / f"{name}_ref.csv")
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+    assert b"-inf" in got or b"nan" in got
+
+
+def test_margins_csv_bytes_match_the_reference(tmp_path, rng):
+    values = awkward_values(rng)
+    included = np.arange(values.size) % 3 != 1
+    ratios = np.where(included, np.roll(values, 5), np.nan)
+    made_up = BoundReport(times=values, ratios=ratios, included=included, max_ratio=1.0,
+                          n_excluded=int((~included).sum()), lower_bound_checked=False)
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    y0, y1 = eigenmode_state(gen, 0)
+    sc = Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1, t_end=0.5,
+                  dt=0.0125, kernel=KernelSpec.constant(0.05, tau=0.125),
+                  subdomain=SubdomainP(0.25, 0.75))
+    run = energy_bound_check(simulate(sc), sc.kernel, sc.b, raise_on_violation=False)
+    for name, report in [("made_up", made_up), ("run", run)]:
+        report.to_csv(tmp_path / f"{name}.csv")
+        reference_margins_csv(report, tmp_path / f"{name}_ref.csv")
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+    text = (tmp_path / "made_up.csv").read_text()
+    assert ",0,nan\n" in text and ",1,-inf\n" in text and ",1,-0\n" in text
 
 
 # -- threshold certificates ---------------------------------------------------------------

@@ -244,6 +244,47 @@ def simple_scenario(gen, t_end=1.0, dt=0.01, kernel=None, subdomain=None,
                     history=history)
 
 
+@pytest.mark.parametrize("t_end, dt", [(0.004, 0.01), (0.005, 0.01), (1e-300, 1.0),
+                                        (1e300, 1e-300)])
+def test_run_of_no_whole_step_is_rejected(t_end, dt):
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    y0, y1 = polynomial_state(gen)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1, t_end=t_end, dt=dt)
+
+
+def test_step_count_is_resolved_once():
+    # round(t_end / dt), also for a t_end that is not a multiple of dt
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    y0, y1 = polynomial_state(gen)
+    for t_end, dt, steps in [(0.006, 0.01, 1), (1.0, 0.3, 3), (1.0, 0.0125, 80)]:
+        sc = Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
+                      t_end=t_end, dt=dt)
+        assert sc.nsteps == steps
+        assert len(simulate(sc).times) == steps + 1
+
+
+@pytest.mark.parametrize("kernel", [
+    KernelSpec.constant(0.3, tau=0.5),
+    KernelSpec.exp_decay(0.4, 1.7, tau=0.5),
+    KernelSpec.pulse(0.2, 13.0, tau=0.5),
+    KernelSpec.tabulated([0.0, 1.3, 7.77, 19.0], [0.1, -0.05, 0.3, 0.0], tau=0.5),
+], ids=lambda kernel: kernel.kind)
+def test_kernel_values_per_run_match_the_scalar_eval(kernel):
+    # the stepper evaluates k once per run as two vectors over all steps; each
+    # entry is the value the per-step scalar evaluation gives, bit for bit
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 8)
+    dt = 0.0005
+    sc = simple_scenario(gen, t_end=40000 * dt, dt=dt, kernel=kernel,
+                         subdomain=SubdomainP(0.25, 0.75))
+    stepper = _Stepper(sc)
+    assert stepper.k_mid.shape == stepper.k_end.shape == (40000,)
+    mid = np.array([float(kernel.eval(ell * dt + dt / 2)) for ell in range(40000)])
+    end = np.array([float(kernel.eval(ell * dt + dt)) for ell in range(40000)])
+    assert np.array_equal(stepper.k_mid.view(np.int64), mid.view(np.int64))
+    assert np.array_equal(stepper.k_end.view(np.int64), end.view(np.int64))
+
+
 def test_zero_data_stays_zero():
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
     z = np.zeros(gen.grid.n)
@@ -297,6 +338,14 @@ def test_desk_scale_simulation():
     assert totals[-1] <= totals[0] * 1.01
 
 
+def first_step(stepper, state):
+    """The state after the step from t_0, written by `step` into a second row."""
+    states = np.empty((2, state.size))
+    states[0] = state
+    stepper.step(0, states)
+    return states[1]
+
+
 def test_single_step_matches_rk4_oracle(monkeypatch):
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 8)
     kernel = KernelSpec.constant(0.3, tau=0.5)
@@ -309,7 +358,7 @@ def test_single_step_matches_rk4_oracle(monkeypatch):
                   history=lambda s: g_trace)
     state0 = sc.initial_state
     monkeypatch.setattr(evolution, "STARTUP_STEPS", 0)
-    got = _Stepper(sc).step(0, state0)
+    got = first_step(_Stepper(sc), state0)
 
     from degenwave.nonlinearity import eval_f
 
@@ -368,7 +417,7 @@ def test_block_solve_matches_dense_trapezoid(monkeypatch, kind, alpha, n, dt):
     assert gen.state_norm(got - dense) <= 1e-8 * gen.state_norm(dense)
 
     dense = np.linalg.solve(ident - half, (ident + half) @ state + dt * explicit)
-    got = stepper.step(0, state)
+    got = first_step(stepper, state)
     assert gen.state_norm(got - dense) <= 1e-8 * gen.state_norm(dense)
 
 
