@@ -19,8 +19,10 @@ breakpoints.  Infeasibility raises.
 The delay history lives on the slot grid t = j dt, and dt must divide tau
 (`delay_slots`, the one place that tolerance is decided), so a delayed value
 is read by slot index j, never looked up by time.  `resolve_history` evaluates
-the initial history g once per slot; `HistoryBuffer` is a plain ring seeded
-from those slots, with no knowledge of the subdomain, the grid or tau.
+the initial history g once per slot, and `simulate` reads the later slots from
+the states it recorded.  `HistoryBuffer` is a plain ring seeded from those
+slots, with no knowledge of the subdomain, the grid or tau; `simulate` does not
+use it.
 """
 
 from __future__ import annotations

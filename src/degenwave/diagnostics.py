@@ -63,17 +63,22 @@ class EnergyBreakdown:
                    total=kinetic + elastic + boundary + source + history)
 
 
-def history_energies(kernel: KernelSpec, buffer: HistoryBuffer) -> np.ndarray:
-    """(1/2) int_{t-tau}^{t} |k(s+tau)| ||B* y_t(s)||_H^2 ds by slot trapezoid,
-    at every time t_i = i dt the buffer has reached, oldest first.
+def slot_norms_sq(traces: np.ndarray, h: float) -> np.ndarray:
+    """h ||trace||^2 for each row of a stack of delayed traces, summed row by
+    row, so a row gets the same bits whatever stack it is in."""
+    return h * np.square(traces).sum(axis=1)
 
-    Entry i is the trapezoid over the slots i - m .. i of the buffer's
-    `slot_norms_sq` record (slot j at time j dt, from j = -m on).  Each window
-    is summed on its own; a running-sum difference would lose relative
-    accuracy once the energy has decayed.
+
+def history_energies(kernel: KernelSpec, norms_sq: np.ndarray, m: int,
+                     dt: float) -> np.ndarray:
+    """(1/2) int_{t-tau}^{t} |k(s+tau)| ||B* y_t(s)||_H^2 ds by slot trapezoid,
+    at every time t_i = i dt the slot-norm record reaches, oldest first.
+
+    `norms_sq` holds h ||trace||^2 at the slots j = -m, -m + 1, ... (time
+    j dt) in order, and entry i is the trapezoid over its slots i - m .. i.
+    Each window is summed on its own; a running-sum difference would lose
+    relative accuracy once the energy has decayed.
     """
-    m, dt = buffer.m, buffer.dt
-    norms_sq = buffer.slot_norms_sq
     slot_times = np.arange(-m, len(norms_sq) - m) * dt
     a = np.abs(np.atleast_1d(kernel.eval(slot_times + kernel.tau))) * norms_sq
     sums = np.lib.stride_tricks.sliding_window_view(a, m + 1).sum(axis=1)
@@ -82,11 +87,11 @@ def history_energies(kernel: KernelSpec, buffer: HistoryBuffer) -> np.ndarray:
 
 def history_energy(kernel: Optional[KernelSpec],
                    buffer: Optional[HistoryBuffer]) -> float:
-    """The newest of `history_energies`: the history energy at the buffer's
-    current time (0 without a delay)."""
+    """The history energy at a history ring's newest slot (0 without a
+    delay), from the ring's slot-norm record."""
     if kernel is None or buffer is None:
         return 0.0
-    return float(history_energies(kernel, buffer)[-1])
+    return float(history_energies(kernel, buffer.slot_norms_sq, buffer.m, buffer.dt)[-1])
 
 
 def source_energy(generator: DiscreteGenerator, source: SourceKind, state: np.ndarray):

@@ -33,9 +33,8 @@ import scipy.linalg
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import diagnostics
-from .delay import (HistoryBuffer, HistoryInit, KernelSpec, SubdomainP, delay_slots,
-                    kernel_growth_check, kernel_window_bound, resolve_history,
-                    subdomain_gain)
+from .delay import (HistoryInit, KernelSpec, SubdomainP, delay_slots, kernel_growth_check,
+                    kernel_window_bound, resolve_history, subdomain_gain)
 from .errors import (DegenwaveError, InfeasibleError, LinearSolveFailureError,
                      NotExponentiallyStableError)
 from .nonlinearity import SOURCE_POWER, SourceKind, constants_for, eval_f
@@ -57,8 +56,9 @@ HORIZON_DOUBLINGS = 8
 #: largest state dimension whose dense matrix exponentials are computed
 MAX_EXPM_DIM = 1024
 
-#: records per call of the batched source-energy pass; bounds its temporaries
-SOURCE_BATCH = 256
+#: doubles of the per-block temporaries of `simulate`: a block holds
+#: RECORD_BLOCK // (2 ndof) records, and at least one
+RECORD_BLOCK = 1 << 16
 
 #: start-up steps taken as backward-Euler half-step pairs when explicit terms act
 STARTUP_STEPS = 2
@@ -139,12 +139,6 @@ class Scenario:
     def initial_state(self) -> np.ndarray:
         gen = self.generator
         return gen.join(gen.restrict(self.y0), gen.restrict(self.y1))
-
-    def make_buffer(self) -> Optional[HistoryBuffer]:
-        """A fresh history ring seeded from `history_slots` (None when undelayed)."""
-        if self.kernel is None:
-            return None
-        return HistoryBuffer(self.history_slots, self.dt, self.generator.grid.h)
 
 
 @dataclass(frozen=True)
@@ -345,9 +339,9 @@ class _Stepper:
     array; the stage vectors are work vectors allocated here, once per run,
     and the kernel values k(t_ell + dt/2) and k(t_ell + dt) the delay term
     reads are evaluated here too, as one vector each over all steps.  The
-    stepper owns the run's history: `buffer` is a ring seeded from the
-    scenario's resolved `history_slots` (None when undelayed), and `step`
-    pushes each new subdomain velocity trace onto it.
+    delayed trace is read, not stored: slot j <= 0 from `history_slots`, slot
+    j >= 1 from row j of the states array, written before the step from t_ell
+    reads it, as j <= ell + 1 - m <= ell.
     """
 
     def __init__(self, scenario: Scenario):
@@ -376,10 +370,10 @@ class _Stepper:
         # undelayed), the explicit term, the stage right-hand side and solution
         self.delay = np.zeros(ndof)
         self.g, self.r2, self.rhs, self.x1 = (np.empty(ndof) for _ in range(4))
-        self.buffer = scenario.make_buffer()
-        if self.buffer is not None:
+        if scenario.kernel is not None:
             dofs = scenario.subdomain_dofs   # a contiguous ascending range
             self.on_p = slice(int(dofs[0]), int(dofs[-1]) + 1)
+            self.on_p_velocity = slice(ndof + self.on_p.start, ndof + self.on_p.stop)
             times = np.arange(scenario.nsteps) * scenario.dt
             self.k_mid = scenario.kernel.eval(times + h)
             self.k_end = scenario.kernel.eval(times + scenario.dt)
@@ -387,16 +381,23 @@ class _Stepper:
         self.smoothing_left = STARTUP_STEPS if has_explicit else 0
         self.prev_source = None
 
-    def delay_term(self, ell: int, midpoint: bool) -> np.ndarray:
+    def delayed_trace(self, j: int, states: np.ndarray) -> np.ndarray:
+        """The delayed trace at slot j, time j dt: the initial history for
+        j <= 0, the velocity on P in row j of `states` after."""
+        if j <= 0:
+            return self.sc.history_slots[j + self.sc.m]
+        return states[j, self.on_p_velocity]
+
+    def delay_term(self, ell: int, midpoint: bool, states: np.ndarray) -> np.ndarray:
         """g = -k(t) B B* y_t(t - tau) at t = t_ell + dt (slot ell + 1 - m), or at
         the midpoint t_ell + dt/2 (the mean of slots ell - m and ell + 1 - m),
         in the work vector `delay`; zero when undelayed."""
-        if self.buffer is None:
+        if self.sc.kernel is None:
             return self.delay
-        slot = ell + 1 - self.buffer.m
-        delayed = self.buffer.sample_step(slot)
+        slot = ell + 1 - self.sc.m
+        delayed = self.delayed_trace(slot, states)
         if midpoint:
-            delayed = 0.5 * (self.buffer.sample_step(slot - 1) + delayed)
+            delayed = 0.5 * (self.delayed_trace(slot - 1, states) + delayed)
         k_t = (self.k_mid if midpoint else self.k_end)[ell]
         # 0 - k slot on P, as zeros -= k slot gives (never a negative zero)
         np.subtract(0.0, k_t * delayed, out=self.delay[self.on_p])
@@ -413,9 +414,9 @@ class _Stepper:
         return eval_f(source, gen.embed(u), gen.grid)[gen.free]
 
     def velocity_rhs(self, v: np.ndarray, ell: int, midpoint: bool,
-                     source: Optional[np.ndarray]) -> np.ndarray:
+                     source: Optional[np.ndarray], states: np.ndarray) -> np.ndarray:
         """v + h g in the work vector `r2`, g the delay term plus `source`."""
-        g = self.delay_term(ell, midpoint)
+        g = self.delay_term(ell, midpoint, states)
         if source is not None:
             g = np.add(g, source, out=self.g)
         r2 = np.multiply(g, self.half_dt, out=self.r2)
@@ -440,12 +441,13 @@ class _Stepper:
         if self.smoothing_left > 0:
             self.smoothing_left -= 1
             # two backward-Euler half-steps with the shared (I - dt/2 A) factor
-            u1, v1 = self.solve(u, self.velocity_rhs(v, ell, True, self.source_term(u)))
+            u1, v1 = self.solve(u, self.velocity_rhs(v, ell, True, self.source_term(u),
+                                                     states))
             u_new[:], v_new[:] = self.solve(
-                u1, self.velocity_rhs(v1, ell, False, self.source_term(u1)))
+                u1, self.velocity_rhs(v1, ell, False, self.source_term(u1), states))
             self.prev_source = self.source_term(u_new)
         else:
-            # delay term at the midpoint in time: the two adjacent buffer
+            # delay term at the midpoint in time: the two adjacent history
             # slots average to the half-slot trace, which also annihilates
             # any step-frequency ringing before it can feed back; the source
             # is Adams-Bashforth extrapolated from known states
@@ -456,77 +458,77 @@ class _Stepper:
                 extrapolated = np.multiply(src, 1.5, out=self.g)
                 extrapolated -= 0.5 * prev
                 self.prev_source = src
-            u_mid, v_mid = self.solve(u, self.velocity_rhs(v, ell, True, extrapolated))
+            u_mid, v_mid = self.solve(u, self.velocity_rhs(v, ell, True, extrapolated, states))
             np.subtract(2.0 * u_mid, u, out=u_new)
             np.subtract(2.0 * v_mid, v, out=v_new)
-        if self.buffer is not None:
-            self.buffer.push(v_new[self.on_p])
 
 
 def simulate(scenario: Scenario) -> Trajectory:
     """Integrate to t_end, recording each state and its energy once.
 
     `_Stepper.step` writes the `scenario.nsteps` + 1 states into one
-    preallocated array, row by row, and each state's (kinetic, elastic,
-    boundary) `energy_parts` triple, computed once for the blow-up check,
-    fills a second one that gives the state norms and those energy columns.
-    The run stops early at the first non-finite state or state norm above
-    BLOWUP_NORM; a state is searched for non-finite entries only when the
-    sum of its energy parts is not finite.  `Scenario` rejects non-finite
-    initial data, so only the last record can be non-finite.  Damping rates
-    and tip traces are then computed in batch over all records, source
-    energies in batches of SOURCE_BATCH records, and the history energies
-    from the slot norms the stepper's history buffer recorded as it was
-    filled.
+    preallocated array, a block of RECORD_BLOCK // (2 ndof) rows at a time.
+    Each block then gets one `energy_parts` call, the blow-up test (its first
+    row whose energy sum is not finite or whose sqrt(2 E) exceeds BLOWUP_NORM
+    ends the run; the rows stepped past it are dropped) and the h ||trace||^2
+    of its delayed traces, kept from slot -m on.  Rows past a blow-up may
+    overflow, so numpy's overflow and invalid warnings are off.  Only the last
+    record can be non-finite, as `Scenario` rejects non-finite data; its
+    energies, norm and damping rate are inf and its tip values nan.  Source
+    energies are summed a block at a time, the rest in batch; no record
+    depends on the block size.
     """
     gen = scenario.generator
     stepper = _Stepper(scenario)
-    nsteps = scenario.nsteps
+    nsteps, dt = scenario.nsteps, scenario.dt
+    rows = max(1, RECORD_BLOCK // (2 * gen.ndof))
+    delayed = scenario.kernel is not None
 
     states = np.empty((nsteps + 1, 2 * gen.ndof))
-    parts = np.full((nsteps + 1, 3), math.inf)   # energy_parts; inf on non-finite states
+    kinetic, elastic, boundary = (np.empty(nsteps + 1) for _ in range(3))
     states[0] = scenario.initial_state
-    parts[0] = gen.energy_parts(states[0])
-    nrec = nsteps + 1
-    blew_up = False
-    for ell in range(nsteps):
-        stepper.step(ell, states)
-        state = states[ell + 1]
-        kinetic, elastic, boundary = gen.energy_parts(state)
-        total = kinetic + elastic + boundary
-        if math.isfinite(total) or np.all(np.isfinite(state)):
-            parts[ell + 1] = kinetic, elastic, boundary
-            blew_up = math.sqrt(2.0 * total) > BLOWUP_NORM
-        else:
-            blew_up = True
-        if blew_up:
-            nrec = ell + 2
-            break
-    states, parts = states[:nrec], parts[:nrec]
-    times = np.arange(nrec) * scenario.dt
-    bad = ~np.all(np.isfinite(states), axis=1)
-
-    source = np.zeros(nrec)
-    history = np.zeros(nrec)
+    if delayed:
+        m, h = scenario.m, gen.grid.h
+        norms_sq = np.empty(m + 1 + nsteps)      # slot j at entry j + m
+        norms_sq[:m + 1] = diagnostics.slot_norms_sq(scenario.history_slots, h)
+    nrec, blew_up = nsteps + 1, False
     with np.errstate(over="ignore", invalid="ignore"):
-        if not scenario.source.is_none:
-            for start in range(0, nrec, SOURCE_BATCH):
-                batch = slice(start, start + SOURCE_BATCH)
-                source[batch] = diagnostics.source_energy(gen, scenario.source, states[batch])
-        if stepper.buffer is not None:
-            history = diagnostics.history_energies(scenario.kernel, stepper.buffer)
-        kinetic, elastic, boundary = parts.T
+        kinetic[:1], elastic[:1], boundary[:1] = gen.energy_parts(states[:1])
+        for lo in range(1, nsteps + 1, rows):
+            hi = min(lo + rows, nsteps + 1)
+            for ell in range(lo - 1, hi - 1):
+                stepper.step(ell, states)
+            block = slice(lo, hi)
+            kinetic[block], elastic[block], boundary[block] = gen.energy_parts(states[block])
+            if delayed:
+                norms_sq[m + lo:m + hi] = diagnostics.slot_norms_sq(
+                    states[block, stepper.on_p_velocity], h)
+            total = kinetic[block] + elastic[block] + boundary[block]
+            over = np.flatnonzero(~(np.sqrt(2.0 * total) <= BLOWUP_NORM))   # nan too
+            if over.size:
+                nrec, blew_up = lo + int(over[0]) + 1, True
+                break
+        states = states[:nrec]
+        kinetic, elastic, boundary = kinetic[:nrec], elastic[:nrec], boundary[:nrec]
+        finite = bool(np.all(np.isfinite(states[-1])))
+        if not finite:
+            kinetic[-1] = elastic[-1] = boundary[-1] = math.inf
         norms = np.sqrt(2.0 * (kinetic + elastic + boundary))
+        source = np.zeros(nrec)
+        if not scenario.source.is_none:
+            for lo in range(0, nrec, rows):
+                block = slice(lo, lo + rows)
+                source[block] = diagnostics.source_energy(gen, scenario.source, states[block])
+        history = diagnostics.history_energies(scenario.kernel, norms_sq[:m + nrec], m, dt) \
+            if delayed else np.zeros(nrec)
         damping = gen.boundary_damping_rate(states)
         tip_val, _, tip_vel, _ = gen.tip_traces(states)
-    for column in (source, history, damping):
-        column[bad] = math.inf
-    tip_val[bad] = math.nan
-    tip_vel[bad] = math.nan
+    if not finite:
+        source[-1] = history[-1] = damping[-1] = math.inf
+        tip_val[-1] = tip_vel[-1] = math.nan
     energies = diagnostics.EnergyBreakdown.build(kinetic, elastic, boundary, source, history)
-
-    return Trajectory(times=times, states=states, state_norms=norms, energies=energies,
-                      damping_rates=damping, tip_values=tip_val, tip_velocities=tip_vel,
+    return Trajectory(times=np.arange(nrec) * dt, states=states, state_norms=norms,
+                      energies=energies, damping_rates=damping, tip_values=tip_val, tip_velocities=tip_vel,
                       blew_up=blew_up, scenario=scenario)
 
 
@@ -630,8 +632,13 @@ def polynomial_state(generator: DiscreteGenerator, amplitude: float = 1.0):
 def smallness_level(scenario: Scenario) -> float:
     """Left side of the small-data threshold:
     ||Y0||^2 + int_{-tau}^{0} |k(s + tau)| ||g(s)||_H^2 ds (slot trapezoid)."""
-    level = scenario.generator.state_norm(scenario.initial_state) ** 2
-    return level + 2.0 * diagnostics.history_energy(scenario.kernel, scenario.make_buffer())
+    gen = scenario.generator
+    level = gen.state_norm(scenario.initial_state) ** 2
+    if scenario.kernel is None:
+        return level
+    norms_sq = diagnostics.slot_norms_sq(scenario.history_slots, gen.grid.h)
+    return level + 2.0 * float(diagnostics.history_energies(scenario.kernel, norms_sq,
+                                                            scenario.m, scenario.dt)[0])
 
 
 def certify_scenario(scenario: Scenario, semigroup: Optional[SemigroupCertificate] = None

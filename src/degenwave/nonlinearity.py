@@ -141,7 +141,8 @@ def eval_F_functional(source: SourceKind, y: np.ndarray, profile: CoefficientPro
     (1/(p+2)) ||y||_{L2}^p <y, y> with the pairing in the weighted or plain
     L2 product; this is the quantity the energy functional subtracts.
     A float for one nodal function y, an array for a stack of them along the
-    last axis.
+    last axis.  Every quadrature sums row by row, so a function gets the same
+    bits whatever stack it is in.
     """
     y = np.asarray(y, dtype=float)
     grid = profile.grid
@@ -155,10 +156,11 @@ def eval_F_functional(source: SourceKind, y: np.ndarray, profile: CoefficientPro
             integrand = np.abs(mid_vals) ** (q + 2.0) / (q + 2.0) / a_mid
             out = grid.h * np.sum(integrand, axis=-1)
         else:
-            out = grid.trapezoid(np.abs(y) ** (q + 2.0) / (q + 2.0))
+            out = np.sum(np.abs(y) ** (q + 2.0) / (q + 2.0) * grid.trapezoid_weights(),
+                         axis=-1)
     else:
         p = source.p
-        norm_sq = grid.trapezoid(y * y)
+        norm_sq = np.sum(y * y * grid.trapezoid_weights(), axis=-1)
         pairing = weighted_inner(y, y, profile) if weighted else norm_sq
         out = np.sqrt(np.maximum(norm_sq, 0.0)) ** p * pairing / (p + 2.0)
     return out if np.ndim(out) else float(out)

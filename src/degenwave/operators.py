@@ -13,8 +13,9 @@ built from three quadratic forms on the free nodal degrees of freedom:
 M is stored as its diagonal; C, the curvature (beams) or face-gradient
 (waves) map, in LAPACK general band storage with its weights W; K only as
 its upper bands (the dpbtrf layout); and D only as its tip traces e, g and
-weights d_e, d_g: v^T D v = d_e (e.v)^2 + d_g (g.v)^2.  Products with C and
-K are BLAS band products.  Dense K and D are expanded only for the
+weights d_e, d_g: v^T D v = d_e (e.v)^2 + d_g (g.v)^2.  Products with K are
+BLAS band products; C u is accumulated over the band diagonals of C.  Dense
+K and D are expanded only for the
 closed-form state-norm generator `state_norm_generator`, the dense 2n x 2n
 system matrix, built on first use for the desk-scale oracles, and the
 eigenproblem of `nonlinearity.hardy_poincare_constant`.
@@ -36,7 +37,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dgbmv, dsbmv
+from scipy.linalg.blas import dsbmv
 
 from .degeneracy import CoefficientProfile
 from .errors import DegenwaveError, InconsistentBCError
@@ -176,6 +177,11 @@ def weighted_mass_diagonal(grid: Grid, profile: CoefficientProfile) -> np.ndarra
     return w / profile.grid_values[1:]
 
 
+def _tip_product(u: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """trace . u for each row of a stack u, from the last three entries."""
+    return u[:, -3] * trace[-3] + u[:, -2] * trace[-2] + u[:, -1] * trace[-1]
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteGenerator:
     """Assembled first-order generator for one operator kind."""
@@ -234,10 +240,16 @@ class DiscreteGenerator:
         return dsbmv(self.stiffness_bands.shape[0] - 1, 1.0, self.stiffness_bands, u)
 
     def elastic_product(self, u: np.ndarray) -> np.ndarray:
-        """C u, one curvature or face gradient per quadrature row (BLAS dgbmv)."""
+        """C u, one curvature or face gradient per quadrature row, for one u or
+        each row of a stack, summed over the band diagonals in column order."""
+        stack = np.atleast_2d(u)
         kl, ku = self.elastic_offsets
-        return dgbmv(self.elastic_weights.size, self.ndof, kl, ku, 1.0,
-                     self.elastic_bands, u)
+        rows = self.elastic_weights.size
+        cu = np.zeros((stack.shape[0], rows))
+        for d in range(-kl, ku + 1):       # C[i, i + d] = bands[ku - d, i + d]
+            lo, hi = max(0, -d), min(rows, self.ndof - d)
+            cu[:, lo:hi] += self.elastic_bands[ku - d, lo + d:hi + d] * stack[:, lo + d:hi + d]
+        return cu if np.ndim(u) > 1 else cu[0]
 
     @cached_property
     def system_matrix(self) -> np.ndarray:
@@ -289,13 +301,21 @@ class DiscreteGenerator:
     # -- quadratic forms -----------------------------------------------------
 
     def energy_parts(self, state: np.ndarray):
-        """(kinetic, elastic, boundary) halves of the squared state norm."""
-        u, v = self.split(state)
-        kinetic = 0.5 * float(self.mass @ (v * v))
+        """(kinetic, elastic, boundary) halves of the squared state norm: floats
+        for one state, arrays for a stack along the first axis.  One state is a
+        stack of one and no step mixes rows, so a row gets the same bits in any
+        stack: the sums run row by row (`einsum`) and the tip terms read the
+        last three entries of e and g, where their nonzeros lie.  Overflow
+        gives inf, not an error."""
+        u, v = self.split(np.atleast_2d(state))
+        kinetic = 0.5 * np.einsum("ij,ij,j->i", v, v, self.mass)
         cu = self.elastic_product(u)
-        elastic = 0.5 * float(self.elastic_weights @ (cu * cu))
-        boundary = 0.5 * (self.beta_eff * float(self.trace_value @ u) ** 2
-                          + self.gamma_eff * float(self.trace_slope @ u) ** 2)
+        elastic = 0.5 * np.einsum("ij,ij,j->i", cu, cu, self.elastic_weights)
+        value, slope = _tip_product(u, self.trace_value), _tip_product(u, self.trace_slope)
+        # a zero gain times a finite trace is 0, before the square can overflow
+        boundary = 0.5 * (self.beta_eff * value * value + self.gamma_eff * slope * slope)
+        if np.ndim(state) == 1:
+            return float(kinetic[0]), float(elastic[0]), float(boundary[0])
         return kinetic, elastic, boundary
 
     def state_inner(self, a: np.ndarray, b: np.ndarray) -> float:

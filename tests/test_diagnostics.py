@@ -94,10 +94,12 @@ def test_history_energy_matches_weights_trapezoid(kernel, rng):
 
 
 def reference_table(sc, traj):
-    """The CSV columns of `traj` recomputed state by state, with a replayed buffer."""
+    """The CSV columns of `traj` recomputed state by state, with a replayed
+    history ring seeded from the scenario's initial history."""
     gen = sc.generator
-    buf = sc.make_buffer()
-    if buf is not None:
+    buf = None
+    if sc.kernel is not None:
+        buf = HistoryBuffer(sc.history_slots, sc.dt, gen.grid.h)
         sub_free = np.searchsorted(gen.free, sc.subdomain.indices(gen.grid))
     rows = []
     for i, state in enumerate(traj.states):
@@ -157,19 +159,19 @@ def test_batch_records_match_reference_undelayed(tmp_path):
     (OperatorKind.BEAM_DIV, SourceKind.nonlocal_l2(1.0)),
 ])
 def test_source_column_matches_per_state_evaluation(kind, source, monkeypatch):
-    # simulate evaluates the source energy over stacks of records: 81 records
-    # in batches of 20 end with a batch of one
-    monkeypatch.setattr(evolution, "SOURCE_BATCH", 20)
+    # simulate evaluates the source energy over blocks of records: 81 records
+    # in blocks of 20 end with a block of one
     gen = make_gen(kind, 0.5, 24)
+    monkeypatch.setattr(evolution, "RECORD_BLOCK", 20 * 2 * gen.ndof)
     y0, y1 = eigenmode_state(gen, 0, amplitude=0.5)
     sc = Scenario(generator=gen, source=source, y0=y0, y1=y1, t_end=1.0, dt=0.0125)
     traj = simulate(sc)
     per_state = np.array([source_energy(gen, source, state) for state in traj.states])
     assert np.all(per_state < 0.0)
-    scale = np.max(np.abs(per_state))
-    assert np.max(np.abs(traj.energies.source - per_state)) <= 1e-14 * scale
+    # the quadratures sum row by row: the same bits in any stack
+    assert np.array_equal(traj.energies.source, per_state)
     stacked = source_energy(gen, source, traj.states.reshape(3, 27, 2 * gen.ndof))
-    assert np.max(np.abs(stacked - per_state.reshape(3, 27))) <= 1e-14 * scale
+    assert np.array_equal(stacked, per_state.reshape(3, 27))
     assert source_energy(gen, SourceKind.none(), traj.states[0]) == 0.0
 
 def test_blow_up_record_is_non_finite():

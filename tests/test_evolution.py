@@ -10,8 +10,7 @@ import scipy.linalg
 from degenwave import (BoundaryParams, CoefficientSpec, DegenwaveError, Grid,
                        InfeasibleError, KernelSpec,
                        NotExponentiallyStableError, OperatorKind,
-                       QueryOutOfWindowError, Scenario,
-                       SourceKind, SubdomainP, apply_Bstar, assemble, certify_scenario,
+                       Scenario, SourceKind, SubdomainP, apply_Bstar, assemble, certify_scenario,
                        classify, decay_fit, duhamel_residual, eigenmode_state, evolution,
                        polynomial_state, semigroup_constants, simulate,
                        smallness_level)
@@ -405,7 +404,7 @@ def test_block_solve_matches_dense_trapezoid(monkeypatch, kind, alpha, n, dt):
     stepper = _Stepper(sc)
     state = sc.initial_state
     u, _ = gen.split(state)
-    g = stepper.delay_term(0, midpoint=True) + stepper.source_term(u)
+    g = stepper.delay_term(0, True, state[None]) + stepper.source_term(u)
     assert np.any(g != 0.0)
     explicit = gen.join(np.zeros(gen.ndof), g)
     ident = np.eye(2 * gen.ndof)
@@ -518,6 +517,96 @@ def test_blow_up_detected_and_flagged():
     assert traj.times[-1] < 20.0
 
 
+# -- records handled one block at a time ------------------------------------------
+
+
+def trajectory_arrays(traj):
+    """Every array of a trajectory, by name."""
+    e = traj.energies
+    return {"times": traj.times, "states": traj.states, "state_norms": traj.state_norms,
+            "damping_rates": traj.damping_rates, "tip_values": traj.tip_values,
+            "tip_velocities": traj.tip_velocities,
+            **{f"E_{name}": getattr(e, name) for name in
+               ("kinetic", "elastic", "boundary", "source", "history", "total")}}
+
+
+def simulate_in_blocks(monkeypatch, sc, rows):
+    """`simulate` with blocks of `rows` records (None: the default size)."""
+    if rows is not None:
+        monkeypatch.setattr(evolution, "RECORD_BLOCK", rows * 2 * sc.generator.ndof)
+    try:
+        return simulate(sc)
+    finally:
+        monkeypatch.undo()
+
+
+def block_configs():
+    delayed = dict(kernel=KernelSpec.exp_decay(0.4, 1.5, tau=0.25),
+                   subdomain=SubdomainP(0.25, 0.75), history=0.3)
+    return {
+        "delayed_forced": (make_gen(OperatorKind.BEAM_NONDIV, 0.5, 24),
+                           dict(source=SourceKind.power(1.0), **delayed)),
+        "undelayed": (make_gen(OperatorKind.BEAM_DIV, 1.5, 24), {}),
+        "nonlocal_source": (make_gen(OperatorKind.WAVE_DIV, 0.5, 24),
+                            dict(source=SourceKind.nonlocal_l2(2.0), **delayed)),
+    }
+
+
+@pytest.mark.parametrize("config", ["delayed_forced", "undelayed", "nonlocal_source"])
+def test_records_do_not_depend_on_the_block_size(config, monkeypatch):
+    gen, extra = block_configs()[config]
+    sc = simple_scenario(gen, t_end=1.0, dt=0.0125, amplitude=0.5, **extra)
+    runs = [simulate_in_blocks(monkeypatch, sc, rows) for rows in (1, 7, None)]
+    # the default block holds every record of this run, so the runs differ
+    assert evolution.RECORD_BLOCK // (2 * gen.ndof) > len(runs[-1].times) == 81
+    reference = trajectory_arrays(runs[-1])
+    for traj in runs[:-1]:
+        assert not traj.blew_up
+        for name, values in trajectory_arrays(traj).items():
+            assert np.array_equal(values, reference[name]), name
+
+
+def blow_up_scenarios(gen):
+    y0, y1 = polynomial_state(gen)
+    with pytest.warns(UserWarning):
+        anti = Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1, t_end=20.0,
+                        dt=0.05, kernel=KernelSpec.constant(-40.0, tau=0.25),
+                        subdomain=SubdomainP(0.25, 0.75), history=1.0)
+    y0, y1 = polynomial_state(gen, amplitude=160.0)
+    overflow = Scenario(generator=gen, source=SourceKind.power(150.0), y0=y0, y1=y1,
+                        t_end=1.0, dt=0.01)
+    return anti, overflow
+
+
+def test_blow_up_does_not_depend_on_the_block_size(monkeypatch):
+    # anti-damping ends on a finite state above BLOWUP_NORM, the overflow on a
+    # non-finite one; the rows stepped past the blow-up in its block are dropped
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    for sc in blow_up_scenarios(gen):
+        runs = [simulate_in_blocks(monkeypatch, sc, rows) for rows in (1, 2, 3, 7, None)]
+        reference = runs[-1]
+        assert reference.blew_up and 2 <= len(reference.times) < sc.nsteps + 1
+        for traj in runs[:-1]:
+            assert traj.blew_up
+            assert len(traj.times) == len(reference.times)
+            for name, values in trajectory_arrays(traj).items():
+                assert np.array_equal(values[-1], trajectory_arrays(reference)[name][-1],
+                                      equal_nan=True), name
+
+
+def test_blow_up_on_a_finite_state_whose_energy_overflows():
+    # u ~ 1e157 after one step is finite, but its energy squares past the
+    # largest double: the run stops there with inf energies, not an error
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    y0, y1 = polynomial_state(gen, amplitude=1e160)
+    sc = Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1, t_end=1.0, dt=0.01)
+    traj = simulate(sc)
+    assert traj.blew_up and len(traj.times) == 2
+    assert np.all(np.isfinite(traj.states)) and abs(traj.tip_values[-1]) > 1e155
+    assert math.isinf(traj.energies.total[-1]) and math.isinf(traj.state_norms[-1])
+    assert math.isinf(traj.energies.elastic[-1]) and math.isinf(traj.energies.boundary[-1])
+
+
 def test_dt_tau_tolerance_of_scenario():
     # one rule: m dt may miss tau by at most 1e-9 tau; at tau = 0.5 that is 5e-10.
     # The scenario resolves m once; its history buffer never sees tau
@@ -535,35 +624,38 @@ def test_dt_tau_tolerance_of_scenario():
         if accepted:
             sc = build()
             assert sc.m == 200 and sc.history_slots.shape == (201, sc.subdomain_dofs.size)
-            assert sc.make_buffer().m == 200
         else:
             with pytest.raises(ValueError):
                 build()
 
 
-def test_delayed_trace_slot_and_half_slot_only():
+def test_delayed_trace_slot_and_half_slot_only(rng):
     # m = tau/dt = 5: the step from t_l reads slot l + 1 - m at t_l + dt and
-    # the exact mean of slots l - m and l + 1 - m at the midpoint
+    # the exact mean of slots l - m and l + 1 - m at the midpoint; slot j <= 0
+    # is the initial history, slot j >= 1 the velocity on P in row j
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
     sub = SubdomainP(0.25, 0.75)
     dt, tau, k0 = 0.05, 0.25, 0.1
     sc = simple_scenario(gen, t_end=1.0, dt=dt, kernel=KernelSpec.constant(k0, tau),
                          subdomain=sub, history=lambda s: s)
     stepper = _Stepper(sc)
-    buffer = stepper.buffer
+    slots = sc.history_slots                        # slot j in row j + m
+    states = rng.standard_normal((7, 2 * gen.ndof))
     on_p = sc.subdomain_dofs
     off_p = np.setdiff1d(np.arange(gen.ndof), on_p)
-    end = stepper.delay_term(1, midpoint=False)
-    assert np.array_equal(end[on_p], -k0 * buffer.sample_step(-3))
-    mid = stepper.delay_term(1, midpoint=True)
-    assert np.array_equal(mid[on_p], -k0 * (0.5 * (buffer.sample_step(-4)
-                                                   + buffer.sample_step(-3))))
+    end = stepper.delay_term(1, False, states).copy()
+    assert np.array_equal(end[on_p], -k0 * slots[-3 + 5])
+    mid = stepper.delay_term(1, True, states).copy()
+    assert np.array_equal(mid[on_p], -k0 * (0.5 * (slots[-4 + 5] + slots[-3 + 5])))
     assert mid[on_p][0] == pytest.approx(k0 * 3.5 * dt)  # history s at s = -3.5 dt
     assert np.all(end[off_p] == 0.0) and np.all(mid[off_p] == 0.0)
-    stepper.delay_term(4, midpoint=False)  # slot 0, the newest
-    with pytest.raises(QueryOutOfWindowError):
-        stepper.delay_term(5, midpoint=False)  # slot 1 is not filled yet
-
+    assert np.array_equal(stepper.delay_term(4, False, states)[on_p], -k0 * slots[5])
+    trace = states[1, gen.ndof + on_p]                  # slot 1 is row 1
+    assert np.array_equal(stepper.delay_term(5, False, states)[on_p], -k0 * trace)
+    assert np.array_equal(stepper.delay_term(5, True, states)[on_p],
+                          -k0 * (0.5 * (slots[5] + trace)))
+    assert np.array_equal(stepper.delay_term(6, False, states)[on_p],
+                          -k0 * states[2, gen.ndof + on_p])
 
 
 @pytest.mark.parametrize("k0", [0.005, -0.02, 0.05])

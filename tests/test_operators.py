@@ -262,6 +262,71 @@ def test_assembly_holds_linear_storage(kind, alpha):
     assert max(sizes.values()) <= 5 * n, sizes
 
 
+# -- energy parts of one state and of a stack ----------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_energy_parts_of_a_stack_match_each_row_bitwise(kind, rng):
+    gen = make_gen(kind, 0.5, 24)
+    states = rng.standard_normal((257, 2 * gen.ndof))
+    rows = np.array([gen.energy_parts(state) for state in states])
+    assert all(isinstance(part, float) for part in gen.energy_parts(states[0]))
+    for size in (1, 3, 257):
+        stacked = np.column_stack(gen.energy_parts(states[:size]))
+        assert np.array_equal(stacked, rows[:size])
+    # a stack that is a strided view, as simulate passes a block of its records
+    assert np.array_equal(np.column_stack(gen.energy_parts(states[1::2])), rows[1::2])
+
+
+def test_energy_parts_overflow_to_inf():
+    # u = 1e160 squares past the largest double in the elastic and tip terms
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    state = np.concatenate([np.full(gen.ndof, 1e160), np.zeros(gen.ndof)])
+    with np.errstate(over="ignore"):
+        assert gen.energy_parts(state) == (0.0, math.inf, math.inf)
+        kinetic, elastic, boundary = gen.energy_parts(np.stack([state, 0.5 * state]))
+    assert np.array_equal(kinetic, [0.0, 0.0])
+    assert np.all(np.isinf(elastic)) and np.all(np.isinf(boundary))
+    # without tip gains the tip term is 0, not 0 * inf
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16, beta=0.0, gamma=0.0)
+    with np.errstate(over="ignore"):
+        assert gen.energy_parts(state) == (0.0, math.inf, 0.0)
+
+
+def smooth_displacement(grid, rng):
+    """x^2 times a random low-frequency cosine series: smooth, clamped at x = 0."""
+    x = grid.nodes
+    coeffs = rng.standard_normal(4) / (1.0 + np.arange(4)) ** 2
+    return x ** 2 * (np.cos(np.pi * np.outer(x, np.arange(4))) @ coeffs)
+
+
+@pytest.mark.parametrize("kind", [OperatorKind.BEAM_NONDIV, OperatorKind.BEAM_DIV])
+def test_elastic_energy_no_less_accurate_than_band_blas(kind, rng):
+    # at n = 1024 the curvature entries (~1/h^2) cancel in C u on smooth data;
+    # against an extended-precision evaluation of the same rows, energy_parts
+    # must do no worse than the BLAS band product (dgbmv)
+    gen = make_gen(kind, 0.5, 1024)
+    kl, ku = gen.elastic_offsets
+    bands = gen.elastic_bands.astype(np.longdouble)
+    weights = gen.elastic_weights.astype(np.longdouble)
+    rows = weights.size
+    worst_new = worst_blas = 0.0
+    for _ in range(10):
+        u = gen.restrict(smooth_displacement(gen.grid, rng))
+        wide = u.astype(np.longdouble)
+        cu = np.zeros(rows, dtype=np.longdouble)
+        for d in range(-kl, ku + 1):
+            lo, hi = max(0, -d), min(rows, gen.ndof - d)
+            cu[lo:hi] += bands[ku - d, lo + d:hi + d] * wide[lo + d:hi + d]
+        exact = 0.5 * np.sum(weights * cu * cu)
+        new = gen.energy_parts(np.concatenate([u, np.zeros_like(u)]))[1]
+        blas = dgbmv(rows, gen.ndof, kl, ku, 1.0, gen.elastic_bands, u)
+        blas = 0.5 * float(gen.elastic_weights @ (blas * blas))
+        worst_new = max(worst_new, float(abs(new - exact) / exact))
+        worst_blas = max(worst_blas, float(abs(blas - exact) / exact))
+    assert worst_new <= worst_blas
+
+
 # -- space synthesis helpers ------------------------------------------------------
 
 
