@@ -110,14 +110,16 @@ def constants_for(source: SourceKind, profile: CoefficientProfile,
 # -- pointwise evaluation ----------------------------------------------------
 
 def eval_f(source: SourceKind, y: np.ndarray, grid: Grid) -> np.ndarray:
-    """f(y) as a nodal function; the nonlocal norm uses the trapezoid rule."""
+    """f(y) as a nodal function; the nonlocal norm uses the trapezoid rule.
+    The nonlocal factor is a numpy power, so a norm that overflows gives inf
+    (with numpy's overflow warning) instead of raising OverflowError."""
     y = np.asarray(y, dtype=float)
     if source.kind == SOURCE_NONE:
         return np.zeros_like(y)
     if source.kind == SOURCE_POWER:
         return np.abs(y) ** source.q * y
     norm_sq = grid.trapezoid(y * y)
-    return norm_sq ** (source.p / 2.0) * y
+    return np.float64(norm_sq) ** (source.p / 2.0) * y
 
 
 def weighted_inner(y: np.ndarray, z: np.ndarray, profile: CoefficientProfile):

@@ -177,11 +177,6 @@ def weighted_mass_diagonal(grid: Grid, profile: CoefficientProfile) -> np.ndarra
     return w / profile.grid_values[1:]
 
 
-def _tip_product(u: np.ndarray, trace: np.ndarray) -> np.ndarray:
-    """trace . u for each row of a stack u, from the last three entries."""
-    return u[:, -3] * trace[-3] + u[:, -2] * trace[-2] + u[:, -1] * trace[-1]
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteGenerator:
     """Assembled first-order generator for one operator kind."""
@@ -239,16 +234,37 @@ class DiscreteGenerator:
         """K u from the upper bands (BLAS dsbmv)."""
         return dsbmv(self.stiffness_bands.shape[0] - 1, 1.0, self.stiffness_bands, u)
 
+    @cached_property
+    def elastic_diagonals(self) -> tuple:
+        """(rows, entries, columns) of each band diagonal of C, in column order:
+        C[i, i + d] for i in `rows` is `entries`, read at the `columns` of u."""
+        kl, ku = self.elastic_offsets
+        nrows = self.elastic_weights.size
+        diagonals = []
+        for d in range(-kl, ku + 1):       # C[i, i + d] = bands[ku - d, i + d]
+            lo, hi = max(0, -d), min(nrows, self.ndof - d)
+            diagonals.append((slice(lo, hi), self.elastic_bands[ku - d, lo + d:hi + d],
+                              slice(lo + d, hi + d)))
+        return tuple(diagonals)
+
+    @cached_property
+    def tip_weights(self):
+        """(T, gains): the last three entries of e and g, where their nonzeros
+        lie, as the columns of a 3 x 2 array T, and (beta_eff, gamma_eff)."""
+        tips = np.stack([self.trace_value[-3:], self.trace_slope[-3:]], axis=1)
+        return tips, np.array([self.beta_eff, self.gamma_eff])
+
     def elastic_product(self, u: np.ndarray) -> np.ndarray:
         """C u, one curvature or face gradient per quadrature row, for one u or
         each row of a stack, summed over the band diagonals in column order."""
         stack = np.atleast_2d(u)
-        kl, ku = self.elastic_offsets
-        rows = self.elastic_weights.size
-        cu = np.zeros((stack.shape[0], rows))
-        for d in range(-kl, ku + 1):       # C[i, i + d] = bands[ku - d, i + d]
-            lo, hi = max(0, -d), min(rows, self.ndof - d)
-            cu[:, lo:hi] += self.elastic_bands[ku - d, lo + d:hi + d] * stack[:, lo + d:hi + d]
+        (rows, entries, columns), *rest = self.elastic_diagonals
+        cu = np.zeros((stack.shape[0], self.elastic_weights.size))
+        # the first term is written, not added to 0: only a zero's sign differs
+        np.multiply(entries, stack[:, columns], out=cu[:, rows])
+        for rows, entries, columns in rest:
+            part = cu[:, rows]
+            part += entries * stack[:, columns]
         return cu if np.ndim(u) > 1 else cu[0]
 
     @cached_property
@@ -305,15 +321,20 @@ class DiscreteGenerator:
         for one state, arrays for a stack along the first axis.  One state is a
         stack of one and no step mixes rows, so a row gets the same bits in any
         stack: the sums run row by row (`einsum`) and the tip terms read the
-        last three entries of e and g, where their nonzeros lie.  Overflow
-        gives inf, not an error."""
+        last three entries of e and g (`tip_weights`).  Overflow gives inf,
+        not an error."""
         u, v = self.split(np.atleast_2d(state))
         kinetic = 0.5 * np.einsum("ij,ij,j->i", v, v, self.mass)
         cu = self.elastic_product(u)
         elastic = 0.5 * np.einsum("ij,ij,j->i", cu, cu, self.elastic_weights)
-        value, slope = _tip_product(u, self.trace_value), _tip_product(u, self.trace_slope)
+        tips, gains = self.tip_weights
+        terms = u[:, -3:, None] * tips
+        traces = terms[:, 0] + terms[:, 1]      # (e . u, g . u) per row
+        traces += terms[:, 2]
         # a zero gain times a finite trace is 0, before the square can overflow
-        boundary = 0.5 * (self.beta_eff * value * value + self.gamma_eff * slope * slope)
+        squares = gains * traces
+        squares *= traces
+        boundary = 0.5 * (squares[:, 0] + squares[:, 1])
         if np.ndim(state) == 1:
             return float(kinetic[0]), float(elastic[0]), float(boundary[0])
         return kinetic, elastic, boundary

@@ -161,6 +161,21 @@ def test_blow_up_exits_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("block", [1, None])
+def test_nonlocal_blow_up_exits_4(tmp_path, monkeypatch, block):
+    # the default block steps past the blow-up into states whose L2 norm
+    # squared overflows in ||y||^p: that is inf, not an OverflowError
+    if block is not None:
+        monkeypatch.setattr(evolution, "RECORD_BLOCK", block)
+    cfg = write(tmp_path, "nonlocal.ini", DELAYED
+                .replace("kind = power\nq = 1.0", "kind = nonlocal\np = 4.0")
+                .replace("preset = eigenmode\nmode = 0\namplitude = 0.001",
+                         "preset = polynomial\namplitude = 300.0"))
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--command",
+                 "simulate", "--quiet"])
+    assert code == 4
+
+
 def test_certify_rejects_source_off_beam(tmp_path):
     cfg = write(tmp_path, "wave.ini", DELAYED.replace("kind = beam_nondiv",
                                                       "kind = wave_nondiv"))

@@ -575,12 +575,18 @@ def blow_up_scenarios(gen):
     y0, y1 = polynomial_state(gen, amplitude=160.0)
     overflow = Scenario(generator=gen, source=SourceKind.power(150.0), y0=y0, y1=y1,
                         t_end=1.0, dt=0.01)
-    return anti, overflow
+    # the rows stepped past this blow-up square a finite L2 norm past the
+    # largest double in the nonlocal factor ||y||^p
+    y0, y1 = polynomial_state(gen, amplitude=300.0)
+    nonlocal_ = Scenario(generator=gen, source=SourceKind.nonlocal_l2(4.0), y0=y0, y1=y1,
+                         t_end=1.0, dt=0.01)
+    return anti, overflow, nonlocal_
 
 
 def test_blow_up_does_not_depend_on_the_block_size(monkeypatch):
     # anti-damping ends on a finite state above BLOWUP_NORM, the overflow on a
-    # non-finite one; the rows stepped past the blow-up in its block are dropped
+    # non-finite one; the rows stepped past the blow-up in its block are
+    # dropped, and overflow in them gives inf, not an error
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
     for sc in blow_up_scenarios(gen):
         runs = [simulate_in_blocks(monkeypatch, sc, rows) for rows in (1, 2, 3, 7, None)]

@@ -53,6 +53,16 @@ def test_eval_f_nonlocal_on_unit_constant(grid128):
     assert np.allclose(out, 1.0, atol=1e-12)  # trapezoid is exact on constants
 
 
+def test_eval_f_nonlocal_overflows_to_inf(grid128):
+    # ||y||^2 = 1e200 is finite, its square is not: the factor is inf (the
+    # plain float power raised OverflowError) and f keeps the sign of y
+    y = np.full(grid128.n, 1e100)
+    y[0] = -1e100
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        out = eval_f(SourceKind.nonlocal_l2(4.0), y, grid128)
+    assert np.all(np.isinf(out)) and out[0] < 0 < out[1]
+
+
 @settings(max_examples=30, deadline=None)
 @given(q=st.floats(min_value=0.2, max_value=3.0), seed=st.integers(0, 10 ** 6))
 def test_eval_f_is_odd(q, seed):
