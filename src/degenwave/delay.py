@@ -202,6 +202,15 @@ def kernel_window_bound(kernel: KernelSpec) -> float:
     return min(float(np.max(windows)), float(np.max(slopes)) * tau)
 
 
+def certificate_exp(name: str, exponent: float) -> float:
+    """e^exponent, a factor of a stability certificate; InfeasibleError naming
+    the factor when it overflows."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise InfeasibleError(f"{name} = e^{exponent:.6g} overflows") from None
+
+
 @dataclass(frozen=True)
 class GrowthEnvelope:
     """Feasible (alpha, omega') with scaled cumulative gain <= alpha + omega' t."""
@@ -217,11 +226,12 @@ def kernel_growth_check(kernel: KernelSpec, M: float, omega: float,
     L1 kernels give omega' = 0 and alpha = M b^2 e^{omega tau} ||k||_{L1};
     a step table with a nonzero final value (a constant gain among them) gets
     the slope of that value and a linear envelope over the breakpoints.
-    Raises InfeasibleError when no omega' < omega works.
+    Raises InfeasibleError when no omega' < omega works, or when e^{omega tau}
+    overflows.
     """
     if M < 1 or omega <= 0 or b < 0:
         raise ValueError("need M >= 1, omega > 0, b >= 0")
-    scale = M * b * b * math.exp(omega * kernel.tau)
+    scale = M * b * b * certificate_exp("e^(omega tau)", omega * kernel.tau)
     if kernel.is_l1:
         return GrowthEnvelope(alpha=scale * kernel.total_mass(), omega_prime=0.0)
     # step table with a persistent final value: asymptotic slope + breakpoint envelope

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .delay import HistoryBuffer, KernelSpec, kernel_window_bound
+from .delay import HistoryBuffer, KernelSpec, certificate_exp, kernel_window_bound
 from .errors import BoundViolatedError, DegenerateFitError, InfeasibleError
 from .nonlinearity import (NonlinearityConstants, SourceKind, eval_F_functional,
                            h_eval, h_inverse, lipschitz_bound)
@@ -248,9 +248,9 @@ def threshold_certificate(semigroup, kernel: KernelSpec, envelope, b: float,
     tau = kernel.tau
 
     gap = omega - omega_prime
-    prefactor = (2.0 * m_const ** 2 * math.exp(2.0 * alpha)
-                 * (1.0 + lam * math.exp(omega * tau) * b * b)
-                 * (1.0 + lam * math.exp(2.0 * omega * tau) * b * b))
+    prefactor = (2.0 * m_const ** 2 * certificate_exp("e^(2 alpha)", 2.0 * alpha)
+                 * (1.0 + lam * certificate_exp("e^(omega tau)", omega * tau) * b * b)
+                 * (1.0 + lam * certificate_exp("e^(2 omega tau)", 2.0 * omega * tau) * b * b))
     ct_values = prefactor * np.exp(-gap * HORIZON_GRID)
     feasible_idx = np.nonzero(ct_values <= 1.0)[0]
     if feasible_idx.size == 0:

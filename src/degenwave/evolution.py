@@ -50,6 +50,10 @@ REFINE_GAP = 0.005
 #: times `semigroup_constants` may halve a cell of its sample grid
 REFINE_LEVELS = 8
 
+#: rounding margin of `semigroup_constants`' stop rule: its first walk ends at a
+#: sample whose weighted value is at most 1 - DECAY_SLACK over one cell
+DECAY_SLACK = 1e-9
+
 #: times `semigroup_constants` may double its horizon before it gives up
 HORIZON_DOUBLINGS = 8
 
@@ -230,14 +234,25 @@ def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
     at t.  A cell whose bound exceeds (1 + REFINE_GAP) times the sampled
     maximum is halved, its midpoint sampled as its start propagator times
     e^{(w/2)A~}: one exponential per level, at most REFINE_LEVELS levels.
-    M is the largest cell bound, and at least 1.  A second walk refines cell
-    by cell, so that only O(REFINE_LEVELS) propagators are alive at a time;
-    as the sampled maximum only grows, no cell after the last one whose
-    first-walk bound exceeds the gap is refined, and the second walk
-    multiplies powers only up to that cell.  M is a bound up to the rounding
-    of the exponentials and of `spectral_norm`; no interval arithmetic is
-    used.  State dimensions above MAX_EXPM_DIM raise DegenwaveError before
-    any factorisation.
+    M is the largest cell bound, and at least 1.
+
+    The first walk stops at the first sample K whose weighted value v_K, with
+    v_k = ||E^k|| e^{omega k w} and w = H/`samples`, has v_K e^{gw} <=
+    1 - DECAY_SLACK, g = max(omega + mu, 0).  Submultiplicativity gives
+    v_k <= v_K v_{k-K}, so by induction every later sample is at most v_K
+    times the largest of v_0 .. v_K: each later cell closes at level 0 with a
+    bound below the sampled maximum, hence below M, and is counted without a
+    product or a norm.  The slack covers rounding, so M, the cells, the
+    halvings and the sampled maximum are those of the full walk, which runs
+    when no sample meets the rule.
+
+    A second walk refines cell by cell, so that only O(REFINE_LEVELS)
+    propagators are alive at a time; as the sampled maximum only grows, no
+    cell after the last one whose first-walk bound exceeds the gap is
+    refined, and the second walk multiplies powers only up to that cell.  M
+    is a bound up to the rounding of the exponentials and of `spectral_norm`;
+    no interval arithmetic is used.  State dimensions above MAX_EXPM_DIM raise
+    DegenwaveError before any factorisation.
     """
     dim = 2 * generator.ndof
     if dim > MAX_EXPM_DIM:
@@ -268,20 +283,24 @@ def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
                               f"H = {horizon:g}, after {HORIZON_DOUBLINGS} doublings")
 
     width = horizon / samples
+    cell_growth = math.exp(growth * width)      # a level-0 cell's bound over its start
     step = scipy.linalg.expm(width * a_tilde)
     power = np.eye(dim)
     values = [weighted_norm(power, 0.0)]
     for k in range(1, samples + 1):
         power = step @ power
         values.append(weighted_norm(power, k * width))
+        if values[k] * cell_growth <= 1.0 - DECAY_SLACK:
+            break               # the later samples cannot move M
     sampled = max(values)
-    last = max((k for k in range(samples) if values[k] * math.exp(growth * width)
-                > (1.0 + REFINE_GAP) * sampled), default=-1)
+    walked = min(len(values), samples)
+    last = max((k for k in range(walked)
+                if values[k] * cell_growth > (1.0 + REFINE_GAP) * sampled), default=-1)
 
     halves = []                 # halves[level] = e^{(width / 2^(level + 1)) A~}
-    m_const, cells = 1.0, 0
+    m_const, cells = 1.0, samples - walked
     power = np.eye(dim)
-    for k in range(samples):
+    for k in range(walked):
         if 0 < k <= last:       # cells past `last` close at level 0 unread
             power = step @ power
         cell_stack = [(power, k * width, values[k], 0)]

@@ -5,11 +5,12 @@ curvature seminorm read from `curvature_map`, the dense row-by-row elastic
 map and stiffness of a generator, the subdomain extension B and the L2(P)
 pairing, the pointwise and sampled checks of the source hypotheses, a
 semigroup-constant sampler with one matrix exponential per sample time, the
-certificate route with full SVD norms and two full walks of the powers, a
-stand-in generator that serves a given matrix as its state-norm generator,
-the closed forms of the constant and pulse gains, and the trajectory and
-margins CSV writers as one formatted value at a time.  Each is a reference
-that tests compare the package's forms, constants and files against.
+certificate route with two full walks of the powers (full SVD norms, or the
+package's), a stand-in generator that serves a given matrix as its
+state-norm generator, the closed forms of the constant and pulse gains, and
+the trajectory and margins CSV writers as one formatted value at a time.
+Each is a reference that tests compare the package's forms, constants and
+files against.
 """
 
 import math
@@ -209,10 +210,15 @@ def direct_semigroup_constants(a_tilde, horizon=20.0, samples=80, recheck=50):
     return max(max(weighted_norm(t) for t in times), 1.0), omega, horizon
 
 
-def reference_semigroup_constants(generator, horizon=20.0, samples=80):
-    """`evolution.semigroup_constants` with each norm a full SVD and the chain
-    of powers walked twice in full, once for the samples and once to refine
-    cell by cell: the reference its M and note are checked against."""
+def reference_semigroup_constants(generator, horizon=20.0, samples=80, norm=None):
+    """`evolution.semigroup_constants` with the chain of powers walked twice
+    in full, once for all `samples` + 1 samples and once to refine cell by
+    cell: the reference its M and note are checked against.  Each norm is a
+    full SVD, or `norm`: given `evolution.spectral_norm`, the arithmetic is the
+    package's, so that M, omega and the note agree to the bit."""
+    if norm is None:
+        def norm(propagator):
+            return float(scipy.linalg.norm(propagator, 2))
     a_tilde = generator.state_norm_generator()
     dim = a_tilde.shape[0]
     abscissa = float(np.max(np.linalg.eigvals(a_tilde).real))
@@ -221,7 +227,7 @@ def reference_semigroup_constants(generator, horizon=20.0, samples=80):
     growth = max(omega + log_norm, 0.0)
 
     def weighted_norm(propagator, t):
-        return float(scipy.linalg.norm(propagator, 2)) * math.exp(omega * t)
+        return norm(propagator) * math.exp(omega * t)
 
     for horizon in [horizon * 2.0 ** k for k in range(HORIZON_DOUBLINGS + 1)]:
         if weighted_norm(scipy.linalg.expm(horizon * a_tilde), horizon) <= 1.0:

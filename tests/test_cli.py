@@ -148,6 +148,31 @@ def test_infeasible_certificate_exits_2(tmp_path):
     assert "feasible: no" in (out / "certificate.txt").read_text()
 
 
+@pytest.mark.parametrize("tau, factor", [("400", "e^(2 alpha)"), ("800", "e^(omega tau)")])
+@pytest.mark.parametrize("command", ["certify", "sweep"])
+def test_long_delay_overflow_is_infeasible(tmp_path, capsys, command, tau, factor):
+    # e^(omega tau) and e^(2 alpha) leave the float range: no certificate, no traceback
+    text = (DELAYED.replace("n = 24", "n = 16")
+            .replace("kind = constant", "kind = exp_decay\nrate = 1.0")
+            .replace("tau = 0.5", f"tau = {tau}")
+            .replace("kind = power\nq = 1.0", "kind = none")
+            .replace("dt = 0.0125", "dt = 0.5"))
+    cfg = write(tmp_path, "long.ini", text + "\n[sweep]\nparameter = kernel.k0\n"
+                                             "values = 0.002, 0.005\n")
+    out = tmp_path / "o"
+    code = main(["--config", cfg, "--out", str(out), "--command", command, "--quiet"])
+    assert "Traceback" not in capsys.readouterr().err
+    if command == "certify":
+        assert code == 2
+        report = (out / "certificate.txt").read_text()
+        assert report.startswith(f"feasible: no\nreason: {factor} = e^")
+        assert report.endswith(" overflows\n")
+    else:
+        assert code == 0
+        rows = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["0.002", "no"], ["0.005", "no"]]
+
+
 def test_blow_up_exits_4(tmp_path):
     cfg = write(tmp_path, "anti.ini", DELAYED
                 .replace("k0 = 0.005", "k0 = -40.0")

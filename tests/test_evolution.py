@@ -106,6 +106,57 @@ def test_semigroup_powers_match_direct_sampler_plain_matrix(monkeypatch):
     assert cert.M > 5.0 and "in [0, 80]" in cert.method_note
 
 
+def norm_counts(monkeypatch, generator):
+    """The certificate of `generator`, with the number of `spectral_norm`
+    calls it made in all and in its first walk (all, less one per horizon
+    tried and one per halved cell's midpoint)."""
+    calls = []
+    monkeypatch.setattr(evolution, "spectral_norm",
+                        lambda p: calls.append(1) or spectral_norm(p))
+    cert = semigroup_constants(generator)
+    monkeypatch.undo()
+    horizon, _, _ = note_figures(cert)
+    cells = int(re.search(r" on (\d+) cells ", cert.method_note).group(1))
+    horizons = round(math.log2(horizon / 20.0)) + 1
+    return cert, len(calls), len(calls) - horizons - (cells - 80)
+
+
+README_GEN = (OperatorKind.BEAM_NONDIV, 0.5, 64)
+
+
+@pytest.mark.parametrize("kind, alpha, n", [
+    (kind, alpha, n) for kind in OperatorKind for alpha in (0.5, 1.5) for n in (16, 32)]
+    + [README_GEN, (None, None, None)])
+def test_semigroup_constants_match_the_full_walk_to_the_bit(monkeypatch, kind, alpha, n):
+    # the stopped first walk against the reference that samples all 81 powers,
+    # with the package's norm; NON_NORMAL never meets the stop rule
+    gen = MatrixGenerator(NON_NORMAL) if kind is None else make_gen(kind, alpha, n)
+    cert, _, first_walk = norm_counts(monkeypatch, gen)
+    reference = reference_semigroup_constants(gen, norm=spectral_norm)
+    assert cert.M.hex() == reference.M.hex()
+    assert cert.omega.hex() == reference.omega.hex()
+    assert cert.method_note == reference.method_note
+    assert (first_walk == 81) == (kind is None)
+
+
+def test_semigroup_first_walk_stops_once_the_profile_has_decayed(monkeypatch):
+    # README generator: 11 first-walk samples and 50 norms, against 81 and 120
+    # for the full walk
+    _, norms, first_walk = norm_counts(monkeypatch, make_gen(*README_GEN))
+    assert first_walk <= 12 and norms <= 50
+
+
+def test_semigroup_normal_generator_stops_at_the_first_sample(monkeypatch):
+    # a normal A~ has mu equal to its spectral abscissa a, so omega + mu < 0,
+    # g = 0 and v_1 = e^{0.1 a w} < 1
+    normal = np.array([[-1.0, 2.0, 0.0, 0.0], [-2.0, -1.0, 0.0, 0.0],
+                       [0.0, 0.0, -3.0, 0.0], [0.0, 0.0, 0.0, -1.5]])
+    cert, norms, first_walk = norm_counts(monkeypatch, MatrixGenerator(normal))
+    assert first_walk == 2 and norms == 3
+    assert cert.M == 1.0
+    assert "on 80 cells in [0, 20] after 0 halvings" in cert.method_note
+
+
 def test_spectral_norm_matches_the_svd(rng):
     # the top eigenvalue of P^T P against the largest singular value, to 4 dim u
     readme = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 64).state_norm_generator()
