@@ -1,0 +1,66 @@
+"""Microseconds per step of `simulate` on the README beam, for one source tree.
+
+The beam is beam_nondiv with a = x^0.5 and beta = gamma = 1, started from
+polynomial data of amplitude 1e-3 with dt = 0.0025.  A positive --tau adds
+the constant kernel k0 = 0.005 with that delay on P = (0.25, 0.75), so
+m = tau/dt history slots; --tau 0 runs undelayed.  After one warm-up call,
+`simulate` is timed --repeats times; the post-run diagnostics are included.
+The one output line is a JSON object with the median and the minimum in
+microseconds per step.
+
+Usage: python scripts/steptime.py [--src DIR] [--n 64] [--tau 0.5]
+                                  [--source none|power] [--steps 4000] [--repeats 5]
+"""
+
+import argparse
+import json
+import os
+import sys
+import time
+
+# one BLAS thread, fixed before numpy loads, as the benchmark runs the program
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+DT = 0.0025
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--src", help="source tree to import degenwave from")
+    parser.add_argument("--n", type=int, default=64)
+    parser.add_argument("--tau", type=float, default=0.5, help="delay; 0 runs undelayed")
+    parser.add_argument("--source", choices=("none", "power"), default="power")
+    parser.add_argument("--steps", type=int, default=4000)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    if args.src:
+        sys.path.insert(0, args.src)
+
+    import numpy as np
+    from degenwave import (BoundaryParams, CoefficientSpec, Grid, KernelSpec, OperatorKind,
+                           Scenario, SourceKind, SubdomainP, assemble, classify,
+                           polynomial_state, simulate)
+
+    grid = Grid.uniform(args.n)
+    gen = assemble(OperatorKind.BEAM_NONDIV, classify(CoefficientSpec.power_law(0.5), grid),
+                   BoundaryParams(1.0, 1.0), grid)
+    y0, y1 = polynomial_state(gen, amplitude=1e-3)
+    delay = dict(kernel=KernelSpec.constant(0.005, tau=args.tau),
+                 subdomain=SubdomainP(0.25, 0.75)) if args.tau > 0 else {}
+    source = SourceKind.power(1.0) if args.source == "power" else SourceKind.none()
+    sc = Scenario(generator=gen, source=source, y0=y0, y1=y1, t_end=args.steps * DT, dt=DT,
+                  **delay)
+    simulate(sc)
+    per_step = []
+    for _ in range(args.repeats):
+        start = time.perf_counter()
+        simulate(sc)
+        per_step.append((time.perf_counter() - start) / sc.nsteps * 1e6)
+    print(json.dumps({"n": args.n, "tau": args.tau, "m": sc.m, "source": args.source,
+                      "steps": sc.nsteps, "median_us": float(np.median(per_step)),
+                      "min_us": min(per_step)}))
+
+
+if __name__ == "__main__":
+    main()

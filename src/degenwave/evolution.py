@@ -341,7 +341,7 @@ class _Stepper:
     with the bandwidth kd of K, factored once by LAPACK dpbtrf and solved per
     stage by dpbtrs, O(kd^2 n) and O(kd n) work (Golub & Van Loan, section
     4.3).  No dense n x n array is formed.  The explicit terms G = (0, g) have a
-    zero displacement half, so `delay_term` and `source_term` give g alone.
+    zero displacement half, so the delay and source terms give g alone.
     The trapezoid step is taken in its implicit-midpoint form
     new = 2 solve(u, v + h g) - (u, v), which is the same map as
     (I - hA)^{-1}((I + hA) y + dt G) and needs no product with A.
@@ -353,17 +353,23 @@ class _Stepper:
     Undelayed unforced runs are pure trapezoid, so the discrete energy
     telescopes exactly.
 
-    `step` reads the state at t_ell and writes the state at t_{ell + 1}
-    through views into rows ell and ell + 1 of the run's preallocated states
-    array; the stage vectors are work vectors allocated here, once per run,
-    and the kernel values k(t_ell + dt/2) and k(t_ell + dt) the delay term
-    reads are evaluated here too, as one vector each over all steps.  The
-    delayed trace is read, not stored: slot j <= 0 from `history_slots`, slot
-    j >= 1 from row j of the states array, written before the step from t_ell
-    reads it, as j <= ell + 1 - m <= ell.
+    `advance` steps row `first` of the run's preallocated states array on to
+    row `last`, each step reading row ell and writing row ell + 1 through
+    views.  The delayed trace is read, not stored: slot j <= 0 from
+    `history_slots`, slot j >= 1 from row j of the states array.  The
+    midpoint delay terms of m = tau/dt consecutive steps read no slot past
+    the first step's row, so `midpoint_delays` forms them a sub-block of at
+    most min(rows, m) steps at a time (`rows`, the steps of one record block
+    of `simulate`) in one vectorised pass, into `delay_rows`, allocated once
+    per run and zero off P (undelayed, a zero vector seen as every row).
+    Elementwise operations round each element alone, so every row is bit for
+    bit the term the step would form on its own.  The stage solution is the
+    2n work vector `mid`, and the new state is 2 mid - y over the whole row.
+    k(t_ell + dt/2) is evaluated once per run over all steps, and
+    k(t_ell + dt) only at the start-up steps that read it.
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, rows: int):
         self.sc = scenario
         gen = scenario.generator
         self.gen = gen
@@ -385,41 +391,56 @@ class _Stepper:
             raise LinearSolveFailureError(
                 f"M + hD + h^2 K is not positive definite: banded Cholesky (dpbtrf) "
                 f"failed at its leading minor of order {info}")
-        # work vectors: the delay term (zero off P, and everywhere when
-        # undelayed), the explicit term, the stage right-hand side and solution
+        # work vectors: the end-point delay term (zero off P, and everywhere
+        # when undelayed), the explicit term, the stage right-hand side and
+        # the stage solution (x1, x2)
         self.delay = np.zeros(ndof)
-        self.g, self.r2, self.rhs, self.x1 = (np.empty(ndof) for _ in range(4))
-        if scenario.kernel is not None:
+        self.g, self.r2 = np.empty(ndof), np.empty(ndof)
+        self.mid = np.empty(2 * ndof)
+        self.x1, self.x2 = self.mid[:ndof], self.mid[ndof:]
+        if scenario.kernel is None:
+            self.delay_rows = np.broadcast_to(self.delay, (rows, ndof))     # no storage
+        else:
             dofs = scenario.subdomain_dofs   # a contiguous ascending range
             self.on_p = slice(int(dofs[0]), int(dofs[-1]) + 1)
             self.on_p_velocity = slice(ndof + self.on_p.start, ndof + self.on_p.stop)
             times = np.arange(scenario.nsteps) * scenario.dt
             self.k_mid = scenario.kernel.eval(times + h)
-            self.k_end = scenario.kernel.eval(times + scenario.dt)
+            self.k_end = scenario.kernel.eval(times[:STARTUP_STEPS] + scenario.dt)
+            self.delay_rows = np.zeros((min(rows, scenario.m), ndof))
+            self.delay_on_p = self.delay_rows[:, self.on_p]
         has_explicit = (scenario.kernel is not None) or (not scenario.source.is_none)
         self.smoothing_left = STARTUP_STEPS if has_explicit else 0
         self.prev_source = None
 
-    def delayed_trace(self, j: int, states: np.ndarray) -> np.ndarray:
-        """The delayed trace at slot j, time j dt: the initial history for
-        j <= 0, the velocity on P in row j of `states` after."""
-        if j <= 0:
-            return self.sc.history_slots[j + self.sc.m]
-        return states[j, self.on_p_velocity]
-
-    def delay_term(self, ell: int, midpoint: bool, states: np.ndarray) -> np.ndarray:
-        """g = -k(t) B B* y_t(t - tau) at t = t_ell + dt (slot ell + 1 - m), or at
-        the midpoint t_ell + dt/2 (the mean of slots ell - m and ell + 1 - m),
-        in the work vector `delay`; zero when undelayed."""
-        if self.sc.kernel is None:
-            return self.delay
-        slot = ell + 1 - self.sc.m
-        delayed = self.delayed_trace(slot, states)
-        if midpoint:
-            delayed = 0.5 * (self.delayed_trace(slot - 1, states) + delayed)
-        k_t = (self.k_mid if midpoint else self.k_end)[ell]
+    def midpoint_delays(self, first: int, last: int, states: np.ndarray) -> np.ndarray:
+        """g = -k(t) B B* y_t(t - tau) at the midpoints t_ell + dt/2 of the steps
+        ell = first .. last - 1, at most m of them, in the leading rows of
+        `delay_rows`.  The midpoint trace is the mean of slots ell - m and
+        ell + 1 - m, so the pass reads slots first - m .. last - m <= first."""
+        m = self.sc.m
+        if m is None:
+            return self.delay_rows
+        if first > m:                                       # slots from 1 on
+            traces = states[first - m:last - m + 1, self.on_p_velocity]
+        else:                                               # slots up to 0, then on
+            traces = self.sc.history_slots[first:last + 1]
+            if last > m:
+                traces = np.concatenate((traces, states[1:last - m + 1, self.on_p_velocity]))
         # 0 - k slot on P, as zeros -= k slot gives (never a negative zero)
-        np.subtract(0.0, k_t * delayed, out=self.delay[self.on_p])
+        np.subtract(0.0, self.k_mid[first:last, None] * (0.5 * (traces[:-1] + traces[1:])),
+                    out=self.delay_on_p[:last - first])
+        return self.delay_rows[:last - first]
+
+    def end_delay(self, ell: int, states: np.ndarray) -> np.ndarray:
+        """g at t_ell + dt (slot ell + 1 - m) of a start-up step, in the work
+        vector `delay`; zero when undelayed."""
+        m = self.sc.m
+        if m is None:
+            return self.delay
+        trace = self.sc.history_slots[ell + 1] if ell < m \
+            else states[ell + 1 - m, self.on_p_velocity]          # slot ell + 1 - m
+        np.subtract(0.0, self.k_end[ell] * trace, out=self.delay[self.on_p])
         return self.delay
 
     def source_term(self, u: np.ndarray) -> Optional[np.ndarray]:
@@ -432,42 +453,44 @@ class _Stepper:
             return eval_f(source, u, gen.grid)
         return eval_f(source, gen.embed(u), gen.grid)[gen.free]
 
-    def velocity_rhs(self, v: np.ndarray, ell: int, midpoint: bool,
-                     source: Optional[np.ndarray], states: np.ndarray) -> np.ndarray:
+    def velocity_rhs(self, v: np.ndarray, delay: np.ndarray,
+                     source: Optional[np.ndarray]) -> np.ndarray:
         """v + h g in the work vector `r2`, g the delay term plus `source`."""
-        g = self.delay_term(ell, midpoint, states)
+        g = delay
         if source is not None:
-            g = np.add(g, source, out=self.g)
+            g = np.add(delay, source, out=self.g)
         r2 = np.multiply(g, self.half_dt, out=self.r2)
         return np.add(v, r2, out=r2)
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
         """(x1, x2) with (I - dt/2 A)(x1, x2) = (r1, r2), by the velocity-block
-        reduction, in the work vectors `x1` and `rhs`; r1 may be `x1` itself."""
-        gen, h = self.gen, self.half_dt
-        rhs = np.multiply(gen.mass, r2, out=self.rhs)
-        rhs -= h * gen.stiffness_product(r1)
-        # dpbtrs has no numerical failure mode: its info flags illegal arguments only
-        x2, _ = dpbtrs(self.chol, rhs, lower=0, overwrite_b=1)
-        return np.add(r1, h * x2, out=self.x1), x2
+        reduction, in the halves of the work vector `mid`; r1 may be x1 itself."""
+        gen, h, x1, x2 = self.gen, self.half_dt, self.x1, self.x2
+        np.multiply(gen.mass, r2, out=x2)
+        x2 -= h * gen.stiffness_product(r1)
+        # in place on the contiguous x2; dpbtrs has no numerical failure mode:
+        # its info flags illegal arguments only
+        dpbtrs(self.chol, x2, lower=0, overwrite_b=1)
+        np.add(r1, h * x2, out=x1)
+        return x1, x2
 
-    def step(self, ell: int, states: np.ndarray) -> None:
+    def step(self, ell: int, states: np.ndarray, delay: np.ndarray) -> None:
         """Write states[ell + 1], the state at t_{ell + 1}, from states[ell],
-        the state at t_ell = ell dt."""
-        n = self.gen.ndof
-        u, v = states[ell, :n], states[ell, n:]
-        u_new, v_new = states[ell + 1, :n], states[ell + 1, n:]
+        the state at t_ell = ell dt; `delay` is the step's midpoint delay term."""
+        n = self.x1.size
+        y, new = states[ell], states[ell + 1]
+        u, v = y[:n], y[n:]
         if self.smoothing_left > 0:
             self.smoothing_left -= 1
             # two backward-Euler half-steps with the shared (I - dt/2 A) factor
-            u1, v1 = self.solve(u, self.velocity_rhs(v, ell, True, self.source_term(u),
-                                                     states))
-            u_new[:], v_new[:] = self.solve(
-                u1, self.velocity_rhs(v1, ell, False, self.source_term(u1), states))
-            self.prev_source = self.source_term(u_new)
+            u1, v1 = self.solve(u, self.velocity_rhs(v, delay, self.source_term(u)))
+            self.solve(u1, self.velocity_rhs(v1, self.end_delay(ell, states),
+                                             self.source_term(u1)))
+            new[:] = self.mid
+            self.prev_source = self.source_term(new[:n])
         else:
-            # delay term at the midpoint in time: the two adjacent history
-            # slots average to the half-slot trace, which also annihilates
+            # delay term at the midpoint in time (`midpoint_delays`): the two
+            # adjacent history slots average to the half-slot trace, which also annihilates
             # any step-frequency ringing before it can feed back; the source
             # is Adams-Bashforth extrapolated from known states
             src = self.source_term(u)
@@ -477,17 +500,27 @@ class _Stepper:
                 extrapolated = np.multiply(src, 1.5, out=self.g)
                 extrapolated -= 0.5 * prev
                 self.prev_source = src
-            u_mid, v_mid = self.solve(u, self.velocity_rhs(v, ell, True, extrapolated, states))
-            np.subtract(2.0 * u_mid, u, out=u_new)
-            np.subtract(2.0 * v_mid, v, out=v_new)
+            self.solve(u, self.velocity_rhs(v, delay, extrapolated))
+            np.multiply(self.mid, 2.0, out=new)
+            np.subtract(new, y, out=new)
+
+    def advance(self, first: int, last: int, states: np.ndarray) -> None:
+        """Step row `first` of `states` on to row `last`, one sub-block of at
+        most len(`delay_rows`) steps per `midpoint_delays` pass."""
+        span = len(self.delay_rows)
+        for lo in range(first, last, span):
+            hi = min(lo + span, last)
+            for ell, delay in zip(range(lo, hi), self.midpoint_delays(lo, hi, states)):
+                self.step(ell, states, delay)
 
 
 def simulate(scenario: Scenario) -> Trajectory:
     """Integrate to t_end, recording each state and its energy once.
 
-    `_Stepper.step` writes the `scenario.nsteps` + 1 states into one
-    preallocated array, a block of RECORD_BLOCK // (2 ndof) rows at a time.
-    Each block then gets one `energy_parts` call, the blow-up test (its first
+    `_Stepper.advance` writes the `scenario.nsteps` + 1 states into one
+    preallocated array, a block of RECORD_BLOCK // (2 ndof) rows at a time,
+    and within a block one `midpoint_delays` pass per sub-block of at most m
+    steps.  Each block then gets one `energy_parts` call, the blow-up test (its first
     row whose energy sum is not finite or whose sqrt(2 E) exceeds BLOWUP_NORM
     ends the run; the rows stepped past it are dropped) and the h ||trace||^2
     of its delayed traces, kept from slot -m on.  Rows past a blow-up may
@@ -498,9 +531,9 @@ def simulate(scenario: Scenario) -> Trajectory:
     depends on the block size.
     """
     gen = scenario.generator
-    stepper = _Stepper(scenario)
     nsteps, dt = scenario.nsteps, scenario.dt
     rows = max(1, RECORD_BLOCK // (2 * gen.ndof))
+    stepper = _Stepper(scenario, rows)
     delayed = scenario.kernel is not None
 
     states = np.empty((nsteps + 1, 2 * gen.ndof))
@@ -515,8 +548,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         kinetic[:1], elastic[:1], boundary[:1] = gen.energy_parts(states[:1])
         for lo in range(1, nsteps + 1, rows):
             hi = min(lo + rows, nsteps + 1)
-            for ell in range(lo - 1, hi - 1):
-                stepper.step(ell, states)
+            stepper.advance(lo - 1, hi - 1, states)
             block = slice(lo, hi)
             kinetic[block], elastic[block], boundary[block] = gen.energy_parts(states[block])
             if delayed:

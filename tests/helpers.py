@@ -7,8 +7,9 @@ pairing, the pointwise and sampled checks of the source hypotheses, a
 semigroup-constant sampler with one matrix exponential per sample time, the
 certificate route with two full walks of the powers (full SVD norms, or the
 package's), a stand-in generator that serves a given matrix as its
-state-norm generator, the closed forms of the constant and pulse gains, and
-the trajectory and margins CSV writers as one formatted value at a time.
+state-norm generator, the closed forms of the constant and pulse gains, the
+trajectory and margins CSV writers as one formatted value at a time, and the
+IMEX step taken one step at a time with each step's own delay term.
 Each is a reference that tests compare the package's forms, constants and
 files against.
 """
@@ -18,7 +19,9 @@ import math
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dpbtrs
 
+from degenwave import evolution
 from degenwave.errors import InfeasibleError, SubdomainNotAlignedError
 from degenwave.evolution import (HORIZON_DOUBLINGS, REFINE_GAP, REFINE_LEVELS,
                                  SemigroupCertificate)
@@ -357,3 +360,66 @@ def reference_margins_csv(report, path):
         fh.write("t,included,bound_ratio\n")
         for t, inc, r in zip(report.times, report.included, report.ratios):
             fh.write(f"{t:.17g},{int(inc)},{r:.17g}\n")
+
+
+def reference_states(scenario):
+    """All `nsteps` + 1 states of the run, stepped one step at a time.
+
+    Each step forms its own delay term -k(t) B B* y_t(t - tau) from the slots
+    it reads (slot j <= 0 from `history_slots`, slot j >= 1 from row j): at
+    t + dt for the second half-step of a start-up pair, as the mean of slots
+    ell - m and ell + 1 - m at the midpoint otherwise.  Then v + h g, the
+    velocity-block solve with the stepper's Cholesky factor, and the
+    implicit-midpoint update 2 mid - y, term by term as `simulate` computes
+    them.  Steps past a blow-up are taken too (overflow is silent), so the
+    states of `simulate` are a prefix of these.
+    """
+    gen, kernel, source = scenario.generator, scenario.kernel, scenario.source
+    n, dt, m = gen.ndof, scenario.dt, scenario.m
+    h = 0.5 * dt
+    factor = evolution._Stepper(scenario, 1).chol
+    on_p = None if kernel is None else n + scenario.subdomain_dofs
+    states = np.empty((scenario.nsteps + 1, 2 * n))
+    states[0] = scenario.initial_state
+
+    def trace(j):
+        return scenario.history_slots[j + m] if j <= 0 else states[j, on_p]
+
+    def delay_term(ell, midpoint):
+        g = np.zeros(n)
+        if kernel is not None:
+            slot = ell + 1 - m
+            delayed = 0.5 * (trace(slot - 1) + trace(slot)) if midpoint else trace(slot)
+            g[on_p - n] = 0.0 - kernel.eval(ell * dt + (h if midpoint else dt)) * delayed
+        return g
+
+    def source_term(u):
+        return None if source.is_none else eval_f(source, gen.embed(u), gen.grid)[gen.free]
+
+    def solve(r1, v, g):
+        r2 = v + g * h
+        x2, _ = dpbtrs(factor, gen.mass * r2 - h * gen.stiffness_product(r1), lower=0)
+        return r1 + h * x2, x2
+
+    def plus(g, src):
+        return g if src is None else g + src
+
+    startup = evolution.STARTUP_STEPS if kernel is not None or not source.is_none else 0
+    prev = None
+    with np.errstate(all="ignore"):
+        for ell in range(scenario.nsteps):
+            u, v = states[ell, :n], states[ell, n:]
+            if ell < startup:
+                u1, v1 = solve(u, v, plus(delay_term(ell, True), source_term(u)))
+                u2, v2 = solve(u1, v1, plus(delay_term(ell, False), source_term(u1)))
+                states[ell + 1] = np.concatenate((u2, v2))
+                prev = source_term(u2)
+                continue
+            src = source_term(u)
+            extrapolated = None
+            if src is not None:
+                extrapolated = 1.5 * src - 0.5 * (src if prev is None else prev)
+                prev = src
+            u_mid, v_mid = solve(u, v, plus(delay_term(ell, True), extrapolated))
+            states[ell + 1] = np.concatenate((2.0 * u_mid - u, 2.0 * v_mid - v))
+    return states

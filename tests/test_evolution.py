@@ -19,7 +19,7 @@ from degenwave.evolution import (REFINE_GAP, REFINE_LEVELS, _Stepper, spectral_a
                                  spectral_norm)
 from degenwave.operators import DiscreteGenerator
 from helpers import (MatrixGenerator, direct_semigroup_constants, eig_semigroup_profile,
-                     reference_semigroup_constants)
+                     reference_semigroup_constants, reference_states)
 
 #: the non-normal 6 x 6 generator: transient growth (M > 5), horizon doubled twice
 NON_NORMAL = -np.diag(np.linspace(0.3, 2.0, 6)) + np.eye(6, k=1)
@@ -321,16 +321,19 @@ def test_step_count_is_resolved_once():
     KernelSpec.tabulated([0.0, 1.3, 7.77, 19.0], [0.1, -0.05, 0.3, 0.0], tau=0.5),
 ], ids=lambda kernel: kernel.kind)
 def test_kernel_values_per_run_match_the_scalar_eval(kernel):
-    # the stepper evaluates k once per run as two vectors over all steps; each
-    # entry is the value the per-step scalar evaluation gives, bit for bit
+    # the stepper evaluates k once per run: at the midpoints of all steps, and
+    # at the ends of the start-up steps, which alone read them; each entry is
+    # the value the per-step scalar evaluation gives, bit for bit
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 8)
     dt = 0.0005
     sc = simple_scenario(gen, t_end=40000 * dt, dt=dt, kernel=kernel,
                          subdomain=SubdomainP(0.25, 0.75))
-    stepper = _Stepper(sc)
-    assert stepper.k_mid.shape == stepper.k_end.shape == (40000,)
+    stepper = _Stepper(sc, 1)
+    assert stepper.k_mid.shape == (40000,)
+    assert stepper.k_end.shape == (evolution.STARTUP_STEPS,)
     mid = np.array([float(kernel.eval(ell * dt + dt / 2)) for ell in range(40000)])
-    end = np.array([float(kernel.eval(ell * dt + dt)) for ell in range(40000)])
+    end = np.array([float(kernel.eval(ell * dt + dt))
+                    for ell in range(evolution.STARTUP_STEPS)])
     assert np.array_equal(stepper.k_mid.view(np.int64), mid.view(np.int64))
     assert np.array_equal(stepper.k_end.view(np.int64), end.view(np.int64))
 
@@ -389,10 +392,10 @@ def test_desk_scale_simulation():
 
 
 def first_step(stepper, state):
-    """The state after the step from t_0, written by `step` into a second row."""
+    """The state after the step from t_0, written by the stepper into a second row."""
     states = np.empty((2, state.size))
     states[0] = state
-    stepper.step(0, states)
+    stepper.advance(0, 1, states)
     return states[1]
 
 
@@ -408,7 +411,7 @@ def test_single_step_matches_rk4_oracle(monkeypatch):
                   history=lambda s: g_trace)
     state0 = sc.initial_state
     monkeypatch.setattr(evolution, "STARTUP_STEPS", 0)
-    got = first_step(_Stepper(sc), state0)
+    got = first_step(_Stepper(sc, 1), state0)
 
     from degenwave.nonlinearity import eval_f
 
@@ -452,10 +455,10 @@ def test_block_solve_matches_dense_trapezoid(monkeypatch, kind, alpha, n, dt):
                   t_end=1.0, dt=dt, kernel=KernelSpec.exp_decay(0.4, 1.5, tau=0.1),
                   subdomain=SubdomainP(0.25, 0.75), history=0.3)
     monkeypatch.setattr(evolution, "STARTUP_STEPS", 0)
-    stepper = _Stepper(sc)
+    stepper = _Stepper(sc, 1)
     state = sc.initial_state
     u, _ = gen.split(state)
-    g = stepper.delay_term(0, True, state[None]) + stepper.source_term(u)
+    g = stepper.midpoint_delays(0, 1, state[None])[0] + stepper.source_term(u)
     assert np.any(g != 0.0)
     explicit = gen.join(np.zeros(gen.ndof), g)
     ident = np.eye(2 * gen.ndof)
@@ -508,7 +511,7 @@ def test_step_factor_failure_names_the_minor():
     assert order is not None
     with pytest.raises(LinearSolveFailureError, match=f"leading minor of order {order}$"):
         _Stepper(Scenario(generator=bad, source=SourceKind.none(), y0=y0, y1=y1,
-                          t_end=dt, dt=dt))
+                          t_end=dt, dt=dt), 1)
 
 
 def test_step_factor_rejects_non_finite_bands():
@@ -591,19 +594,29 @@ def simulate_in_blocks(monkeypatch, sc, rows):
         monkeypatch.undo()
 
 
+def delay_config(tau, history=0.3):
+    return dict(kernel=KernelSpec.exp_decay(0.4, 1.5, tau=tau),
+                subdomain=SubdomainP(0.25, 0.75), history=history)
+
+
 def block_configs():
-    delayed = dict(kernel=KernelSpec.exp_decay(0.4, 1.5, tau=0.25),
-                   subdomain=SubdomainP(0.25, 0.75), history=0.3)
+    delayed = delay_config(0.25)
     return {
         "delayed_forced": (make_gen(OperatorKind.BEAM_NONDIV, 0.5, 24),
                            dict(source=SourceKind.power(1.0), **delayed)),
         "undelayed": (make_gen(OperatorKind.BEAM_DIV, 1.5, 24), {}),
         "nonlocal_source": (make_gen(OperatorKind.WAVE_DIV, 0.5, 24),
                             dict(source=SourceKind.nonlocal_l2(2.0), **delayed)),
+        # m = 1, and m = 100 past the run's 80 steps (dt = 0.0125)
+        "delay_of_one_step": (make_gen(OperatorKind.WAVE_NONDIV, 1.5, 24),
+                              dict(source=SourceKind.power(1.0), **delay_config(0.0125))),
+        "delay_past_the_run": (make_gen(OperatorKind.BEAM_NONDIV, 0.5, 24),
+                               delay_config(1.25)),
     }
 
 
-@pytest.mark.parametrize("config", ["delayed_forced", "undelayed", "nonlocal_source"])
+@pytest.mark.parametrize("config", ["delayed_forced", "undelayed", "nonlocal_source",
+                                    "delay_of_one_step", "delay_past_the_run"])
 def test_records_do_not_depend_on_the_block_size(config, monkeypatch):
     gen, extra = block_configs()[config]
     sc = simple_scenario(gen, t_end=1.0, dt=0.0125, amplitude=0.5, **extra)
@@ -615,6 +628,45 @@ def test_records_do_not_depend_on_the_block_size(config, monkeypatch):
         assert not traj.blew_up
         for name, values in trajectory_arrays(traj).items():
             assert np.array_equal(values, reference[name]), name
+
+
+SOURCES = {"none": SourceKind.none(), "power": SourceKind.power(1.0),
+           "nonlocal": SourceKind.nonlocal_l2(2.0)}
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("m", [1, 2, 5, 20, 100])
+def test_states_match_the_per_step_reference(m, source, monkeypatch):
+    # the midpoint delay terms of a sub-block of at most m steps, formed in one
+    # pass, give the states of steps that each form their own, bit for bit;
+    # m = 100 is longer than the run's 80 steps, and 1, 3, 7 rows cut the
+    # sub-blocks short at block ends
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 24)
+    sc = simple_scenario(gen, t_end=1.0, dt=0.0125, amplitude=0.5, source=SOURCES[source],
+                         **delay_config(m * 0.0125, history=lambda s: 0.3 + np.sin(7.0 * s)))
+    assert sc.m == m and sc.nsteps == 80
+    want = reference_states(sc)
+    # every run is kept, so that no run's states array reuses another's memory
+    runs = {rows: simulate_in_blocks(monkeypatch, sc, rows) for rows in (1, 3, 7, None)}
+    for rows, traj in runs.items():
+        assert traj.states.tobytes() == want.tobytes(), rows
+
+
+def test_blow_up_states_match_the_per_step_reference(monkeypatch):
+    # m = 5: anti-damping blows up at a row written by a step inside a
+    # sub-block (not its last step), for the default block and blocks of 3
+    # and 7 rows; the states up to that row are the reference's, bit for bit
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    sc = blow_up_scenarios(gen)[0]
+    assert sc.m == 5
+    want = reference_states(sc)
+    runs = {rows: simulate_in_blocks(monkeypatch, sc, rows) for rows in (3, 7, None)}
+    for rows, traj in runs.items():
+        last = len(traj.times) - 1
+        span = 5 if rows is None else min(rows, 5)
+        block = last - 1 if rows is None else (last - 1) % rows     # its step in the block
+        assert traj.blew_up and last < sc.nsteps and (block + 1) % span, rows
+        assert traj.states.tobytes() == want[:last + 1].tobytes(), rows
 
 
 def blow_up_scenarios(gen):
@@ -687,32 +739,37 @@ def test_dt_tau_tolerance_of_scenario():
 
 
 def test_delayed_trace_slot_and_half_slot_only(rng):
-    # m = tau/dt = 5: the step from t_l reads slot l + 1 - m at t_l + dt and
-    # the exact mean of slots l - m and l + 1 - m at the midpoint; slot j <= 0
-    # is the initial history, slot j >= 1 the velocity on P in row j
+    # m = tau/dt = 5: a start-up step from t_l reads slot l + 1 - m at t_l + dt,
+    # and every step the exact mean of slots l - m and l + 1 - m at the
+    # midpoint, prepared for a sub-block of at most m steps; slot j <= 0 is
+    # the initial history, slot j >= 1 the velocity on P in row j
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
     sub = SubdomainP(0.25, 0.75)
     dt, tau, k0 = 0.05, 0.25, 0.1
     sc = simple_scenario(gen, t_end=1.0, dt=dt, kernel=KernelSpec.constant(k0, tau),
                          subdomain=sub, history=lambda s: s)
-    stepper = _Stepper(sc)
+    stepper = _Stepper(sc, 7)
+    assert len(stepper.delay_rows) == 5
     slots = sc.history_slots                        # slot j in row j + m
-    states = rng.standard_normal((7, 2 * gen.ndof))
+    states = rng.standard_normal((8, 2 * gen.ndof))
     on_p = sc.subdomain_dofs
     off_p = np.setdiff1d(np.arange(gen.ndof), on_p)
-    end = stepper.delay_term(1, False, states).copy()
+    trace = states[:, gen.ndof + on_p]              # slot j >= 1 in row j
+    assert np.array_equal(stepper.end_delay(0, states)[on_p], -k0 * slots[-4 + 5])
+    end = stepper.end_delay(1, states).copy()
     assert np.array_equal(end[on_p], -k0 * slots[-3 + 5])
-    mid = stepper.delay_term(1, True, states).copy()
-    assert np.array_equal(mid[on_p], -k0 * (0.5 * (slots[-4 + 5] + slots[-3 + 5])))
-    assert mid[on_p][0] == pytest.approx(k0 * 3.5 * dt)  # history s at s = -3.5 dt
-    assert np.all(end[off_p] == 0.0) and np.all(mid[off_p] == 0.0)
-    assert np.array_equal(stepper.delay_term(4, False, states)[on_p], -k0 * slots[5])
-    trace = states[1, gen.ndof + on_p]                  # slot 1 is row 1
-    assert np.array_equal(stepper.delay_term(5, False, states)[on_p], -k0 * trace)
-    assert np.array_equal(stepper.delay_term(5, True, states)[on_p],
-                          -k0 * (0.5 * (slots[5] + trace)))
-    assert np.array_equal(stepper.delay_term(6, False, states)[on_p],
-                          -k0 * states[2, gen.ndof + on_p])
+    mid = stepper.midpoint_delays(1, 2, states)
+    assert mid.shape == (1, gen.ndof)
+    assert np.array_equal(mid[0, on_p], -k0 * (0.5 * (slots[-4 + 5] + slots[-3 + 5])))
+    assert mid[0, on_p][0] == pytest.approx(k0 * 3.5 * dt)  # history s at s = -3.5 dt
+    assert np.all(end[off_p] == 0.0) and np.all(mid[:, off_p] == 0.0)
+    # sub-blocks of history slots only, of history slots and rows, of rows only
+    for first, last in ((0, 5), (3, 8), (6, 8)):
+        rows = stepper.midpoint_delays(first, last, states)
+        assert rows.shape == (last - first, gen.ndof) and np.all(rows[:, off_p] == 0.0)
+        for ell, row in zip(range(first, last), rows):
+            before, after = (slots[j + 5] if j <= 0 else trace[j] for j in (ell - 5, ell - 4))
+            assert np.array_equal(row[on_p], -k0 * (0.5 * (before + after)))
 
 
 @pytest.mark.parametrize("k0", [0.005, -0.02, 0.05])

@@ -1,5 +1,6 @@
 """The example scripts run end to end and write their CSV files."""
 
+import json
 import os
 import subprocess
 import sys
@@ -39,3 +40,14 @@ def test_linear_decay_study_script_imports(tmp_path):
     proc = run_script("linear_decay_study.py", ["--help"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_steptime_script(tmp_path):
+    proc = run_script("steptime.py", ["--n", "16", "--tau", "0.0125", "--steps", "20",
+                                      "--repeats", "2"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    result = json.loads(lines[0])
+    assert result["n"] == 16 and result["m"] == 5 and result["steps"] == 20
+    assert 0.0 < result["min_us"] <= result["median_us"]
