@@ -23,7 +23,6 @@ from .grids import Grid
 from .nonlinearity import (NonlinearityConstants, SourceKind, constants_for,
                            eval_F_functional, eval_f, h_eval, h_inverse,
                            hardy_poincare_constant, lipschitz_bound)
-from .operators import (BoundaryParams, DiscreteGenerator, OperatorKind, assemble,
-                        gauss_green_residual)
+from .operators import BoundaryParams, DiscreteGenerator, OperatorKind, assemble
 
 __version__ = "0.1.0"

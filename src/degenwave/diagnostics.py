@@ -180,7 +180,7 @@ def energy_bound_check(trajectory, kernel: Optional[KernelSpec], b: float,
     lower_checked = False
     if (max_ratio <= 1.0 + tol and source is not None and constants is not None
             and gen.kind is OperatorKind.BEAM_NONDIV):
-        u0, _ = gen.split(trajectory.states[0])
+        u0, _ = gen.split(trajectory.scenario.initial_state)
         curv0 = gen.elastic_seminorm(u0)
         c_at_end = float(np.atleast_1d(growth_envelope_C(kernel, b, times[-1]))[0])
         if (e0 > 0 and h_eval(source, constants, curv0) < 0.5

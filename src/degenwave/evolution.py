@@ -160,12 +160,10 @@ class Trajectory:
     """The state at every step of a run, with per-record diagnostics.
 
     Every field is an array over the records (one per step, plus the initial
-    state); `energies` holds one array per energy summand.  The kinetic,
-    elastic and boundary energies are each state's `energy_parts`, computed
-    once during the run, and `state_norms` is sqrt(2 (kinetic + elastic +
-    boundary)); the other fields are computed in batch from `states` by
-    `simulate`.  The record of a non-finite state carries inf energies, norm
-    and damping rate and nan tip values.
+    state); `energies` holds one array per energy summand.  `state_norms` is
+    sqrt(2 (kinetic + elastic + boundary)), and the tip columns are the last
+    displacement and velocity dofs.  A non-finite record carries inf energies,
+    norm and damping rate and nan tip values.
     """
 
     times: np.ndarray
@@ -380,7 +378,7 @@ class _Stepper:
         bands = gen.stiffness_bands * (h * h)
         kd, ndof = bands.shape[0] - 1, gen.ndof
         bands[kd] += gen.mass
-        e, g = gen.trace_value[-3:], gen.trace_slope[-3:]
+        e, g = gen.tip_weights.T
         for d in range(min(3, kd + 1)):
             bands[kd - d, ndof - 3 + d:] += h * (gen.damping_value_coeff * e[:3 - d] * e[d:]
                                                  + gen.damping_slope_coeff * g[:3 - d] * g[d:])
@@ -515,72 +513,62 @@ class _Stepper:
 
 
 def simulate(scenario: Scenario) -> Trajectory:
-    """Integrate to t_end, recording each state and its energy once.
+    """Integrate to t_end, recording each state and its diagnostics once.
 
-    `_Stepper.advance` writes the `scenario.nsteps` + 1 states into one
-    preallocated array, a block of RECORD_BLOCK // (2 ndof) rows at a time,
-    and within a block one `midpoint_delays` pass per sub-block of at most m
-    steps.  Each block then gets one `energy_parts` call, the blow-up test (its first
-    row whose energy sum is not finite or whose sqrt(2 E) exceeds BLOWUP_NORM
-    ends the run; the rows stepped past it are dropped) and the h ||trace||^2
-    of its delayed traces, kept from slot -m on.  Rows past a blow-up may
-    overflow, so numpy's overflow and invalid warnings are off.  Only the last
-    record can be non-finite, as `Scenario` rejects non-finite data; its
-    energies, norm and damping rate are inf and its tip values nan.  Source
-    energies are summed a block at a time, the rest in batch; no record
-    depends on the block size.
+    The states fill one preallocated array, a block of RECORD_BLOCK // (2 ndof)
+    records at a time; each block is stepped by `_Stepper.advance`, then every
+    record column of its rows is filled, row by row, so no record depends on
+    the block size.  The first record whose energy sum is not finite or whose
+    sqrt(2 E) exceeds BLOWUP_NORM ends the run; rows stepped past it are
+    dropped, and may overflow (numpy's warnings are off).  Only that last
+    record can be non-finite.
     """
     gen = scenario.generator
-    nsteps, dt = scenario.nsteps, scenario.dt
-    rows = max(1, RECORD_BLOCK // (2 * gen.ndof))
+    nsteps, dt, ndof = scenario.nsteps, scenario.dt, gen.ndof
+    rows = max(1, RECORD_BLOCK // (2 * ndof))
     stepper = _Stepper(scenario, rows)
     delayed = scenario.kernel is not None
 
-    states = np.empty((nsteps + 1, 2 * gen.ndof))
-    kinetic, elastic, boundary = (np.empty(nsteps + 1) for _ in range(3))
+    states = np.empty((nsteps + 1, 2 * ndof))
     states[0] = scenario.initial_state
+    columns = np.empty((7, nsteps + 1))
+    kinetic, elastic, boundary, source, damping, tip_val, tip_vel = columns
     if delayed:
         m, h = scenario.m, gen.grid.h
         norms_sq = np.empty(m + 1 + nsteps)      # slot j at entry j + m
         norms_sq[:m + 1] = diagnostics.slot_norms_sq(scenario.history_slots, h)
     nrec, blew_up = nsteps + 1, False
     with np.errstate(over="ignore", invalid="ignore"):
-        kinetic[:1], elastic[:1], boundary[:1] = gen.energy_parts(states[:1])
-        for lo in range(1, nsteps + 1, rows):
+        for lo in range(0, nsteps + 1, rows):
             hi = min(lo + rows, nsteps + 1)
-            stepper.advance(lo - 1, hi - 1, states)
-            block = slice(lo, hi)
-            kinetic[block], elastic[block], boundary[block] = gen.energy_parts(states[block])
+            first = max(lo, 1)                   # the first stepped row
+            stepper.advance(first - 1, hi - 1, states)
+            block = states[lo:hi]
+            kinetic[lo:hi], elastic[lo:hi], boundary[lo:hi] = gen.energy_parts(block)
+            source[lo:hi] = diagnostics.source_energy(gen, scenario.source, block)
+            damping[lo:hi] = gen.boundary_damping_rate(block)
+            tip_val[lo:hi], tip_vel[lo:hi] = block[:, ndof - 1], block[:, -1]
             if delayed:
-                norms_sq[m + lo:m + hi] = diagnostics.slot_norms_sq(
-                    states[block, stepper.on_p_velocity], h)
-            total = kinetic[block] + elastic[block] + boundary[block]
+                norms_sq[m + first:m + hi] = diagnostics.slot_norms_sq(
+                    states[first:hi, stepper.on_p_velocity], h)
+            total = kinetic[first:hi] + elastic[first:hi] + boundary[first:hi]
             over = np.flatnonzero(~(np.sqrt(2.0 * total) <= BLOWUP_NORM))   # nan too
             if over.size:
-                nrec, blew_up = lo + int(over[0]) + 1, True
+                nrec, blew_up = first + int(over[0]) + 1, True
                 break
         states = states[:nrec]
-        kinetic, elastic, boundary = kinetic[:nrec], elastic[:nrec], boundary[:nrec]
-        finite = bool(np.all(np.isfinite(states[-1])))
-        if not finite:
-            kinetic[-1] = elastic[-1] = boundary[-1] = math.inf
-        norms = np.sqrt(2.0 * (kinetic + elastic + boundary))
-        source = np.zeros(nrec)
-        if not scenario.source.is_none:
-            for lo in range(0, nrec, rows):
-                block = slice(lo, lo + rows)
-                source[block] = diagnostics.source_energy(gen, scenario.source, states[block])
+        kinetic, elastic, boundary, source, damping, tip_val, tip_vel = columns[:, :nrec]
         history = diagnostics.history_energies(scenario.kernel, norms_sq[:m + nrec], m, dt) \
             if delayed else np.zeros(nrec)
-        damping = gen.boundary_damping_rate(states)
-        tip_val, _, tip_vel, _ = gen.tip_traces(states)
-    if not finite:
-        source[-1] = history[-1] = damping[-1] = math.inf
-        tip_val[-1] = tip_vel[-1] = math.nan
+        if not np.all(np.isfinite(states[-1])):
+            kinetic[-1] = elastic[-1] = boundary[-1] = math.inf
+            source[-1] = history[-1] = damping[-1] = math.inf
+            tip_val[-1] = tip_vel[-1] = math.nan
+        norms = np.sqrt(2.0 * (kinetic + elastic + boundary))
     energies = diagnostics.EnergyBreakdown.build(kinetic, elastic, boundary, source, history)
     return Trajectory(times=np.arange(nrec) * dt, states=states, state_norms=norms,
-                      energies=energies, damping_rates=damping, tip_values=tip_val, tip_velocities=tip_vel,
-                      blew_up=blew_up, scenario=scenario)
+                      energies=energies, damping_rates=damping, tip_values=tip_val,
+                      tip_velocities=tip_vel, blew_up=blew_up, scenario=scenario)
 
 
 # -- variation-of-constants oracle ------------------------------------------------

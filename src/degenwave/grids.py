@@ -45,6 +45,7 @@ class Grid:
 
     def trapezoid(self, values: np.ndarray):
         """Composite trapezoid of nodal values over [0, 1]: a float, or an
-        array over a stack of nodal functions along the last axis."""
-        out = np.asarray(values, dtype=float) @ self.trapezoid_weights()
+        array over a stack of nodal functions along the last axis.  Each
+        function is summed on its own, so it gets the same bits in any stack."""
+        out = np.sum(np.asarray(values, dtype=float) * self.trapezoid_weights(), axis=-1)
         return out if out.ndim else float(out)

@@ -110,16 +110,17 @@ def constants_for(source: SourceKind, profile: CoefficientProfile,
 # -- pointwise evaluation ----------------------------------------------------
 
 def eval_f(source: SourceKind, y: np.ndarray, grid: Grid) -> np.ndarray:
-    """f(y) as a nodal function; the nonlocal norm uses the trapezoid rule.
-    The nonlocal factor is a numpy power, so a norm that overflows gives inf
-    (with numpy's overflow warning) instead of raising OverflowError."""
+    """f(y) as a nodal function, or for each of a stack of them along the
+    last axis; the nonlocal norm uses `Grid.trapezoid`.  The nonlocal factor
+    is a numpy power, so a norm that overflows gives inf (with numpy's
+    overflow warning) instead of raising OverflowError."""
     y = np.asarray(y, dtype=float)
     if source.kind == SOURCE_NONE:
         return np.zeros_like(y)
     if source.kind == SOURCE_POWER:
         return np.abs(y) ** source.q * y
-    norm_sq = grid.trapezoid(y * y)
-    return np.float64(norm_sq) ** (source.p / 2.0) * y
+    factor = np.power(grid.trapezoid(y * y), source.p / 2.0)
+    return factor[..., None] * y
 
 
 def weighted_inner(y: np.ndarray, z: np.ndarray, profile: CoefficientProfile):
@@ -158,11 +159,10 @@ def eval_F_functional(source: SourceKind, y: np.ndarray, profile: CoefficientPro
             integrand = np.abs(mid_vals) ** (q + 2.0) / (q + 2.0) / a_mid
             out = grid.h * np.sum(integrand, axis=-1)
         else:
-            out = np.sum(np.abs(y) ** (q + 2.0) / (q + 2.0) * grid.trapezoid_weights(),
-                         axis=-1)
+            out = grid.trapezoid(np.abs(y) ** (q + 2.0) / (q + 2.0))
     else:
         p = source.p
-        norm_sq = np.sum(y * y * grid.trapezoid_weights(), axis=-1)
+        norm_sq = grid.trapezoid(y * y)
         pairing = weighted_inner(y, y, profile) if weighted else norm_sq
         out = np.sqrt(np.maximum(norm_sq, 0.0)) ** p * pairing / (p + 2.0)
     return out if np.ndim(out) else float(out)

@@ -12,13 +12,15 @@ built from three quadratic forms on the free nodal degrees of freedom:
 
 M is stored as its diagonal; C, the curvature (beams) or face-gradient
 (waves) map, in LAPACK general band storage with its weights W; K only as
-its upper bands (the dpbtrf layout); and D only as its tip traces e, g and
-weights d_e, d_g: v^T D v = d_e (e.v)^2 + d_g (g.v)^2.  Products with K are
-BLAS band products; C u is accumulated over the band diagonals of C.  Dense
-K and D are expanded only for the
-closed-form state-norm generator `state_norm_generator`, the dense 2n x 2n
-system matrix, built on first use for the desk-scale oracles, and the
-eigenproblem of `nonlinearity.hardy_poincare_constant`.
+its upper bands (the dpbtrf layout); and D only as its weights d_e, d_g and
+its tip traces e (u(1), the unit vector on the last dof) and g (u'(1), one-
+sided weights), whose nonzeros lie on the last three dofs and are held as the
+3 x 2 `tip_weights`: v^T D v = d_e (e.v)^2 + d_g (g.v)^2.
+Products with K are BLAS band products; C u is accumulated over the band
+diagonals of C.  Dense K and D are expanded only for the closed-form
+state-norm generator `state_norm_generator`, the dense 2n x 2n system
+matrix, built on first use for the desk-scale oracles, and the eigenproblem
+of `nonlinearity.hardy_poincare_constant`.
 
 The construction is variational: K = C^T W C + beta e e^T + gamma g g^T with
 W a nonnegative diagonal quadrature, so the energy E = (1/2)(u^T K u +
@@ -105,37 +107,6 @@ def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
     return c[:, m]
 
 
-def nodal_derivative(values: np.ndarray, grid: Grid, m: int) -> np.ndarray:
-    """m-th derivative at every node, second-order accurate.
-
-    Centered stencils in the interior, one-sided near the boundary.  Used by
-    diagnostics only; generators are assembled from the variational forms.
-    """
-    values = np.asarray(values, dtype=float)
-    n = grid.n
-    width_c = m + 1 if m % 2 == 0 else m + 2
-    width_b = m + 2
-    half = width_c // 2
-    out = np.empty(n)
-    for i in range(n):
-        if half <= i <= n - 1 - half:
-            lo = i - half
-            w = fd_weights(grid.nodes[lo:lo + width_c], grid.nodes[i], m)
-            out[i] = w @ values[lo:lo + width_c]
-        else:
-            lo = 0 if i < half else n - width_b
-            w = fd_weights(grid.nodes[lo:lo + width_b], grid.nodes[i], m)
-            out[i] = w @ values[lo:lo + width_b]
-    return out
-
-
-def boundary_derivative(values: np.ndarray, grid: Grid, m: int) -> float:
-    """m-th derivative at x = 1 by a second-order one-sided stencil."""
-    npts = m + 2
-    w = fd_weights(grid.nodes[-npts:], 1.0, m)
-    return float(w @ np.asarray(values, dtype=float)[-npts:])
-
-
 def curvature_map(grid: Grid):
     """(ab, kl, ku, weights): the curvature map on full nodal vectors.
 
@@ -189,8 +160,7 @@ class DiscreteGenerator:
     elastic_bands: np.ndarray = field(repr=False)   # C (rows x ndof), general band storage
     elastic_offsets: tuple                           # (kl, ku) of C
     elastic_weights: np.ndarray = field(repr=False) # w incl. coefficient, one per row
-    trace_value: np.ndarray = field(repr=False)     # e: u(1) on free dofs
-    trace_slope: np.ndarray = field(repr=False)     # g: u'(1) on free dofs
+    tip_weights: np.ndarray = field(repr=False)     # (3, 2): e, g on the last three dofs
     beta_eff: float                                  # beta (x a(1) for wave_div)
     gamma_eff: float
     damping_value_coeff: float                       # d_e: weight of v(1)^2 in D
@@ -247,13 +217,6 @@ class DiscreteGenerator:
                               slice(lo + d, hi + d)))
         return tuple(diagonals)
 
-    @cached_property
-    def tip_weights(self):
-        """(T, gains): the last three entries of e and g, where their nonzeros
-        lie, as the columns of a 3 x 2 array T, and (beta_eff, gamma_eff)."""
-        tips = np.stack([self.trace_value[-3:], self.trace_slope[-3:]], axis=1)
-        return tips, np.array([self.beta_eff, self.gamma_eff])
-
     def elastic_product(self, u: np.ndarray) -> np.ndarray:
         """C u, one curvature or face gradient per quadrature row, for one u or
         each row of a stack, summed over the band diagonals in column order."""
@@ -279,15 +242,17 @@ class DiscreteGenerator:
         return system
 
     def damping_matrix(self, scale=1.0) -> np.ndarray:
-        """S D S = d_e (Se)(Se)^T + d_g (Sg)(Sg)^T, dense n x n, from the traces.
+        """S D S = d_e (Se)(Se)^T + d_g (Sg)(Sg)^T, dense n x n, from the traces
+        embedded in n-long vectors.
 
         `scale` is the diagonal of S (D itself by default); the result is
         exactly symmetric.
         """
-        e = self.trace_value * scale
+        traces = np.zeros((2, self.ndof))
+        traces[:, -3:] = self.tip_weights.T
+        e, g = traces * scale
         damping = self.damping_value_coeff * np.outer(e, e)
         if self.damping_slope_coeff:
-            g = self.trace_slope * scale
             damping += self.damping_slope_coeff * np.outer(g, g)
         return damping
 
@@ -316,23 +281,27 @@ class DiscreteGenerator:
 
     # -- quadratic forms -----------------------------------------------------
 
+    def tip_pairs(self, w: np.ndarray) -> np.ndarray:
+        """(e . w, g . w) for each row of a 2-d stack of dof vectors, from its
+        last three entries (`tip_weights`), summed row by row."""
+        terms = w[:, -3:, None] * self.tip_weights
+        pairs = terms[:, 0] + terms[:, 1]
+        pairs += terms[:, 2]
+        return pairs
+
     def energy_parts(self, state: np.ndarray):
         """(kinetic, elastic, boundary) halves of the squared state norm: floats
         for one state, arrays for a stack along the first axis.  One state is a
         stack of one and no step mixes rows, so a row gets the same bits in any
-        stack: the sums run row by row (`einsum`) and the tip terms read the
-        last three entries of e and g (`tip_weights`).  Overflow gives inf,
-        not an error."""
+        stack: the sums run row by row (`einsum`, `tip_pairs`).  Overflow
+        gives inf, not an error."""
         u, v = self.split(np.atleast_2d(state))
         kinetic = 0.5 * np.einsum("ij,ij,j->i", v, v, self.mass)
         cu = self.elastic_product(u)
         elastic = 0.5 * np.einsum("ij,ij,j->i", cu, cu, self.elastic_weights)
-        tips, gains = self.tip_weights
-        terms = u[:, -3:, None] * tips
-        traces = terms[:, 0] + terms[:, 1]      # (e . u, g . u) per row
-        traces += terms[:, 2]
+        traces = self.tip_pairs(u)
         # a zero gain times a finite trace is 0, before the square can overflow
-        squares = gains * traces
+        squares = np.array([self.beta_eff, self.gamma_eff]) * traces
         squares *= traces
         boundary = 0.5 * (squares[:, 0] + squares[:, 1])
         if np.ndim(state) == 1:
@@ -355,23 +324,20 @@ class DiscreteGenerator:
     def boundary_damping_rate(self, state: np.ndarray):
         """v^T D v: the exact discrete energy dissipation rate -dE/dt.
 
-        A float for one state, an array over a stack of states.
+        A float for one state, an array over a stack of states, with the same
+        bits for a state in any stack (`tip_pairs`).
         """
-        _, v = self.split(state)
-        return (self.damping_value_coeff * (v @ self.trace_value) ** 2
-                + self.damping_slope_coeff * (v @ self.trace_slope) ** 2)
+        _, v = self.split(np.atleast_2d(state))
+        traces = self.tip_pairs(v)
+        traces *= traces
+        rate = (self.damping_value_coeff * traces[:, 0]
+                + self.damping_slope_coeff * traces[:, 1])
+        return float(rate[0]) if np.ndim(state) == 1 else rate
 
     def elastic_seminorm(self, u_free: np.ndarray) -> float:
         """Kind-appropriate seminorm: ||u''||, ||sqrt(a)u''||, ||u'||, ||sqrt(a)u'||."""
         cu = self.elastic_product(u_free)
         return float(np.sqrt(self.elastic_weights @ (cu * cu)))
-
-    def tip_traces(self, state: np.ndarray):
-        """(y(1), y'(1), y_t(1), y_t'(1)) boundary traces of a state (floats)
-        or of a stack of states (arrays)."""
-        u, v = self.split(state)
-        return (u @ self.trace_value, u @ self.trace_slope,
-                v @ self.trace_value, v @ self.trace_slope)
 
     def dump_system(self, path) -> None:
         """Matrix-market dump of the 2n x 2n system matrix (debug aid)."""
@@ -421,11 +387,10 @@ def assemble(kind: OperatorKind, profile: CoefficientProfile, bc: BoundaryParams
         ab, kl, ku = ab[:, 1:], kl + 1, ku - 1  # pinning node 0 drops column 0 of C
 
     ndof, kd = free.size, kl + ku
-    e_free = np.zeros(ndof)
-    e_free[-1] = 1.0
     slope = fd_weights(grid.nodes[-3:], 1.0, 1)  # u'(1) from the last three nodes
-    g_free = np.zeros(ndof)
-    g_free[-3:] = slope
+    tips = np.zeros((3, 2))                       # e, g on the last three dofs
+    tips[-1, 0] = 1.0
+    tips[:, 1] = slope
 
     if kind is OperatorKind.WAVE_DIV:
         beta_eff, gamma_eff = bc.beta * a_right, 0.0
@@ -455,54 +420,12 @@ def assemble(kind: OperatorKind, profile: CoefficientProfile, bc: BoundaryParams
     else:
         mass = grid.trapezoid_weights()[free]
 
-    for arr in (free, mass, ab, weights, e_free, g_free, stiffness):
+    for arr in (free, mass, ab, weights, tips, stiffness):
         arr.setflags(write=False)
     return DiscreteGenerator(
         kind=kind, profile=profile, grid=grid, free=free, mass=mass,
         elastic_bands=ab, elastic_offsets=(kl, ku), elastic_weights=weights,
-        trace_value=e_free, trace_slope=g_free, beta_eff=beta_eff, gamma_eff=gamma_eff,
+        tip_weights=tips, beta_eff=beta_eff, gamma_eff=gamma_eff,
         damping_value_coeff=d_value, damping_slope_coeff=d_slope,
         stiffness_bands=stiffness)
 
-
-def gauss_green_residual(generator: DiscreteGenerator, u_full: np.ndarray,
-                         v_full: np.ndarray) -> float:
-    """Mismatch of the discrete integration-by-parts identity on (u, v).
-
-    Both arguments are full nodal vectors of functions satisfying the x = 0
-    conditions of the generator's kind.  Everything here is second-order
-    machinery independent of the assembled forms, so the residual measures
-    stencil/quadrature consistency and must shrink like h^2 on smooth data.
-    """
-    grid = generator.grid
-    u = np.asarray(u_full, dtype=float)
-    v = np.asarray(v_full, dtype=float)
-    a = generator.profile.grid_values
-    kind = generator.kind
-
-    if kind is OperatorKind.BEAM_NONDIV:
-        lhs = grid.trapezoid(nodal_derivative(u, grid, 4) * v)
-        d2u = nodal_derivative(u, grid, 2)
-        d2v = nodal_derivative(v, grid, 2)
-        rhs = (boundary_derivative(u, grid, 3) * v[-1]
-               - boundary_derivative(u, grid, 2) * boundary_derivative(v, grid, 1)
-               + grid.trapezoid(d2u * d2v))
-        return abs(lhs - rhs)
-    if kind is OperatorKind.BEAM_DIV:
-        w = a * nodal_derivative(u, grid, 2)
-        lhs = grid.trapezoid(nodal_derivative(w, grid, 2) * v)
-        rhs = (boundary_derivative(w, grid, 1) * v[-1]
-               - w[-1] * boundary_derivative(v, grid, 1)
-               + grid.trapezoid(w * nodal_derivative(v, grid, 2)))
-        return abs(lhs - rhs)
-    if kind is OperatorKind.WAVE_NONDIV:
-        lhs = grid.trapezoid(nodal_derivative(u, grid, 2) * v)
-        rhs = (boundary_derivative(u, grid, 1) * v[-1]
-               - grid.trapezoid(nodal_derivative(u, grid, 1)
-                                * nodal_derivative(v, grid, 1)))
-        return abs(lhs - rhs)
-    flux = a * nodal_derivative(u, grid, 1)
-    lhs = grid.trapezoid(nodal_derivative(flux, grid, 1) * v)
-    rhs = (flux[-1] * v[-1]
-           - grid.trapezoid(flux * nodal_derivative(v, grid, 1)))
-    return abs(lhs - rhs)

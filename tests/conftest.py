@@ -8,8 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from degenwave import (BoundaryParams, CoefficientSpec, Grid, OperatorKind,  # noqa: E402
-                       assemble, classify)
+from degenwave import CoefficientSpec, Grid, classify  # noqa: E402
 from helpers import curvature_seminorm, from_curvature  # noqa: E402
 
 
@@ -36,12 +35,6 @@ def wd_profile48(grid48):
 @pytest.fixture(scope="session")
 def sd_profile48(grid48):
     return classify(CoefficientSpec.power_law(1.5), grid48)
-
-
-@pytest.fixture(scope="session")
-def beam_gen48(grid48, wd_profile48):
-    return assemble(OperatorKind.BEAM_NONDIV, wd_profile48, BoundaryParams(1.0, 1.0),
-                    grid48)
 
 
 def random_clamped(grid, rng, target_seminorm=None):

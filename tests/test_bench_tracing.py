@@ -56,9 +56,9 @@ def test_tracer_counts_and_restores(monkeypatch):
     assert tracer.steps == 10
 
     # delayed and forced: 2 start-up steps of two solves and three source
-    # evaluations, then one of each per step; one energy call for the initial
-    # state and one per block of records (11 records are one block), no push
-    # onto a history ring, and the source energy pass outside the step loop
+    # evaluations, then one of each per step; one energy call per block of
+    # records (the 11 records, the initial state included, are one block), no
+    # push onto a history ring, and one source energy call for the same block
     sc = Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1, t_end=0.1,
                   dt=0.01, kernel=KernelSpec.constant(0.1, tau=0.05),
                   subdomain=SubdomainP(0.25, 0.75))
@@ -70,7 +70,7 @@ def test_tracer_counts_and_restores(monkeypatch):
     assert {name: tracer.calls[name] for name in
             ("operators.energy_parts", "delay.push", "nonlinearity.eval_f",
              "nonlinearity.eval_F_functional")} == {
-        "operators.energy_parts": 1 + 1, "delay.push": 0, "nonlinearity.eval_f": 14,
+        "operators.energy_parts": 1, "delay.push": 0, "nonlinearity.eval_f": 14,
         "nonlinearity.eval_F_functional": 1}
     assert tracer.steps == 10
     for owner, attr, original in before:

@@ -106,7 +106,7 @@ def reference_table(sc, traj):
         if i > 0 and buf is not None:
             buf.push(gen.split(state)[1][sub_free])
         e = energy_breakdown(gen, sc.source, state, kernel=sc.kernel, buffer=buf)
-        y1, _, yt1, _ = gen.tip_traces(state)
+        y1, yt1 = (gen.embed(part)[-1] for part in gen.split(state))   # x = 1
         rows.append((i * sc.dt, e.total, e.kinetic, e.elastic, e.boundary, e.source,
                      e.history, gen.state_norm(state), y1, yt1,
                      gen.boundary_damping_rate(state)))
@@ -191,6 +191,28 @@ def test_blow_up_record_is_non_finite():
         assert math.isinf(part[-1]) and np.isfinite(part[0])
     assert math.isinf(traj.state_norms[-1]) and math.isinf(traj.damping_rates[-1])
     assert math.isnan(traj.tip_values[-1]) and math.isnan(traj.tip_velocities[-1])
+    assert traj.tip_values[0] == traj.states[0, gen.ndof - 1] == y0[-1]
+    assert traj.tip_velocities[0] == traj.states[0, -1] == y1[-1]
+
+
+@pytest.mark.parametrize("delayed", [False, True])
+def test_tip_columns_are_the_last_dofs_bitwise(delayed, monkeypatch):
+    # 81 records in blocks of 20; the tip columns are read from the states
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 24)
+    monkeypatch.setattr(evolution, "RECORD_BLOCK", 20 * 2 * gen.ndof)
+    y0, y1 = eigenmode_state(gen, 0, amplitude=0.5)
+    delay = dict(kernel=KernelSpec.constant(0.4, tau=0.25),
+                 subdomain=SubdomainP(0.25, 0.75)) if delayed else {}
+    sc = Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1,
+                  t_end=1.0, dt=0.0125, **delay)
+    traj = simulate(sc)
+    u, v = gen.split(traj.states)
+    assert len(traj.times) == 81
+    assert np.array_equal(traj.tip_values, u[:, -1])
+    assert np.array_equal(np.signbit(traj.tip_values), np.signbit(u[:, -1]))
+    assert np.array_equal(traj.tip_velocities, v[:, -1])
+    assert np.array_equal(np.signbit(traj.tip_velocities), np.signbit(v[:, -1]))
+    assert np.array_equal(traj.damping_rates, gen.boundary_damping_rate(traj.states))
 
 
 def assert_energy_columns_are_energy_parts(traj, path):

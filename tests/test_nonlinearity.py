@@ -63,6 +63,19 @@ def test_eval_f_nonlocal_overflows_to_inf(grid128):
     assert np.all(np.isinf(out)) and out[0] < 0 < out[1]
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_eval_f_nonlocal_of_a_stack_matches_each_function_bitwise(p, grid128):
+    # the trapezoid norm sums each function on its own, as eval_F_functional does
+    source = SourceKind.nonlocal_l2(p)
+    stack = np.random.default_rng(7).standard_normal((257, grid128.n))
+    alone = np.array([eval_f(source, y, grid128) for y in stack])
+    for size in (1, 3, 257):
+        assert np.array_equal(eval_f(source, stack[:size], grid128), alone[:size])
+    assert np.array_equal(eval_f(source, stack[:255].reshape(3, 85, -1), grid128),
+                          alone[:255].reshape(3, 85, -1))
+    assert np.array_equal(eval_f(source, stack[1::2], grid128), alone[1::2])
+
+
 @settings(max_examples=30, deadline=None)
 @given(q=st.floats(min_value=0.2, max_value=3.0), seed=st.integers(0, 10 ** 6))
 def test_eval_f_is_odd(q, seed):

@@ -8,10 +8,9 @@ from scipy.linalg.blas import dgbmv
 
 from degenwave import (BoundaryParams, CoefficientSpec, Grid, GridTooCoarseError,
                        InconsistentBCError, KernelSpec, OperatorKind, Scenario, SourceKind,
-                       SubdomainP, assemble, classify, evolution, gauss_green_residual,
-                       polynomial_state)
+                       SubdomainP, assemble, classify, evolution, polynomial_state)
 from degenwave.evolution import _Stepper
-from degenwave.operators import curvature_map, fd_weights, nodal_derivative
+from degenwave.operators import curvature_map, fd_weights
 
 from conftest import random_state
 from helpers import dense_elastic_reference, from_curvature, from_face_slopes
@@ -284,6 +283,29 @@ def test_energy_parts_of_a_stack_match_each_row_bitwise(kind, rng):
     assert np.array_equal(np.column_stack(gen.energy_parts(states[1::2])), rows[1::2])
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_tip_traces_and_damping_rate_of_a_stack_match_each_row_bitwise(kind, rng):
+    gen = make_gen(kind, 0.5, 24)
+    states = rng.standard_normal((257, 2 * gen.ndof))
+    u, v = gen.split(states)
+    pairs = np.array([gen.tip_pairs(row[None])[0] for row in v])
+    rates = np.array([gen.boundary_damping_rate(state) for state in states])
+    assert isinstance(gen.boundary_damping_rate(states[0]), float)
+    # e . v is the last velocity dof; g . u is the one-sided slope
+    assert np.array_equal(pairs[:, 0], v[:, -1])
+    slopes = u[:, -3:] @ fd_weights(gen.grid.nodes[-3:], 1.0, 1)
+    assert np.allclose(gen.tip_pairs(u)[:, 1], slopes, rtol=1e-13, atol=1e-13 * gen.grid.n)
+    for size in (1, 3, 257):
+        assert np.array_equal(gen.tip_pairs(v[:size]), pairs[:size])
+        assert np.array_equal(gen.boundary_damping_rate(states[:size]), rates[:size])
+    # strided stacks, as simulate passes a block of its records
+    assert np.array_equal(gen.tip_pairs(v[1::2]), pairs[1::2])
+    assert np.array_equal(gen.boundary_damping_rate(states[1::2]), rates[1::2])
+    # v^T D v of the dense damping matrix, which embeds the same tip weights
+    dense = np.einsum("ij,jk,ik->i", v, gen.damping_matrix(), v)
+    assert np.allclose(rates, dense, rtol=1e-12, atol=0.0)
+
+
 def test_energy_parts_overflow_to_inf():
     # u = 1e160 squares past the largest double in the elastic and tip terms
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
@@ -361,23 +383,11 @@ def test_fd_weights_first_derivative_one_sided():
     assert np.allclose(w, [1.0, -4.0, 3.0])
 
 
-def test_nodal_derivative_orders(grid48):
-    x = grid48.nodes
-    q = x ** 2 - 0.3 * x
-    assert np.allclose(nodal_derivative(q, grid48, 1), 2 * x - 0.3, atol=1e-10)
-    u = x ** 3 - 2 * x ** 2 + x
-    # centered 3-point second difference is exact on cubics
-    assert np.allclose(nodal_derivative(u, grid48, 2), 6 * x - 4, atol=1e-7)
-    # first derivative is second-order accurate (constant u'''/3 at the ends)
-    assert np.max(np.abs(nodal_derivative(u, grid48, 1) - (3 * x ** 2 - 4 * x + 1))) \
-        <= 2.5 * grid48.h ** 2
-
-
 def test_trace_slope_exact_on_quadratics(grid48, wd_profile48):
     gen = assemble(OperatorKind.BEAM_NONDIV, wd_profile48, BoundaryParams(1.0, 1.0),
                    grid48)
     u = gen.restrict(grid48.nodes ** 2)
-    assert float(gen.trace_slope @ u) == pytest.approx(2.0, abs=1e-9)
+    assert float(gen.tip_pairs(u[None])[0, 1]) == pytest.approx(2.0, abs=1e-9)
 
 
 # -- analytic eigenvalue oracles ----------------------------------------------------
@@ -420,51 +430,3 @@ def test_wave_nondiv_fundamental_matches_bessel_root():
     assert errs[-1] <= 1.5e-5
     assert 3.5 <= errs[0] / errs[1] <= 4.5
     assert 3.5 <= errs[1] / errs[2] <= 4.5
-
-
-# -- integration-by-parts diagnostic ------------------------------------------------
-
-
-def test_gauss_green_zero_function(grid48, beam_gen48):
-    z = np.zeros(grid48.n)
-    assert gauss_green_residual(beam_gen48, z, z) == 0.0
-
-
-def test_gauss_green_exact_on_quadratics():
-    # roundoff in the h^-4 stencil grows with n; the identity is exact at n=16
-    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
-    u = gen.grid.nodes ** 2
-    assert gauss_green_residual(gen, u, u) <= 1e-10
-
-
-def test_gauss_green_beam_div_exact_on_quadratics():
-    gen = make_gen(OperatorKind.BEAM_DIV, 1.0, 16)
-    u = gen.grid.nodes ** 2
-    assert gauss_green_residual(gen, u, u) <= 1e-10
-
-
-@pytest.mark.parametrize("kind", [OperatorKind.BEAM_NONDIV, OperatorKind.WAVE_NONDIV])
-def test_gauss_green_second_order(kind):
-    # u = v = x^2 (1-x)^2 satisfies every x = 0 condition; Richardson ratio ~ 4
-    residuals = []
-    for n in (65, 129, 257):
-        gen = make_gen(kind, 0.5, n)
-        x = gen.grid.nodes
-        u = x ** 2 * (1.0 - x) ** 2
-        residuals.append(gauss_green_residual(gen, u, u))
-    r1 = residuals[0] / residuals[1]
-    r2 = residuals[1] / residuals[2]
-    assert 3.5 <= r1 <= 4.5
-    assert 3.5 <= r2 <= 4.5
-
-
-def test_gauss_green_wave_div_at_least_second_order():
-    # flux-form rows superconverge on this symmetric test pair (ratio ~ 16)
-    residuals = []
-    for n in (65, 129, 257):
-        gen = make_gen(OperatorKind.WAVE_DIV, 1.0, n)
-        x = gen.grid.nodes
-        u = x ** 2 * (1.0 - x) ** 2
-        residuals.append(gauss_green_residual(gen, u, u))
-    assert residuals[0] / residuals[1] >= 3.5
-    assert residuals[1] / residuals[2] >= 3.5

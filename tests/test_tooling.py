@@ -1,6 +1,6 @@
 """Repository tooling: the BLAS thread count of the test session, no unused
-imports in the package modules, and the layout of the root `BENCH_*.json`
-measurement files."""
+imports in the package modules and scripts, and the layout of the root
+`BENCH_*.json` measurement files."""
 
 import ast
 import importlib.util
@@ -13,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ROOT / "bench" / "run.py"
 PACKAGE = ROOT / "src" / "degenwave"
+SCRIPTS = ROOT / "scripts"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -32,7 +33,9 @@ def test_openblas_thread_count_is_the_session_setting(monkeypatch):
 def test_package_modules_use_every_import():
     # deletions tend to leave imports behind; __init__.py re-exports on purpose
     modules = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
-    assert len(modules) >= 8
+    scripts = sorted(SCRIPTS.glob("*.py"))
+    assert len(modules) >= 8 and len(scripts) >= 4
+    modules += scripts
     unused = []
     for path in modules:
         tree = ast.parse(path.read_text())
