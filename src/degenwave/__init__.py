@@ -15,7 +15,7 @@ from .errors import (BoundViolatedError, DegenerateFitError, DegenwaveError,
                      InfeasibleError, KOutOfRangeError, NonDegenerateError,
                      NotExponentiallyStableError,
                      NotLocallyIntegrableError, NotPositiveError,
-                     QueryOutOfWindowError, SubdomainNotAlignedError)
+                     SubdomainNotAlignedError)
 from .evolution import (Scenario, SemigroupCertificate, Trajectory, certify_scenario,
                         duhamel_residual, eigenmode_state, polynomial_state,
                         semigroup_constants, simulate, smallness_level)

@@ -19,10 +19,9 @@ breakpoints.  Infeasibility raises.
 The delay history lives on the slot grid t = j dt, and dt must divide tau
 (`delay_slots`, the one place that tolerance is decided), so a delayed value
 is read by slot index j, never looked up by time.  `resolve_history` evaluates
-the initial history g once per slot, and `simulate` reads the later slots from
-the states it recorded.  `HistoryBuffer` is a plain ring seeded from those
-slots, with no knowledge of the subdomain, the grid or tau; `simulate` does not
-use it.
+the initial history g once per slot, and `Scenario.delayed_traces` is the one
+reader of a slot.  `HistoryBuffer` is a slot-norm record kept for the
+benchmark's tracer; `simulate` does not use it.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .degeneracy import read_csv_columns
-from .errors import (InfeasibleError, NotLocallyIntegrableError,
-                     QueryOutOfWindowError, SubdomainNotAlignedError)
+from .errors import InfeasibleError, NotLocallyIntegrableError, SubdomainNotAlignedError
 from .grids import Grid
 
 KERNEL_CONSTANT = "constant"
@@ -325,15 +323,11 @@ def resolve_history(init: HistoryInit, m: int, dt: float, width: int) -> np.ndar
 
 
 class HistoryBuffer:
-    """A ring of the delay traces on the slot grid, seeded from resolved slots.
+    """The slot-norm record h ||trace||^2 of the delay traces, slot by slot.
 
-    The buffer knows no geometry: it is given the m + 1 traces of the initial
-    history (slot j at time j dt, j = -m .. 0), the step dt and the node
-    spacing h of its norms.  Slot j holds the trace at time j dt, so a delay
-    window [t_l - tau, t_l] is the m + 1 slots l - m .. l; the ring holds the
-    slots of the current window, and `sample_step` reads one by its index.
-    Every filled slot, from slot -m on, also appends h ||trace||^2 to
-    `slot_norms_sq`, the record the history energies read.
+    It is seeded with the m + 1 traces of the initial history (slot j at time
+    j dt, j = -m .. 0), the step dt and the node spacing h of its norms, and
+    each `push` records the next slot.
     """
 
     def __init__(self, slots: np.ndarray, dt: float, h: float):
@@ -341,23 +335,9 @@ class HistoryBuffer:
         self.dt = float(dt)
         self.h = float(h)
         self._width = slots.shape[1]
-        self._slots = np.zeros(slots.shape)
         self._norms_sq = []
-        self._step = -self.m - 1  # slot index of the newest entry (time = _step * dt)
         for trace in slots:
-            self._fill(trace)
-
-    def _fill(self, trace: np.ndarray) -> None:
-        self._step += 1
-        self._slots[self._step % (self.m + 1)] = trace
-        self._norms_sq.append(self.h * float(trace @ trace))
-
-    def sample_step(self, step: int) -> np.ndarray:
-        """The trace at slot `step`, one of newest - m .. newest."""
-        if step > self._step or step < self._step - self.m:
-            raise QueryOutOfWindowError(
-                f"step {step} outside buffer window ending at {self._step}")
-        return self._slots[step % (self.m + 1)]
+            self.push(trace)
 
     def push(self, trace: np.ndarray) -> None:
         """Append the trace for the next slot time."""
@@ -365,7 +345,7 @@ class HistoryBuffer:
         if trace.shape != (self._width,):
             raise SubdomainNotAlignedError(
                 f"trace must have length {self._width}")
-        self._fill(trace)
+        self._norms_sq.append(self.h * float(trace @ trace))
 
     @property
     def slot_norms_sq(self) -> np.ndarray:

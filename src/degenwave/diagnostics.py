@@ -87,8 +87,8 @@ def history_energies(kernel: KernelSpec, norms_sq: np.ndarray, m: int,
 
 def history_energy(kernel: Optional[KernelSpec],
                    buffer: Optional[HistoryBuffer]) -> float:
-    """The history energy at a history ring's newest slot (0 without a
-    delay), from the ring's slot-norm record."""
+    """The history energy at the newest slot of a slot-norm record (0
+    without a delay)."""
     if kernel is None or buffer is None:
         return 0.0
     return float(history_energies(kernel, buffer.slot_norms_sq, buffer.m, buffer.dt)[-1])

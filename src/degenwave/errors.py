@@ -41,10 +41,6 @@ class SubdomainNotAlignedError(DegenwaveError):
     """Subdomain data does not match the snapped node range."""
 
 
-class QueryOutOfWindowError(DegenwaveError):
-    """History lookup outside the delay window or off the slot grid."""
-
-
 class LinearSolveFailureError(DegenwaveError):
     """Implicit-step linear solve failed."""
 

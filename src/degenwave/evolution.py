@@ -74,13 +74,12 @@ class Scenario:
 
     `__post_init__` resolves the run once, and every other layer reads what
     it resolved: the step count `nsteps` = round(t_end/dt), and for a delayed
-    run the slot count m = tau/dt, the free-dof positions `subdomain_dofs` of
-    the snapped subdomain P (a contiguous ascending range), the gain b = ||B||
-    and `history_slots`, the (m + 1) x |P| initial history g at the times
-    j dt, j = -m .. 0, the only evaluation of `history`.  For an undelayed run
-    the delay fields keep their defaults (None, and b = 0.0).  Non-finite
-    initial data or history values, and a run of no whole step, raise
-    ValueError.
+    run the slot count m = tau/dt, the slice `on_p` of the free dofs on the
+    snapped subdomain P, the gain b = ||B|| and `history_slots`, the
+    (m + 1) x |P| initial history g at the times j dt, j = -m .. 0, the only
+    evaluation of `history`.  For an undelayed run the delay fields keep their
+    defaults (None, and b = 0.0).  Non-finite initial data or history values,
+    and a run of no whole step, raise ValueError.
     """
 
     generator: DiscreteGenerator
@@ -94,7 +93,7 @@ class Scenario:
     history: HistoryInit = None
     nsteps: int = field(default=0, init=False, repr=False)
     m: Optional[int] = field(default=None, init=False, repr=False)
-    subdomain_dofs: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    on_p: Optional[slice] = field(default=None, init=False, repr=False)
     b: float = field(default=0.0, init=False, repr=False)
     history_slots: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
@@ -124,10 +123,10 @@ class Scenario:
             return
         self.m = delay_slots(self.dt, self.kernel.tau)
         # snapped once; a coarse snap warns at the line that built the scenario
-        nodes = np.arange(*self.subdomain.node_range(gen.grid, stacklevel=4))
-        # subdomain nodes are interior, hence free
-        self.subdomain_dofs = np.searchsorted(gen.free, nodes)
-        self.b = subdomain_gain(nodes, gen)
+        i0, i1 = self.subdomain.node_range(gen.grid, stacklevel=4)
+        # subdomain nodes are interior, hence consecutive free dofs
+        self.on_p = slice(*np.searchsorted(gen.free, (i0, i1)).tolist())
+        self.b = subdomain_gain(np.arange(i0, i1), gen)
         # explicit terms want dt below the inverse feedback strength;
         # deliberately violent gains are allowed to run (blow-up detection)
         gain = abs(self.kernel.k0) if self.kernel.values is None \
@@ -135,14 +134,23 @@ class Scenario:
         if gain * self.b * self.b * self.dt > 1.0:
             warnings.warn("dt exceeds the explicit delay-term bound; "
                           "expect inaccuracy or growth", stacklevel=3)
-        self.history_slots = resolve_history(self.history, self.m, self.dt,
-                                             self.subdomain_dofs.size)
+        self.history_slots = resolve_history(self.history, self.m, self.dt, i1 - i0)
         self.history_slots.setflags(write=False)
 
     @property
     def initial_state(self) -> np.ndarray:
         gen = self.generator
         return gen.join(gen.restrict(self.y0), gen.restrict(self.y1))
+
+    def delayed_traces(self, states: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The velocity on P at slots lo .. hi - 1, one row per slot: slot j <= 0
+        from `history_slots`, slot j >= 1 from row j of `states`."""
+        ndof, p = self.generator.ndof, self.on_p
+        rows = states[max(lo, 1):hi, ndof + p.start:ndof + p.stop]
+        if lo >= 1:
+            return rows
+        history = self.history_slots[lo + self.m:hi + self.m]
+        return history if hi <= 1 else np.concatenate((history, rows))
 
 
 @dataclass(frozen=True)
@@ -353,13 +361,13 @@ class _Stepper:
 
     `advance` steps row `first` of the run's preallocated states array on to
     row `last`, each step reading row ell and writing row ell + 1 through
-    views.  The delayed trace is read, not stored: slot j <= 0 from
-    `history_slots`, slot j >= 1 from row j of the states array.  The
-    midpoint delay terms of m = tau/dt consecutive steps read no slot past
-    the first step's row, so `midpoint_delays` forms them a sub-block of at
-    most min(rows, m) steps at a time (`rows`, the steps of one record block
-    of `simulate`) in one vectorised pass, into `delay_rows`, allocated once
-    per run and zero off P (undelayed, a zero vector seen as every row).
+    views.  The delayed traces are read, not stored, through
+    `Scenario.delayed_traces`.  The midpoint delay terms of m = tau/dt
+    consecutive steps read no slot past the first step's row, so
+    `midpoint_delays` forms them a sub-block of at most min(rows, m) steps at
+    a time (`rows`, the steps of one record block of `simulate`) in one
+    vectorised pass, into `delay_rows`, allocated once per run and zero off P
+    (undelayed, a zero vector seen as every row).
     Elementwise operations round each element alone, so every row is bit for
     bit the term the step would form on its own.  The stage solution is the
     2n work vector `mid`, and the new state is 2 mid - y over the whole row.
@@ -399,14 +407,11 @@ class _Stepper:
         if scenario.kernel is None:
             self.delay_rows = np.broadcast_to(self.delay, (rows, ndof))     # no storage
         else:
-            dofs = scenario.subdomain_dofs   # a contiguous ascending range
-            self.on_p = slice(int(dofs[0]), int(dofs[-1]) + 1)
-            self.on_p_velocity = slice(ndof + self.on_p.start, ndof + self.on_p.stop)
             times = np.arange(scenario.nsteps) * scenario.dt
             self.k_mid = scenario.kernel.eval(times + h)
             self.k_end = scenario.kernel.eval(times[:STARTUP_STEPS] + scenario.dt)
             self.delay_rows = np.zeros((min(rows, scenario.m), ndof))
-            self.delay_on_p = self.delay_rows[:, self.on_p]
+            self.delay_on_p = self.delay_rows[:, scenario.on_p]
         has_explicit = (scenario.kernel is not None) or (not scenario.source.is_none)
         self.smoothing_left = STARTUP_STEPS if has_explicit else 0
         self.prev_source = None
@@ -419,12 +424,7 @@ class _Stepper:
         m = self.sc.m
         if m is None:
             return self.delay_rows
-        if first > m:                                       # slots from 1 on
-            traces = states[first - m:last - m + 1, self.on_p_velocity]
-        else:                                               # slots up to 0, then on
-            traces = self.sc.history_slots[first:last + 1]
-            if last > m:
-                traces = np.concatenate((traces, states[1:last - m + 1, self.on_p_velocity]))
+        traces = self.sc.delayed_traces(states, first - m, last - m + 1)
         # 0 - k slot on P, as zeros -= k slot gives (never a negative zero)
         np.subtract(0.0, self.k_mid[first:last, None] * (0.5 * (traces[:-1] + traces[1:])),
                     out=self.delay_on_p[:last - first])
@@ -436,9 +436,8 @@ class _Stepper:
         m = self.sc.m
         if m is None:
             return self.delay
-        trace = self.sc.history_slots[ell + 1] if ell < m \
-            else states[ell + 1 - m, self.on_p_velocity]          # slot ell + 1 - m
-        np.subtract(0.0, self.k_end[ell] * trace, out=self.delay[self.on_p])
+        trace = self.sc.delayed_traces(states, ell + 1 - m, ell + 2 - m)[0]
+        np.subtract(0.0, self.k_end[ell] * trace, out=self.delay[self.sc.on_p])
         return self.delay
 
     def source_term(self, u: np.ndarray) -> Optional[np.ndarray]:
@@ -550,7 +549,7 @@ def simulate(scenario: Scenario) -> Trajectory:
             tip_val[lo:hi], tip_vel[lo:hi] = block[:, ndof - 1], block[:, -1]
             if delayed:
                 norms_sq[m + first:m + hi] = diagnostics.slot_norms_sq(
-                    states[first:hi, stepper.on_p_velocity], h)
+                    scenario.delayed_traces(states, first, hi), h)
             total = kinetic[first:hi] + elastic[first:hi] + boundary[first:hi]
             over = np.flatnonzero(~(np.sqrt(2.0 * total) <= BLOWUP_NORM))   # nan too
             if over.size:
@@ -602,11 +601,10 @@ def duhamel_residual(scenario: Scenario, trajectory: Trajectory,
     nrec = trajectory.states.shape[0]
     phi = np.zeros((nrec, 2 * gen.ndof))
     if scenario.kernel is not None:
-        on_p = gen.ndof + scenario.subdomain_dofs
-        # t_j - tau is slot j - m: the initial history up to slot 0, then the states
-        traces = np.concatenate([scenario.history_slots, trajectory.states[1:, on_p]])[:nrec]
+        m = scenario.m                  # t_j - tau is slot j - m
+        traces = scenario.delayed_traces(trajectory.states, -m, nrec - m)
         k = np.atleast_1d(scenario.kernel.eval(trajectory.times))
-        phi[:, on_p] = -k[:, None] * traces
+        phi[:, gen.ndof:][:, scenario.on_p] = -k[:, None] * traces
 
     y_hom = trajectory.states[0].copy()
     integral = np.zeros(2 * gen.ndof)

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from degenwave import (BoundaryParams, CoefficientSpec, Grid, HistoryBuffer,
-                       InfeasibleError, KernelSpec, OperatorKind,
-                       QueryOutOfWindowError, Scenario, SourceKind,
+                       InfeasibleError, KernelSpec, OperatorKind, Scenario, SourceKind,
                        SubdomainNotAlignedError, SubdomainP,
                        apply_Bstar, assemble, classify,
                        kernel_growth_check, kernel_window_bound, subdomain_gain)
@@ -282,7 +281,7 @@ def test_scenario_snaps_once_and_warns_at_its_caller():
 @pytest.mark.parametrize("lower, upper", [(0.25, 0.75), (0.01, 0.75), (0.3, 0.99),
                                           (0.45, 0.6), (0.1, 0.2)])
 def test_subdomain_dofs_are_a_contiguous_range(kind, n, lower, upper):
-    # the stepper writes the delay term on the slice these dofs span
+    # the delay term is written and read on the slice `on_p` of the free dofs
     grid = Grid.uniform(n)
     gen = assemble(kind, classify(CoefficientSpec.power_law(0.5), grid),
                    BoundaryParams(1.0, 1.0), grid)
@@ -293,56 +292,78 @@ def test_subdomain_dofs_are_a_contiguous_range(kind, n, lower, upper):
                       y1=np.zeros(n), t_end=1.0, dt=0.125,
                       kernel=KernelSpec.constant(0.005, 0.5), subdomain=sub)
         nodes = sub.indices(grid)
-    dofs = sc.subdomain_dofs
-    assert dofs.size >= 1
-    assert np.array_equal(dofs, np.arange(dofs[0], dofs[0] + dofs.size))
-    assert np.array_equal(gen.free[dofs], nodes)
+    assert nodes.size >= 1
+    assert np.array_equal(gen.free[sc.on_p], nodes)
 
 
-# -- history buffer -------------------------------------------------------------------
+# -- delayed traces -------------------------------------------------------------------
+
+
+def delayed_scenario(grid, sub, dt, tau, t_end, history=None):
+    gen = assemble(OperatorKind.BEAM_NONDIV, classify(CoefficientSpec.power_law(0.5), grid),
+                   BoundaryParams(1.0, 1.0), grid)
+    return Scenario(generator=gen, source=SourceKind.none(), y0=np.zeros(grid.n),
+                    y1=np.zeros(grid.n), t_end=t_end, dt=dt,
+                    kernel=KernelSpec.constant(0.1, tau), subdomain=sub, history=history)
+
+
+@pytest.mark.parametrize("dt, tau, t_end", [(0.05, 0.25, 1.0),   # m = 5
+                                            (0.25, 0.25, 1.0),   # m = 1
+                                            (0.25, 2.0, 1.0)])   # tau > t_end
+def test_delayed_traces_match_per_slot_reads(grid65, sub, rng, dt, tau, t_end):
+    width = sub.indices(grid65).size
+    sc = delayed_scenario(grid65, sub, dt, tau, t_end,
+                          history=lambda s: rng.standard_normal(width))
+    gen, m, nrec = sc.generator, sc.m, sc.nsteps + 1
+    dofs = gen.ndof + np.searchsorted(gen.free, sub.indices(grid65))
+    states = rng.standard_normal((nrec, 2 * gen.ndof))
+
+    def slot(j):
+        return sc.history_slots[j + m] if j <= 0 else states[j, dofs]
+
+    windows = [(-m, 1), (-m, 1 - m), (1 - m, 3), (0, 2), (0, nrec),    # history, across 0
+               (1, nrec), (2, 3), (nrec - 1, nrec)]                      # states only
+    for lo, hi in windows:
+        got = sc.delayed_traces(states, lo, hi)
+        assert got.shape == (hi - lo, width)
+        for j, row in zip(range(lo, hi), got):
+            assert np.array_equal(row, slot(j)), (lo, hi, j)
+
+
+def test_delayed_traces_zero_history(grid65, sub):
+    sc = delayed_scenario(grid65, sub, dt=0.25, tau=1.0, t_end=1.0)
+    states = np.ones((sc.nsteps + 1, 2 * sc.generator.ndof))
+    assert np.all(sc.delayed_traces(states, -4, 1) == 0.0)
+
+
+def test_delayed_traces_linear_history(grid65, sub):
+    sc = delayed_scenario(grid65, sub, dt=0.25, tau=1.0, t_end=1.0, history=lambda s: s)
+    states = np.ones((sc.nsteps + 1, 2 * sc.generator.ndof))
+    traces = sc.delayed_traces(states, -4, 1)             # slot j at time j dt
+    assert np.array_equal(traces[:, 0], [-1.0, -0.75, -0.5, -0.25, 0.0])
+    assert np.all(traces == traces[:, :1])
+
+
+def test_delayed_traces_read_tau_back(grid65, sub, rng):
+    # the slot read tau = 5 dt before t_l is the trace written at t_l - tau
+    sc = delayed_scenario(grid65, sub, dt=0.2, tau=1.0, t_end=2.2)
+    gen = sc.generator
+    dofs = gen.ndof + np.searchsorted(gen.free, sub.indices(grid65))
+    states = np.zeros((sc.nsteps + 1, 2 * gen.ndof))
+    written = rng.standard_normal((sc.nsteps + 1, dofs.size))
+    states[:, dofs] = written
+    for ell in range(6, sc.nsteps + 1):
+        assert np.array_equal(sc.delayed_traces(states, ell - 5, ell - 4)[0], written[ell - 5])
+
+
+# -- history slot-norm record ---------------------------------------------------------
 
 
 def history_buffer(sub, grid, dt, tau, init=None):
-    """The ring a delayed scenario on `grid` with subdomain `sub` would seed."""
+    """The slot-norm record seeded with the initial history of a delayed
+    scenario on `grid` with subdomain `sub`."""
     slots = resolve_history(init, delay_slots(dt, tau), dt, sub.indices(grid).size)
     return HistoryBuffer(slots, dt, grid.h)
-
-
-def test_history_zero_until_pushed(grid65, sub):
-    buf = history_buffer(sub, grid65, dt=0.25, tau=1.0)
-    for j in range(-4, 1):
-        assert np.all(buf.sample_step(j) == 0.0)
-
-
-def test_history_linear_slots(grid65, sub):
-    buf = history_buffer(sub, grid65, dt=0.25, tau=1.0, init=lambda s: s)
-    got = [buf.sample_step(j)[0] for j in range(-4, 1)]  # slot j at time j dt
-    assert np.allclose(got, [-1.0, -0.75, -0.5, -0.25, 0.0])
-
-
-def test_history_ring_exactness(grid65, sub, rng):
-    dt, tau = 0.2, 1.0
-    buf = history_buffer(sub, grid65, dt, tau)
-    width = sub.indices(grid65).size
-    pushed = {}
-    for j in range(1, 12):
-        trace = rng.standard_normal(width)
-        buf.push(trace)
-        pushed[j] = trace
-    # the slot for t - tau equals the value pushed at time t - tau, exactly
-    t_step = 11
-    delayed = buf.sample_step(t_step - 5)  # 5 slots = tau / dt
-    assert np.array_equal(delayed, pushed[6])
-
-
-def test_history_window_errors(grid65, sub):
-    buf = history_buffer(sub, grid65, dt=0.25, tau=1.0)
-    with pytest.raises(QueryOutOfWindowError):
-        buf.sample_step(-8)  # time -2, before the window -4 .. 0
-    with pytest.raises(QueryOutOfWindowError):
-        buf.sample_step(1)  # not filled yet
-    with pytest.raises(ValueError):
-        history_buffer(sub, grid65, dt=0.3, tau=1.0)  # dt does not divide tau
 
 
 def test_history_slot_norms_recorded_once_per_slot(grid65, sub, rng):
@@ -357,22 +378,6 @@ def test_history_slot_norms_recorded_once_per_slot(grid65, sub, rng):
     expected = np.array([grid65.h * float(tr @ tr) for tr in traces])
     assert np.array_equal(buf.slot_norms_sq, expected)
     assert np.array_equal(buf.window_norms_sq(), expected[-5:])
-
-
-def test_history_window_reads_by_slot(grid65, sub, rng):
-    dt, tau = 0.2, 1.0
-    buf = history_buffer(sub, grid65, dt, tau, init=lambda s: s)
-    width = sub.indices(grid65).size
-    pushed = {}
-    for step in range(1, 9):
-        pushed[step] = rng.standard_normal(width)
-        buf.push(pushed[step])
-    # newest slot 8; the window holds slots 3 .. 8
-    for step in range(3, 9):
-        assert np.array_equal(buf.sample_step(step), pushed[step])
-    for outside in (2, 9):  # newest - m - 1, newest + 1
-        with pytest.raises(QueryOutOfWindowError):
-            buf.sample_step(outside)
 
 
 def test_history_bad_trace_shape(grid65, sub):

@@ -732,7 +732,8 @@ def test_dt_tau_tolerance_of_scenario():
                             subdomain=sub)
         if accepted:
             sc = build()
-            assert sc.m == 200 and sc.history_slots.shape == (201, sc.subdomain_dofs.size)
+            width = sc.on_p.stop - sc.on_p.start
+            assert sc.m == 200 and sc.history_slots.shape == (201, width)
         else:
             with pytest.raises(ValueError):
                 build()
@@ -752,7 +753,7 @@ def test_delayed_trace_slot_and_half_slot_only(rng):
     assert len(stepper.delay_rows) == 5
     slots = sc.history_slots                        # slot j in row j + m
     states = rng.standard_normal((8, 2 * gen.ndof))
-    on_p = sc.subdomain_dofs
+    on_p = np.arange(gen.ndof)[sc.on_p]
     off_p = np.setdiff1d(np.arange(gen.ndof), on_p)
     trace = states[:, gen.ndof + on_p]              # slot j >= 1 in row j
     assert np.array_equal(stepper.end_delay(0, states)[on_p], -k0 * slots[-4 + 5])
@@ -784,7 +785,7 @@ def test_delayed_energy_identity(k0):
     traj = simulate(sc)
     e_quad = traj.energies.kinetic + traj.energies.elastic + traj.energies.boundary
     m = round(tau / dt)
-    on_p = sc.subdomain_dofs
+    on_p = np.arange(gen.ndof)[sc.on_p]
     _, v = gen.split(traj.states)
     slots = np.zeros((m + v.shape[0], on_p.size))  # slot j in row j + m; zero history
     slots[m + 1:] = v[1:, on_p]

@@ -1,5 +1,5 @@
 """Repository tooling: the BLAS thread count of the test session, no unused
-imports in the package modules and scripts, and the layout of the root
+imports or definitions in the package modules, and the layout of the root
 `BENCH_*.json` measurement files."""
 
 import ast
@@ -49,6 +49,46 @@ def test_package_modules_use_every_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
                    if name not in used]
+    assert not unused
+
+
+#: package definitions that only the tests call: the oracles of the acceptance gates
+TEST_ORACLES = {
+    "duhamel_residual",                     # gate 4, the Duhamel oracle
+    "DiscreteGenerator.quadratic_form",     # gate 1, dissipativity of the dense generator
+}
+
+
+def test_package_defines_nothing_only_tests_use():
+    # a top-level function, class or method must be named by the package, the
+    # scripts or the benchmark: as a name, an attribute, or a string (the
+    # benchmark's tracer names the methods it wraps by string)
+    readers = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
+    readers += sorted(SCRIPTS.glob("*.py"))
+    readers += sorted(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))
+    mentioned = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                mentioned.add(node.value)
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, definitions):
+                continue
+            named = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                named += [(f"{node.name}.{sub.name}", sub.name) for sub in node.body
+                          if isinstance(sub, definitions)]
+            # dunder methods are called by the interpreter, not by name
+            unused += [f"{path.name} {qualified}" for qualified, name in named
+                       if name not in mentioned and qualified not in TEST_ORACLES
+                       and not (name.startswith("__") and name.endswith("__"))]
     assert not unused
 
 
