@@ -31,13 +31,14 @@ def main():
     sub = SubdomainP(0.25, 0.75)
     source = SourceKind.power(1.0)
     tau = 0.5
-    semigroup = semigroup_constants(gen)   # one generator for every gain
+    # the generator, the data and its trace on P do not depend on the gain
+    semigroup = semigroup_constants(gen)
+    y0, y1 = eigenmode_state(gen, 0, by="frequency", amplitude=1.0)
+    g_trace = apply_Bstar(sub, grid, y1)
 
     rows = []
     for k0 in gains:
         kernel = KernelSpec.constant(k0, tau)
-        y0, y1 = eigenmode_state(gen, 0, by="frequency", amplitude=1.0)
-        g_trace = apply_Bstar(sub, grid, y1)
         probe = Scenario(generator=gen, source=source, y0=y0, y1=y1, t_end=1.0,
                          dt=tau / 40, kernel=kernel, subdomain=sub,
                          history=lambda s: g_trace)

@@ -3,16 +3,14 @@
 Exit codes: 0 success, 2 infeasible certificate, 3 error, 4 blow-up during
 simulate.  An exit 3 prints "config error: ..." when the config is invalid,
 or does not build a scenario, and "error: ..." for any other package error
-raised by a valid config, such as the size limit of the dense matrix
-exponentials.  Outputs are deterministic (fixed formatting, no sampling),
-so identical configs produce bit-identical files.
+raised by a valid config.  Outputs are deterministic: identical configs give
+bit-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import copy
 import math
 import sys
 from pathlib import Path
@@ -52,12 +50,9 @@ def _finite_float(raw: str, where: str) -> float:
 
 
 def _get_float(cfg, section, key, default=None):
-    raw = cfg[section].get(key) if section in cfg else None
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing [{section}] {key}")
+    if default is not None and not cfg.has_option(section, key):
         return default
-    return _finite_float(raw, f"[{section}] {key}")
+    return _finite_float(_require(cfg, section, key), f"[{section}] {key}")
 
 
 def _get_int(cfg, section, key, default=None):
@@ -119,8 +114,7 @@ def build_source(cfg) -> nonlinearity.SourceKind:
 
 def build_initial(cfg, generator):
     """(y0, y1, history) from the [initial] section presets."""
-    section = cfg["initial"] if "initial" in cfg else {}
-    preset = section.get("preset", "polynomial").strip()
+    preset = cfg.get("initial", "preset", fallback="polynomial").strip()
     amplitude = _get_float(cfg, "initial", "amplitude", default=1.0)
     if preset.startswith("csv:"):
         path = preset[4:]
@@ -132,9 +126,7 @@ def build_initial(cfg, generator):
         tol = degeneracy.ADMISSIBILITY_TOL
         if abs(xs[0]) > tol or abs(xs[-1] - 1.0) > tol:
             raise ConfigError(f"{path}: x must run from 0 to 1, got {xs[0]:g} to {xs[-1]:g}")
-        x = generator.grid.nodes
-        y0 = amplitude * np.interp(x, xs, y0s)
-        y1 = amplitude * np.interp(x, xs, y1s)
+        y0, y1 = (amplitude * np.interp(generator.grid.nodes, xs, ys) for ys in (y0s, y1s))
     elif preset == "eigenmode":
         mode = _get_int(cfg, "initial", "mode", default=0)
         y0, y1 = evolution.eigenmode_state(generator, mode, amplitude=amplitude)
@@ -143,28 +135,36 @@ def build_initial(cfg, generator):
     else:
         raise ConfigError(f"unknown initial preset {preset!r}")
 
-    raw_hist = section.get("history", "zero").strip().lower()
+    raw_hist = cfg.get("initial", "history", fallback="zero").strip().lower()
     if raw_hist == "zero":
-        history = None
-    elif raw_hist.startswith("constant:"):
-        history = _finite_float(raw_hist.split(":", 1)[1], "[initial] history constant")
-    else:
-        raise ConfigError(f"unknown history preset {raw_hist!r}")
-    return y0, y1, history
+        return y0, y1, None
+    if raw_hist.startswith("constant:"):
+        return y0, y1, _finite_float(raw_hist.removeprefix("constant:"),
+                                     "[initial] history constant")
+    raise ConfigError(f"unknown history preset {raw_hist!r}")
 
 
-def build_scenario(cfg) -> evolution.Scenario:
+def build_scenario(cfg, shared=None) -> evolution.Scenario:
     try:
-        grid = Grid.uniform(_get_int(cfg, "operator", "n"))
-        spec = build_coefficient(cfg)
-        profile = degeneracy.classify(spec, grid)
-        kind = operators.OperatorKind(_require(cfg, "operator", "kind").strip().lower())
-        bc = operators.BoundaryParams(beta=_get_float(cfg, "operator", "beta", default=0.0),
-                                      gamma=_get_float(cfg, "operator", "gamma", default=0.0))
-        generator = operators.assemble(kind, profile, bc, grid)
+        # a sweep passes its memo `shared`; without one no key is made
+        key = shared is not None and tuple(tuple(cfg.items(s, raw=True)) if s in cfg else None
+                                           for s in ("coefficient", "operator", "initial"))
+        entry = shared.setdefault(key[:2], {}) if key else {}
+        if "generator" not in entry:
+            grid = Grid.uniform(_get_int(cfg, "operator", "n"))
+            profile = degeneracy.classify(build_coefficient(cfg), grid)
+            kind = operators.OperatorKind(_require(cfg, "operator", "kind").strip().lower())
+            bc = operators.BoundaryParams(beta=_get_float(cfg, "operator", "beta", default=0.0),
+                                          gamma=_get_float(cfg, "operator", "gamma", default=0.0))
+            entry["generator"] = operators.assemble(kind, profile, bc, grid)
+        generator = entry["generator"]
         kernel, subdomain = build_kernel(cfg)
         source = build_source(cfg)
-        y0, y1, history = build_initial(cfg, generator)
+        if key not in entry:
+            entry[key] = build_initial(cfg, generator)
+            for y in entry[key][:2]:
+                y.setflags(write=False)
+        y0, y1, history = entry[key]
         return evolution.Scenario(
             generator=generator, source=source, y0=y0, y1=y1,
             t_end=_get_float(cfg, "run", "t_end"), dt=_get_float(cfg, "run", "dt"),
@@ -185,8 +185,7 @@ def _energy_report_lines(trajectory, fit=None):
         f"state_norm_final: {trajectory.state_norms[-1]:.12g}",
     ]
     if fit is not None:
-        lines.append(f"fitted_rate: {fit.rate:.12g}")
-        lines.append(f"fit_r_squared: {fit.r_squared:.12g}")
+        lines += [f"fitted_rate: {fit.rate:.12g}", f"fit_r_squared: {fit.r_squared:.12g}"]
     return lines
 
 
@@ -202,13 +201,13 @@ def run_simulate(cfg, out_dir: Path, quiet: bool, dump_operators: bool = False) 
         try:
             fit = diagnostics.decay_fit(trajectory)
         except DegenwaveError:
-            fit = None
+            pass
         if scenario.kernel is not None:
             bound = diagnostics.energy_bound_check(trajectory, scenario.kernel, scenario.b,
                                                    raise_on_violation=False)
             bound.to_csv(out_dir / "margins.csv")
-            lines_extra.append(f"bound_max_ratio: {bound.max_ratio:.12g}")
-            lines_extra.append(f"bound_excluded_steps: {bound.n_excluded}")
+            lines_extra = [f"bound_max_ratio: {bound.max_ratio:.12g}",
+                           f"bound_excluded_steps: {bound.n_excluded}"]
     report = out_dir / "energy_report.txt"
     report.write_text("\n".join(_energy_report_lines(trajectory, fit) + lines_extra)
                       + "\n")
@@ -243,8 +242,7 @@ def run_certify(cfg, out_dir: Path, quiet: bool) -> int:
     lines = result.report_lines()
     level = evolution.smallness_level(scenario)
     lines.append(f"smallness: {level:.12g}")
-    small_enough = level < result.threshold.rho ** 2
-    lines.append(f"small_enough: {'yes' if small_enough else 'no'}")
+    lines.append(f"small_enough: {'yes' if level < result.threshold.rho ** 2 else 'no'}")
     report.write_text("\n".join(lines) + "\n")
     if not quiet:
         print(f"wrote {report}")
@@ -264,44 +262,38 @@ def _set_config_value(cfg, dotted: str, value: str) -> None:
 
 
 def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
+    """A summary row per value, set in turn on `cfg`.  A memo entry per raw
+    [coefficient] and [operator] items holds the generator, its semigroup
+    constants and, per raw [initial] items, the read-only initial data."""
     if "sweep" not in cfg:
         raise ConfigError("sweep command needs a [sweep] section")
     parameter = _require(cfg, "sweep", "parameter")
     values = [v.strip() for v in _require(cfg, "sweep", "values").split(",")]
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    # semigroup constants per generator: `assemble` reads only the
-    # [coefficient] and [operator] sections, so their contents are the key
-    semigroups = {}
+    shared = {}
     for value in values:
-        sub_cfg = copy.deepcopy(cfg)
-        _set_config_value(sub_cfg, parameter, value)
-        scenario = build_scenario(sub_cfg)
-        generator_key = tuple(tuple(sub_cfg.items(section, raw=True))
-                              for section in ("coefficient", "operator"))
+        _set_config_value(cfg, parameter, value)
+        scenario = build_scenario(cfg, shared)
+        gen = scenario.generator
         trajectory = evolution.simulate(scenario)
-        fitted = ""
-        r2 = ""
+        fitted = r2 = ""
         if not trajectory.blew_up:
             try:
                 fit = diagnostics.decay_fit(trajectory)
-                fitted = f"{fit.rate:.12g}"
-                r2 = f"{fit.r_squared:.12g}"
+                fitted, r2 = f"{fit.rate:.12g}", f"{fit.r_squared:.12g}"
             except DegenwaveError:
                 pass
-        feasible = "no"
-        predicted = ""
+        feasible, predicted = "no", ""
         try:
-            if (scenario.source.is_none
-                    or scenario.generator.kind is operators.OperatorKind.BEAM_NONDIV):
-                if generator_key not in semigroups:
-                    semigroups[generator_key] = evolution.semigroup_constants(
-                        scenario.generator)
-                result = evolution.certify_scenario(scenario, semigroups[generator_key])
-                feasible = "yes"
-                predicted = f"{result.threshold.predicted_rate:.12g}"
+            if scenario.source.is_none or gen.kind is operators.OperatorKind.BEAM_NONDIV:
+                entry = next((e for e in shared.values() if e["generator"] is gen), {})
+                if "semigroup" not in entry:
+                    entry["semigroup"] = evolution.semigroup_constants(gen)
+                result = evolution.certify_scenario(scenario, entry["semigroup"])
+                feasible, predicted = "yes", f"{result.threshold.predicted_rate:.12g}"
         except (InfeasibleError, NotExponentiallyStableError):
-            feasible = "no"
+            pass
         margin = ""
         if not trajectory.blew_up and scenario.kernel is not None:
             try:
@@ -315,8 +307,7 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
     with open(summary, "w", newline="") as fh:
         fh.write("value,feasible,predicted_rate,fitted_rate,r_squared,"
                  "bound_margin,blew_up\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
     if not quiet:
         print(f"wrote {summary}")
     return EXIT_OK
@@ -337,21 +328,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    out_dir = Path(args.out)
     try:
         if not cfg.read(args.config):
             raise ConfigError(f"cannot read config {args.config!r}")
-    except (configparser.Error, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out_dir = Path(args.out)
-    try:
         if args.command == "simulate":
             return run_simulate(cfg, out_dir, args.quiet, args.dump_operators)
         if args.command == "certify":
             return run_certify(cfg, out_dir, args.quiet)
         return run_sweep(cfg, out_dir, args.quiet)
-    except ConfigError as exc:
+    except (configparser.Error, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DegenwaveError as exc:

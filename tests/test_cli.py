@@ -1,6 +1,9 @@
 import configparser
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -451,9 +454,9 @@ def test_commands_read_the_resolved_subdomain(tmp_path, monkeypatch, command):
         snaps["while_building" if snaps["building"] else "after"] += 1
         return node_range(self, grid, **kwargs)
 
-    def counted_build(cfg):
+    def counted_build(cfg, shared=None):
         snaps["building"] = True
-        scenario = build(cfg)
+        scenario = build(cfg, shared)
         snaps["building"] = False
         return scenario
 
@@ -498,3 +501,119 @@ def test_non_finite_input_exits_3(tmp_path, capsys, command, where):
                  "--command", command, "--quiet"])
     assert code == 3
     assert capsys.readouterr().err == f"config error: {NON_FINITE_INPUT_ERRORS[where]}\n"
+
+
+# -- what a sweep builds once -----------------------------------------------------
+
+SHARING = DELAYED.replace("t_end = 2.0", "t_end = 0.5")
+
+
+def _sweep(tmp_path, text, parameter, values, out="o"):
+    cfg = write(tmp_path, "sweep.ini",
+                text + f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n")
+    code = main(["--config", cfg, "--out", str(tmp_path / out), "--command", "sweep",
+                 "--quiet"])
+    return code, tmp_path / out / "summary.csv"
+
+
+def _recorded_builds(monkeypatch):
+    """The list of the scenarios that cli.build_scenario returns from now on."""
+    from degenwave import cli
+
+    scenarios, build = [], cli.build_scenario
+
+    def recorded(cfg, shared=None):
+        scenarios.append(build(cfg, shared))
+        return scenarios[-1]
+
+    monkeypatch.setattr(cli, "build_scenario", recorded)
+    return scenarios
+
+
+@pytest.mark.parametrize("parameter, values, eig_calls, generators", [
+    ("kernel.k0", "0.002, 0.005, 0.008", 1, 1),
+    ("initial.amplitude", "0.001, 0.002", 2, 1),
+    ("operator.beta", "1.0, 2.0", 2, 2),
+    # [run] is in neither key, so dt shares the generator and the initial data
+    ("run.dt", "0.0125, 0.00625", 1, 1),
+    ("coefficient.alpha", "0.5, 0.3", 2, 2),
+])
+def test_sweep_shares_what_its_keys_allow(tmp_path, monkeypatch, parameter, values,
+                                          eig_calls, generators):
+    from degenwave import cli
+
+    calls = []
+    eigenmode_state = evolution.eigenmode_state
+    monkeypatch.setattr(evolution, "eigenmode_state",
+                        lambda *a, **k: calls.append(1) or eigenmode_state(*a, **k))
+    scenarios = _recorded_builds(monkeypatch)
+    code, shared = _sweep(tmp_path, SHARING, parameter, values, "shared")
+    assert code == 0
+    assert len(calls) == eig_calls
+    assert len({id(sc.generator) for sc in scenarios}) == generators
+    # the same sweep with every value built afresh
+    build = cli.build_scenario
+    monkeypatch.setattr(cli, "build_scenario", lambda cfg, shared=None: build(cfg))
+    code, fresh = _sweep(tmp_path, SHARING, parameter, values, "fresh")
+    assert code == 0
+    assert shared.read_bytes() == fresh.read_bytes()
+
+
+def test_swept_scenarios_share_read_only_initial_data(tmp_path, monkeypatch):
+    scenarios = _recorded_builds(monkeypatch)
+    assert _sweep(tmp_path, SHARING, "kernel.k0", "0.002, 0.005")[0] == 0
+    first, second = scenarios
+    assert first.y0 is second.y0 and first.y1 is second.y1
+    with pytest.raises(ValueError, match="read-only"):
+        second.y0[3] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        second.y1 *= 2.0
+
+
+def test_nothing_outlives_a_sweep(tmp_path):
+    x = np.linspace(0.0, 1.0, 24)
+
+    def rewrite(y0):
+        rows = "".join(f"{a:.17g},{b:.17g},0\n" for a, b in zip(x, y0))
+        write(tmp_path, "initial.csv", "x,y0,y1\n" + rows)
+
+    text = SHARING.replace("preset = eigenmode\nmode = 0",
+                           f"preset = csv:{tmp_path / 'initial.csv'}")
+    rewrite(x ** 2 * np.cos(3.0 * x))
+    assert _sweep(tmp_path, text, "kernel.k0", "0.002, 0.005", "first")[0] == 0
+    rewrite(x ** 2 * np.sin(2.0 * x))
+    code, second = _sweep(tmp_path, text, "kernel.k0", "0.002, 0.005", "second")
+    assert code == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(evolution.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "degenwave.cli", "--config", str(tmp_path / "sweep.ini"),
+         "--out", str(tmp_path / "fresh"), "--command", "sweep", "--quiet"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert second.read_bytes() == (tmp_path / "fresh" / "summary.csv").read_bytes()
+    assert (tmp_path / "first" / "summary.csv").read_bytes() != second.read_bytes()
+    cfg = configparser.ConfigParser()
+    cfg.read(tmp_path / "sweep.ini")
+    assert build_scenario(cfg).generator is not build_scenario(cfg).generator
+
+
+@pytest.mark.parametrize("text, values, message", [
+    # the invalid second value fails although its generator and data are shared
+    (SHARING, "0.002, abc", "[kernel] k0 = 'abc' is not a number"),
+    (SHARING[SHARING.index("[operator]"):], "0.002", "missing [coefficient] kind"),
+])
+def test_sweep_errors_exit_3(tmp_path, capsys, text, values, message):
+    code, summary = _sweep(tmp_path, text, "kernel.k0", values)
+    assert code == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not summary.exists()
+
+
+def test_interpolation_error_in_a_value_exits_3(tmp_path, capsys):
+    cfg = write(tmp_path, "pct.ini", BASE_LINEAR.replace("dt = 0.01", "dt = 0.01%"))
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: '%' must be followed by") and "Traceback" not in err
