@@ -29,7 +29,7 @@ def main():
 
     grid = Grid.uniform(args.n)
     profile = classify(CoefficientSpec.power_law(0.5), grid)
-    gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0), grid)
+    gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0))
     kernel = KernelSpec.constant(args.k0, args.tau)
     sub = SubdomainP(0.25, 0.75)
     source = SourceKind.power(args.q)

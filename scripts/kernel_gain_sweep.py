@@ -27,7 +27,7 @@ def main():
 
     grid = Grid.uniform(32)
     profile = classify(CoefficientSpec.power_law(0.5), grid)
-    gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0), grid)
+    gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0))
     sub = SubdomainP(0.25, 0.75)
     source = SourceKind.power(1.0)
     tau = 0.5

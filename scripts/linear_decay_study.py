@@ -28,7 +28,7 @@ def main():
         for n in (16, 32):
             grid = Grid.uniform(n)
             profile = classify(CoefficientSpec.power_law(args.alpha), grid)
-            gen = assemble(kind, profile, BoundaryParams(1.0, 1.0), grid)
+            gen = assemble(kind, profile, BoundaryParams(1.0, 1.0))
             vals = np.linalg.eigvals(gen.system_matrix)
             abscissa = float(np.max(vals.real))
             freq = abs(vals[np.argmax(vals.real)].imag)

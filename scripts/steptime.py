@@ -37,20 +37,36 @@ def main():
     if args.src:
         sys.path.insert(0, args.src)
 
-    import numpy as np
-    from degenwave import (BoundaryParams, CoefficientSpec, Grid, KernelSpec, OperatorKind,
-                           Scenario, SourceKind, SubdomainP, assemble, classify,
-                           polynomial_state, simulate)
+    import configparser
 
-    grid = Grid.uniform(args.n)
-    gen = assemble(OperatorKind.BEAM_NONDIV, classify(CoefficientSpec.power_law(0.5), grid),
-                   BoundaryParams(1.0, 1.0), grid)
-    y0, y1 = polynomial_state(gen, amplitude=1e-3)
-    delay = dict(kernel=KernelSpec.constant(0.005, tau=args.tau),
-                 subdomain=SubdomainP(0.25, 0.75)) if args.tau > 0 else {}
-    source = SourceKind.power(1.0) if args.source == "power" else SourceKind.none()
-    sc = Scenario(generator=gen, source=source, y0=y0, y1=y1, t_end=args.steps * DT, dt=DT,
-                  **delay)
+    import numpy as np
+    from degenwave import cli, simulate
+
+    # the scenario comes from a config, through the one builder whose
+    # signature every source tree shares
+    kernel = (f"[kernel]\nkind = constant\nk0 = 0.005\ntau = {args.tau!r}\n"
+              "subdomain = 0.25, 0.75\n") if args.tau > 0 else ""
+    cfg = configparser.ConfigParser()
+    cfg.read_string(f"""\
+[coefficient]
+kind = power
+alpha = 0.5
+[operator]
+kind = beam_nondiv
+n = {args.n}
+beta = 1.0
+gamma = 1.0
+{kernel}[source]
+kind = {args.source}
+q = 1.0
+[initial]
+preset = polynomial
+amplitude = 1e-3
+[run]
+dt = {DT!r}
+t_end = {args.steps * DT!r}
+""")
+    sc = cli.build_scenario(cfg)
     simulate(sc)
     per_step = []
     for _ in range(args.repeats):

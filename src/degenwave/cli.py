@@ -156,7 +156,7 @@ def build_scenario(cfg, shared=None) -> evolution.Scenario:
             kind = operators.OperatorKind(_require(cfg, "operator", "kind").strip().lower())
             bc = operators.BoundaryParams(beta=_get_float(cfg, "operator", "beta", default=0.0),
                                           gamma=_get_float(cfg, "operator", "gamma", default=0.0))
-            entry["generator"] = operators.assemble(kind, profile, bc, grid)
+            entry["generator"] = operators.assemble(kind, profile, bc)
         generator = entry["generator"]
         kernel, subdomain = build_kernel(cfg)
         source = build_source(cfg)
@@ -203,8 +203,7 @@ def run_simulate(cfg, out_dir: Path, quiet: bool, dump_operators: bool = False) 
         except DegenwaveError:
             pass
         if scenario.kernel is not None:
-            bound = diagnostics.energy_bound_check(trajectory, scenario.kernel, scenario.b,
-                                                   raise_on_violation=False)
+            bound = diagnostics.energy_bound_check(trajectory, raise_on_violation=False)
             bound.to_csv(out_dir / "margins.csv")
             lines_extra = [f"bound_max_ratio: {bound.max_ratio:.12g}",
                            f"bound_excluded_steps: {bound.n_excluded}"]
@@ -250,6 +249,7 @@ def run_certify(cfg, out_dir: Path, quiet: bool) -> int:
 
 
 def _set_config_value(cfg, dotted: str, value: str) -> None:
+    """Set the literal `value`, escaping '%' from the config's interpolation."""
     try:
         section, key = dotted.split(".")
     except ValueError as exc:
@@ -258,7 +258,7 @@ def _set_config_value(cfg, dotted: str, value: str) -> None:
         raise ConfigError(f"sweep parameter section [{section}] not in config")
     if key not in cfg[section]:
         raise ConfigError(f"sweep parameter key {key!r} not in [{section}]")
-    cfg[section][key] = value
+    cfg[section][key] = value.replace("%", "%%")
 
 
 def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
@@ -297,7 +297,7 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
         margin = ""
         if not trajectory.blew_up and scenario.kernel is not None:
             try:
-                rep = diagnostics.energy_bound_check(trajectory, scenario.kernel, scenario.b)
+                rep = diagnostics.energy_bound_check(trajectory)
                 margin = f"{rep.max_ratio:.12g}"
             except DegenwaveError:
                 margin = "violated"

@@ -82,13 +82,17 @@ class CoefficientSpec:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientProfile:
-    """An admissible coefficient sampled on a grid, with its class."""
+    """An admissible coefficient sampled on a grid, with its degeneracy
+    measure K; the class is WD for K < 1 and SD otherwise."""
 
     spec: CoefficientSpec
     grid: Grid
     grid_values: np.ndarray = field(repr=False)
     K: float
-    degeneracy_class: str  # WD | SD
+
+    @property
+    def degeneracy_class(self) -> str:
+        return WEAKLY_DEGENERATE if self.K < 1.0 else STRONGLY_DEGENERATE
 
     @property
     def is_weakly_degenerate(self) -> bool:
@@ -176,6 +180,4 @@ def classify(spec: CoefficientSpec, grid: Grid) -> CoefficientProfile:
         k = 1.0 if (1.0 - 2.0 * grid.h) <= k < 1.0 else k
     if k >= 2.0:
         raise KOutOfRangeError(f"K = {k:.4f} >= 2 is not supported")
-    cls = WEAKLY_DEGENERATE if k < 1.0 else STRONGLY_DEGENERATE
-    return CoefficientProfile(spec=spec, grid=grid, grid_values=values, K=k,
-                              degeneracy_class=cls)
+    return CoefficientProfile(spec=spec, grid=grid, grid_values=values, K=k)

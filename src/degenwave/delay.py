@@ -70,7 +70,6 @@ class KernelSpec:
     tau: float
     k0: float = 0.0
     rate: float = 0.0
-    support_end: float = 0.0
     times: Optional[np.ndarray] = field(default=None, repr=False)
     values: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -96,8 +95,7 @@ class KernelSpec:
     def pulse(cls, k0: float, support_end: float, tau: float) -> "KernelSpec":
         if not support_end > 0:
             raise ValueError("pulse needs support_end > 0")
-        return cls._steps(KERNEL_PULSE, [0.0, support_end], [k0, 0.0], tau,
-                          k0=float(k0), support_end=float(support_end))
+        return cls._steps(KERNEL_PULSE, [0.0, support_end], [k0, 0.0], tau, k0=float(k0))
 
     @classmethod
     def tabulated(cls, times, values, tau: float) -> "KernelSpec":

@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .delay import HistoryBuffer, KernelSpec, certificate_exp, kernel_window_bound
+from .delay import (GrowthEnvelope, HistoryBuffer, KernelSpec, certificate_exp,
+                    kernel_window_bound)
 from .errors import BoundViolatedError, DegenerateFitError, InfeasibleError
 from .nonlinearity import (NonlinearityConstants, SourceKind, eval_F_functional,
                            h_eval, h_inverse, lipschitz_bound)
@@ -143,21 +144,21 @@ class BoundReport:
                 (self.times, self.included, self.ratios))))
 
 
-def energy_bound_check(trajectory, kernel: Optional[KernelSpec], b: float,
-                       source: Optional[SourceKind] = None,
-                       constants: Optional[NonlinearityConstants] = None,
-                       tol: float = 0.05,
-                       raise_on_violation: bool = True) -> BoundReport:
+def energy_bound_check(trajectory, constants: Optional[NonlinearityConstants] = None,
+                       tol: float = 0.05, raise_on_violation: bool = True) -> BoundReport:
     """Check E(t) <= (1 + tol) C(t) E(0) on every step where the premise holds.
 
-    Steps with E < (1/4)||y_t||^2 are excluded (the bound is conditional) and
-    counted.  When the small-data premises of the quarter lower bound hold
-    (h(||y0''||) < 1/2 and h(2 sqrt(C(T) E(0))) < 1/2, checkable only with the
-    source constants on the weighted beam), E(t) > (1/4)||Y(t)||^2 is verified
-    too.  Raises BoundViolatedError with the worst step on failure unless
-    raise_on_violation is off (then the report records the excess ratio).
+    The envelope C reads the kernel and the gain b of the trajectory's
+    scenario.  Steps with E < (1/4)||y_t||^2 are excluded (the bound is
+    conditional) and counted.  When the small-data premises of the quarter
+    lower bound hold (h(||y0''||) < 1/2 and h(2 sqrt(C(T) E(0))) < 1/2,
+    checkable only with the source `constants` on the weighted beam),
+    E(t) > (1/4)||Y(t)||^2 is verified too.  Raises BoundViolatedError with
+    the worst step on failure unless raise_on_violation is off (then the
+    report records the excess ratio).
     """
-    gen = trajectory.scenario.generator
+    scenario = trajectory.scenario
+    gen, kernel, b, source = scenario.generator, scenario.kernel, scenario.b, scenario.source
     total = np.asarray(trajectory.energies.total)
     e0 = float(total[0])
     times = np.asarray(trajectory.times)
@@ -178,9 +179,9 @@ def energy_bound_check(trajectory, kernel: Optional[KernelSpec], b: float,
             step=worst, time=float(times[worst]), ratio=max_ratio)
 
     lower_checked = False
-    if (max_ratio <= 1.0 + tol and source is not None and constants is not None
+    if (max_ratio <= 1.0 + tol and constants is not None
             and gen.kind is OperatorKind.BEAM_NONDIV):
-        u0, _ = gen.split(trajectory.scenario.initial_state)
+        u0, _ = gen.split(scenario.initial_state)
         curv0 = gen.elastic_seminorm(u0)
         c_at_end = float(np.atleast_1d(growth_envelope_C(kernel, b, times[-1]))[0])
         if (e0 > 0 and h_eval(source, constants, curv0) < 0.5
@@ -275,26 +276,25 @@ def threshold_certificate(semigroup, kernel: KernelSpec, envelope, b: float,
 
 @dataclass(frozen=True)
 class CertificationResult:
-    """Everything the certify pipeline produces, ready for reporting."""
+    """Everything the certify pipeline produces, ready for reporting: the
+    semigroup certificate, the kernel's growth envelope and window bound,
+    the gain b and the small-data threshold."""
 
-    M: float
-    omega: float
+    semigroup: "evolution.SemigroupCertificate"
+    envelope: GrowthEnvelope
     b: float
     lambda_window: float
-    alpha: float
-    omega_prime: float
     threshold: ThresholdCertificate
-    semigroup_note: str = ""
 
     def report_lines(self):
-        th = self.threshold
+        semi, env, th = self.semigroup, self.envelope, self.threshold
         return [
-            f"M: {self.M:.12g}",
-            f"omega: {self.omega:.12g}",
+            f"M: {semi.M:.12g}",
+            f"omega: {semi.omega:.12g}",
             f"b: {self.b:.12g}",
             f"lambda_window: {self.lambda_window:.12g}",
-            f"alpha: {self.alpha:.12g}",
-            f"omega_prime: {self.omega_prime:.12g}",
+            f"alpha: {env.alpha:.12g}",
+            f"omega_prime: {env.omega_prime:.12g}",
             f"T: {th.T:.12g}",
             f"C_of_T: {th.C_of_T:.12g}",
             f"C_T_condition: {th.C_T_condition:.12g}",
@@ -303,7 +303,7 @@ class CertificationResult:
             f"L_at_C_rho: {th.L_at_C_rho:.12g}",
             f"predicted_rate: {th.predicted_rate:.12g}",
             f"feasible: {'yes' if th.feasible else 'no'}",
-            f"semigroup: {self.semigroup_note}",
+            f"semigroup: {semi.method_note}",
         ]
 
 

@@ -170,15 +170,14 @@ class Trajectory:
     Every field is an array over the records (one per step, plus the initial
     state); `energies` holds one array per energy summand.  `state_norms` is
     sqrt(2 (kinetic + elastic + boundary)), and the tip columns are the last
-    displacement and velocity dofs.  A non-finite record carries inf energies,
-    norm and damping rate and nan tip values.
+    displacement and velocity dofs.  A non-finite record carries inf energies
+    and norm and nan tip values.
     """
 
     times: np.ndarray
     states: np.ndarray                  # (steps+1, 2 ndof)
     state_norms: np.ndarray
     energies: diagnostics.EnergyBreakdown  # fields are arrays over the records
-    damping_rates: np.ndarray           # v^T D v per step
     tip_values: np.ndarray              # y(1)
     tip_velocities: np.ndarray          # y_t(1)
     blew_up: bool
@@ -484,7 +483,6 @@ class _Stepper:
             self.solve(u1, self.velocity_rhs(v1, self.end_delay(ell, states),
                                              self.source_term(u1)))
             new[:] = self.mid
-            self.prev_source = self.source_term(new[:n])
         else:
             # delay term at the midpoint in time (`midpoint_delays`): the two
             # adjacent history slots average to the half-slot trace, which also annihilates
@@ -530,8 +528,8 @@ def simulate(scenario: Scenario) -> Trajectory:
 
     states = np.empty((nsteps + 1, 2 * ndof))
     states[0] = scenario.initial_state
-    columns = np.empty((7, nsteps + 1))
-    kinetic, elastic, boundary, source, damping, tip_val, tip_vel = columns
+    columns = np.empty((6, nsteps + 1))
+    kinetic, elastic, boundary, source, tip_val, tip_vel = columns
     if delayed:
         m, h = scenario.m, gen.grid.h
         norms_sq = np.empty(m + 1 + nsteps)      # slot j at entry j + m
@@ -545,7 +543,6 @@ def simulate(scenario: Scenario) -> Trajectory:
             block = states[lo:hi]
             kinetic[lo:hi], elastic[lo:hi], boundary[lo:hi] = gen.energy_parts(block)
             source[lo:hi] = diagnostics.source_energy(gen, scenario.source, block)
-            damping[lo:hi] = gen.boundary_damping_rate(block)
             tip_val[lo:hi], tip_vel[lo:hi] = block[:, ndof - 1], block[:, -1]
             if delayed:
                 norms_sq[m + first:m + hi] = diagnostics.slot_norms_sq(
@@ -556,26 +553,26 @@ def simulate(scenario: Scenario) -> Trajectory:
                 nrec, blew_up = first + int(over[0]) + 1, True
                 break
         states = states[:nrec]
-        kinetic, elastic, boundary, source, damping, tip_val, tip_vel = columns[:, :nrec]
+        kinetic, elastic, boundary, source, tip_val, tip_vel = columns[:, :nrec]
         history = diagnostics.history_energies(scenario.kernel, norms_sq[:m + nrec], m, dt) \
             if delayed else np.zeros(nrec)
         if not np.all(np.isfinite(states[-1])):
             kinetic[-1] = elastic[-1] = boundary[-1] = math.inf
-            source[-1] = history[-1] = damping[-1] = math.inf
+            source[-1] = history[-1] = math.inf
             tip_val[-1] = tip_vel[-1] = math.nan
         norms = np.sqrt(2.0 * (kinetic + elastic + boundary))
     energies = diagnostics.EnergyBreakdown.build(kinetic, elastic, boundary, source, history)
     return Trajectory(times=np.arange(nrec) * dt, states=states, state_norms=norms,
-                      energies=energies, damping_rates=damping, tip_values=tip_val,
-                      tip_velocities=tip_vel, blew_up=blew_up, scenario=scenario)
+                      energies=energies, tip_values=tip_val, tip_velocities=tip_vel,
+                      blew_up=blew_up, scenario=scenario)
 
 
 # -- variation-of-constants oracle ------------------------------------------------
 
 
-def duhamel_residual(scenario: Scenario, trajectory: Trajectory,
-                     check_stride: int = 1) -> float:
-    """Max relative mismatch between the trajectory and the Duhamel evaluation.
+def duhamel_residual(trajectory: Trajectory, check_stride: int = 1) -> float:
+    """Max relative mismatch between the trajectory and the Duhamel evaluation
+    of its scenario.
 
     Source must be disabled.  The homogeneous part is propagated by the dense
     matrix exponential of one step; the delay integral by the product
@@ -585,6 +582,7 @@ def duhamel_residual(scenario: Scenario, trajectory: Trajectory,
     in dt uniformly in the stiffness, so it is an independent correctness
     oracle for the integrator.
     """
+    scenario = trajectory.scenario
     if not scenario.source.is_none:
         raise ValueError("duhamel oracle requires source = none")
     gen = scenario.generator
@@ -700,6 +698,5 @@ def certify_scenario(scenario: Scenario, semigroup: Optional[SemigroupCertificat
         semi, kernel, envelope, scenario.b, scenario.source,
         constants_for(scenario.source, gen.profile))
     return diagnostics.CertificationResult(
-        M=semi.M, omega=semi.omega, b=scenario.b, lambda_window=lam,
-        alpha=envelope.alpha, omega_prime=envelope.omega_prime,
-        threshold=threshold, semigroup_note=semi.method_note)
+        semigroup=semi, envelope=envelope, b=scenario.b, lambda_window=lam,
+        threshold=threshold)

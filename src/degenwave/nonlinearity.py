@@ -42,11 +42,11 @@ SOURCE_NONLOCAL = "nonlocal"
 
 @dataclass(frozen=True)
 class SourceKind:
-    """Disabled source, pointwise power, or nonlocal-L2 source."""
+    """Disabled source, pointwise power |y|^q y, or nonlocal-L2 source
+    ||y||^p y; `exponent` is q or p (0 when disabled)."""
 
     kind: str
-    q: Optional[float] = None
-    p: Optional[float] = None
+    exponent: float = 0.0
 
     @classmethod
     def none(cls) -> "SourceKind":
@@ -56,25 +56,17 @@ class SourceKind:
     def power(cls, q: float) -> "SourceKind":
         if not q > 0:
             raise ValueError("power source needs q > 0")
-        return cls(kind=SOURCE_POWER, q=float(q))
+        return cls(kind=SOURCE_POWER, exponent=float(q))
 
     @classmethod
     def nonlocal_l2(cls, p: float) -> "SourceKind":
         if not p >= 1:
             raise ValueError("nonlocal source needs p >= 1")
-        return cls(kind=SOURCE_NONLOCAL, p=float(p))
+        return cls(kind=SOURCE_NONLOCAL, exponent=float(p))
 
     @property
     def is_none(self) -> bool:
         return self.kind == SOURCE_NONE
-
-    @property
-    def exponent(self) -> float:
-        if self.kind == SOURCE_POWER:
-            return self.q
-        if self.kind == SOURCE_NONLOCAL:
-            return self.p
-        return 0.0
 
 
 def cq_factor(q: float) -> float:
@@ -96,13 +88,14 @@ def constants_for(source: SourceKind, profile: CoefficientProfile,
                   c_hp: Optional[float] = None) -> NonlinearityConstants:
     """Assemble the constants bundle; C_HP is computed unless supplied."""
     if c_hp is None:
-        c_hp = hardy_poincare_constant(profile.grid, profile)
+        c_hp = hardy_poincare_constant(profile)
     a_max = profile.a_max
     if source.kind == SOURCE_POWER:
-        return NonlinearityConstants(c_hp=c_hp, a_max=a_max, c_q=cq_factor(source.q))
+        return NonlinearityConstants(c_hp=c_hp, a_max=a_max, c_q=cq_factor(source.exponent))
     if source.kind == SOURCE_NONLOCAL:
-        c_half = cq_factor(source.p / 2.0)
-        d_p = 2.0 * source.p ** 2 * c_half ** 2 * a_max ** (source.p - 1.0)
+        p = source.exponent
+        c_half = cq_factor(p / 2.0)
+        d_p = 2.0 * p ** 2 * c_half ** 2 * a_max ** (p - 1.0)
         return NonlinearityConstants(c_hp=c_hp, a_max=a_max, d_p=d_p)
     return NonlinearityConstants(c_hp=c_hp, a_max=a_max)
 
@@ -118,8 +111,8 @@ def eval_f(source: SourceKind, y: np.ndarray, grid: Grid) -> np.ndarray:
     if source.kind == SOURCE_NONE:
         return np.zeros_like(y)
     if source.kind == SOURCE_POWER:
-        return np.abs(y) ** source.q * y
-    factor = np.power(grid.trapezoid(y * y), source.p / 2.0)
+        return np.abs(y) ** source.exponent * y
+    factor = np.power(grid.trapezoid(y * y), source.exponent / 2.0)
     return factor[..., None] * y
 
 
@@ -152,7 +145,7 @@ def eval_F_functional(source: SourceKind, y: np.ndarray, profile: CoefficientPro
     if source.kind == SOURCE_NONE:
         out = np.zeros(y.shape[:-1])
     elif source.kind == SOURCE_POWER:
-        q = source.q
+        q = source.exponent
         if weighted:
             mid_vals = 0.5 * (y[..., :-1] + y[..., 1:])
             a_mid = profile.spec(grid.midpoints)
@@ -161,7 +154,7 @@ def eval_F_functional(source: SourceKind, y: np.ndarray, profile: CoefficientPro
         else:
             out = grid.trapezoid(np.abs(y) ** (q + 2.0) / (q + 2.0))
     else:
-        p = source.p
+        p = source.exponent
         norm_sq = grid.trapezoid(y * y)
         pairing = weighted_inner(y, y, profile) if weighted else norm_sq
         out = np.sqrt(np.maximum(norm_sq, 0.0)) ** p * pairing / (p + 2.0)
@@ -179,9 +172,9 @@ def lipschitz_bound(source: SourceKind, constants: NonlinearityConstants,
         return 0.0
     c = 4.0 * constants.c_hp + 1.0
     if source.kind == SOURCE_POWER:
-        q = source.q
+        q = source.exponent
         return math.sqrt((2.0 / 3.0) * (q + 1.0) ** 2 * constants.c_q * c) * r ** q
-    p = source.p
+    p = source.exponent
     a_max = constants.a_max
     return math.sqrt(2.0 * a_max * c ** (p + 1.0)
                      * (a_max ** (p - 1.0) + 2.0 * constants.d_p)) * r ** p
@@ -191,11 +184,10 @@ def h_coefficients(source: SourceKind, constants: NonlinearityConstants):
     """(c, m) of the growth gauge h(x) = c x^m."""
     if source.kind == SOURCE_NONE:
         return 0.0, 1.0
-    c_embed = 4.0 * constants.c_hp + 1.0
+    c_embed, m = 4.0 * constants.c_hp + 1.0, source.exponent
     if source.kind == SOURCE_POWER:
-        return (2.0 / 3.0) ** source.q * c_embed, source.q
-    p = source.p
-    return constants.a_max ** (p / 2.0) * c_embed ** (p / 2.0 + 1.0), p
+        return (2.0 / 3.0) ** m * c_embed, m
+    return constants.a_max ** (m / 2.0) * c_embed ** (m / 2.0 + 1.0), m
 
 
 def h_eval(source: SourceKind, constants: NonlinearityConstants, x: float) -> float:
@@ -214,14 +206,14 @@ def h_inverse(source: SourceKind, constants: NonlinearityConstants, y: float) ->
     return (y / c) ** (1.0 / m)
 
 
-def hardy_poincare_constant(grid: Grid, profile: CoefficientProfile) -> float:
+def hardy_poincare_constant(profile: CoefficientProfile) -> float:
     """Best discrete constant of  int u^2/a <= C_HP ||u''||^2  on the clamped space.
 
     Largest eigenvalue of the generalized problem  M u = lambda K u  for the
     beam_nondiv generator without tip gains: M is the 1/a-weighted mass and
     K the curvature seminorm form, both on nodes 1..n-1 of {u(0) = u'(0) = 0}.
     """
-    gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(), grid)
+    gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams())
     try:
         eigvals = scipy.linalg.eigh(np.diag(gen.mass), gen.stiffness_form, eigvals_only=True)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:  # pragma: no cover

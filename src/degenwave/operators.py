@@ -154,7 +154,6 @@ class DiscreteGenerator:
 
     kind: OperatorKind
     profile: CoefficientProfile
-    grid: Grid
     free: np.ndarray = field(repr=False)            # retained node indices
     mass: np.ndarray = field(repr=False)            # diagonal of M
     elastic_bands: np.ndarray = field(repr=False)   # C (rows x ndof), general band storage
@@ -168,6 +167,11 @@ class DiscreteGenerator:
     stiffness_bands: np.ndarray = field(repr=False)  # K = C^T W C + tip terms, upper bands
 
     # -- state plumbing ----------------------------------------------------
+
+    @property
+    def grid(self) -> Grid:
+        """The grid the coefficient profile was classified on."""
+        return self.profile.grid
 
     @property
     def ndof(self) -> int:
@@ -357,14 +361,14 @@ def _stability_requirements(kind: OperatorKind, profile: CoefficientProfile,
         raise InconsistentBCError("wave_div needs beta > 0")
 
 
-def assemble(kind: OperatorKind, profile: CoefficientProfile, bc: BoundaryParams,
-             grid: Grid) -> DiscreteGenerator:
-    """Build the discrete generator for (kind, coefficient class, gains)."""
+def assemble(kind: OperatorKind, profile: CoefficientProfile,
+             bc: BoundaryParams) -> DiscreteGenerator:
+    """Build the discrete generator for (kind, coefficient class, gains) on
+    the grid the profile was classified on."""
     kind = OperatorKind(kind)
-    if not np.array_equal(grid.nodes, profile.grid.nodes):
-        raise ValueError("profile was classified on a different grid")
     _stability_requirements(kind, profile, bc)
 
+    grid = profile.grid
     n, h = grid.n, grid.h
     a_nodes = profile.grid_values
     a_right = float(a_nodes[-1])
@@ -423,7 +427,7 @@ def assemble(kind: OperatorKind, profile: CoefficientProfile, bc: BoundaryParams
     for arr in (free, mass, ab, weights, tips, stiffness):
         arr.setflags(write=False)
     return DiscreteGenerator(
-        kind=kind, profile=profile, grid=grid, free=free, mass=mass,
+        kind=kind, profile=profile, free=free, mass=mass,
         elastic_bands=ab, elastic_offsets=(kl, ku), elastic_weights=weights,
         tip_weights=tips, beta_eff=beta_eff, gamma_eff=gamma_eff,
         damping_value_coeff=d_value, damping_slope_coeff=d_slope,

@@ -44,7 +44,7 @@ def test_tracer_counts_and_restores(monkeypatch):
     before = [(owner, attr, lookup(owner, attr)) for _, owner, attr in tracing.BOUNDARIES]
     grid = Grid.uniform(16)
     gen = assemble(OperatorKind.BEAM_NONDIV, classify(CoefficientSpec.power_law(0.5), grid),
-                   BoundaryParams(1.0, 1.0), grid)
+                   BoundaryParams(1.0, 1.0))
     y0, y1 = polynomial_state(gen)
     sc = Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1, t_end=0.1, dt=0.01)
     tracer = tracing.Tracer()
@@ -55,7 +55,7 @@ def test_tracer_counts_and_restores(monkeypatch):
     assert lapack_calls == {"dpbtrf": 1, "dpbtrs": 10}
     assert tracer.steps == 10
 
-    # delayed and forced: 2 start-up steps of two solves and three source
+    # delayed and forced: 2 start-up steps of two solves and two source
     # evaluations, then one of each per step; one energy call per block of
     # records (the 11 records, the initial state included, are one block), no
     # push onto a history ring, and one source energy call for the same block
@@ -70,7 +70,7 @@ def test_tracer_counts_and_restores(monkeypatch):
     assert {name: tracer.calls[name] for name in
             ("operators.energy_parts", "delay.push", "nonlinearity.eval_f",
              "nonlinearity.eval_F_functional")} == {
-        "operators.energy_parts": 1, "delay.push": 0, "nonlinearity.eval_f": 14,
+        "operators.energy_parts": 1, "delay.push": 0, "nonlinearity.eval_f": 12,
         "nonlinearity.eval_F_functional": 1}
     assert tracer.steps == 10
     for owner, attr, original in before:

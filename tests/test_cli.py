@@ -603,6 +603,8 @@ def test_nothing_outlives_a_sweep(tmp_path):
     # the invalid second value fails although its generator and data are shared
     (SHARING, "0.002, abc", "[kernel] k0 = 'abc' is not a number"),
     (SHARING[SHARING.index("[operator]"):], "0.002", "missing [coefficient] kind"),
+    # '%%' in the list is a literal '%', which the swept key then holds
+    (SHARING, "0.002, 5%%", "[kernel] k0 = '5%' is not a number"),
 ])
 def test_sweep_errors_exit_3(tmp_path, capsys, text, values, message):
     code, summary = _sweep(tmp_path, text, "kernel.k0", values)
@@ -617,3 +619,17 @@ def test_interpolation_error_in_a_value_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("config error: '%' must be followed by") and "Traceback" not in err
+
+
+def test_swept_value_with_a_percent_sign_is_taken_literally(tmp_path):
+    x = np.linspace(0.0, 1.0, 24)
+    rows = "".join(f"{a:.17g},{a * a * (1.0 - a):.17g},0\n" for a in x)
+    write(tmp_path, "y%0.csv", "x,y0,y1\n" + rows)
+    preset = f"csv:{tmp_path / 'y%%0.csv'}"
+    fixed = SHARING.replace("preset = eigenmode\nmode = 0", f"preset = {preset}")
+    fixed_code, fixed_summary = _sweep(tmp_path, fixed, "kernel.k0", "0.005", "fixed")
+    swept_code, swept_summary = _sweep(tmp_path, SHARING, "initial.preset", preset, "swept")
+    assert fixed_code == swept_code == 0
+    fixed_row, swept_row = (path.read_text().splitlines()[1]
+                            for path in (fixed_summary, swept_summary))
+    assert swept_row.split(",")[1:] == fixed_row.split(",")[1:]

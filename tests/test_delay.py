@@ -20,7 +20,7 @@ from helpers import ClosedFormGain, apply_B, inner_H, norm_H
 
 def numeric_window(kernel, t):
     lo, hi = t - kernel.tau, t
-    pts = [0.0, kernel.support_end] if kernel.kind == "pulse" else [0.0]
+    pts = [0.0, kernel.times[1]] if kernel.kind == "pulse" else [0.0]
     if kernel.kind == "tabulated":
         pts = [0.0] + list(kernel.times)
     pts = sorted(p for p in pts if lo < p < hi)
@@ -226,10 +226,9 @@ def test_extension_restriction_adjoint(grid65, sub, rng):
 
 def test_subdomain_gain_values(grid65, sub):
     profile = classify(CoefficientSpec.power_law(0.5), grid65)
-    gen_div = assemble(OperatorKind.WAVE_DIV, profile, BoundaryParams(1.0, 0.0), grid65)
+    gen_div = assemble(OperatorKind.WAVE_DIV, profile, BoundaryParams(1.0, 0.0))
     assert subdomain_gain(sub.indices(grid65), gen_div) == 1.0
-    gen_beam = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0),
-                        grid65)
+    gen_beam = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0))
     i0 = sub.indices(grid65)[0]
     expected = math.sqrt(1.0 / profile.grid_values[i0])
     assert subdomain_gain(sub.indices(grid65), gen_beam) == pytest.approx(expected)
@@ -237,7 +236,7 @@ def test_subdomain_gain_values(grid65, sub):
 
 def test_gain_bounds_weighted_extension(grid65, sub, rng):
     profile = classify(CoefficientSpec.power_law(0.5), grid65)
-    gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0), grid65)
+    gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0))
     idx = sub.indices(grid65)
     b = subdomain_gain(idx, gen)
     from degenwave.operators import weighted_mass_diagonal
@@ -267,7 +266,7 @@ def test_snap_warns_when_coarse():
 def test_scenario_snaps_once_and_warns_at_its_caller():
     grid = Grid.uniform(9)
     profile = classify(CoefficientSpec.power_law(0.5), grid)
-    gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0), grid)
+    gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         Scenario(generator=gen, source=SourceKind.none(), y0=np.zeros(9), y1=np.zeros(9),
@@ -284,7 +283,7 @@ def test_subdomain_dofs_are_a_contiguous_range(kind, n, lower, upper):
     # the delay term is written and read on the slice `on_p` of the free dofs
     grid = Grid.uniform(n)
     gen = assemble(kind, classify(CoefficientSpec.power_law(0.5), grid),
-                   BoundaryParams(1.0, 1.0), grid)
+                   BoundaryParams(1.0, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # coarse snaps
         sub = SubdomainP(lower, upper)
@@ -301,7 +300,7 @@ def test_subdomain_dofs_are_a_contiguous_range(kind, n, lower, upper):
 
 def delayed_scenario(grid, sub, dt, tau, t_end, history=None):
     gen = assemble(OperatorKind.BEAM_NONDIV, classify(CoefficientSpec.power_law(0.5), grid),
-                   BoundaryParams(1.0, 1.0), grid)
+                   BoundaryParams(1.0, 1.0))
     return Scenario(generator=gen, source=SourceKind.none(), y0=np.zeros(grid.n),
                     y1=np.zeros(grid.n), t_end=t_end, dt=dt,
                     kernel=KernelSpec.constant(0.1, tau), subdomain=sub, history=history)

@@ -23,7 +23,7 @@ from helpers import reference_margins_csv, reference_trajectory_csv
 def make_gen(kind, alpha, n, beta=1.0, gamma=1.0):
     grid = Grid.uniform(n)
     profile = classify(CoefficientSpec.power_law(alpha), grid)
-    return assemble(kind, profile, BoundaryParams(beta, gamma), grid)
+    return assemble(kind, profile, BoundaryParams(beta, gamma))
 
 
 # -- energy breakdown --------------------------------------------------------------
@@ -108,8 +108,7 @@ def reference_table(sc, traj):
         e = energy_breakdown(gen, sc.source, state, kernel=sc.kernel, buffer=buf)
         y1, yt1 = (gen.embed(part)[-1] for part in gen.split(state))   # x = 1
         rows.append((i * sc.dt, e.total, e.kinetic, e.elastic, e.boundary, e.source,
-                     e.history, gen.state_norm(state), y1, yt1,
-                     gen.boundary_damping_rate(state)))
+                     e.history, gen.state_norm(state), y1, yt1))
     return np.array(rows)
 
 
@@ -133,8 +132,6 @@ def test_batch_records_match_per_state_reference(kind, source, tmp_path):
     for col, name in enumerate(Trajectory.CSV_COLUMNS):
         scale = energy_scale if name.startswith("E_") else np.max(np.abs(ref[:, col]))
         assert np.max(np.abs(got[:, col] - ref[:, col])) <= 1e-12 * scale, name
-    damping_scale = np.max(ref[:, 10])
-    assert np.max(np.abs(traj.damping_rates - ref[:, 10])) <= 1e-12 * damping_scale
 
 
 def test_batch_records_match_reference_undelayed(tmp_path):
@@ -189,7 +186,7 @@ def test_blow_up_record_is_non_finite():
     e = traj.energies
     for part in (e.kinetic, e.elastic, e.boundary, e.source, e.history, e.total):
         assert math.isinf(part[-1]) and np.isfinite(part[0])
-    assert math.isinf(traj.state_norms[-1]) and math.isinf(traj.damping_rates[-1])
+    assert math.isinf(traj.state_norms[-1])
     assert math.isnan(traj.tip_values[-1]) and math.isnan(traj.tip_velocities[-1])
     assert traj.tip_values[0] == traj.states[0, gen.ndof - 1] == y0[-1]
     assert traj.tip_velocities[0] == traj.states[0, -1] == y1[-1]
@@ -212,7 +209,6 @@ def test_tip_columns_are_the_last_dofs_bitwise(delayed, monkeypatch):
     assert np.array_equal(np.signbit(traj.tip_values), np.signbit(u[:, -1]))
     assert np.array_equal(traj.tip_velocities, v[:, -1])
     assert np.array_equal(np.signbit(traj.tip_velocities), np.signbit(v[:, -1]))
-    assert np.array_equal(traj.damping_rates, gen.boundary_damping_rate(traj.states))
 
 
 def assert_energy_columns_are_energy_parts(traj, path):
@@ -277,11 +273,9 @@ def test_cross_kind_energy_consistency(rng):
     c = 2.0
     spec = CoefficientSpec.tabulated(grid.nodes, np.full(grid.n, c))
     profile = CoefficientProfile(spec=spec, grid=grid,
-                                 grid_values=np.full(grid.n, c), K=0.5,
-                                 degeneracy_class="WD")
-    gen_nd = assemble(OperatorKind.WAVE_NONDIV, profile, BoundaryParams(0.0, 0.0),
-                      grid)
-    gen_d = assemble(OperatorKind.WAVE_DIV, profile, BoundaryParams(1e-12, 0.0), grid)
+                                 grid_values=np.full(grid.n, c), K=0.5)
+    gen_nd = assemble(OperatorKind.WAVE_NONDIV, profile, BoundaryParams(0.0, 0.0))
+    gen_d = assemble(OperatorKind.WAVE_DIV, profile, BoundaryParams(1e-12, 0.0))
     state = rng.standard_normal(2 * gen_nd.ndof)
     k_nd, e_nd, _ = gen_nd.energy_parts(state)
     k_d, e_d, _ = gen_d.energy_parts(state)
@@ -334,7 +328,7 @@ def test_envelope_matches_numeric_quadrature(kernel):
     b = 1.3
     for t in (0.3, 0.9, 2.1):
         pts = sorted({0.0, t, *(list(kernel.times) if kernel.kind == "tabulated"
-                                else [kernel.support_end]
+                                else [kernel.times[1]]
                                 if kernel.kind == "pulse" else [])})
         direct, _ = quad(lambda s: abs(float(kernel.eval(s)))
                          + abs(float(kernel.eval(s + kernel.tau))),
@@ -352,7 +346,7 @@ def test_bound_holds_on_linear_run():
     y0, y1 = eigenmode_state(gen, 0)
     sc = Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
                   t_end=2.0, dt=0.01)
-    report = energy_bound_check(simulate(sc), None, 0.0)
+    report = energy_bound_check(simulate(sc))
     assert report.max_ratio <= 1.0 + 1e-9
     assert report.n_excluded == 0
 
@@ -372,10 +366,10 @@ def test_bound_reports_violation():
     fake = EnergyBreakdown.build(kinetic, elastic, boundary, 0.0, 0.0)
     bad = Trajectory(times=traj.times, states=traj.states,
                      state_norms=traj.state_norms, energies=fake,
-                     damping_rates=traj.damping_rates, tip_values=traj.tip_values,
-                     tip_velocities=traj.tip_velocities, blew_up=False, scenario=sc)
+                     tip_values=traj.tip_values, tip_velocities=traj.tip_velocities,
+                     blew_up=False, scenario=sc)
     with pytest.raises(BoundViolatedError):
-        energy_bound_check(bad, None, 0.0)
+        energy_bound_check(bad)
 
 
 def test_bound_vacuous_on_zero_data():
@@ -383,7 +377,7 @@ def test_bound_vacuous_on_zero_data():
     z = np.zeros(gen.grid.n)
     sc = Scenario(generator=gen, source=SourceKind.none(), y0=z, y1=z,
                   t_end=0.2, dt=0.01)
-    report = energy_bound_check(simulate(sc), None, 0.0)
+    report = energy_bound_check(simulate(sc))
     assert report.max_ratio <= 1.0
     assert report.n_excluded == 0
 
@@ -393,7 +387,7 @@ def test_bound_report_csv(tmp_path):
     y0, y1 = eigenmode_state(gen, 0)
     sc = Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
                   t_end=0.5, dt=0.01)
-    report = energy_bound_check(simulate(sc), None, 0.0)
+    report = energy_bound_check(simulate(sc))
     path = tmp_path / "margins.csv"
     report.to_csv(path)
     rows = path.read_text().strip().splitlines()
@@ -425,8 +419,7 @@ def test_trajectory_csv_bytes_match_the_reference(tmp_path, rng):
         times=cols[0], states=np.zeros((values.size, 2 * gen.ndof)), state_norms=cols[7],
         energies=EnergyBreakdown(kinetic=cols[2], elastic=cols[3], boundary=cols[4],
                                  source=cols[5], history=cols[6], total=cols[1]),
-        damping_rates=np.zeros(values.size), tip_values=cols[8], tip_velocities=cols[9],
-        blew_up=False, scenario=sc)
+        tip_values=cols[8], tip_velocities=cols[9], blew_up=False, scenario=sc)
     overflow = Scenario(generator=gen, source=SourceKind.power(150.0), y1=y1, t_end=1.0,
                         dt=0.01, y0=polynomial_state(gen, amplitude=160.0)[0])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -451,7 +444,7 @@ def test_margins_csv_bytes_match_the_reference(tmp_path, rng):
     sc = Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1, t_end=0.5,
                   dt=0.0125, kernel=KernelSpec.constant(0.05, tau=0.125),
                   subdomain=SubdomainP(0.25, 0.75))
-    run = energy_bound_check(simulate(sc), sc.kernel, sc.b, raise_on_violation=False)
+    run = energy_bound_check(simulate(sc), raise_on_violation=False)
     for name, report in [("made_up", made_up), ("run", run)]:
         report.to_csv(tmp_path / f"{name}.csv")
         reference_margins_csv(report, tmp_path / f"{name}_ref.csv")
@@ -504,8 +497,9 @@ def test_end_to_end_certificate_feasible():
     assert th.feasible
     assert 0.0 < th.rho < math.inf
     assert th.C_rho == pytest.approx(2 * math.sqrt(th.C_of_T) * th.rho)
-    assert th.L_at_C_rho < (result.omega - result.omega_prime) / (2 * result.M)
-    assert th.predicted_rate == pytest.approx((result.omega - result.omega_prime) / 2)
+    gap = result.semigroup.omega - result.envelope.omega_prime
+    assert th.L_at_C_rho < gap / (2 * result.semigroup.M)
+    assert th.predicted_rate == pytest.approx(gap / 2)
     lines = result.report_lines()
     assert any(line.startswith("predicted_rate:") for line in lines)
     assert "feasible: yes" in lines

@@ -173,12 +173,12 @@ def test_hardy_poincare_refinement_stability():
     for n in (64, 128):
         grid = Grid.uniform(n)
         profile = classify(CoefficientSpec.power_law(1.0), grid)
-        vals.append(hardy_poincare_constant(grid, profile))
+        vals.append(hardy_poincare_constant(profile))
     assert abs(vals[1] - vals[0]) <= 0.04 * vals[1]
 
 
 def test_embedding_inequality_on_samples(grid128, profile128, rng):
-    c_hp = hardy_poincare_constant(grid128, profile128)
+    c_hp = hardy_poincare_constant(profile128)
     mass = weighted_mass_diagonal(grid128, profile128)
     for _ in range(300):
         u = random_clamped(grid128, rng)
@@ -189,7 +189,7 @@ def test_embedding_inequality_on_samples(grid128, profile128, rng):
 
 
 def test_hardy_poincare_positive(grid128, profile128):
-    assert hardy_poincare_constant(grid128, profile128) > 0.0
+    assert hardy_poincare_constant(profile128) > 0.0
 
 
 # -- sampled hypothesis checks --------------------------------------------------------
@@ -246,7 +246,7 @@ def test_growth_hypothesis_other_kinds_by_sampling(rng):
         for n in (64, 128):
             grid = Grid.uniform(n)
             profile = classify(CoefficientSpec.power_law(0.5), grid)
-            gen = assemble(kind, profile, BoundaryParams(1.0, 1.0), grid)
+            gen = assemble(kind, profile, BoundaryParams(1.0, 1.0))
             if kind is OperatorKind.BEAM_DIV:
                 samples = [random_clamped(grid, rng) for _ in range(150)]
             else:

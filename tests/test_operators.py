@@ -21,7 +21,7 @@ KINDS = list(OperatorKind)
 def make_gen(kind, alpha, n, beta=1.0, gamma=1.0):
     grid = Grid.uniform(n)
     profile = classify(CoefficientSpec.power_law(alpha), grid)
-    return assemble(kind, profile, BoundaryParams(beta, gamma), grid)
+    return assemble(kind, profile, BoundaryParams(beta, gamma))
 
 
 # -- dissipativity -------------------------------------------------------------
@@ -112,16 +112,16 @@ def test_weighted_velocity_norm_linear_profile():
 
 def test_beam_div_sd_requires_positive_gains(grid48, sd_profile48):
     with pytest.raises(InconsistentBCError):
-        assemble(OperatorKind.BEAM_DIV, sd_profile48, BoundaryParams(1.0, 0.0), grid48)
+        assemble(OperatorKind.BEAM_DIV, sd_profile48, BoundaryParams(1.0, 0.0))
 
 
 def test_wave_div_requires_positive_beta(grid48, wd_profile48):
     with pytest.raises(InconsistentBCError):
-        assemble(OperatorKind.WAVE_DIV, wd_profile48, BoundaryParams(0.0, 0.0), grid48)
+        assemble(OperatorKind.WAVE_DIV, wd_profile48, BoundaryParams(0.0, 0.0))
 
 
 def test_beam_div_wd_allows_zero_gains(grid48, wd_profile48):
-    gen = assemble(OperatorKind.BEAM_DIV, wd_profile48, BoundaryParams(0.0, 0.0), grid48)
+    gen = assemble(OperatorKind.BEAM_DIV, wd_profile48, BoundaryParams(0.0, 0.0))
     assert gen.ndof == grid48.n - 1
 
 
@@ -156,7 +156,7 @@ def test_system_matrix_block_shape():
 
 
 def test_wave_div_sd_keeps_origin_node(grid48, sd_profile48):
-    gen = assemble(OperatorKind.WAVE_DIV, sd_profile48, BoundaryParams(1.0, 0.0), grid48)
+    gen = assemble(OperatorKind.WAVE_DIV, sd_profile48, BoundaryParams(1.0, 0.0))
     assert gen.ndof == grid48.n   # zero-flux condition at x = 0 is natural
     gen_wd = make_gen(OperatorKind.WAVE_DIV, 0.5, 48)
     assert gen_wd.ndof == 47      # Dirichlet at x = 0 for the WD class
@@ -384,8 +384,7 @@ def test_fd_weights_first_derivative_one_sided():
 
 
 def test_trace_slope_exact_on_quadratics(grid48, wd_profile48):
-    gen = assemble(OperatorKind.BEAM_NONDIV, wd_profile48, BoundaryParams(1.0, 1.0),
-                   grid48)
+    gen = assemble(OperatorKind.BEAM_NONDIV, wd_profile48, BoundaryParams(1.0, 1.0))
     u = gen.restrict(grid48.nodes ** 2)
     assert float(gen.tip_pairs(u[None])[0, 1]) == pytest.approx(2.0, abs=1e-9)
 

@@ -92,6 +92,33 @@ def test_package_defines_nothing_only_tests_use():
     assert not unused
 
 
+#: dataclass fields that only the tests read: the verdicts of the acceptance gates
+TEST_READ_FIELDS = {
+    "BoundReport.lower_bound_checked",      # gate 7 counts the quarter-bound checks
+}
+
+
+def test_every_dataclass_field_has_a_reader():
+    # a field must be read as an attribute by the package, the scripts or the
+    # benchmark; a field that nothing reads is a stored copy of nothing
+    readers = sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    readers += sorted(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))
+    read = {node.attr for path in readers for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            decorators = [d.func if isinstance(d, ast.Call) else d
+                          for d in getattr(node, "decorator_list", [])]
+            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                continue
+            fields += [(f"{node.name}.{item.target.id}", item.target.id) for item in node.body
+                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    assert len(fields) >= 40
+    unread = {qualified for qualified, name in fields if name not in read}
+    assert unread == TEST_READ_FIELDS
+
+
 def test_bench_files_record_environment_parent_and_change():
     # each BENCH file cites the harness results of the parent and of the change,
     # measured under one recorded environment
