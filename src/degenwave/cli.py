@@ -224,15 +224,14 @@ def run_simulate(cfg, out_dir: Path, quiet: bool, dump_operators: bool = False) 
 
 def run_certify(cfg, out_dir: Path, quiet: bool) -> int:
     scenario = build_scenario(cfg)
-    if (not scenario.source.is_none
-            and scenario.generator.kind is not operators.OperatorKind.BEAM_NONDIV):
-        raise ConfigError("explicit source constants are derived for beam_nondiv only; "
-                          "use source kind 'none' for other operator kinds")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if scenario.certifiable:
+        out_dir.mkdir(parents=True, exist_ok=True)
     report = out_dir / "certificate.txt"
     try:
         result = evolution.certify_scenario(scenario)
     except (InfeasibleError, NotExponentiallyStableError) as exc:
+        if not scenario.certifiable:  # a config error: no certificate is written
+            raise ConfigError(str(exc)) from exc
         report.write_text(f"feasible: no\nreason: {exc}\n")
         if not quiet:
             print(f"wrote {report}")
@@ -286,7 +285,7 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
                 pass
         feasible, predicted = "no", ""
         try:
-            if scenario.source.is_none or gen.kind is operators.OperatorKind.BEAM_NONDIV:
+            if scenario.certifiable:
                 entry = next((e for e in shared.values() if e["generator"] is gen), {})
                 if "semigroup" not in entry:
                     entry["semigroup"] = evolution.semigroup_constants(gen)

@@ -269,22 +269,19 @@ class SubdomainP:
                           stacklevel=stacklevel)
         return i0, i1
 
-    def indices(self, grid: Grid) -> np.ndarray:
-        i0, i1 = self.node_range(grid)
-        return np.arange(i0, i1)
-
 
 def apply_Bstar(sub: SubdomainP, grid: Grid, full: np.ndarray) -> np.ndarray:
     """Restrict a full nodal function to the snapped subdomain nodes."""
     full = np.asarray(full, dtype=float)
     if full.shape != (grid.n,):
         raise SubdomainNotAlignedError(f"expected {grid.n} nodal values")
-    return full[sub.indices(grid)]
+    i0, i1 = sub.node_range(grid, stacklevel=3)  # a coarse snap names the caller
+    return full[i0:i1].copy()
 
 
 def subdomain_gain(nodes: np.ndarray, generator) -> float:
     """b = ||B|| from H = L2(P) into the generator's velocity space, for P
-    snapped to the node indices `nodes` (`SubdomainP.indices`).
+    snapped to the node indices `nodes` (`np.arange(*SubdomainP.node_range(grid))`).
 
     Multiplication by an indicator has unit norm into plain L2; into the
     1/a-weighted space the norm is the largest node ratio on P.

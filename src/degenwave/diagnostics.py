@@ -116,7 +116,7 @@ def energy_breakdown(generator: DiscreteGenerator, source: SourceKind,
 
 
 def growth_envelope_C(kernel: Optional[KernelSpec], b: float, t) -> np.ndarray:
-    """C(t) = exp(2 b^2 (int_0^t |k| + int_tau^{t+tau} |k|)); C(0) = 1."""
+    """C(t) = exp(2 b^2 (int_0^t |k| + int_tau^{t+tau} |k|)); C(0) = 1; a float at scalar t."""
     t = np.asarray(t, dtype=float)
     if kernel is None:
         out = np.ones_like(t)
@@ -162,7 +162,7 @@ def energy_bound_check(trajectory, constants: Optional[NonlinearityConstants] = 
     total = np.asarray(trajectory.energies.total)
     e0 = float(total[0])
     times = np.asarray(trajectory.times)
-    envelope = np.atleast_1d(growth_envelope_C(kernel, b, times))
+    envelope = growth_envelope_C(kernel, b, times)
 
     # (1/4)||y_t||^2 = kinetic / 2
     included = np.isfinite(total) & (total >= 0.5 * trajectory.energies.kinetic)
@@ -183,7 +183,7 @@ def energy_bound_check(trajectory, constants: Optional[NonlinearityConstants] = 
             and gen.kind is OperatorKind.BEAM_NONDIV):
         u0, _ = gen.split(scenario.initial_state)
         curv0 = gen.elastic_seminorm(u0)
-        c_at_end = float(np.atleast_1d(growth_envelope_C(kernel, b, times[-1]))[0])
+        c_at_end = growth_envelope_C(kernel, b, times[-1])
         if (e0 > 0 and h_eval(source, constants, curv0) < 0.5
                 and h_eval(source, constants, 2.0 * math.sqrt(c_at_end * e0)) < 0.5):
             lower_checked = True
@@ -214,8 +214,9 @@ RHO_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ThresholdCertificate:
-    """Small-data threshold and certified decay rate."""
+    """Small-data threshold and certified decay rate, with the window bound Lambda."""
 
+    lambda_window: float
     T: float
     C_of_T: float
     rho: float
@@ -223,7 +224,6 @@ class ThresholdCertificate:
     L_at_C_rho: float
     predicted_rate: float
     C_T_condition: float
-    feasible: bool
 
 
 def threshold_certificate(semigroup, kernel: KernelSpec, envelope, b: float,
@@ -259,7 +259,7 @@ def threshold_certificate(semigroup, kernel: KernelSpec, envelope, b: float,
     t_star = float(HORIZON_GRID[feasible_idx[0]])
     ct_value = float(ct_values[feasible_idx[0]])
 
-    c_of_t = float(np.atleast_1d(growth_envelope_C(kernel, b, t_star))[0])
+    c_of_t = growth_envelope_C(kernel, b, t_star)
     sqrt_c = math.sqrt(c_of_t)
     rho = h_inverse(source, constants, 0.5) / (2.0 * sqrt_c)
     rate_cap = gap / (2.0 * m_const)
@@ -270,20 +270,19 @@ def threshold_certificate(semigroup, kernel: KernelSpec, envelope, b: float,
     c_rho = 2.0 * sqrt_c * rho
     l_val = lipschitz_bound(source, constants, c_rho)
     return ThresholdCertificate(
-        T=t_star, C_of_T=c_of_t, rho=rho, C_rho=c_rho, L_at_C_rho=l_val,
-        predicted_rate=0.5 * gap, C_T_condition=ct_value, feasible=True)
+        lambda_window=lam, T=t_star, C_of_T=c_of_t, rho=rho, C_rho=c_rho, L_at_C_rho=l_val,
+        predicted_rate=0.5 * gap, C_T_condition=ct_value)
 
 
 @dataclass(frozen=True)
 class CertificationResult:
     """Everything the certify pipeline produces, ready for reporting: the
-    semigroup certificate, the kernel's growth envelope and window bound,
-    the gain b and the small-data threshold."""
+    semigroup certificate, the kernel's growth envelope, the gain b and the
+    small-data threshold (with the window bound)."""
 
     semigroup: "evolution.SemigroupCertificate"
     envelope: GrowthEnvelope
     b: float
-    lambda_window: float
     threshold: ThresholdCertificate
 
     def report_lines(self):
@@ -292,7 +291,7 @@ class CertificationResult:
             f"M: {semi.M:.12g}",
             f"omega: {semi.omega:.12g}",
             f"b: {self.b:.12g}",
-            f"lambda_window: {self.lambda_window:.12g}",
+            f"lambda_window: {th.lambda_window:.12g}",
             f"alpha: {env.alpha:.12g}",
             f"omega_prime: {env.omega_prime:.12g}",
             f"T: {th.T:.12g}",
@@ -302,7 +301,7 @@ class CertificationResult:
             f"C_rho: {th.C_rho:.12g}",
             f"L_at_C_rho: {th.L_at_C_rho:.12g}",
             f"predicted_rate: {th.predicted_rate:.12g}",
-            f"feasible: {'yes' if th.feasible else 'no'}",
+            "feasible: yes",
             f"semigroup: {semi.method_note}",
         ]
 

@@ -34,11 +34,11 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import diagnostics
 from .delay import (HistoryInit, KernelSpec, SubdomainP, delay_slots, kernel_growth_check,
-                    kernel_window_bound, resolve_history, subdomain_gain)
+                    resolve_history, subdomain_gain)
 from .errors import (DegenwaveError, InfeasibleError, LinearSolveFailureError,
                      NotExponentiallyStableError)
 from .nonlinearity import SOURCE_POWER, SourceKind, constants_for, eval_f
-from .operators import DiscreteGenerator
+from .operators import DiscreteGenerator, OperatorKind
 
 #: state-norm threshold treated as blow-up
 BLOWUP_NORM = 1e8
@@ -136,6 +136,12 @@ class Scenario:
                           "expect inaccuracy or growth", stacklevel=3)
         self.history_slots = resolve_history(self.history, self.m, self.dt, i1 - i0)
         self.history_slots.setflags(write=False)
+
+    @property
+    def certifiable(self) -> bool:
+        """Whether the certificate chain covers the scenario: explicit source
+        constants exist for the weighted beam (`beam_nondiv`) only."""
+        return self.source.is_none or self.generator.kind is OperatorKind.BEAM_NONDIV
 
     @property
     def initial_state(self) -> np.ndarray:
@@ -686,17 +692,19 @@ def certify_scenario(scenario: Scenario, semigroup: Optional[SemigroupCertificat
     A caller that certifies several scenarios on one generator (a sweep over
     the kernel, source or data) computes the constants once and passes them.
     Raises NotExponentiallyStableError or InfeasibleError when no certificate
-    exists.
+    exists, and InfeasibleError before any work when the scenario is not
+    `certifiable`.
     """
+    if not scenario.certifiable:
+        raise InfeasibleError("explicit source constants are derived for beam_nondiv only; "
+                              "use source kind 'none' for other operator kinds")
     gen = scenario.generator
     semi = semigroup if semigroup is not None else semigroup_constants(gen)
     kernel = scenario.kernel if scenario.kernel is not None \
         else KernelSpec.zero(tau=1.0)
-    lam = kernel_window_bound(kernel)
     envelope = kernel_growth_check(kernel, semi.M, semi.omega, scenario.b)
     threshold = diagnostics.threshold_certificate(
         semi, kernel, envelope, scenario.b, scenario.source,
         constants_for(scenario.source, gen.profile))
     return diagnostics.CertificationResult(
-        semigroup=semi, envelope=envelope, b=scenario.b, lambda_window=lam,
-        threshold=threshold)
+        semigroup=semi, envelope=envelope, b=scenario.b, threshold=threshold)

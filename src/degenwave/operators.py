@@ -138,13 +138,13 @@ def gradient_map(grid: Grid):
     return ab, 0, 1, np.full(n - 1, h)
 
 
-def weighted_mass_diagonal(grid: Grid, profile: CoefficientProfile) -> np.ndarray:
-    """Trapezoid weights for the 1/a inner product on free nodes 1..n-1.
+def weighted_mass_diagonal(profile: CoefficientProfile) -> np.ndarray:
+    """Trapezoid weights for the 1/a inner product on free nodes 1..n-1 of profile.grid.
 
     The x = 0 node is excluded (pinned in every 1/a-weighted kind), so 1/a is
     never evaluated at the degeneracy point.
     """
-    w = grid.trapezoid_weights()[1:]
+    w = profile.grid.trapezoid_weights()[1:]
     return w / profile.grid_values[1:]
 
 
@@ -420,7 +420,7 @@ def assemble(kind: OperatorKind, profile: CoefficientProfile,
             stiffness[kd - d, ndof - 3 + d:] += gamma_eff * (slope[:3 - d] * slope[d:])
 
     if kind.weighted_velocity:
-        mass = weighted_mass_diagonal(grid, profile)
+        mass = weighted_mass_diagonal(profile)
     else:
         mass = grid.trapezoid_weights()[free]
 

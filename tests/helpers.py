@@ -60,7 +60,7 @@ def from_face_slopes(grid, slopes, u0=0.0):
 
 def apply_B(sub, grid, values_on_p):
     """Extend a function on P by zero to a full nodal function."""
-    idx = sub.indices(grid)
+    idx = np.arange(*sub.node_range(grid))
     values_on_p = np.asarray(values_on_p, dtype=float)
     if values_on_p.shape != idx.shape:
         raise SubdomainNotAlignedError(

@@ -204,12 +204,34 @@ def test_nonlocal_blow_up_exits_4(tmp_path, monkeypatch, block):
     assert code == 4
 
 
-def test_certify_rejects_source_off_beam(tmp_path):
-    cfg = write(tmp_path, "wave.ini", DELAYED.replace("kind = beam_nondiv",
-                                                      "kind = wave_nondiv"))
-    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--command",
+def readme_wave_config(tmp_path):
+    """The README config on a wave_nondiv operator, with its power source."""
+    text = readme_config().replace("kind = beam_nondiv      ;", "kind = wave_nondiv ;")
+    assert "kind = wave_nondiv" in text and "kind = power            ; none" in text
+    return write(tmp_path, "wave.ini", text)
+
+
+def test_certify_rejects_source_off_beam(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["--config", readme_wave_config(tmp_path), "--out", str(out), "--command",
                  "certify", "--quiet"])
     assert code == 3
+    assert capsys.readouterr().err == (
+        "config error: explicit source constants are derived for beam_nondiv only; "
+        "use source kind 'none' for other operator kinds\n")
+    assert not (out / "certificate.txt").exists()
+
+
+def test_sweep_of_a_source_off_beam_is_infeasible_without_semigroup_work(tmp_path,
+                                                                          monkeypatch):
+    monkeypatch.setattr(evolution, "semigroup_constants", lambda *a, **k: pytest.fail(
+        "semigroup constants computed for an uncertifiable scenario"))
+    cfg = readme_wave_config(tmp_path)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--command", "sweep",
+                 "--quiet"]) == 0
+    rows = (tmp_path / "o" / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [[v, "no", ""]
+                                                    for v in ("0.002", "0.005", "0.008")]
 
 
 def test_missing_config_exits_3(tmp_path):

@@ -202,7 +202,7 @@ def sub(grid65):
 
 
 def test_extension_is_indicator(grid65, sub):
-    idx = sub.indices(grid65)
+    idx = np.arange(*sub.node_range(grid65))
     ext = apply_B(sub, grid65, np.ones(idx.size))
     expected = np.zeros(grid65.n)
     expected[idx] = 1.0
@@ -211,13 +211,13 @@ def test_extension_is_indicator(grid65, sub):
 
 
 def test_restrict_after_extend_is_identity(grid65, sub, rng):
-    vals = rng.standard_normal(sub.indices(grid65).size)
+    vals = rng.standard_normal(np.arange(*sub.node_range(grid65)).size)
     assert np.array_equal(apply_Bstar(sub, grid65, apply_B(sub, grid65, vals)), vals)
 
 
 def test_extension_restriction_adjoint(grid65, sub, rng):
     # <B phi, w>_{L2(0,1)} = <phi, B* w>_{L2(P)} exactly with matched weights
-    phi = rng.standard_normal(sub.indices(grid65).size)
+    phi = rng.standard_normal(np.arange(*sub.node_range(grid65)).size)
     w = rng.standard_normal(grid65.n)
     lhs = grid65.trapezoid(apply_B(sub, grid65, phi) * w)
     rhs = inner_H(grid65, phi, apply_Bstar(sub, grid65, w))
@@ -227,21 +227,21 @@ def test_extension_restriction_adjoint(grid65, sub, rng):
 def test_subdomain_gain_values(grid65, sub):
     profile = classify(CoefficientSpec.power_law(0.5), grid65)
     gen_div = assemble(OperatorKind.WAVE_DIV, profile, BoundaryParams(1.0, 0.0))
-    assert subdomain_gain(sub.indices(grid65), gen_div) == 1.0
+    nodes = np.arange(*sub.node_range(grid65))
+    assert subdomain_gain(nodes, gen_div) == 1.0
     gen_beam = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0))
-    i0 = sub.indices(grid65)[0]
-    expected = math.sqrt(1.0 / profile.grid_values[i0])
-    assert subdomain_gain(sub.indices(grid65), gen_beam) == pytest.approx(expected)
+    expected = math.sqrt(1.0 / profile.grid_values[nodes[0]])
+    assert subdomain_gain(nodes, gen_beam) == pytest.approx(expected)
 
 
 def test_gain_bounds_weighted_extension(grid65, sub, rng):
     profile = classify(CoefficientSpec.power_law(0.5), grid65)
     gen = assemble(OperatorKind.BEAM_NONDIV, profile, BoundaryParams(1.0, 1.0))
-    idx = sub.indices(grid65)
+    idx = np.arange(*sub.node_range(grid65))
     b = subdomain_gain(idx, gen)
     from degenwave.operators import weighted_mass_diagonal
 
-    mass = weighted_mass_diagonal(grid65, profile)
+    mass = weighted_mass_diagonal(profile)
     for _ in range(300):
         phi = rng.standard_normal(idx.size)
         ext = apply_B(sub, grid65, phi)
@@ -261,6 +261,13 @@ def test_snap_warns_when_coarse():
     grid = Grid.uniform(9)
     with pytest.warns(UserWarning):
         SubdomainP(0.01, 0.75).node_range(grid)
+
+
+def test_apply_Bstar_warns_at_its_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        apply_Bstar(SubdomainP(0.01, 0.7), Grid.uniform(9), np.zeros(9))
+    assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
 
 
 def test_scenario_snaps_once_and_warns_at_its_caller():
@@ -290,7 +297,7 @@ def test_subdomain_dofs_are_a_contiguous_range(kind, n, lower, upper):
         sc = Scenario(generator=gen, source=SourceKind.none(), y0=np.zeros(n),
                       y1=np.zeros(n), t_end=1.0, dt=0.125,
                       kernel=KernelSpec.constant(0.005, 0.5), subdomain=sub)
-        nodes = sub.indices(grid)
+        nodes = np.arange(*sub.node_range(grid))
     assert nodes.size >= 1
     assert np.array_equal(gen.free[sc.on_p], nodes)
 
@@ -310,11 +317,11 @@ def delayed_scenario(grid, sub, dt, tau, t_end, history=None):
                                             (0.25, 0.25, 1.0),   # m = 1
                                             (0.25, 2.0, 1.0)])   # tau > t_end
 def test_delayed_traces_match_per_slot_reads(grid65, sub, rng, dt, tau, t_end):
-    width = sub.indices(grid65).size
+    width = np.arange(*sub.node_range(grid65)).size
     sc = delayed_scenario(grid65, sub, dt, tau, t_end,
                           history=lambda s: rng.standard_normal(width))
     gen, m, nrec = sc.generator, sc.m, sc.nsteps + 1
-    dofs = gen.ndof + np.searchsorted(gen.free, sub.indices(grid65))
+    dofs = gen.ndof + np.searchsorted(gen.free, np.arange(*sub.node_range(grid65)))
     states = rng.standard_normal((nrec, 2 * gen.ndof))
 
     def slot(j):
@@ -347,7 +354,7 @@ def test_delayed_traces_read_tau_back(grid65, sub, rng):
     # the slot read tau = 5 dt before t_l is the trace written at t_l - tau
     sc = delayed_scenario(grid65, sub, dt=0.2, tau=1.0, t_end=2.2)
     gen = sc.generator
-    dofs = gen.ndof + np.searchsorted(gen.free, sub.indices(grid65))
+    dofs = gen.ndof + np.searchsorted(gen.free, np.arange(*sub.node_range(grid65)))
     states = np.zeros((sc.nsteps + 1, 2 * gen.ndof))
     written = rng.standard_normal((sc.nsteps + 1, dofs.size))
     states[:, dofs] = written
@@ -361,13 +368,13 @@ def test_delayed_traces_read_tau_back(grid65, sub, rng):
 def history_buffer(sub, grid, dt, tau, init=None):
     """The slot-norm record seeded with the initial history of a delayed
     scenario on `grid` with subdomain `sub`."""
-    slots = resolve_history(init, delay_slots(dt, tau), dt, sub.indices(grid).size)
+    slots = resolve_history(init, delay_slots(dt, tau), dt, np.arange(*sub.node_range(grid)).size)
     return HistoryBuffer(slots, dt, grid.h)
 
 
 def test_history_slot_norms_recorded_once_per_slot(grid65, sub, rng):
     dt, tau = 0.25, 1.0
-    width = sub.indices(grid65).size
+    width = np.arange(*sub.node_range(grid65)).size
     initial = {j: rng.standard_normal(width) for j in range(-4, 1)}
     buf = history_buffer(sub, grid65, dt, tau, init=lambda s: initial[round(s / dt)])
     traces = [initial[j] for j in range(-4, 1)]
@@ -387,7 +394,7 @@ def test_history_bad_trace_shape(grid65, sub):
 
 def test_resolved_history_one_evaluation_per_slot(grid65, sub):
     times = []
-    width = sub.indices(grid65).size
+    width = np.arange(*sub.node_range(grid65)).size
     slots = resolve_history(lambda s: times.append(s) or s, 4, 0.25, width)
     assert times == [-1.0, -0.75, -0.5, -0.25, 0.0]
     assert slots.shape == (5, width) and np.array_equal(slots[:, 0], times)

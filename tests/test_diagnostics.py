@@ -65,7 +65,8 @@ def test_history_term_closed_form():
     sub = SubdomainP(0.25, 0.75)
     k0 = 0.8
     kernel = KernelSpec.constant(k0, tau=1.0)
-    buf = HistoryBuffer(resolve_history(1.0, 8, 0.125, sub.indices(grid).size), 0.125, grid.h)
+    width = np.arange(*sub.node_range(grid)).size
+    buf = HistoryBuffer(resolve_history(1.0, 8, 0.125, width), 0.125, grid.h)
     assert history_energy(kernel, buf) == pytest.approx(k0 / 4.0, abs=1e-14)
 
 
@@ -85,7 +86,7 @@ def weights_trapezoid(kernel, buf, newest):
 def test_history_energy_matches_weights_trapezoid(kernel, rng):
     grid = Grid.uniform(65)
     sub = SubdomainP(0.25, 0.75)
-    width = sub.indices(grid).size
+    width = np.arange(*sub.node_range(grid)).size
     buf = HistoryBuffer(resolve_history(0.3, 10, 0.05, width), 0.05, grid.h)
     for newest in range(1, 25):
         buf.push(rng.standard_normal(width))
@@ -100,7 +101,7 @@ def reference_table(sc, traj):
     buf = None
     if sc.kernel is not None:
         buf = HistoryBuffer(sc.history_slots, sc.dt, gen.grid.h)
-        sub_free = np.searchsorted(gen.free, sc.subdomain.indices(gen.grid))
+        sub_free = np.searchsorted(gen.free, np.arange(*sc.subdomain.node_range(gen.grid)))
     rows = []
     for i, state in enumerate(traj.states):
         if i > 0 and buf is not None:
@@ -476,7 +477,7 @@ def test_threshold_collapse_without_delay_or_source():
     assert cert.C_T_condition <= 1.0
     assert cert.predicted_rate == pytest.approx(semi.omega / 2.0)
     assert math.isinf(cert.rho)
-    assert cert.feasible
+    assert cert.lambda_window == 0.0
 
 
 def test_threshold_infeasible_for_huge_gain():
@@ -494,7 +495,7 @@ def test_end_to_end_certificate_feasible():
                   t_end=1.0, dt=0.0125, kernel=kernel, subdomain=sub)
     result = certify_scenario(sc)
     th = result.threshold
-    assert th.feasible
+    assert th.lambda_window == pytest.approx(0.005 * 0.5)   # k0 tau
     assert 0.0 < th.rho < math.inf
     assert th.C_rho == pytest.approx(2 * math.sqrt(th.C_of_T) * th.rho)
     gap = result.semigroup.omega - result.envelope.omega_prime
@@ -511,7 +512,7 @@ def test_threshold_monotone_in_gain():
     sub = SubdomainP(0.25, 0.75)
     from degenwave import subdomain_gain
 
-    b = subdomain_gain(sub.indices(gen.grid), gen)
+    b = subdomain_gain(np.arange(*sub.node_range(gen.grid)), gen)
     profile = gen.profile
     consts = constants_for(SourceKind.power(1.0), profile)
     rhos = []

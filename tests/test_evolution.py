@@ -11,8 +11,8 @@ from degenwave import (BoundaryParams, CoefficientSpec, DegenwaveError, Grid,
                        InfeasibleError, KernelSpec,
                        NotExponentiallyStableError, OperatorKind,
                        Scenario, SourceKind, SubdomainP, apply_Bstar, assemble, certify_scenario,
-                       classify, decay_fit, duhamel_residual, eigenmode_state, evolution,
-                       polynomial_state, semigroup_constants, simulate,
+                       classify, decay_fit, diagnostics, duhamel_residual, eigenmode_state,
+                       evolution, polynomial_state, semigroup_constants, simulate,
                        smallness_level)
 from degenwave.errors import LinearSolveFailureError
 from degenwave.evolution import (REFINE_GAP, REFINE_LEVELS, _Stepper, spectral_abscissa,
@@ -415,7 +415,7 @@ def test_single_step_matches_rk4_oracle(monkeypatch):
 
     from degenwave.nonlinearity import eval_f
 
-    idx = sub.indices(gen.grid)
+    idx = np.arange(*sub.node_range(gen.grid))
     lookup = {node: i for i, node in enumerate(gen.free)}
     sub_free = np.array([lookup[i] for i in idx])
 
@@ -825,6 +825,37 @@ def test_delayed_inputs_resolved_once(monkeypatch):
     assert duhamel_residual(traj) <= 1e-3
     assert certify_scenario(sc).b == sc.b
     assert len(times) == m + 1
+
+
+@pytest.mark.parametrize("kind", [OperatorKind.BEAM_DIV, OperatorKind.WAVE_NONDIV,
+                                  OperatorKind.WAVE_DIV])
+def test_certify_scenario_refuses_a_source_off_the_weighted_beam(monkeypatch, kind):
+    # explicit source constants exist for beam_nondiv only: no certificate, and
+    # no semigroup work, for a forced scenario of another kind
+    sc = simple_scenario(make_gen(kind, 0.5, 16), source=SourceKind.power(1.0),
+                         amplitude=1e-3)
+    monkeypatch.setattr(evolution, "semigroup_constants", lambda *a, **k: pytest.fail(
+        "semigroup constants computed for an uncertifiable scenario"))
+    with pytest.raises(InfeasibleError, match="derived for beam_nondiv only"):
+        certify_scenario(sc)
+    assert not sc.certifiable
+    assert simple_scenario(make_gen(kind, 0.5, 16)).certifiable   # unforced: covered
+
+
+def test_certify_scenario_bounds_the_kernel_window_once(monkeypatch):
+    calls = []
+    for module in (diagnostics, evolution):   # every module that binds the name
+        bound = getattr(module, "kernel_window_bound", None)
+        if bound is not None:
+            monkeypatch.setattr(module, "kernel_window_bound",
+                                lambda kernel, bound=bound: calls.append(1) or bound(kernel))
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    sc = simple_scenario(gen, dt=0.0125, kernel=KernelSpec.constant(0.005, 0.5),
+                         subdomain=SubdomainP(0.25, 0.75), source=SourceKind.power(1.0),
+                         amplitude=1e-3)
+    result = certify_scenario(sc)
+    assert len(calls) == 1
+    assert result.threshold.lambda_window == pytest.approx(0.005 * 0.5)
 
 
 @pytest.mark.parametrize("name", ["y0", "y1", "history", "history_at_a_slot"])

@@ -179,7 +179,7 @@ def test_hardy_poincare_refinement_stability():
 
 def test_embedding_inequality_on_samples(grid128, profile128, rng):
     c_hp = hardy_poincare_constant(profile128)
-    mass = weighted_mass_diagonal(grid128, profile128)
+    mass = weighted_mass_diagonal(profile128)
     for _ in range(300):
         u = random_clamped(grid128, rng)
         weighted_sq = float(mass @ (u[1:] * u[1:]))

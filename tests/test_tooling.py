@@ -34,7 +34,7 @@ def test_package_modules_use_every_import():
     # deletions tend to leave imports behind; __init__.py re-exports on purpose
     modules = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
     scripts = sorted(SCRIPTS.glob("*.py"))
-    assert len(modules) >= 8 and len(scripts) >= 4
+    assert len(modules) >= 8 and len(scripts) >= 3
     modules += scripts
     unused = []
     for path in modules:
@@ -50,6 +50,13 @@ def test_package_modules_use_every_import():
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
                    if name not in used]
     assert not unused
+
+
+def test_every_script_is_run_by_the_script_tests():
+    tree = ast.parse((ROOT / "tests" / "test_scripts.py").read_text())
+    run = {node.args[0].value for node in ast.walk(tree)
+           if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_script"}
+    assert run == {path.name for path in SCRIPTS.glob("*.py")}
 
 
 #: package definitions that only the tests call: the oracles of the acceptance gates
