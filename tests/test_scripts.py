@@ -20,13 +20,19 @@ def run_script(name, args, cwd):
 
 
 def test_certify_small_data_script(tmp_path):
+    proc = run_script("certify_small_data.py", ["--n", "16", "--out-dir", "out"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "feasible: yes" in proc.stdout
+    lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == ",".join(Trajectory.CSV_COLUMNS)
+    assert len(lines) == 802   # header, t = 0 and 800 steps of dt = tau / 40
+
+
+def test_kernel_gain_sweep_script(tmp_path):
     proc = run_script("certify_small_data.py", ["--n", "16", "--k0", "0.004,0.008",
                                                 "--out-dir", "out"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("feasible: yes") == 2
-    lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
-    assert lines[0] == ",".join(Trajectory.CSV_COLUMNS)
-    assert len(lines) == 802   # header, t = 0 and 800 steps of dt = tau / 40
     lines = (tmp_path / "out" / "gain_sweep.csv").read_text().splitlines()
     assert lines[0] == "k0,feasible,rho,predicted_rate,fitted_rate,blew_up"
     assert len(lines) == 3
