@@ -224,27 +224,27 @@ def run_simulate(cfg, out_dir: Path, quiet: bool, dump_operators: bool = False) 
 
 def run_certify(cfg, out_dir: Path, quiet: bool) -> int:
     scenario = build_scenario(cfg)
-    if scenario.certifiable:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    report = out_dir / "certificate.txt"
+    infeasible = None
     try:
         result = evolution.certify_scenario(scenario)
     except (InfeasibleError, NotExponentiallyStableError) as exc:
         if not scenario.certifiable:  # a config error: no certificate is written
             raise ConfigError(str(exc)) from exc
-        report.write_text(f"feasible: no\nreason: {exc}\n")
-        if not quiet:
-            print(f"wrote {report}")
-            print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    lines = result.report_lines()
-    level = evolution.smallness_level(scenario)
-    lines.append(f"smallness: {level:.12g}")
-    lines.append(f"small_enough: {'yes' if level < result.threshold.rho ** 2 else 'no'}")
+        infeasible = exc
+        lines = ["feasible: no", f"reason: {exc}"]
+    else:
+        level = evolution.smallness_level(scenario)
+        lines = result.report_lines() + [
+            f"smallness: {level:.12g}",
+            f"small_enough: {'yes' if level < result.threshold.rho ** 2 else 'no'}"]
+    out_dir.mkdir(parents=True, exist_ok=True)   # only once there is a certificate
+    report = out_dir / "certificate.txt"
     report.write_text("\n".join(lines) + "\n")
     if not quiet:
         print(f"wrote {report}")
-    return EXIT_OK
+        if infeasible is not None:
+            print(f"infeasible: {infeasible}", file=sys.stderr)
+    return EXIT_OK if infeasible is None else EXIT_INFEASIBLE
 
 
 def _set_config_value(cfg, dotted: str, value: str) -> None:
@@ -268,7 +268,6 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
         raise ConfigError("sweep command needs a [sweep] section")
     parameter = _require(cfg, "sweep", "parameter")
     values = [v.strip() for v in _require(cfg, "sweep", "values").split(",")]
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     shared = {}
     for value in values:
@@ -302,6 +301,7 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
                 margin = "violated"
         rows.append((value, feasible, predicted, fitted, r2, margin,
                      "yes" if trajectory.blew_up else "no"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary = out_dir / "summary.csv"
     with open(summary, "w", newline="") as fh:
         fh.write("value,feasible,predicted_rate,fitted_rate,r_squared,"

@@ -50,6 +50,8 @@ _SLOT_TOL = 1e-9
 def delay_slots(dt: float, tau: float) -> int:
     """m = tau/dt, the slot count of one delay window; ValueError unless a
     whole m >= 1 has |m dt - tau| <= 1e-9 tau."""
+    if not math.isfinite(tau / dt):
+        raise ValueError(f"tau/dt = {tau / dt:g} is not a finite slot count")
     m = round(tau / dt)
     if m < 1 or abs(m * dt - tau) > _SLOT_TOL * tau:
         raise ValueError(f"dt = {dt} must divide tau = {tau} exactly")

@@ -263,10 +263,10 @@ def threshold_certificate(semigroup, kernel: KernelSpec, envelope, b: float,
     sqrt_c = math.sqrt(c_of_t)
     rho = h_inverse(source, constants, 0.5) / (2.0 * sqrt_c)
     rate_cap = gap / (2.0 * m_const)
-    while lipschitz_bound(source, constants, 2.0 * sqrt_c * rho) >= rate_cap:
+    while rho >= RHO_FLOOR and lipschitz_bound(source, constants, 2.0 * sqrt_c * rho) >= rate_cap:
         rho *= 0.5
-        if rho < RHO_FLOOR:
-            raise InfeasibleError(f"rho underflowed below {RHO_FLOOR:g}")
+    if rho < RHO_FLOOR:
+        raise InfeasibleError(f"rho underflowed below {RHO_FLOOR:g}")
     c_rho = 2.0 * sqrt_c * rho
     l_val = lipschitz_bound(source, constants, c_rho)
     return ThresholdCertificate(

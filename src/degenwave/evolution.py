@@ -225,6 +225,17 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return math.sqrt(float(top[0])) * scale
 
 
+def propagator_ladders(a_tilde: np.ndarray, width: float):
+    """Yield the rungs e^{(w/2^(REFINE_LEVELS - j))A~}, j = 0 .. REFINE_LEVELS,
+    of w = `width`, then of 2w, 4w, ...: one `expm`, then a squaring a rung."""
+    rungs = [scipy.linalg.expm((width / 2.0 ** REFINE_LEVELS) * a_tilde)]
+    for _ in range(REFINE_LEVELS):
+        rungs.append(rungs[-1] @ rungs[-1])
+    while True:
+        yield rungs
+        rungs = rungs[1:] + [rungs[-1] @ rungs[-1]]
+
+
 def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
                         samples: int = 80) -> SemigroupCertificate:
     """(M, omega) with omega = 0.9 x (decay rate of the slowest mode) and M a
@@ -237,19 +248,26 @@ def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
     t >= 0 by submultiplicativity.  InfeasibleError is raised when the rule
     has not held at the last horizon, or when e^{omega H} overflows first.
 
-    On [0, H] the profile is sampled at the `samples` + 1 powers of
-    E = e^{(H/samples)A~} (Higham 2008, Functions of Matrices, ch. 10).  With
-    mu the logarithmic norm of A~, the top eigenvalue of its symmetric part,
-    ||e^{rA~}|| <= e^{mu r} (Soederlind 2006, BIT 46), so on a cell
-    [t, t + w] the profile is at most s e^{max(omega + mu, 0) w}, s its value
-    at t.  A cell whose bound exceeds (1 + REFINE_GAP) times the sampled
-    maximum is halved, its midpoint sampled as its start propagator times
-    e^{(w/2)A~}: one exponential per level, at most REFINE_LEVELS levels.
-    M is the largest cell bound, and at least 1.
+    Every propagator is a power of one `expm`, of (w/2^L)A~, w = H/`samples`
+    and L = REFINE_LEVELS (`propagator_ladders`): L squarings give the
+    halving rungs and E = e^{wA~}, E^`samples` the horizon check, and a
+    doubling of H one more squaring.  expm itself squares a Pade approximant
+    of tA~/2^s s times (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)), so a
+    rung is expm at its width up to the rounding of the squarings, and to
+    the bit where expm takes one more squaring at twice the width (beams).
+
+    On [0, H] the profile is sampled at the `samples` + 1 powers of E
+    (Higham 2008, Functions of Matrices, ch. 10).  With mu the logarithmic
+    norm of A~, the top eigenvalue of its symmetric part, ||e^{rA~}|| <=
+    e^{mu r} (Soederlind 2006, BIT 46), so on a cell [t, t + w] the profile
+    is at most s e^{max(omega + mu, 0) w}, s its value at t.  A cell whose
+    bound exceeds (1 + REFINE_GAP) times the sampled maximum is halved, its
+    midpoint sampled as its start propagator times e^{(w/2)A~}, at most
+    REFINE_LEVELS levels.  M is the largest cell bound, and at least 1.
 
     The first walk stops at the first sample K whose weighted value v_K, with
-    v_k = ||E^k|| e^{omega k w} and w = H/`samples`, has v_K e^{gw} <=
-    1 - DECAY_SLACK, g = max(omega + mu, 0).  Submultiplicativity gives
+    v_k = ||E^k|| e^{omega k w}, has v_K e^{gw} <= 1 - DECAY_SLACK,
+    g = max(omega + mu, 0).  Submultiplicativity gives
     v_k <= v_K v_{k-K}, so by induction every later sample is at most v_K
     times the largest of v_0 .. v_K: each later cell closes at level 0 with a
     bound below the sampled maximum, hence below M, and is counted without a
@@ -281,9 +299,10 @@ def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
     def weighted_norm(propagator: np.ndarray, t: float) -> float:
         return spectral_norm(propagator) * math.exp(omega * t)
 
-    for horizon in [horizon * 2.0 ** k for k in range(HORIZON_DOUBLINGS + 1)]:
+    horizons = [horizon * 2.0 ** k for k in range(HORIZON_DOUBLINGS + 1)]
+    for horizon, rungs in zip(horizons, propagator_ladders(a_tilde, horizon / samples)):
         try:
-            tail = weighted_norm(scipy.linalg.expm(horizon * a_tilde), horizon)
+            tail = weighted_norm(np.linalg.matrix_power(rungs[-1], samples), horizon)
         except OverflowError:
             raise InfeasibleError(f"e^(omega H) overflows at the horizon H = {horizon:g} "
                                   "before ||e^(HA)|| e^(omega H) <= 1 held") from None
@@ -295,7 +314,7 @@ def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
 
     width = horizon / samples
     cell_growth = math.exp(growth * width)      # a level-0 cell's bound over its start
-    step = scipy.linalg.expm(width * a_tilde)
+    step = rungs[-1]
     power = np.eye(dim)
     values = [weighted_norm(power, 0.0)]
     for k in range(1, samples + 1):
@@ -308,7 +327,7 @@ def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
     last = max((k for k in range(walked)
                 if values[k] * cell_growth > (1.0 + REFINE_GAP) * sampled), default=-1)
 
-    halves = []                 # halves[level] = e^{(width / 2^(level + 1)) A~}
+    halvings = 0                # deepest level halved; rungs[-2 - l] = e^{(width/2^(l+1))A~}
     m_const, cells = 1.0, samples - walked
     power = np.eye(dim)
     for k in range(walked):
@@ -323,15 +342,14 @@ def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
                 m_const = max(m_const, bound)
                 cells += 1
                 continue
-            if len(halves) == level:
-                halves.append(scipy.linalg.expm(0.5 * w * a_tilde))
-            mid = halves[level] @ start
+            halvings = max(halvings, level + 1)
+            mid = rungs[-2 - level] @ start
             mid_value = weighted_norm(mid, t + 0.5 * w)
             sampled = max(sampled, mid_value)
             cell_stack += [(mid, t + 0.5 * w, mid_value, level + 1),
                            (start, t, value, level + 1)]
     note = (f"M = {m_const:.6g} bounds ||e^(tA)|| e^(omega t) on {cells} cells in "
-            f"[0, {horizon:g}] after {len(halves)} halvings of {samples}, sampled max "
+            f"[0, {horizon:g}] after {halvings} halvings of {samples}, sampled max "
             f"{sampled:.6g}, omega = 0.9 x {-abscissa:.6g}")
     return SemigroupCertificate(M=m_const, omega=omega, method_note=note)
 

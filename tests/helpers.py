@@ -5,11 +5,12 @@ curvature seminorm read from `curvature_map`, the dense row-by-row elastic
 map and stiffness of a generator, the subdomain extension B and the L2(P)
 pairing, the pointwise and sampled checks of the source hypotheses, a
 semigroup-constant sampler with one matrix exponential per sample time, the
-certificate route with two full walks of the powers (full SVD norms, or the
-package's), a stand-in generator that serves a given matrix as its
-state-norm generator, the closed forms of the constant and pulse gains, the
-trajectory and margins CSV writers as one formatted value at a time, and the
-IMEX step taken one step at a time with each step's own delay term.
+certificate route with two full walks of the powers (full SVD norms and one
+`expm` per width, or the package's norms and ladder), a stand-in generator
+that serves a given matrix as its state-norm generator, the closed forms of
+the constant and pulse gains, the trajectory and margins CSV writers as one
+formatted value at a time, and the IMEX step taken one step at a time with
+each step's own delay term.
 Each is a reference that tests compare the package's forms, constants and
 files against.
 """
@@ -213,13 +214,18 @@ def direct_semigroup_constants(a_tilde, horizon=20.0, samples=80, recheck=50):
     return max(max(weighted_norm(t) for t in times), 1.0), omega, horizon
 
 
-def reference_semigroup_constants(generator, horizon=20.0, samples=80, norm=None):
+def reference_semigroup_constants(generator, horizon=20.0, samples=80, package=False):
     """`evolution.semigroup_constants` with the chain of powers walked twice
     in full, once for all `samples` + 1 samples and once to refine cell by
     cell: the reference its M and note are checked against.  Each norm is a
-    full SVD, or `norm`: given `evolution.spectral_norm`, the arithmetic is the
-    package's, so that M, omega and the note agree to the bit."""
-    if norm is None:
+    full SVD, and each propagator at the horizon, the sample width and each
+    halving width its own `expm`.  With `package`, the norms are
+    `evolution.spectral_norm` and the propagators those of
+    `evolution.propagator_ladders`, the package's arithmetic, so that M,
+    omega and the note agree to the bit."""
+    if package:
+        norm = evolution.spectral_norm
+    else:
         def norm(propagator):
             return float(scipy.linalg.norm(propagator, 2))
     a_tilde = generator.state_norm_generator()
@@ -232,14 +238,27 @@ def reference_semigroup_constants(generator, horizon=20.0, samples=80, norm=None
     def weighted_norm(propagator, t):
         return norm(propagator) * math.exp(omega * t)
 
+    ladders = evolution.propagator_ladders(a_tilde, horizon / samples)
     for horizon in [horizon * 2.0 ** k for k in range(HORIZON_DOUBLINGS + 1)]:
-        if weighted_norm(scipy.linalg.expm(horizon * a_tilde), horizon) <= 1.0:
+        if package:
+            rungs = next(ladders)
+            tail = np.linalg.matrix_power(rungs[-1], samples)
+        else:
+            tail = scipy.linalg.expm(horizon * a_tilde)
+        if weighted_norm(tail, horizon) <= 1.0:
             break
     else:
         raise InfeasibleError("the horizon rule never held")
 
     width = horizon / samples
-    step = scipy.linalg.expm(width * a_tilde)
+
+    def propagator(level):
+        """e^{(width / 2^level) A~}"""
+        if package:
+            return rungs[REFINE_LEVELS - level]
+        return scipy.linalg.expm((width / 2.0 ** level) * a_tilde)
+
+    step = propagator(0)
     power = np.eye(dim)
     values = [weighted_norm(power, 0.0)]
     for k in range(1, samples + 1):
@@ -263,7 +282,7 @@ def reference_semigroup_constants(generator, horizon=20.0, samples=80, norm=None
                 cells += 1
                 continue
             if len(halves) == level:
-                halves.append(scipy.linalg.expm(0.5 * w * a_tilde))
+                halves.append(propagator(level + 1))
             mid = halves[level] @ start
             mid_value = weighted_norm(mid, t + 0.5 * w)
             sampled = max(sampled, mid_value)
@@ -277,7 +296,11 @@ def reference_semigroup_constants(generator, horizon=20.0, samples=80, norm=None
 
 def eig_semigroup_profile(a_tilde, omega, times):
     """||e^{tA}|| e^{omega t} at each t, with e^{tA} = V e^{t Lambda} V^{-1}
-    from one eigendecomposition; V must be well conditioned (below 1e4)."""
+    from one eigendecomposition; V must be well conditioned (below 1e4).
+    Each norm is the square root of the top eigenvalue of the Gram matrix
+    P^T P, from the full symmetric eigensolver: the subset drivers of
+    `scipy.linalg.eigvalsh` fail on the clustered spectrum of the Gram
+    matrix of a nearly orthogonal propagator."""
     evals, evecs = np.linalg.eig(np.asarray(a_tilde, dtype=float))
     if np.linalg.cond(evecs) > 1e4:
         raise ValueError("eigenvector basis too ill-conditioned for the profile")
@@ -287,7 +310,8 @@ def eig_semigroup_profile(a_tilde, omega, times):
     for start in range(0, times.size, 50):   # 50 propagators at a time
         ts = times[start:start + 50]
         props = ((evecs[None] * np.exp(np.outer(ts, evals))[:, None, :]) @ inv).real
-        out[start:start + 50] = np.linalg.norm(props, 2, axis=(1, 2)) * np.exp(omega * ts)
+        norms_sq = np.linalg.eigvalsh(np.swapaxes(props, 1, 2) @ props)[:, -1]
+        out[start:start + 50] = np.sqrt(norms_sq) * np.exp(omega * ts)
     return out
 
 

@@ -289,6 +289,8 @@ def test_state_dimension_above_expm_limit_exits_3(tmp_path, capsys, command):
     assert "exceeds 1024" in err and "Traceback" not in err
     # a valid config that hits a package limit is not a config error
     assert err.startswith("error: state dimension 1198")
+    # and it leaves no output directory behind
+    assert not (tmp_path / "o").exists()
 
 
 def test_step_factor_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -370,6 +372,27 @@ def test_readme_example_config_runs(tmp_path):
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--command",
                      command, "--quiet"]) == 0
     assert "feasible: yes" in (tmp_path / "o" / "certificate.txt").read_text()
+
+
+def test_delay_of_no_finite_slot_count_exits_3(tmp_path, capsys):
+    # tau/dt overflows to inf: no OverflowError traceback from round(inf)
+    text = readme_config().replace("n = 64", "n = 16").replace("tau = 0.5", "tau = 1e308")
+    code = main(["--config", write(tmp_path, "r.ini", text), "--out", str(tmp_path / "o"),
+                 "--quiet"])
+    assert code == 3
+    assert capsys.readouterr().err == "config error: tau/dt = inf is not a finite slot count\n"
+
+
+def test_source_exponent_whose_radius_underflows_is_infeasible(tmp_path, capsys):
+    # q = 1e-12: h^{-1}(1/2) = (1/2c)^(1/q) underflows to 0, and no radius is certified
+    text = readme_config().replace("n = 64", "n = 16").replace("q = 1.0", "q = 1e-12")
+    out = tmp_path / "o"
+    code = main(["--config", write(tmp_path, "r.ini", text), "--out", str(out),
+                 "--command", "certify", "--quiet"])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "certificate.txt").read_text() == \
+        "feasible: no\nreason: rho underflowed below 1e-12\n"
 
 
 @pytest.mark.parametrize("command, section, key, raw", [

@@ -69,10 +69,9 @@ def note_figures(cert):
 
 def check_against_direct_sampler(monkeypatch, generator, a_tilde):
     """M at least the one-expm-per-time sampled maximum, omega within 1e-10 of
-    its omega, and one exponential per horizon check and per halving level
-    besides the sample step; against the reference route of SVD norms and two
-    full walks, M within 1e-12 and the note's horizon, cells, halvings and
-    sampled maximum identical."""
+    its omega, and one matrix exponential in all; against the reference route
+    of SVD norms, one `expm` per width and two full walks, M within 1e-12 and
+    the note's horizon, cells, halvings and sampled maximum identical."""
     calls = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda *a, **k: calls.append(1) or expm(*a, **k))
@@ -81,10 +80,9 @@ def check_against_direct_sampler(monkeypatch, generator, a_tilde):
     want_m, want_omega, horizon = direct_semigroup_constants(a_tilde)
     assert cert.M >= want_m * (1.0 - 1e-10)
     assert abs(cert.omega - want_omega) <= 1e-10 * want_omega
-    noted_horizon, halvings, _ = note_figures(cert)
+    noted_horizon, _, _ = note_figures(cert)
     assert noted_horizon == horizon
-    doublings = round(math.log2(horizon / 20.0))
-    assert len(calls) <= min(doublings + 1, 8) + 1 + halvings
+    assert len(calls) == 1
     reference = reference_semigroup_constants(generator)
     assert cert.M == pytest.approx(reference.M, rel=1e-12, abs=0.0)
     assert cert.omega == reference.omega
@@ -129,14 +127,49 @@ README_GEN = (OperatorKind.BEAM_NONDIV, 0.5, 64)
     + [README_GEN, (None, None, None)])
 def test_semigroup_constants_match_the_full_walk_to_the_bit(monkeypatch, kind, alpha, n):
     # the stopped first walk against the reference that samples all 81 powers,
-    # with the package's norm; NON_NORMAL never meets the stop rule
+    # with the package's norm and ladder; NON_NORMAL never meets the stop rule
     gen = MatrixGenerator(NON_NORMAL) if kind is None else make_gen(kind, alpha, n)
     cert, _, first_walk = norm_counts(monkeypatch, gen)
-    reference = reference_semigroup_constants(gen, norm=spectral_norm)
+    reference = reference_semigroup_constants(gen, package=True)
     assert cert.M.hex() == reference.M.hex()
     assert cert.omega.hex() == reference.omega.hex()
     assert cert.method_note == reference.method_note
     assert (first_walk == 81) == (kind is None)
+
+
+def used_ladder(monkeypatch, generator):
+    """The certificate of `generator`, with the width and the rungs of the
+    last ladder `propagator_ladders` yielded to it: the ladder of the
+    certificate's horizon."""
+    ladders, used = evolution.propagator_ladders, []
+
+    def recorded(a_tilde, width):
+        for rungs in ladders(a_tilde, width):
+            used.append((width, rungs))
+            width *= 2.0
+            yield rungs
+
+    monkeypatch.setattr(evolution, "propagator_ladders", recorded)
+    cert = semigroup_constants(generator)
+    monkeypatch.undo()
+    return cert, used[-1]
+
+
+@pytest.mark.parametrize("kind, alpha, n", [
+    (kind, alpha, n) for kind in OperatorKind for alpha in (0.5, 1.5) for n in (16, 32)]
+    + [README_GEN, (None, None, None)])
+def test_every_ladder_rung_is_the_exponential_at_its_width(monkeypatch, kind, alpha, n):
+    # rung j of the ladder against expm at width w / 2^(REFINE_LEVELS - j);
+    # NON_NORMAL's ladder is the one of H = 80, after two horizon doublings
+    gen = MatrixGenerator(NON_NORMAL) if kind is None else make_gen(kind, alpha, n)
+    cert, (width, rungs) = used_ladder(monkeypatch, gen)
+    horizon, _, _ = note_figures(cert)
+    assert width == horizon / 80 and len(rungs) == REFINE_LEVELS + 1
+    assert kind is not None or horizon == 80.0
+    a_tilde = gen.state_norm_generator()
+    for j, rung in enumerate(rungs):
+        want = scipy.linalg.expm((width / 2.0 ** (REFINE_LEVELS - j)) * a_tilde)
+        assert np.linalg.norm(rung - want, 2) <= 1e-12 * np.linalg.norm(want, 2), j
 
 
 def test_semigroup_first_walk_stops_once_the_profile_has_decayed(monkeypatch):
