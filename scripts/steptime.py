@@ -3,12 +3,15 @@
 The beam is beam_nondiv with a = x^0.5 and beta = gamma = 1, started from
 polynomial data of amplitude 1e-3 with dt = 0.0025.  A positive --tau adds
 the constant kernel k0 = 0.005 with that delay on P = (0.25, 0.75), so
-m = tau/dt history slots; --tau 0 runs undelayed.  After one warm-up call,
-`simulate` is timed --repeats times; the post-run diagnostics are included.
-The one output line is a JSON object with the median and the minimum in
-microseconds per step.
+m = tau/dt history slots; --tau 0 runs undelayed.  --runs B > 1 steps B runs
+as one batch through `simulate_runs`, run i with k0 = 0.005 (1 + i/B), and
+reports microseconds per step per run; the default B = 1 times `simulate`,
+which every source tree has.  After one warm-up call, the call is timed
+--repeats times; the post-run diagnostics are included.  The one output line
+is a JSON object with the median and the minimum in microseconds per step
+(per run).
 
-Usage: python scripts/steptime.py [--src DIR] [--n 64] [--tau 0.5]
+Usage: python scripts/steptime.py [--src DIR] [--n 64] [--tau 0.5] [--runs 1]
                                   [--source none|power] [--steps 4000] [--repeats 5]
 """
 
@@ -33,6 +36,7 @@ def main():
     parser.add_argument("--source", choices=("none", "power"), default="power")
     parser.add_argument("--steps", type=int, default=4000)
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--runs", type=int, default=1, help="runs stepped as one batch")
     args = parser.parse_args()
     if args.src:
         sys.path.insert(0, args.src)
@@ -40,7 +44,7 @@ def main():
     import configparser
 
     import numpy as np
-    from degenwave import cli, simulate
+    from degenwave import cli, evolution
 
     # the scenario comes from a config, through the one builder whose
     # signature every source tree shares
@@ -66,16 +70,28 @@ amplitude = 1e-3
 dt = {DT!r}
 t_end = {args.steps * DT!r}
 """)
-    sc = cli.build_scenario(cfg)
-    simulate(sc)
+    shared, scenarios = {}, []
+    for i in range(args.runs):
+        if args.tau > 0:
+            cfg["kernel"]["k0"] = repr(0.005 * (1.0 + i / args.runs))
+        scenarios.append(cli.build_scenario(cfg, shared))
+    sc = scenarios[0]
+
+    def run():
+        if args.runs == 1:
+            evolution.simulate(sc)
+        else:
+            evolution.simulate_runs(scenarios)
+
+    run()
     per_step = []
     for _ in range(args.repeats):
         start = time.perf_counter()
-        simulate(sc)
-        per_step.append((time.perf_counter() - start) / sc.nsteps * 1e6)
+        run()
+        per_step.append((time.perf_counter() - start) / (sc.nsteps * args.runs) * 1e6)
     print(json.dumps({"n": args.n, "tau": args.tau, "m": sc.m, "source": args.source,
-                      "steps": sc.nsteps, "median_us": float(np.median(per_step)),
-                      "min_us": min(per_step)}))
+                      "runs": args.runs, "steps": sc.nsteps,
+                      "median_us": float(np.median(per_step)), "min_us": min(per_step)}))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from .diagnostics import (BoundReport, CertificationResult, DecayFit,
                           EnergyBreakdown, ThresholdCertificate, decay_fit,
                           energy_bound_check, energy_breakdown, growth_envelope_C,
                           threshold_certificate)
-from .errors import (BoundViolatedError, DegenerateFitError, DegenwaveError,
+from .errors import (ArrayTooLargeError, BoundViolatedError, DegenerateFitError, DegenwaveError,
                      EigSolveFailureError, GridTooCoarseError, InconsistentBCError,
                      InfeasibleError, KOutOfRangeError, NonDegenerateError,
                      NotExponentiallyStableError,
@@ -18,7 +18,7 @@ from .errors import (BoundViolatedError, DegenerateFitError, DegenwaveError,
                      SubdomainNotAlignedError)
 from .evolution import (Scenario, SemigroupCertificate, Trajectory, certify_scenario,
                         duhamel_residual, eigenmode_state, polynomial_state,
-                        semigroup_constants, simulate, smallness_level)
+                        semigroup_constants, simulate, simulate_runs, smallness_level)
 from .grids import Grid
 from .nonlinearity import (NonlinearityConstants, SourceKind, constants_for,
                            eval_F_functional, eval_f, h_eval, h_inverse,

@@ -260,31 +260,52 @@ def _set_config_value(cfg, dotted: str, value: str) -> None:
     cfg[section][key] = value.replace("%", "%%")
 
 
+def _run_columns(trajectory) -> tuple:
+    """The (fitted_rate, r_squared, bound_margin, blew_up) cells of a sweep row."""
+    fitted = r2 = margin = ""
+    if not trajectory.blew_up:
+        try:
+            fit = diagnostics.decay_fit(trajectory)
+            fitted, r2 = f"{fit.rate:.12g}", f"{fit.r_squared:.12g}"
+        except DegenwaveError:
+            pass
+        if trajectory.scenario.kernel is not None:
+            try:
+                margin = f"{diagnostics.energy_bound_check(trajectory).max_ratio:.12g}"
+            except DegenwaveError:
+                margin = "violated"
+    return fitted, r2, margin, "yes" if trajectory.blew_up else "no"
+
+
 def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
     """A summary row per value, set in turn on `cfg`.  A memo entry per raw
     [coefficient] and [operator] items holds the generator, its semigroup
-    constants and, per raw [initial] items, the read-only initial data."""
+    constants and, per raw [initial] items, the read-only initial data.
+
+    Every value's scenario is built first.  Consecutive scenarios that share
+    a step (the memo's generator, dt, the step count, the delay slots, P and
+    the source; `evolution.batches`) are stepped as one batch by
+    `evolution.simulate_runs`, and each run's fit and margin are taken before
+    the next batch; the certificates follow, once the states are dropped.
+    Each row is the one its value gets alone, written in value order."""
     if "sweep" not in cfg:
         raise ConfigError("sweep command needs a [sweep] section")
     parameter = _require(cfg, "sweep", "parameter")
     values = [v.strip() for v in _require(cfg, "sweep", "values").split(",")]
-    rows = []
     shared = {}
+    scenarios = []
     for value in values:
         _set_config_value(cfg, parameter, value)
-        scenario = build_scenario(cfg, shared)
-        gen = scenario.generator
-        trajectory = evolution.simulate(scenario)
-        fitted = r2 = ""
-        if not trajectory.blew_up:
-            try:
-                fit = diagnostics.decay_fit(trajectory)
-                fitted, r2 = f"{fit.rate:.12g}", f"{fit.r_squared:.12g}"
-            except DegenwaveError:
-                pass
+        scenarios.append(build_scenario(cfg, shared))
+    run_columns = []
+    for batch in evolution.batches(scenarios):
+        run_columns += [_run_columns(t) for t in evolution.simulate_runs(batch)]
+    rows = []
+    for value, scenario, columns in zip(values, scenarios, run_columns):
         feasible, predicted = "no", ""
         try:
             if scenario.certifiable:
+                gen = scenario.generator
                 entry = next((e for e in shared.values() if e["generator"] is gen), {})
                 if "semigroup" not in entry:
                     entry["semigroup"] = evolution.semigroup_constants(gen)
@@ -292,15 +313,7 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
                 feasible, predicted = "yes", f"{result.threshold.predicted_rate:.12g}"
         except (InfeasibleError, NotExponentiallyStableError):
             pass
-        margin = ""
-        if not trajectory.blew_up and scenario.kernel is not None:
-            try:
-                rep = diagnostics.energy_bound_check(trajectory)
-                margin = f"{rep.max_ratio:.12g}"
-            except DegenwaveError:
-                margin = "violated"
-        rows.append((value, feasible, predicted, fitted, r2, margin,
-                     "yes" if trajectory.blew_up else "no"))
+        rows.append((value, feasible, predicted) + columns)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = out_dir / "summary.csv"
     with open(summary, "w", newline="") as fh:

@@ -35,7 +35,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .degeneracy import read_csv_columns
-from .errors import InfeasibleError, NotLocallyIntegrableError, SubdomainNotAlignedError
+from .errors import (InfeasibleError, NotLocallyIntegrableError, SubdomainNotAlignedError,
+                     allocate)
 from .grids import Grid
 
 KERNEL_CONSTANT = "constant"
@@ -304,9 +305,10 @@ def resolve_history(init: HistoryInit, m: int, dt: float, width: int) -> np.ndar
 
     `init` is None (zero history), a scalar, or a callable of the time that
     returns a scalar or `width` values; it is evaluated once per slot.  Raises
-    ValueError on a non-finite value.
+    ValueError on a non-finite value, and ArrayTooLargeError, before any
+    evaluation, when the slots cannot be allocated.
     """
-    slots = np.zeros((m + 1, width))
+    slots = allocate((m + 1, width), "the initial history slots", zero=True)
     if init is None:
         return slots
     for row, j in enumerate(range(-m, 1)):

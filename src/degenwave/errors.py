@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one allocation that
+raises one for an array too large to hold."""
+
+import math
+
+import numpy as np
 
 
 class DegenwaveError(Exception):
@@ -39,6 +44,23 @@ class InfeasibleError(DegenwaveError):
 
 class SubdomainNotAlignedError(DegenwaveError):
     """Subdomain data does not match the snapped node range."""
+
+
+class ArrayTooLargeError(DegenwaveError):
+    """An array a run needs cannot be allocated."""
+
+
+def allocate(shape, what: str, zero: bool = False) -> np.ndarray:
+    """np.empty(shape), or np.zeros with `zero`, of doubles; ArrayTooLargeError
+    naming `what` and its size when the request fails at once.  A request
+    that succeeds is not touched here."""
+    try:
+        return np.zeros(shape) if zero else np.empty(shape)
+    except (MemoryError, ValueError):       # ValueError: past numpy's size limit
+        size = math.prod(shape)
+        raise ArrayTooLargeError(
+            f"{what} need {' x '.join(map(str, shape))} doubles ({size * 8 / 2**30:,.1f} GiB), "
+            "more than can be allocated; raise dt or lower t_end or tau") from None
 
 
 class LinearSolveFailureError(DegenwaveError):

@@ -36,7 +36,7 @@ from . import diagnostics
 from .delay import (HistoryInit, KernelSpec, SubdomainP, delay_slots, kernel_growth_check,
                     resolve_history, subdomain_gain)
 from .errors import (DegenwaveError, InfeasibleError, LinearSolveFailureError,
-                     NotExponentiallyStableError)
+                     NotExponentiallyStableError, allocate)
 from .nonlinearity import SOURCE_POWER, SourceKind, constants_for, eval_f
 from .operators import DiscreteGenerator, OperatorKind
 
@@ -60,9 +60,13 @@ HORIZON_DOUBLINGS = 8
 #: largest state dimension whose dense matrix exponentials are computed
 MAX_EXPM_DIM = 1024
 
-#: doubles of the per-block temporaries of `simulate`: a block holds
-#: RECORD_BLOCK // (2 ndof) records, and at least one
+#: doubles of the per-block temporaries of `simulate_runs`: a block holds
+#: RECORD_BLOCK // (2 ndof B) records of each of its B runs, and at least one
 RECORD_BLOCK = 1 << 16
+
+#: doubles of the states of one batch of `simulate_runs` (32 MiB): `batches`
+#: adds a run while the batch's states fit, and a run of more is a batch of one
+BATCH_STATES = 1 << 22
 
 #: start-up steps taken as backward-Euler half-step pairs when explicit terms act
 STARTUP_STEPS = 2
@@ -216,13 +220,19 @@ def spectral_norm(matrix: np.ndarray) -> float:
     class of an SVD, an error of at most about dim u ||P||^2 in lambda_max (u
     the unit roundoff), at about half the cost.  P is first divided by the
     power of two at or above its largest entry, exactly, so that the Gram
-    matrix neither overflows nor underflows where P itself does not."""
+    matrix neither overflows nor underflows where P itself does not.  LAPACK's
+    subset driver (syevr) can fail on the clustered Gram spectrum of a nearly
+    orthogonal P; then the top of the full spectrum (np.linalg.eigvalsh) is
+    taken from the same Gram matrix."""
     scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(matrix))))[1])
     unit = matrix / scale
     dim = matrix.shape[1]
-    top = scipy.linalg.eigvalsh(unit.T @ unit, subset_by_index=[dim - 1, dim - 1],
-                                driver="evr", overwrite_a=True)
-    return math.sqrt(float(top[0])) * scale
+    try:
+        top = scipy.linalg.eigvalsh(unit.T @ unit, subset_by_index=[dim - 1, dim - 1],
+                                    driver="evr", overwrite_a=True)[0]
+    except np.linalg.LinAlgError:
+        top = np.linalg.eigvalsh(unit.T @ unit)[-1]
+    return math.sqrt(float(top)) * scale
 
 
 def propagator_ladders(a_tilde: np.ndarray, width: float):
@@ -316,7 +326,7 @@ def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
     cell_growth = math.exp(growth * width)      # a level-0 cell's bound over its start
     step = rungs[-1]
     power = np.eye(dim)
-    values = [weighted_norm(power, 0.0)]
+    values = [1.0]              # ||I|| e^0
     for k in range(1, samples + 1):
         power = step @ power
         values.append(weighted_norm(power, k * width))
@@ -357,8 +367,17 @@ def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
 # -- IMEX stepping ---------------------------------------------------------------
 
 
+def _share_a_step(a: Scenario, b: Scenario) -> bool:
+    """Whether two runs can be stepped as one batch: the same generator object,
+    dt, step count, slot count m, subdomain slice and source."""
+    return a.generator is b.generator and \
+        (a.dt, a.nsteps, a.m, a.on_p, a.source) == (b.dt, b.nsteps, b.m, b.on_p, b.source)
+
+
 class _Stepper:
-    """Trapezoidal linear part, midpoint delay term, AB2 source.
+    """Trapezoidal linear part, midpoint delay term, AB2 source, for a batch of
+    B runs that share a step (`_share_a_step`) and may differ in the kernel
+    values, the initial data and the history slots.
 
     Every implicit stage goes through `solve`, which solves
     (I - dt/2 A)(x1, x2) = (r1, r2) on the velocity block: with h = dt/2,
@@ -366,12 +385,14 @@ class _Stepper:
         (M + h D + h^2 K) x2 = M r2 - h K r1,    x1 = r1 + h x2,
 
     so one banded Cholesky factor of the n x n matrix M + h D + h^2 K serves
-    every step: the matrix is symmetric positive definite (M > 0, K and D >= 0)
-    with the bandwidth kd of K, factored once by LAPACK dpbtrf and solved per
-    stage by dpbtrs, O(kd^2 n) and O(kd n) work (Golub & Van Loan, section
-    4.3).  No dense n x n array is formed.  The explicit terms G = (0, g) have a
-    zero displacement half, so the delay and source terms give g alone.
-    The trapezoid step is taken in its implicit-midpoint form
+    every step of every run: the matrix is symmetric positive definite (M > 0,
+    K and D >= 0) with the bandwidth kd of K, factored once by LAPACK dpbtrf
+    and solved per stage by one dpbtrs call on the B right-hand sides, O(kd^2 n)
+    and O(kd n B) work (Golub & Van Loan, section 4.3).  dpbtrs solves each
+    column on its own, and K r1 is one BLAS dsbmv per run, so every run gets
+    the bits it gets alone.  No dense n x n array is formed.  The explicit terms
+    G = (0, g) have a zero displacement half, so the delay and source terms
+    give g alone.  The trapezoid step is taken in its implicit-midpoint form
     new = 2 solve(u, v + h g) - (u, v), which is the same map as
     (I - hA)^{-1}((I + hA) y + dt G) and needs no product with A.
 
@@ -382,27 +403,29 @@ class _Stepper:
     Undelayed unforced runs are pure trapezoid, so the discrete energy
     telescopes exactly.
 
-    `advance` steps row `first` of the run's preallocated states array on to
-    row `last`, each step reading row ell and writing row ell + 1 through
-    views.  The delayed traces are read, not stored, through
-    `Scenario.delayed_traces`.  The midpoint delay terms of m = tau/dt
-    consecutive steps read no slot past the first step's row, so
-    `midpoint_delays` forms them a sub-block of at most min(rows, m) steps at
-    a time (`rows`, the steps of one record block of `simulate`) in one
-    vectorised pass, into `delay_rows`, allocated once per run and zero off P
-    (undelayed, a zero vector seen as every row).
-    Elementwise operations round each element alone, so every row is bit for
-    bit the term the step would form on its own.  The stage solution is the
-    2n work vector `mid`, and the new state is 2 mid - y over the whole row.
-    k(t_ell + dt/2) is evaluated once per run over all steps, and
-    k(t_ell + dt) only at the start-up steps that read it.
+    `advance` steps row `first` of the batch's preallocated (steps + 1, B,
+    2 ndof) states array on to row `last`, each step reading row ell and
+    writing row ell + 1 through views.  The delayed traces are read, not
+    stored, through each run's `Scenario.delayed_traces`.  The midpoint delay
+    terms of m = tau/dt consecutive steps read no slot past the first step's
+    row, so `midpoint_delays` forms them a sub-block of at most min(rows, m)
+    steps at a time (`rows`, the steps of one record block of
+    `simulate_runs`) in one vectorised pass, into the (rows, B, ndof)
+    `delay_rows`, allocated once per batch and zero off P (undelayed, a zero
+    block seen as every row).  Elementwise operations round each element
+    alone, so every row is bit for bit the term the step would form on its
+    own.  The stage solution is the work array `mid`, x1 and x2 a (B, ndof)
+    block each, and the new state is 2 mid - y over each run's whole row.
+    k(t_ell + dt/2) is evaluated once per run over all steps, as the columns
+    of `k_mid`, and k(t_ell + dt) only at the start-up steps that read it.
     """
 
-    def __init__(self, scenario: Scenario, rows: int):
-        self.sc = scenario
-        gen = scenario.generator
+    def __init__(self, runs: list, rows: int):
+        self.runs = runs
+        self.sc = sc = runs[0]
+        gen = sc.generator
         self.gen = gen
-        self.half_dt = h = 0.5 * scenario.dt
+        self.half_dt = h = 0.5 * sc.dt
         # M + h D + h^2 K in the upper band storage of K.  D = d_e e e^T + d_g g g^T
         # touches only the last three dofs (e the last one, g the last three);
         # waves have kd = 1 and d_g = 0, so their D is the last diagonal entry
@@ -420,24 +443,40 @@ class _Stepper:
             raise LinearSolveFailureError(
                 f"M + hD + h^2 K is not positive definite: banded Cholesky (dpbtrf) "
                 f"failed at its leading minor of order {info}")
-        # work vectors: the end-point delay term (zero off P, and everywhere
-        # when undelayed), the explicit term, the stage right-hand side and
-        # the stage solution (x1, x2)
-        self.delay = np.zeros(ndof)
-        self.g, self.r2 = np.empty(ndof), np.empty(ndof)
-        self.mid = np.empty(2 * ndof)
-        self.x1, self.x2 = self.mid[:ndof], self.mid[ndof:]
-        if scenario.kernel is None:
-            self.delay_rows = np.broadcast_to(self.delay, (rows, ndof))     # no storage
+        # work arrays, a row per run: the end-point delay term (zero off P, and
+        # everywhere when undelayed), the explicit term, the stage right-hand
+        # side and the stage solution (x1, x2).  dsbmv reads the rows of x2,
+        # and dpbtrs solves its columns in place: x2.T is Fortran-ordered, and
+        # one run's column is the vector x2[0]
+        nruns = len(runs)
+        self.delay = np.zeros((nruns, ndof))
+        self.g, self.r2 = np.empty((nruns, ndof)), np.empty((nruns, ndof))
+        self.mid = np.empty((2, nruns, ndof))
+        self.x1, self.x2 = self.mid
+        self.x2_runs = tuple(self.x2)
+        self.x2_columns = self.x2[0] if nruns == 1 else self.x2.T
+        # M as a row per run: a ufunc on operands of one shape takes numpy's
+        # fast path, which a broadcast (ndof,) operand misses
+        self.mass = np.broadcast_to(gen.mass, (nruns, ndof))
+        self.mid_by_run = self.mid.transpose(1, 0, 2)       # (B, 2, ndof): (x1, x2) per run
+        if sc.kernel is None:
+            self.delay_rows = np.broadcast_to(self.delay, (rows, nruns, ndof))   # no storage
         else:
-            times = np.arange(scenario.nsteps) * scenario.dt
-            self.k_mid = scenario.kernel.eval(times + h)
-            self.k_end = scenario.kernel.eval(times[:STARTUP_STEPS] + scenario.dt)
-            self.delay_rows = np.zeros((min(rows, scenario.m), ndof))
-            self.delay_on_p = self.delay_rows[:, scenario.on_p]
-        has_explicit = (scenario.kernel is not None) or (not scenario.source.is_none)
+            times = np.arange(sc.nsteps) * sc.dt
+            mids, ends = times + h, times[:STARTUP_STEPS] + sc.dt
+            self.k_mid = np.stack([run.kernel.eval(mids) for run in runs], axis=1)
+            self.k_end = np.stack([run.kernel.eval(ends) for run in runs], axis=1)
+            self.delay_rows = np.zeros((min(rows, sc.m), nruns, ndof))
+            self.delay_on_p = self.delay_rows[..., sc.on_p]
+        has_explicit = (sc.kernel is not None) or (not sc.source.is_none)
         self.smoothing_left = STARTUP_STEPS if has_explicit else 0
         self.prev_source = None
+
+    def traces(self, states: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The velocity on P at slots lo .. hi - 1, (slots, B, |P|), each run's
+        from its own `Scenario.delayed_traces`."""
+        return np.stack([run.delayed_traces(states[:, b], lo, hi)
+                         for b, run in enumerate(self.runs)], axis=1)
 
     def midpoint_delays(self, first: int, last: int, states: np.ndarray) -> np.ndarray:
         """g = -k(t) B B* y_t(t - tau) at the midpoints t_ell + dt/2 of the steps
@@ -447,35 +486,36 @@ class _Stepper:
         m = self.sc.m
         if m is None:
             return self.delay_rows
-        traces = self.sc.delayed_traces(states, first - m, last - m + 1)
+        traces = self.traces(states, first - m, last - m + 1)
         # 0 - k slot on P, as zeros -= k slot gives (never a negative zero)
-        np.subtract(0.0, self.k_mid[first:last, None] * (0.5 * (traces[:-1] + traces[1:])),
+        np.subtract(0.0, self.k_mid[first:last, :, None] * (0.5 * (traces[:-1] + traces[1:])),
                     out=self.delay_on_p[:last - first])
         return self.delay_rows[:last - first]
 
     def end_delay(self, ell: int, states: np.ndarray) -> np.ndarray:
         """g at t_ell + dt (slot ell + 1 - m) of a start-up step, in the work
-        vector `delay`; zero when undelayed."""
+        array `delay`; zero when undelayed."""
         m = self.sc.m
         if m is None:
             return self.delay
-        trace = self.sc.delayed_traces(states, ell + 1 - m, ell + 2 - m)[0]
-        np.subtract(0.0, self.k_end[ell] * trace, out=self.delay[self.sc.on_p])
+        trace = self.traces(states, ell + 1 - m, ell + 2 - m)[0]
+        np.subtract(0.0, self.k_end[ell, :, None] * trace, out=self.delay[:, self.sc.on_p])
         return self.delay
 
     def source_term(self, u: np.ndarray) -> Optional[np.ndarray]:
-        """g = f(u) on the free dofs, None without a source.  A pointwise source
-        reads u alone; the nonlocal norm integrates over the full grid."""
+        """g = f(u) on the free dofs of each run, None without a source.  A
+        pointwise source reads u alone; the nonlocal norm integrates over the
+        full grid, run by run (`Grid.trapezoid`)."""
         source, gen = self.sc.source, self.gen
         if source.is_none:
             return None
         if source.kind == SOURCE_POWER:
             return eval_f(source, u, gen.grid)
-        return eval_f(source, gen.embed(u), gen.grid)[gen.free]
+        return eval_f(source, gen.embed(u), gen.grid)[:, gen.free]
 
     def velocity_rhs(self, v: np.ndarray, delay: np.ndarray,
                      source: Optional[np.ndarray]) -> np.ndarray:
-        """v + h g in the work vector `r2`, g the delay term plus `source`."""
+        """v + h g in the work array `r2`, g the delay term plus `source`."""
         g = delay
         if source is not None:
             g = np.add(delay, source, out=self.g)
@@ -483,30 +523,33 @@ class _Stepper:
         return np.add(v, r2, out=r2)
 
     def solve(self, r1: np.ndarray, r2: np.ndarray):
-        """(x1, x2) with (I - dt/2 A)(x1, x2) = (r1, r2), by the velocity-block
-        reduction, in the halves of the work vector `mid`; r1 may be x1 itself."""
+        """(x1, x2) with (I - dt/2 A)(x1, x2) = (r1, r2) for each run, by the
+        velocity-block reduction, in the halves of the work array `mid`; r1 may
+        be x1 itself."""
         gen, h, x1, x2 = self.gen, self.half_dt, self.x1, self.x2
-        np.multiply(gen.mass, r2, out=x2)
-        x2 -= h * gen.stiffness_product(r1)
-        # in place on the contiguous x2; dpbtrs has no numerical failure mode:
-        # its info flags illegal arguments only
-        dpbtrs(self.chol, x2, lower=0, overwrite_b=1)
+        np.multiply(self.mass, r2, out=x2)
+        for x2_run, r1_run in zip(self.x2_runs, r1):    # dsbmv multiplies one vector
+            x2_run -= h * gen.stiffness_product(r1_run)
+        # in place; dpbtrs has no numerical failure mode: its info flags
+        # illegal arguments only
+        dpbtrs(self.chol, self.x2_columns, lower=0, overwrite_b=1)
         np.add(r1, h * x2, out=x1)
         return x1, x2
 
-    def step(self, ell: int, states: np.ndarray, delay: np.ndarray) -> None:
-        """Write states[ell + 1], the state at t_{ell + 1}, from states[ell],
-        the state at t_ell = ell dt; `delay` is the step's midpoint delay term."""
-        n = self.x1.size
+    def step(self, ell: int, states: np.ndarray, halves: np.ndarray,
+             delay: np.ndarray) -> None:
+        """Write states[ell + 1], the states at t_{ell + 1}, from states[ell],
+        the states at t_ell = ell dt; `halves` is `states` seen as (rows, B, 2,
+        ndof) and `delay` the step's midpoint delay term."""
         y, new = states[ell], states[ell + 1]
-        u, v = y[:n], y[n:]
+        u, v = halves[ell, :, 0], halves[ell, :, 1]
         if self.smoothing_left > 0:
             self.smoothing_left -= 1
             # two backward-Euler half-steps with the shared (I - dt/2 A) factor
             u1, v1 = self.solve(u, self.velocity_rhs(v, delay, self.source_term(u)))
             self.solve(u1, self.velocity_rhs(v1, self.end_delay(ell, states),
                                              self.source_term(u1)))
-            new[:] = self.mid
+            halves[ell + 1] = self.mid_by_run
         else:
             # delay term at the midpoint in time (`midpoint_delays`): the two
             # adjacent history slots average to the half-slot trace, which also annihilates
@@ -520,75 +563,117 @@ class _Stepper:
                 extrapolated -= 0.5 * prev
                 self.prev_source = src
             self.solve(u, self.velocity_rhs(v, delay, extrapolated))
-            np.multiply(self.mid, 2.0, out=new)
+            np.multiply(self.mid_by_run, 2.0, out=halves[ell + 1])
             np.subtract(new, y, out=new)
 
     def advance(self, first: int, last: int, states: np.ndarray) -> None:
         """Step row `first` of `states` on to row `last`, one sub-block of at
-        most len(`delay_rows`) steps per `midpoint_delays` pass."""
+        most len(`delay_rows`) steps per `midpoint_delays` pass.  `states` is
+        C-contiguous, as `simulate_runs` allocates it, so `halves` is a view."""
         span = len(self.delay_rows)
+        halves = states.reshape(*states.shape[:2], 2, -1)
         for lo in range(first, last, span):
             hi = min(lo + span, last)
             for ell, delay in zip(range(lo, hi), self.midpoint_delays(lo, hi, states)):
-                self.step(ell, states, delay)
+                self.step(ell, states, halves, delay)
 
 
-def simulate(scenario: Scenario) -> Trajectory:
-    """Integrate to t_end, recording each state and its diagnostics once.
+def batches(scenarios):
+    """The runs in order, as lists of consecutive runs that share a step
+    (`_share_a_step`) and whose states fit in BATCH_STATES doubles; a run
+    whose states alone exceed it is a batch of one."""
+    batch = []
+    for sc in scenarios:
+        if batch and not (_share_a_step(batch[0], sc) and (len(batch) + 1) * (sc.nsteps + 1)
+                          * 2 * sc.generator.ndof <= BATCH_STATES):
+            yield batch
+            batch = []
+        batch.append(sc)
+    if batch:
+        yield batch
 
-    The states fill one preallocated array, a block of RECORD_BLOCK // (2 ndof)
-    records at a time; each block is stepped by `_Stepper.advance`, then every
-    record column of its rows is filled, row by row, so no record depends on
-    the block size.  The first record whose energy sum is not finite or whose
-    sqrt(2 E) exceeds BLOWUP_NORM ends the run; rows stepped past it are
-    dropped, and may overflow (numpy's warnings are off).  Only that last
-    record can be non-finite.
+
+def simulate_runs(scenarios: list) -> list:
+    """Integrate a batch of runs that share a step (`_share_a_step`) to t_end,
+    recording each state and its diagnostics once; one Trajectory per run, in
+    order, each bit for bit the one its run gets alone.
+
+    The states fill one preallocated (steps + 1, B, 2 ndof) array, a block of
+    RECORD_BLOCK // (2 ndof B) records at a time; each block is stepped by
+    `_Stepper.advance`, then every record column of its rows is filled, with
+    one energy pass over the block's states of every run, so no record depends
+    on the block size or on the batch.  The first record of a run whose energy
+    sum is not finite or whose sqrt(2 E) exceeds BLOWUP_NORM ends that run;
+    rows stepped past it are dropped, and may overflow (numpy's warnings are
+    off).  Only that last record can be non-finite.  The batch stops once
+    every run has ended.  A states array that cannot be allocated raises
+    ArrayTooLargeError before any step; runs that do not share a step raise
+    ValueError.
     """
-    gen = scenario.generator
-    nsteps, dt, ndof = scenario.nsteps, scenario.dt, gen.ndof
-    rows = max(1, RECORD_BLOCK // (2 * ndof))
-    stepper = _Stepper(scenario, rows)
-    delayed = scenario.kernel is not None
+    sc = scenarios[0]
+    if not all(_share_a_step(sc, other) for other in scenarios[1:]):
+        raise ValueError("a batch of runs must share the generator, dt, the step count, "
+                         "the delay slots, the subdomain and the source")
+    gen = sc.generator
+    nruns, nsteps, dt, ndof = len(scenarios), sc.nsteps, sc.dt, gen.ndof
+    states = allocate((nsteps + 1, nruns, 2 * ndof), "the states of the run")
+    rows = max(1, RECORD_BLOCK // (2 * ndof * nruns))
+    stepper = _Stepper(scenarios, rows)
+    delayed = sc.kernel is not None
 
-    states = np.empty((nsteps + 1, 2 * ndof))
-    states[0] = scenario.initial_state
-    columns = np.empty((6, nsteps + 1))
-    kinetic, elastic, boundary, source, tip_val, tip_vel = columns
+    for b, run in enumerate(scenarios):
+        states[0, b] = run.initial_state
+    columns = np.empty((nruns, 6, nsteps + 1))     # each run's record columns, contiguous
+    kinetic, elastic, boundary, source, tip_val, tip_vel = columns.transpose(1, 0, 2)
     if delayed:
-        m, h = scenario.m, gen.grid.h
-        norms_sq = np.empty(m + 1 + nsteps)      # slot j at entry j + m
-        norms_sq[:m + 1] = diagnostics.slot_norms_sq(scenario.history_slots, h)
-    nrec, blew_up = nsteps + 1, False
+        m, h = sc.m, gen.grid.h
+        norms_sq = np.empty((nruns, m + 1 + nsteps))     # slot j at entry j + m
+        for b, run in enumerate(scenarios):
+            norms_sq[b, :m + 1] = diagnostics.slot_norms_sq(run.history_slots, h)
+    nrec, ended = np.full(nruns, nsteps + 1), np.zeros(nruns, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, nsteps + 1, rows):
             hi = min(lo + rows, nsteps + 1)
             first = max(lo, 1)                   # the first stepped row
             stepper.advance(first - 1, hi - 1, states)
             block = states[lo:hi]
-            kinetic[lo:hi], elastic[lo:hi], boundary[lo:hi] = gen.energy_parts(block)
-            source[lo:hi] = diagnostics.source_energy(gen, scenario.source, block)
-            tip_val[lo:hi], tip_vel[lo:hi] = block[:, ndof - 1], block[:, -1]
+            flat = block.reshape(-1, 2 * ndof)   # record by record, run by run
+            # the source energy is 0.0 without a source
+            parts = (*gen.energy_parts(flat), diagnostics.source_energy(gen, sc.source, flat))
+            for column, part in zip((kinetic, elastic, boundary, source), parts):
+                column[:, lo:hi] = np.reshape(part, (hi - lo, nruns)).T if np.ndim(part) else part
+            tip_val[:, lo:hi], tip_vel[:, lo:hi] = block[:, :, ndof - 1].T, block[:, :, -1].T
             if delayed:
-                norms_sq[m + first:m + hi] = diagnostics.slot_norms_sq(
-                    scenario.delayed_traces(states, first, hi), h)
-            total = kinetic[first:hi] + elastic[first:hi] + boundary[first:hi]
-            over = np.flatnonzero(~(np.sqrt(2.0 * total) <= BLOWUP_NORM))   # nan too
-            if over.size:
-                nrec, blew_up = first + int(over[0]) + 1, True
+                for b, run in enumerate(scenarios):
+                    norms_sq[b, m + first:m + hi] = diagnostics.slot_norms_sq(
+                        run.delayed_traces(states[:, b], first, hi), h)
+            total = kinetic[:, first:hi] + elastic[:, first:hi] + boundary[:, first:hi]
+            over = ~(np.sqrt(2.0 * total) <= BLOWUP_NORM)      # nan too
+            for b in np.flatnonzero(~ended & over.any(axis=1)):
+                nrec[b], ended[b] = first + int(np.argmax(over[b])) + 1, True
+            if ended.all():
                 break
-        states = states[:nrec]
-        kinetic, elastic, boundary, source, tip_val, tip_vel = columns[:, :nrec]
-        history = diagnostics.history_energies(scenario.kernel, norms_sq[:m + nrec], m, dt) \
-            if delayed else np.zeros(nrec)
-        if not np.all(np.isfinite(states[-1])):
-            kinetic[-1] = elastic[-1] = boundary[-1] = math.inf
-            source[-1] = history[-1] = math.inf
-            tip_val[-1] = tip_vel[-1] = math.nan
-        norms = np.sqrt(2.0 * (kinetic + elastic + boundary))
-    energies = diagnostics.EnergyBreakdown.build(kinetic, elastic, boundary, source, history)
-    return Trajectory(times=np.arange(nrec) * dt, states=states, state_norms=norms,
-                      energies=energies, tip_values=tip_val, tip_velocities=tip_vel,
-                      blew_up=blew_up, scenario=scenario)
+        trajectories = []
+        for b, run in enumerate(scenarios):
+            n = int(nrec[b])
+            kin, ela, bnd, src, tips, tip_vels = columns[b, :, :n]
+            history = diagnostics.history_energies(run.kernel, norms_sq[b, :m + n], m, dt) \
+                if delayed else np.zeros(n)
+            if not np.all(np.isfinite(states[n - 1, b])):
+                kin[-1] = ela[-1] = bnd[-1] = math.inf
+                src[-1] = history[-1] = math.inf
+                tips[-1] = tip_vels[-1] = math.nan
+            trajectories.append(Trajectory(
+                times=np.arange(n) * dt, states=states[:n, b],
+                state_norms=np.sqrt(2.0 * (kin + ela + bnd)),
+                energies=diagnostics.EnergyBreakdown.build(kin, ela, bnd, src, history),
+                tip_values=tips, tip_velocities=tip_vels, blew_up=bool(ended[b]), scenario=run))
+    return trajectories
+
+
+def simulate(scenario: Scenario) -> Trajectory:
+    """Integrate one run to t_end: the batch of one of `simulate_runs`."""
+    return simulate_runs([scenario])[0]
 
 
 # -- variation-of-constants oracle ------------------------------------------------

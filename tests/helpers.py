@@ -401,7 +401,7 @@ def reference_states(scenario):
     gen, kernel, source = scenario.generator, scenario.kernel, scenario.source
     n, dt, m = gen.ndof, scenario.dt, scenario.m
     h = 0.5 * dt
-    factor = evolution._Stepper(scenario, 1).chol
+    factor = evolution._Stepper([scenario], 1).chol
     on_p = None if kernel is None else n + np.arange(n)[scenario.on_p]
     states = np.empty((scenario.nsteps + 1, 2 * n))
     states[0] = scenario.initial_state

@@ -73,5 +73,25 @@ def test_tracer_counts_and_restores(monkeypatch):
         "operators.energy_parts": 1, "delay.push": 0, "nonlinearity.eval_f": 12,
         "nonlinearity.eval_F_functional": 1}
     assert tracer.steps == 10
+
+    # the same run and two more gains as one batch: one factor, and one
+    # dpbtrs call per stage that solves the three runs' columns together, so
+    # the counts are those of one run; the tracer wraps `simulate` alone, so
+    # a batch has no simulate span and adds no steps
+    runs = [sc] + [Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1,
+                            t_end=0.1, dt=0.01, kernel=KernelSpec.constant(k0, tau=0.05),
+                            subdomain=SubdomainP(0.25, 0.75)) for k0 in (0.2, 0.3)]
+    lapack_calls.update(dpbtrf=0, dpbtrs=0)
+    tracer.start_round(2)
+    with tracer.installed():
+        batch = evolution.simulate_runs(runs)
+    assert [len(traj.times) for traj in batch] == [11, 11, 11]
+    assert lapack_calls == {"dpbtrf": 1, "dpbtrs": 12}
+    assert {name: tracer.calls[name] for name in
+            ("operators.energy_parts", "nonlinearity.eval_f",
+             "nonlinearity.eval_F_functional", "evolution.simulate")} == {
+        "operators.energy_parts": 1, "nonlinearity.eval_f": 12,
+        "nonlinearity.eval_F_functional": 1, "evolution.simulate": 0}
+    assert tracer.steps == 0
     for owner, attr, original in before:
         assert lookup(owner, attr) is original, attr

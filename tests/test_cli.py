@@ -604,6 +604,57 @@ def test_sweep_shares_what_its_keys_allow(tmp_path, monkeypatch, parameter, valu
     assert shared.read_bytes() == fresh.read_bytes()
 
 
+@pytest.mark.parametrize("parameter, values, sizes", [
+    ("kernel.k0", "0.002, 0.005, 0.008", [3]),
+    # m = tau/dt differs, so every value is a batch of its own
+    ("kernel.tau", "0.25, 0.5, 0.125", [1, 1, 1]),
+    ("initial.amplitude", "0.001, 0.01, 0.5", [3]),
+    ("source.q", "1.0, 2.0, 0.5", [1, 1, 1]),
+])
+def test_sweep_batches_and_rows_match_each_value_alone(tmp_path, monkeypatch, parameter,
+                                                       values, sizes):
+    batches, simulate_runs = [], evolution.simulate_runs
+    monkeypatch.setattr(evolution, "simulate_runs",
+                        lambda runs: batches.append(len(runs)) or simulate_runs(runs))
+    code, summary = _sweep(tmp_path, SHARING, parameter, values, "all")
+    assert code == 0 and batches == sizes
+    lines = summary.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 1 + sum(sizes)
+    for i, value in enumerate(v.strip() for v in values.split(",")):
+        code, alone = _sweep(tmp_path, SHARING, parameter, value, f"alone{i}")
+        assert code == 0
+        assert alone.read_bytes() == lines[0] + lines[1 + i], value
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
+def test_history_too_large_to_hold_exits_3(tmp_path, capsys, command):
+    # tau/dt = 5e11 history slots; the request fails at once, before any slot
+    # is evaluated
+    text = DELAYED.replace("dt = 0.0125", "dt = 1e-12")
+    cfg = write(tmp_path, "tiny.ini", text + "\n[sweep]\nparameter = kernel.k0\nvalues = 0.005\n")
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--command", command,
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert re.match(r"config error: the initial history slots need 500000000001 x \d+ "
+                    r"doubles \([\d,.]+ GiB\)", err), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_states_too_large_to_hold_exit_3(tmp_path, capsys, command):
+    # an undelayed run of 2e12 steps: its states array fails at once
+    text = BASE_LINEAR.replace("dt = 0.01", "dt = 1e-12")
+    cfg = write(tmp_path, "tiny.ini", text + "\n[sweep]\nparameter = run.t_end\nvalues = 2.0\n")
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--command", command,
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    want = "error: the states of the run need 2000000000001 x 1 x 46 doubles ("
+    assert err.startswith(want), err
+    assert not (tmp_path / "o").exists()
+
+
 def test_swept_scenarios_share_read_only_initial_data(tmp_path, monkeypatch):
     scenarios = _recorded_builds(monkeypatch)
     assert _sweep(tmp_path, SHARING, "kernel.k0", "0.002, 0.005")[0] == 0

@@ -106,8 +106,9 @@ def test_semigroup_powers_match_direct_sampler_plain_matrix(monkeypatch):
 
 def norm_counts(monkeypatch, generator):
     """The certificate of `generator`, with the number of `spectral_norm`
-    calls it made in all and in its first walk (all, less one per horizon
-    tried and one per halved cell's midpoint)."""
+    calls it made in all, and the samples of its first walk: the calls, less
+    one per horizon tried and one per halved cell's midpoint, plus the t = 0
+    sample, ||I|| = 1, which takes no norm."""
     calls = []
     monkeypatch.setattr(evolution, "spectral_norm",
                         lambda p: calls.append(1) or spectral_norm(p))
@@ -116,7 +117,7 @@ def norm_counts(monkeypatch, generator):
     horizon, _, _ = note_figures(cert)
     cells = int(re.search(r" on (\d+) cells ", cert.method_note).group(1))
     horizons = round(math.log2(horizon / 20.0)) + 1
-    return cert, len(calls), len(calls) - horizons - (cells - 80)
+    return cert, len(calls), len(calls) - horizons - (cells - 80) + 1
 
 
 README_GEN = (OperatorKind.BEAM_NONDIV, 0.5, 64)
@@ -185,7 +186,7 @@ def test_semigroup_normal_generator_stops_at_the_first_sample(monkeypatch):
     normal = np.array([[-1.0, 2.0, 0.0, 0.0], [-2.0, -1.0, 0.0, 0.0],
                        [0.0, 0.0, -3.0, 0.0], [0.0, 0.0, 0.0, -1.5]])
     cert, norms, first_walk = norm_counts(monkeypatch, MatrixGenerator(normal))
-    assert first_walk == 2 and norms == 3
+    assert first_walk == 2 and norms == 2
     assert cert.M == 1.0
     assert "on 80 cells in [0, 20] after 0 halvings" in cert.method_note
 
@@ -203,6 +204,31 @@ def test_spectral_norm_matches_the_svd(rng):
     for matrix in inputs + powers:
         want = np.linalg.norm(matrix, 2)
         assert abs(spectral_norm(matrix) - want) <= 4 * matrix.shape[0] * np.finfo(float).eps * want
+
+
+def test_spectral_norm_of_a_nearly_orthogonal_propagator():
+    # LAPACK's subset driver fails ("Internal Error") on the clustered Gram
+    # spectrum of these powers of e^{0.005 A~} (wave_nondiv, a = x^0.5, n = 16,
+    # t = 0.02, 0.04, 0.045, 0.06, 0.115); the full spectrum gives the norm
+    a_tilde = make_gen(OperatorKind.WAVE_NONDIV, 0.5, 16).state_norm_generator()
+    step = scipy.linalg.expm(0.005 * a_tilde)
+    for k in (4, 8, 9, 12, 23):
+        power = np.linalg.matrix_power(step, k)
+        want = np.linalg.svd(power, compute_uv=False)[0]
+        assert spectral_norm(power) == pytest.approx(want, rel=1e-12, abs=0.0), k
+
+
+def test_semigroup_constants_take_the_first_sample_as_one(monkeypatch):
+    # ||I|| = 1 exactly, as `spectral_norm` computes it too; the walk norms no
+    # identity
+    for dim in (2, 3, 7, 126, 1024):
+        assert spectral_norm(np.eye(dim)) == 1.0
+    normed = []
+    monkeypatch.setattr(evolution, "spectral_norm",
+                        lambda p: normed.append(np.array_equal(p, np.eye(len(p))))
+                        or spectral_norm(p))
+    semigroup_constants(make_gen(*README_GEN))
+    assert normed and not any(normed)
 
 
 def test_semigroup_constants_take_no_svd(monkeypatch):
@@ -361,14 +387,14 @@ def test_kernel_values_per_run_match_the_scalar_eval(kernel):
     dt = 0.0005
     sc = simple_scenario(gen, t_end=40000 * dt, dt=dt, kernel=kernel,
                          subdomain=SubdomainP(0.25, 0.75))
-    stepper = _Stepper(sc, 1)
-    assert stepper.k_mid.shape == (40000,)
-    assert stepper.k_end.shape == (evolution.STARTUP_STEPS,)
+    stepper = _Stepper([sc], 1)
+    assert stepper.k_mid.shape == (40000, 1)
+    assert stepper.k_end.shape == (evolution.STARTUP_STEPS, 1)
     mid = np.array([float(kernel.eval(ell * dt + dt / 2)) for ell in range(40000)])
     end = np.array([float(kernel.eval(ell * dt + dt))
                     for ell in range(evolution.STARTUP_STEPS)])
-    assert np.array_equal(stepper.k_mid.view(np.int64), mid.view(np.int64))
-    assert np.array_equal(stepper.k_end.view(np.int64), end.view(np.int64))
+    assert np.array_equal(stepper.k_mid[:, 0].view(np.int64), mid.view(np.int64))
+    assert np.array_equal(stepper.k_end[:, 0].view(np.int64), end.view(np.int64))
 
 
 def test_zero_data_stays_zero():
@@ -425,11 +451,12 @@ def test_desk_scale_simulation():
 
 
 def first_step(stepper, state):
-    """The state after the step from t_0, written by the stepper into a second row."""
-    states = np.empty((2, state.size))
-    states[0] = state
+    """The state after the step from t_0, written by the stepper of one run
+    into a second row."""
+    states = np.empty((2, 1, state.size))
+    states[0, 0] = state
     stepper.advance(0, 1, states)
-    return states[1]
+    return states[1, 0]
 
 
 def test_single_step_matches_rk4_oracle(monkeypatch):
@@ -444,7 +471,7 @@ def test_single_step_matches_rk4_oracle(monkeypatch):
                   history=lambda s: g_trace)
     state0 = sc.initial_state
     monkeypatch.setattr(evolution, "STARTUP_STEPS", 0)
-    got = first_step(_Stepper(sc, 1), state0)
+    got = first_step(_Stepper([sc], 1), state0)
 
     from degenwave.nonlinearity import eval_f
 
@@ -488,10 +515,10 @@ def test_block_solve_matches_dense_trapezoid(monkeypatch, kind, alpha, n, dt):
                   t_end=1.0, dt=dt, kernel=KernelSpec.exp_decay(0.4, 1.5, tau=0.1),
                   subdomain=SubdomainP(0.25, 0.75), history=0.3)
     monkeypatch.setattr(evolution, "STARTUP_STEPS", 0)
-    stepper = _Stepper(sc, 1)
+    stepper = _Stepper([sc], 1)
     state = sc.initial_state
     u, _ = gen.split(state)
-    g = stepper.midpoint_delays(0, 1, state[None])[0] + stepper.source_term(u)
+    g = stepper.midpoint_delays(0, 1, state[None, None])[0, 0] + stepper.source_term(u[None])[0]
     assert np.any(g != 0.0)
     explicit = gen.join(np.zeros(gen.ndof), g)
     ident = np.eye(2 * gen.ndof)
@@ -499,7 +526,7 @@ def test_block_solve_matches_dense_trapezoid(monkeypatch, kind, alpha, n, dt):
 
     rhs = state + 0.5 * dt * explicit
     dense = np.linalg.solve(ident - half, rhs)
-    got = gen.join(*stepper.solve(*gen.split(rhs)))
+    got = gen.join(*(x[0] for x in stepper.solve(*(r[None] for r in gen.split(rhs)))))
     assert gen.state_norm(got - dense) <= 1e-8 * gen.state_norm(dense)
 
     dense = np.linalg.solve(ident - half, (ident + half) @ state + dt * explicit)
@@ -543,8 +570,8 @@ def test_step_factor_failure_names_the_minor():
     order = _first_indefinite_minor(block)
     assert order is not None
     with pytest.raises(LinearSolveFailureError, match=f"leading minor of order {order}$"):
-        _Stepper(Scenario(generator=bad, source=SourceKind.none(), y0=y0, y1=y1,
-                          t_end=dt, dt=dt), 1)
+        _Stepper([Scenario(generator=bad, source=SourceKind.none(), y0=y0, y1=y1,
+                           t_end=dt, dt=dt)], 1)
 
 
 def test_step_factor_rejects_non_finite_bands():
@@ -748,6 +775,116 @@ def test_blow_up_on_a_finite_state_whose_energy_overflows():
     assert math.isinf(traj.energies.elastic[-1]) and math.isinf(traj.energies.boundary[-1])
 
 
+# -- runs stepped as one batch ------------------------------------------------------
+
+
+def batch_runs(gen, source, delayed, t_end=1.0, dt=0.0125):
+    """Four runs on `gen` that share a step and differ in the kernel (kind and
+    gain), the history and the initial data; undelayed, in the data alone."""
+    runs = []
+    for i in range(4):
+        y0, y1 = polynomial_state(gen, amplitude=0.5 + i)
+        y1 = y1 + 0.1 * i * gen.grid.nodes ** 2 * (1.0 - gen.grid.nodes)
+        extra = {}
+        if delayed:
+            kernel = (KernelSpec.exp_decay(0.2 * i + 0.1, 1.5, tau=0.25) if i % 2
+                      else KernelSpec.constant(0.05 * (i + 1), tau=0.25))
+            extra = dict(kernel=kernel, subdomain=SubdomainP(0.25, 0.75),
+                         history=lambda s, i=i: 0.3 * i + np.sin(7.0 * s))
+        runs.append(Scenario(generator=gen, source=source, y0=y0, y1=y1, t_end=t_end,
+                             dt=dt, **extra))
+    return runs
+
+
+def assert_batch_matches_each_run_alone(monkeypatch, runs, rows=None):
+    """Every trajectory of the batch, stepped in blocks of `rows` records (None:
+    the default size), against `simulate` of its run alone, bit for bit."""
+    alone = [simulate(sc) for sc in runs]
+    if rows is not None:
+        monkeypatch.setattr(evolution, "RECORD_BLOCK",
+                            rows * 2 * runs[0].generator.ndof * len(runs))
+    batch = evolution.simulate_runs(runs)
+    monkeypatch.undo()
+    assert len(batch) == len(runs)
+    for sc, got, want in zip(runs, batch, alone):
+        assert got.scenario is sc and got.blew_up == want.blew_up
+        for name, values in trajectory_arrays(want).items():
+            assert trajectory_arrays(got)[name].tobytes() == values.tobytes(), name
+    return batch
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("delayed", [True, False], ids=["delayed", "undelayed"])
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_batch_matches_each_run_alone(monkeypatch, source, delayed, rows):
+    # one dpbtrs call on the B columns, one dsbmv per run, and one energy pass
+    # over every run's records give each run the bits it gets alone
+    gen = make_gen(OperatorKind.BEAM_NONDIV if source != "nonlocal" else OperatorKind.WAVE_DIV,
+                   0.5, 24)
+    batch = assert_batch_matches_each_run_alone(
+        monkeypatch, batch_runs(gen, SOURCES[source], delayed), rows)
+    assert not any(traj.blew_up for traj in batch)
+    assert all(len(traj.times) == 81 for traj in batch)
+
+
+def test_a_run_that_blows_up_mid_batch_ends_alone(monkeypatch):
+    # anti-damping blows up after a few dozen steps; the two damped runs of the
+    # batch go on to t_end, each with the bits it gets alone
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    anti = blow_up_scenarios(gen)[0]
+    damped = [dataclasses.replace(anti, kernel=KernelSpec.constant(k0, tau=0.25))
+              for k0 in (0.1, 0.3)]
+    for rows in (3, None):
+        batch = assert_batch_matches_each_run_alone(monkeypatch, [damped[0], anti, damped[1]],
+                                                    rows)
+        assert [traj.blew_up for traj in batch] == [False, True, False]
+        assert len(batch[1].times) < anti.nsteps + 1 == len(batch[0].times)
+
+
+def test_batch_stops_once_every_run_has_blown_up(monkeypatch):
+    # the anti-damped run and its copy with twice the gain blow up in the
+    # first of the 401-step blocks; no later block is stepped
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    anti = blow_up_scenarios(gen)[0]
+    with pytest.warns(UserWarning):
+        runs = [anti, dataclasses.replace(anti, kernel=KernelSpec.constant(-80.0, tau=0.25))]
+    rows = 50
+    solves = []
+    dpbtrs = evolution.dpbtrs
+    monkeypatch.setattr(evolution, "dpbtrs", lambda *a, **k: solves.append(1) or dpbtrs(*a, **k))
+    monkeypatch.setattr(evolution, "RECORD_BLOCK", rows * 2 * gen.ndof * len(runs))
+    batch = evolution.simulate_runs(runs)
+    assert all(traj.blew_up for traj in batch)
+    last = max(len(traj.times) for traj in batch)
+    # one solve per step, two per start-up step, up to the end of the block
+    # that holds the last blow-up
+    assert len(solves) == -(-last // rows) * rows - 1 + evolution.STARTUP_STEPS
+
+
+def test_batches_group_consecutive_runs_that_share_a_step(monkeypatch):
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    runs = batch_runs(gen, SourceKind.power(1.0), True)
+    other_tau = dataclasses.replace(runs[0], kernel=KernelSpec.constant(0.1, tau=0.125))
+    other_source = dataclasses.replace(runs[0], source=SourceKind.power(2.0))
+    other_gen = dataclasses.replace(runs[0], generator=make_gen(OperatorKind.BEAM_NONDIV,
+                                                                0.5, 16))
+    other_dt = dataclasses.replace(runs[0], dt=0.025 / 4)
+    undelayed = dataclasses.replace(runs[0], kernel=None, subdomain=None)
+    order = [*runs[:2], other_tau, runs[2], other_source, other_gen, other_dt, undelayed,
+             runs[3]]
+    groups = [[order.index(sc) for sc in batch] for batch in evolution.batches(order)]
+    assert groups == [[0, 1], [2], [3], [4], [5], [6], [7], [8]]
+    assert [len(b) for b in evolution.batches(runs)] == [4]
+    # the cap on the batch's states: two runs of 81 records fit, three do not
+    per_run = 81 * 2 * gen.ndof
+    monkeypatch.setattr(evolution, "BATCH_STATES", 2 * per_run)
+    assert [len(b) for b in evolution.batches(runs)] == [2, 2]
+    monkeypatch.setattr(evolution, "BATCH_STATES", per_run - 1)   # a run alone is a batch
+    assert [len(b) for b in evolution.batches(runs)] == [1, 1, 1, 1]
+    with pytest.raises(ValueError, match="must share"):
+        evolution.simulate_runs([runs[0], other_tau])
+
+
 def test_dt_tau_tolerance_of_scenario():
     # one rule: m dt may miss tau by at most 1e-9 tau; at tau = 0.5 that is 5e-10.
     # The scenario resolves m once; its history buffer never sees tau
@@ -781,24 +918,24 @@ def test_delayed_trace_slot_and_half_slot_only(rng):
     dt, tau, k0 = 0.05, 0.25, 0.1
     sc = simple_scenario(gen, t_end=1.0, dt=dt, kernel=KernelSpec.constant(k0, tau),
                          subdomain=sub, history=lambda s: s)
-    stepper = _Stepper(sc, 7)
+    stepper = _Stepper([sc], 7)
     assert len(stepper.delay_rows) == 5
     slots = sc.history_slots                        # slot j in row j + m
-    states = rng.standard_normal((8, 2 * gen.ndof))
+    states = rng.standard_normal((8, 1, 2 * gen.ndof))
     on_p = np.arange(gen.ndof)[sc.on_p]
     off_p = np.setdiff1d(np.arange(gen.ndof), on_p)
-    trace = states[:, gen.ndof + on_p]              # slot j >= 1 in row j
-    assert np.array_equal(stepper.end_delay(0, states)[on_p], -k0 * slots[-4 + 5])
-    end = stepper.end_delay(1, states).copy()
+    trace = states[:, 0, gen.ndof + on_p]           # slot j >= 1 in row j
+    assert np.array_equal(stepper.end_delay(0, states)[0, on_p], -k0 * slots[-4 + 5])
+    end = stepper.end_delay(1, states)[0].copy()
     assert np.array_equal(end[on_p], -k0 * slots[-3 + 5])
-    mid = stepper.midpoint_delays(1, 2, states)
+    mid = stepper.midpoint_delays(1, 2, states)[:, 0]
     assert mid.shape == (1, gen.ndof)
     assert np.array_equal(mid[0, on_p], -k0 * (0.5 * (slots[-4 + 5] + slots[-3 + 5])))
     assert mid[0, on_p][0] == pytest.approx(k0 * 3.5 * dt)  # history s at s = -3.5 dt
     assert np.all(end[off_p] == 0.0) and np.all(mid[:, off_p] == 0.0)
     # sub-blocks of history slots only, of history slots and rows, of rows only
     for first, last in ((0, 5), (3, 8), (6, 8)):
-        rows = stepper.midpoint_delays(first, last, states)
+        rows = stepper.midpoint_delays(first, last, states)[:, 0]
         assert rows.shape == (last - first, gen.ndof) and np.all(rows[:, off_p] == 0.0)
         for ell, row in zip(range(first, last), rows):
             before, after = (slots[j + 5] if j <= 0 else trace[j] for j in (ell - 5, ell - 4))

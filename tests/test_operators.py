@@ -194,8 +194,8 @@ def test_band_path_matches_dense_reference(kind, alpha, n, rng, monkeypatch):
 
     # the stepper's right-hand side M r2 - h K r1, as handed to the banded solve
     y0, y1 = polynomial_state(gen)
-    stepper = _Stepper(Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
-                                t_end=0.01, dt=0.01), 1)
+    stepper = _Stepper([Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
+                                 t_end=0.01, dt=0.01)], 1)
     seen = []
     dpbtrs = evolution.dpbtrs
 
@@ -205,7 +205,7 @@ def test_band_path_matches_dense_reference(kind, alpha, n, rng, monkeypatch):
 
     monkeypatch.setattr(evolution, "dpbtrs", spy)
     r1, r2 = rng.standard_normal(gen.ndof), rng.standard_normal(gen.ndof)
-    stepper.solve(r1, r2)
+    stepper.solve(r1[None], r2[None])            # a batch of one run
     h = stepper.half_dt
     want = gen.mass * r2 - h * (k_ref @ r1)
     scale = gen.mass * np.abs(r2) + h * (np.abs(k_ref) @ np.abs(r1))
@@ -228,8 +228,8 @@ def test_step_bands_match_dense_block(kind, alpha, n, monkeypatch):
     monkeypatch.setattr(evolution, "dpbtrf", spy)
     y0, y1 = polynomial_state(gen)
     dt = 0.01
-    _Stepper(Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
-                      t_end=dt, dt=dt), 1)
+    _Stepper([Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
+                       t_end=dt, dt=dt)], 1)
     h = 0.5 * dt
     want = h * h * gen.stiffness_form + h * gen.damping_matrix() + np.diag(gen.mass)
     assert len(factored) == 1 and factored[0].shape == gen.stiffness_bands.shape
@@ -244,13 +244,13 @@ def test_stepper_holds_linear_storage(kind):
     gen = make_gen(kind, 0.5, 4096)
     y0, y1 = polynomial_state(gen)
     rows = evolution.RECORD_BLOCK // (2 * gen.ndof)
-    stepper = _Stepper(Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1,
-                                t_end=0.1, dt=0.01, kernel=KernelSpec.constant(0.1, 0.05),
-                                subdomain=SubdomainP(0.25, 0.75)), rows)
+    stepper = _Stepper([Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1,
+                                 t_end=0.1, dt=0.01, kernel=KernelSpec.constant(0.1, 0.05),
+                                 subdomain=SubdomainP(0.25, 0.75))], rows)
     sizes = {name: value.size for name, value in vars(stepper).items()
              if isinstance(value, np.ndarray)}
     assert "chol" in sizes
-    assert stepper.delay_rows.shape == (min(rows, 5), gen.ndof)
+    assert stepper.delay_rows.shape == (min(rows, 5), 1, gen.ndof)
     assert stepper.delay_rows.size <= evolution.RECORD_BLOCK // 2
     del sizes["delay_rows"], sizes["delay_on_p"]
     assert max(sizes.values()) <= gen.stiffness_bands.size, sizes

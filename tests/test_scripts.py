@@ -53,4 +53,14 @@ def test_steptime_script(tmp_path):
     assert len(lines) == 1
     result = json.loads(lines[0])
     assert result["n"] == 16 and result["m"] == 5 and result["steps"] == 20
+    assert result["runs"] == 1
+    assert 0.0 < result["min_us"] <= result["median_us"]
+
+
+def test_steptime_script_batch(tmp_path):
+    proc = run_script("steptime.py", ["--n", "16", "--tau", "0.0125", "--steps", "20",
+                                      "--repeats", "2", "--runs", "3"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["runs"] == 3 and result["m"] == 5 and result["steps"] == 20
     assert 0.0 < result["min_us"] <= result["median_us"]
