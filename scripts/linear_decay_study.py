@@ -29,7 +29,7 @@ def main():
             grid = Grid.uniform(n)
             profile = classify(CoefficientSpec.power_law(args.alpha), grid)
             gen = assemble(kind, profile, BoundaryParams(1.0, 1.0))
-            vals = np.linalg.eigvals(gen.system_matrix)
+            vals = gen.spectrum
             abscissa = float(np.max(vals.real))
             freq = abs(vals[np.argmax(vals.real)].imag)
             dt = min(0.25 / freq if freq > 1 else 0.01, 0.01)

@@ -17,8 +17,8 @@ from .errors import (ArrayTooLargeError, BoundViolatedError, DegenerateFitError,
                      NotLocallyIntegrableError, NotPositiveError,
                      SubdomainNotAlignedError)
 from .evolution import (Scenario, SemigroupCertificate, Trajectory, certify_scenario,
-                        duhamel_residual, eigenmode_state, polynomial_state,
-                        semigroup_constants, simulate, simulate_runs, smallness_level)
+                        eigenmode_state, polynomial_state, semigroup_constants, simulate,
+                        simulate_runs, smallness_level)
 from .grids import Grid
 from .nonlinearity import (NonlinearityConstants, SourceKind, constants_for,
                            eval_F_functional, eval_f, h_eval, h_inverse,

@@ -308,7 +308,8 @@ def resolve_history(init: HistoryInit, m: int, dt: float, width: int) -> np.ndar
     ValueError on a non-finite value, and ArrayTooLargeError, before any
     evaluation, when the slots cannot be allocated.
     """
-    slots = allocate((m + 1, width), "the initial history slots", zero=True)
+    slots = allocate((m + 1, width), "the initial history slots",
+                     "raise dt or lower tau", zero=True)
     if init is None:
         return slots
     for row, j in enumerate(range(-m, 1)):

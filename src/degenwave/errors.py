@@ -50,17 +50,17 @@ class ArrayTooLargeError(DegenwaveError):
     """An array a run needs cannot be allocated."""
 
 
-def allocate(shape, what: str, zero: bool = False) -> np.ndarray:
+def allocate(shape, what: str, hint: str, zero: bool = False) -> np.ndarray:
     """np.empty(shape), or np.zeros with `zero`, of doubles; ArrayTooLargeError
-    naming `what` and its size when the request fails at once.  A request
-    that succeeds is not touched here."""
+    naming `what`, its size and the `hint` of what to change when the request
+    fails at once.  A request that succeeds is not touched here."""
     try:
         return np.zeros(shape) if zero else np.empty(shape)
     except (MemoryError, ValueError):       # ValueError: past numpy's size limit
         size = math.prod(shape)
         raise ArrayTooLargeError(
             f"{what} need {' x '.join(map(str, shape))} doubles ({size * 8 / 2**30:,.1f} GiB), "
-            "more than can be allocated; raise dt or lower t_end or tau") from None
+            f"more than can be allocated; {hint}") from None
 
 
 class LinearSolveFailureError(DegenwaveError):

@@ -17,8 +17,8 @@ of slots l - m and l + 1 - m at t_l + dt/2 (Bellen & Zennaro 2003, ch. 3).
 
 Also here: semigroup certificates ||e^{tA}|| <= M e^{-omega t} in the state
 norm, whose M bounds the sampled profile between its samples through the
-logarithmic norm of A, and a dense matrix-exponential evaluation of the
-variation-of-constants formula used as an integration oracle.
+logarithmic norm of A, and initial data from one mode of A, whose
+eigenvalue the certificate's omega shares (`DiscreteGenerator.spectrum`).
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, zgbtrf, zgbtrs
 
 from . import diagnostics
 from .delay import (HistoryInit, KernelSpec, SubdomainP, delay_slots, kernel_growth_check,
                     resolve_history, subdomain_gain)
-from .errors import (DegenwaveError, InfeasibleError, LinearSolveFailureError,
-                     NotExponentiallyStableError, allocate)
+from .errors import (DegenwaveError, EigSolveFailureError, InfeasibleError,
+                     LinearSolveFailureError, NotExponentiallyStableError, allocate)
 from .nonlinearity import SOURCE_POWER, SourceKind, constants_for, eval_f
 from .operators import DiscreteGenerator, OperatorKind
 
@@ -210,10 +210,6 @@ class Trajectory:
 # -- semigroup constants ---------------------------------------------------------
 
 
-def spectral_abscissa(system_matrix: np.ndarray) -> float:
-    return float(np.max(np.linalg.eigvals(system_matrix).real))
-
-
 def spectral_norm(matrix: np.ndarray) -> float:
     """||P||_2 = sqrt(lambda_max(P^T P)) (Golub & Van Loan, Matrix Computations,
     sec. 8.6), from the top eigenvalue of the Gram matrix alone: the rounding
@@ -249,7 +245,8 @@ def propagator_ladders(a_tilde: np.ndarray, width: float):
 def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
                         samples: int = 80) -> SemigroupCertificate:
     """(M, omega) with omega = 0.9 x (decay rate of the slowest mode) and M a
-    bound on ||e^{tA}|| e^{omega t} for every t >= 0.
+    bound on ||e^{tA}|| e^{omega t} for every t >= 0.  The slowest mode is
+    read off the generator's `spectrum`, shared with `eigenmode_state`.
 
     The operator norm is taken in the generator's state norm, as the
     `spectral_norm` of the closed-form `DiscreteGenerator.state_norm_generator`
@@ -298,7 +295,7 @@ def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
         raise DegenwaveError(f"state dimension {dim} exceeds {MAX_EXPM_DIM}, the limit "
                              "for the dense matrix exponentials of the semigroup constants")
     a_tilde = generator.state_norm_generator()
-    abscissa = spectral_abscissa(a_tilde)
+    abscissa = float(np.max(generator.spectrum.real))
     if abscissa >= -1e-12:
         raise NotExponentiallyStableError(
             f"spectral abscissa {abscissa:.3e} is not negative")
@@ -426,16 +423,8 @@ class _Stepper:
         gen = sc.generator
         self.gen = gen
         self.half_dt = h = 0.5 * sc.dt
-        # M + h D + h^2 K in the upper band storage of K.  D = d_e e e^T + d_g g g^T
-        # touches only the last three dofs (e the last one, g the last three);
-        # waves have kd = 1 and d_g = 0, so their D is the last diagonal entry
-        bands = gen.stiffness_bands * (h * h)
-        kd, ndof = bands.shape[0] - 1, gen.ndof
-        bands[kd] += gen.mass
-        e, g = gen.tip_weights.T
-        for d in range(min(3, kd + 1)):
-            bands[kd - d, ndof - 3 + d:] += h * (gen.damping_value_coeff * e[:3 - d] * e[d:]
-                                                 + gen.damping_slope_coeff * g[:3 - d] * g[d:])
+        bands = gen.combined_bands(1.0, h, h * h)     # M + h D + h^2 K
+        ndof = gen.ndof
         if not np.all(np.isfinite(bands)):
             raise LinearSolveFailureError("the step matrix M + hD + h^2 K has non-finite entries")
         self.chol, info = dpbtrf(bands, lower=0, overwrite_ab=1)
@@ -616,7 +605,8 @@ def simulate_runs(scenarios: list) -> list:
                          "the delay slots, the subdomain and the source")
     gen = sc.generator
     nruns, nsteps, dt, ndof = len(scenarios), sc.nsteps, sc.dt, gen.ndof
-    states = allocate((nsteps + 1, nruns, 2 * ndof), "the states of the run")
+    states = allocate((nsteps + 1, nruns, 2 * ndof), "the states of the run",
+                      "raise dt or lower t_end")
     rows = max(1, RECORD_BLOCK // (2 * ndof * nruns))
     stepper = _Stepper(scenarios, rows)
     delayed = sc.kernel is not None
@@ -676,78 +666,91 @@ def simulate(scenario: Scenario) -> Trajectory:
     return simulate_runs([scenario])[0]
 
 
-# -- variation-of-constants oracle ------------------------------------------------
-
-
-def duhamel_residual(trajectory: Trajectory, check_stride: int = 1) -> float:
-    """Max relative mismatch between the trajectory and the Duhamel evaluation
-    of its scenario.
-
-    Source must be disabled.  The homogeneous part is propagated by the dense
-    matrix exponential of one step; the delay integral by the product
-    trapezoid rule (piecewise-linear density integrated exactly against the
-    propagator) over the same slot grid, with the delayed traces taken from
-    the recorded states (from the initial history for s < tau).  Second order
-    in dt uniformly in the stiffness, so it is an independent correctness
-    oracle for the integrator.
-    """
-    scenario = trajectory.scenario
-    if not scenario.source.is_none:
-        raise ValueError("duhamel oracle requires source = none")
-    gen = scenario.generator
-    if gen.grid.n > 64:
-        raise ValueError("duhamel oracle is a desk-scale check (n <= 64)")
-    dt = scenario.dt
-    sysm = gen.system_matrix
-    prop = scipy.linalg.expm(dt * sysm)
-    # product-trapezoid weights: integrate the propagator against a piecewise
-    # linear density exactly, so stiff tip modes cost no quadrature order
-    q0 = np.linalg.solve(sysm, prop - np.eye(sysm.shape[0]))
-    q1 = np.linalg.solve(sysm, q0 - dt * np.eye(sysm.shape[0]))
-
-    nrec = trajectory.states.shape[0]
-    phi = np.zeros((nrec, 2 * gen.ndof))
-    if scenario.kernel is not None:
-        m = scenario.m                  # t_j - tau is slot j - m
-        traces = scenario.delayed_traces(trajectory.states, -m, nrec - m)
-        k = np.atleast_1d(scenario.kernel.eval(trajectory.times))
-        phi[:, gen.ndof:][:, scenario.on_p] = -k[:, None] * traces
-
-    y_hom = trajectory.states[0].copy()
-    integral = np.zeros(2 * gen.ndof)
-    worst = 0.0
-    ref_scale = max(gen.state_norm(trajectory.states[0]), 1e-300)
-    for j in range(1, nrec):
-        y_hom = prop @ y_hom
-        integral = (prop @ integral + q0 @ phi[j - 1]
-                    + (q1 @ (phi[j] - phi[j - 1])) / dt)
-        if j % check_stride:
-            continue
-        y_ref = y_hom + integral
-        mism = gen.state_norm(trajectory.states[j] - y_ref)
-        denom = max(gen.state_norm(y_ref), ref_scale * 1e-8)
-        worst = max(worst, mism / denom)
-    return worst
-
-
 # -- initial-data helpers -----------------------------------------------------------
+
+
+def _general_bands(upper: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose upper bands are `upper` (the dpbtrf layout)
+    in the general band layout of LAPACK gbtrf with kl = ku = kd: A[i, j] at
+    row 2 kd + i - j, below kd leading rows kept for the fill-in of the
+    pivoting."""
+    kd, n = upper.shape[0] - 1, upper.shape[1]
+    ab = np.zeros((3 * kd + 1, n), dtype=upper.dtype, order="F")
+    for d in range(kd + 1):
+        ab[2 * kd - d, d:] = upper[kd - d, d:]       # A[j - d, j]
+        ab[2 * kd + d, :n - d] = upper[kd - d, d:]   # A[j + d, j]
+    return ab
+
+
+def _band_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for A in the layout of `_general_bands`, summed over its diagonals:
+    scipy's wrapper of BLAS gbmv wants at least 2 kd + 1 rows, which the
+    smallest grids do not have."""
+    kd, n = (ab.shape[0] - 1) // 3, ab.shape[1]
+    product = np.zeros(n, dtype=np.result_type(ab, x))
+    for s in range(-kd, kd + 1):                     # A[j + s, j] at row 2 kd + s
+        lo, hi = max(0, -s), min(n, n - s)
+        product[lo + s:hi + s] += ab[2 * kd + s, lo:hi] * x[lo:hi]
+    return product
+
+
+def _band_norm(upper: np.ndarray) -> float:
+    """||A||_1 = ||A||_inf of the symmetric matrix with upper bands `upper`."""
+    return float(np.max(np.sum(np.abs(_general_bands(upper)), axis=0)))
+
+
+def pencil_mode(generator: DiscreteGenerator, lam: complex) -> np.ndarray:
+    """phi, of unit 2-norm, with (lam^2 M + lam D + K) phi = 0 for an eigenvalue
+    lam of the generator: two steps of inverse iteration from a fixed start
+    on the complex banded pencil (Ipsen 1997, SIAM Rev. 39; Tisseur &
+    Meerbergen 2001, SIAM Rev. 43), one LAPACK zgbtrf factor and two zgbtrs
+    solves, O(kd^2 n).  An exactly singular factor is taken again at lam
+    shifted by |lam| eps.  EigSolveFailureError when the relative residual
+    ||P(lam) phi|| / (|lam|^2 ||M|| + |lam| ||D|| + ||K||), in the 1-norm of
+    the matrices (Tisseur 2000, Linear Algebra Appl. 309), exceeds 1e-12."""
+    pencil = _general_bands(generator.combined_bands(lam * lam, lam, 1.0))
+    kd, ndof = (pencil.shape[0] - 1) // 3, generator.ndof
+    factor, pivots, info = zgbtrf(pencil, kd, kd)
+    if info > 0:
+        shifted = lam + abs(lam) * np.finfo(float).eps
+        factor, pivots, info = zgbtrf(
+            _general_bands(generator.combined_bands(shifted * shifted, shifted, 1.0)), kd, kd)
+    if info > 0:
+        raise EigSolveFailureError(f"the pencil at the eigenvalue {lam:.6g} is singular")
+    phi = np.ones((ndof, 1), dtype=complex)
+    for _ in range(2):
+        phi, _ = zgbtrs(factor, kd, kd, phi, pivots, overwrite_b=1)
+        phi /= np.linalg.norm(phi)
+    residual = np.linalg.norm(_band_product(pencil, phi[:, 0]))
+    scale = (abs(lam) ** 2 * float(np.max(generator.mass))
+             + abs(lam) * _band_norm(generator.combined_bands(0.0, 1.0, 0.0))
+             + _band_norm(generator.stiffness_bands))
+    if not residual <= 1e-12 * scale:
+        raise EigSolveFailureError(f"inverse iteration at the eigenvalue {lam:.6g} left a "
+                                   f"relative pencil residual of {residual / scale:.3g}")
+    return phi[:, 0]
 
 
 def eigenmode_state(generator: DiscreteGenerator, mode: int = 0,
                     amplitude: float = 1.0, by: str = "frequency"):
-    """(y0, y1) from the mode-th eigenpair of the system matrix.
+    """(y0, y1) from the mode-th eigenpair of the generator A.
 
-    Eigenvalues are deduplicated by conjugacy and ordered by ascending
-    frequency |Im| (by="frequency", the physical mode count) or by decreasing
-    real part (by="decay", slowest-decaying first).  `mode` must be an
-    integer in [0, number of modes).  The returned nodal data is the real
-    part of the eigenvector, scaled to the requested state-norm amplitude.
+    The eigenvalues are the generator's `spectrum`, deduplicated by
+    conjugacy and ordered by ascending frequency |Im| (by="frequency", the
+    physical mode count) or by decreasing real part (by="decay",
+    slowest-decaying first).  `mode` must be an integer in [0, number of
+    modes).  With lam the chosen eigenvalue, the eigenvector is x = (phi,
+    lam phi), phi the mode of the quadratic pencil (`pencil_mode`); no dense
+    eigenvector solve is made.  x is rotated as LAPACK dgeev rotates an
+    eigenvector, so that its largest-modulus entry is real, and made
+    positive there, which fixes the sign dgeev leaves arbitrary.  The
+    returned nodal data is the real part of x, scaled to the requested
+    state-norm amplitude.
     """
     if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)):
         raise ValueError(f"mode must be an integer, got {mode!r}")
-    vals, vecs = np.linalg.eig(generator.system_matrix)
-    keep = vals.imag >= -1e-12
-    vals, vecs = vals[keep], vecs[:, keep]
+    vals = generator.spectrum
+    vals = vals[vals.imag >= -1e-12]
     if by == "frequency":
         order = np.lexsort((-vals.real, np.abs(vals.imag)))
     elif by == "decay":
@@ -756,13 +759,12 @@ def eigenmode_state(generator: DiscreteGenerator, mode: int = 0,
         raise ValueError("by must be 'frequency' or 'decay'")
     if not 0 <= mode < order.size:
         raise ValueError(f"mode {mode} is outside [0, {order.size})")
-    vec = vecs[:, order[mode]]
-    state = vec.real
-    nrm = generator.state_norm(state)
-    if nrm < 1e-14:
-        state = vec.imag
-        nrm = generator.state_norm(state)
-    state = state * (amplitude / nrm)
+    lam = vals[order[mode]]
+    phi = pencil_mode(generator, lam)
+    vec = np.concatenate((phi, lam * phi))
+    top = vec[np.argmax(np.abs(vec))]
+    state = (vec * (np.conj(top) / abs(top))).real
+    state *= amplitude / generator.state_norm(state)
     u, v = generator.split(state)
     return generator.embed(u), generator.embed(v)
 

@@ -17,10 +17,12 @@ its tip traces e (u(1), the unit vector on the last dof) and g (u'(1), one-
 sided weights), whose nonzeros lie on the last three dofs and are held as the
 3 x 2 `tip_weights`: v^T D v = d_e (e.v)^2 + d_g (g.v)^2.
 Products with K are BLAS band products; C u is accumulated over the band
-diagonals of C.  Dense K and D are expanded only for the closed-form
-state-norm generator `state_norm_generator`, the dense 2n x 2n system
-matrix, built on first use for the desk-scale oracles, and the eigenproblem
-of `nonlinearity.hardy_poincare_constant`.
+diagonals of C, and a M + b D + c K is formed in the band storage of K
+(`combined_bands`).  Dense K and D are expanded only for the closed-form
+state-norm generator `state_norm_generator`, whose eigenvalues are the
+generator's `spectrum`, the dense 2n x 2n system matrix, built on first use
+for the operator dump and the desk-scale oracles, and the eigenproblem of
+`nonlinearity.hardy_poincare_constant`.
 
 The construction is variational: K = C^T W C + beta e e^T + gamma g g^T with
 W a nonnegative diagonal quadrature, so the energy E = (1/2)(u^T K u +
@@ -42,8 +44,11 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 
 from .degeneracy import CoefficientProfile
-from .errors import DegenwaveError, InconsistentBCError
+from .errors import DegenwaveError, InconsistentBCError, allocate
 from .grids import Grid
+
+#: what to change when a dense n x n or 2n x 2n form cannot be allocated
+DENSE_HINT = "lower [operator] n or use another [initial] preset"
 
 
 class OperatorKind(str, Enum):
@@ -196,9 +201,11 @@ class DiscreteGenerator:
 
     @property
     def stiffness_form(self) -> np.ndarray:
-        """K, dense and symmetric, expanded from its bands on each access."""
+        """K, dense and symmetric, expanded from its bands on each access;
+        ArrayTooLargeError naming its size when it cannot be allocated."""
         kd = self.stiffness_bands.shape[0] - 1
-        dense = np.zeros((self.ndof, self.ndof))
+        dense = allocate((self.ndof, self.ndof), "the entries of the dense stiffness form",
+                         DENSE_HINT, zero=True)
         for d in range(kd + 1):
             i = np.arange(self.ndof - d)
             dense[i, i + d] = dense[i + d, i] = self.stiffness_bands[kd - d, d:]
@@ -207,6 +214,20 @@ class DiscreteGenerator:
     def stiffness_product(self, u: np.ndarray) -> np.ndarray:
         """K u from the upper bands (BLAS dsbmv)."""
         return dsbmv(self.stiffness_bands.shape[0] - 1, 1.0, self.stiffness_bands, u)
+
+    def combined_bands(self, a, b, c) -> np.ndarray:
+        """a M + b D + c K in the upper band storage of K, a new (kd + 1, ndof)
+        array, complex when a scalar is.  D = d_e e e^T + d_g g g^T touches
+        only the last three dofs (e the last one, g the last three); waves have
+        kd = 1 and d_g = 0, so their D is the last diagonal entry."""
+        bands = np.multiply(self.stiffness_bands, c, dtype=np.result_type(a, b, c, float))
+        kd, ndof = bands.shape[0] - 1, self.ndof
+        bands[kd] += a * self.mass
+        e, g = self.tip_weights.T
+        for d in range(min(3, kd + 1)):
+            bands[kd - d, ndof - 3 + d:] += b * (self.damping_value_coeff * e[:3 - d] * e[d:]
+                                                 + self.damping_slope_coeff * g[:3 - d] * g[d:])
+        return bands
 
     @cached_property
     def elastic_diagonals(self) -> tuple:
@@ -268,7 +289,8 @@ class DiscreteGenerator:
         the Euclidean norm that carries A to A~, so ||e^{tA}||_state =
         ||e^{t A~}||_2.  The symmetric part of A~ is diag(0, -M^{-1/2} D M^{-1/2})
         exactly.  Raises DegenwaveError when K is not numerically positive
-        definite (the state norm is then not a norm).
+        definite (the state norm is then not a norm), and ArrayTooLargeError
+        naming the size of K or A~ when it cannot be allocated.
         """
         try:
             chol = np.linalg.cholesky(self.stiffness_form)
@@ -277,11 +299,21 @@ class DiscreteGenerator:
         inv_sqrt_mass = 1.0 / np.sqrt(self.mass)
         coupling = chol.T * inv_sqrt_mass
         ndof = self.ndof
-        a_tilde = np.zeros((2 * ndof, 2 * ndof))
+        a_tilde = allocate((2 * ndof, 2 * ndof), "the entries of the dense state-norm generator",
+                           DENSE_HINT, zero=True)
         a_tilde[:ndof, ndof:] = coupling
         a_tilde[ndof:, :ndof] = -coupling.T
         a_tilde[ndof:, ndof:] = -self.damping_matrix(inv_sqrt_mass)
         return a_tilde
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues of A, read-only, computed on first use as those of
+        its state-norm form A~ (`state_norm_generator`), a similar matrix: one
+        dense eigenvalue solve per generator, without eigenvectors."""
+        values = np.linalg.eigvals(self.state_norm_generator())
+        values.setflags(write=False)
+        return values
 
     # -- quadratic forms -----------------------------------------------------
 
@@ -320,10 +352,6 @@ class DiscreteGenerator:
     def state_norm(self, state: np.ndarray) -> float:
         k, e, b = self.energy_parts(state)
         return float(np.sqrt(2.0 * (k + e + b)))
-
-    def quadratic_form(self, state: np.ndarray) -> float:
-        """<A Y, Y> in the state inner product (nonpositive for every Y)."""
-        return self.state_inner(self.system_matrix @ state, state)
 
     def boundary_damping_rate(self, state: np.ndarray):
         """v^T D v: the exact discrete energy dissipation rate -dE/dt.

@@ -1,9 +1,12 @@
 """Test-side constructions and norms that the package itself does not need.
 
-Synthetic elements of the clamped and pinned discrete spaces, the clamped
-curvature seminorm read from `curvature_map`, the dense row-by-row elastic
-map and stiffness of a generator, the subdomain extension B and the L2(P)
-pairing, the pointwise and sampled checks of the source hypotheses, a
+The generator of a power-law coefficient on a uniform grid, the acceptance
+gates' oracles (the dissipativity form <AY, Y> of the dense generator and
+the Duhamel evaluation of a run), the eigenmodes of the dense eigenvector
+route, synthetic elements of the clamped and pinned discrete spaces, the
+clamped curvature seminorm read from `curvature_map`, the dense row-by-row
+elastic map and stiffness of a generator, the subdomain extension B and the
+L2(P) pairing, the pointwise and sampled checks of the source hypotheses, a
 semigroup-constant sampler with one matrix exponential per sample time, the
 certificate route with two full walks of the powers (full SVD norms and one
 `expm` per width, or the package's norms and ladder), a stand-in generator
@@ -22,12 +25,97 @@ import scipy.linalg
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dpbtrs
 
-from degenwave import evolution
+from degenwave import BoundaryParams, CoefficientSpec, Grid, assemble, classify, evolution
 from degenwave.errors import InfeasibleError, SubdomainNotAlignedError
 from degenwave.evolution import (HORIZON_DOUBLINGS, REFINE_GAP, REFINE_LEVELS,
                                  SemigroupCertificate)
 from degenwave.nonlinearity import eval_f, weighted_inner
 from degenwave.operators import OperatorKind, curvature_map, fd_weights
+
+
+def make_gen(kind, alpha, n, beta=1.0, gamma=1.0):
+    """The generator of `kind` for a = x^alpha on the uniform grid of n nodes."""
+    grid = Grid.uniform(n)
+    profile = classify(CoefficientSpec.power_law(alpha), grid)
+    return assemble(kind, profile, BoundaryParams(beta, gamma))
+
+
+def quadratic_form(generator, state):
+    """<A Y, Y> in the state inner product, with the dense system matrix A
+    (nonpositive for every Y)."""
+    return generator.state_inner(generator.system_matrix @ state, state)
+
+
+def duhamel_residual(trajectory, check_stride=1):
+    """Max relative mismatch between the trajectory and the Duhamel evaluation
+    of its scenario.
+
+    Source must be disabled.  The homogeneous part is propagated by the dense
+    matrix exponential of one step; the delay integral by the product
+    trapezoid rule (piecewise-linear density integrated exactly against the
+    propagator) over the same slot grid, with the delayed traces taken from
+    the recorded states (from the initial history for s < tau).  Second order
+    in dt uniformly in the stiffness, so it is an independent correctness
+    oracle for the integrator.
+    """
+    scenario = trajectory.scenario
+    if not scenario.source.is_none:
+        raise ValueError("duhamel oracle requires source = none")
+    gen = scenario.generator
+    if gen.grid.n > 64:
+        raise ValueError("duhamel oracle is a desk-scale check (n <= 64)")
+    dt = scenario.dt
+    sysm = gen.system_matrix
+    prop = scipy.linalg.expm(dt * sysm)
+    # product-trapezoid weights: integrate the propagator against a piecewise
+    # linear density exactly, so stiff tip modes cost no quadrature order
+    q0 = np.linalg.solve(sysm, prop - np.eye(sysm.shape[0]))
+    q1 = np.linalg.solve(sysm, q0 - dt * np.eye(sysm.shape[0]))
+
+    nrec = trajectory.states.shape[0]
+    phi = np.zeros((nrec, 2 * gen.ndof))
+    if scenario.kernel is not None:
+        m = scenario.m                  # t_j - tau is slot j - m
+        traces = scenario.delayed_traces(trajectory.states, -m, nrec - m)
+        k = np.atleast_1d(scenario.kernel.eval(trajectory.times))
+        phi[:, gen.ndof:][:, scenario.on_p] = -k[:, None] * traces
+
+    y_hom = trajectory.states[0].copy()
+    integral = np.zeros(2 * gen.ndof)
+    worst = 0.0
+    ref_scale = max(gen.state_norm(trajectory.states[0]), 1e-300)
+    for j in range(1, nrec):
+        y_hom = prop @ y_hom
+        integral = (prop @ integral + q0 @ phi[j - 1]
+                    + (q1 @ (phi[j] - phi[j - 1])) / dt)
+        if j % check_stride:
+            continue
+        y_ref = y_hom + integral
+        mism = gen.state_norm(trajectory.states[j] - y_ref)
+        denom = max(gen.state_norm(y_ref), ref_scale * 1e-8)
+        worst = max(worst, mism / denom)
+    return worst
+
+
+def dense_eigenmodes(generator, by="frequency"):
+    """(eigenvalues, eigenvectors) of the generator A, deduplicated by
+    conjugacy and ordered as `evolution.eigenmode_state` orders them, from one
+    dense `np.linalg.eig` of A~ = T A T^{-1}: the eigenvectors are carried
+    back by T^{-1} = diag(L^{-T}, M^{-1/2}), K = L L^T, and scaled to unit
+    2-norm."""
+    vals, vecs = np.linalg.eig(generator.state_norm_generator())
+    keep = vals.imag >= -1e-12
+    vals, vecs = vals[keep], vecs[:, keep]
+    if by == "frequency":
+        order = np.lexsort((-vals.real, np.abs(vals.imag)))
+    else:
+        order = np.lexsort((np.abs(vals.imag), -vals.real))
+    vals, vecs = vals[order], vecs[:, order]
+    ndof = generator.ndof
+    chol = np.linalg.cholesky(generator.stiffness_form)
+    vecs = np.concatenate((scipy.linalg.solve_triangular(chol.T, vecs[:ndof]),
+                           vecs[ndof:] / np.sqrt(generator.mass)[:, None]))
+    return vals, vecs / np.linalg.norm(vecs, axis=0)
 
 
 def from_curvature(grid, curvature):
@@ -179,12 +267,14 @@ def sobolev_pointwise_bound_check(u_full, grid, rtol=0.05, atol=1e-12):
 
 
 class MatrixGenerator:
-    """The two members of a `DiscreteGenerator` that `semigroup_constants`
-    reads, serving a given square matrix of even order as A~."""
+    """The members of a `DiscreteGenerator` that `semigroup_constants` reads,
+    serving a given square matrix of even order as A~, with its eigenvalues
+    as the spectrum."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
         self.ndof = self.matrix.shape[0] // 2
+        self.spectrum = np.linalg.eigvals(self.matrix)
 
     def state_norm_generator(self):
         return self.matrix

@@ -13,29 +13,23 @@ from scipy.integrate import quad
 from degenwave import (BoundaryParams, BoundViolatedError, CoefficientSpec, Grid,
                        KernelSpec, OperatorKind, Scenario, SourceKind, SubdomainP,
                        apply_Bstar, assemble, classify, constants_for, decay_fit,
-                       duhamel_residual, eigenmode_state, energy_bound_check,
+                       eigenmode_state, energy_bound_check,
                        eval_F_functional, eval_f, h_eval, hardy_poincare_constant,
                        kernel_growth_check, kernel_window_bound, lipschitz_bound,
                        semigroup_constants, simulate, smallness_level,
                        subdomain_gain, threshold_certificate)
 from degenwave.cli import main as cli_main
-from degenwave.evolution import spectral_abscissa
 from degenwave.nonlinearity import weighted_inner
 from degenwave.operators import weighted_mass_diagonal
 
 from conftest import random_clamped, random_state
-from helpers import curvature_seminorm, weighted_l2_norm
+from helpers import (curvature_seminorm, duhamel_residual, make_gen, quadratic_form,
+                     weighted_l2_norm)
 
 
 def report(num, text, ok):
     print(f"ACCEPTANCE {num}: {text}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} failed: {text}"
-
-
-def make_gen(kind, alpha, n, beta=1.0, gamma=1.0):
-    grid = Grid.uniform(n)
-    profile = classify(CoefficientSpec.power_law(alpha), grid)
-    return assemble(kind, profile, BoundaryParams(beta, gamma))
 
 
 # -- 1: dissipativity ------------------------------------------------------------
@@ -49,7 +43,7 @@ def test_criterion_1_dissipativity():
             gen = make_gen(kind, alpha, 48)
             for _ in range(1000):
                 y = random_state(gen, rng)
-                if gen.quadratic_form(y) > 1e-10 * gen.state_norm(y) ** 2:
+                if quadratic_form(gen, y) > 1e-10 * gen.state_norm(y) ** 2:
                     ok = False
     report(1, "all kinds x {WD, SD}: <AY,Y> <= 1e-10 |Y|^2 on 1000 states", ok)
 

@@ -655,6 +655,65 @@ def test_states_too_large_to_hold_exit_3(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, parameter, values, solves", [
+    ("certify", "kernel.k0", "0.005", 1),
+    ("sweep", "kernel.k0", "0.002, 0.005, 0.008", 1),
+    ("sweep", "initial.amplitude", "0.001, 0.002", 1),
+    ("sweep", "operator.beta", "1.0, 2.0", 2),
+])
+def test_one_eigenvalue_solve_per_generator(tmp_path, monkeypatch, command, parameter, values,
+                                            solves):
+    # the eigenmode data and the certificate's omega share the generator's
+    # spectrum; no dense eigenvector solve is made
+    calls = {"eig": 0, "eigvals": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+        return lambda *a, **k: calls.__setitem__(name, calls[name] + 1) or original(*a, **k)
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    cfg = write(tmp_path, "spectrum.ini",
+                SHARING + f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--command", command,
+                 "--quiet"]) == 0
+    assert calls == {"eig": 0, "eigvals": solves}
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
+def test_dense_form_too_large_to_hold_exits_3(tmp_path, capsys, monkeypatch, command):
+    # the README config at n = 200000: the eigenmode preset's dense stiffness
+    # form asks for 4e10 doubles, refused at once by a patched np.zeros
+    zeros = np.zeros
+
+    def refusing(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e9:
+            raise MemoryError("refused")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refusing)
+    text = readme_config().replace("n = 64 ", "n = 200000 ")
+    assert "n = 200000" in text
+    cfg = write(tmp_path, "huge.ini", text)
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--command", command,
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert err.startswith("config error: the entries of the dense stiffness form need "
+                          "199999 x 199999 doubles (298.0 GiB), more than can be allocated; "
+                          "lower [operator] n or use another [initial] preset"), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_pencil_failure_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(evolution, "zgbtrf", lambda ab, kl, ku: (ab, np.arange(ab.shape[1]), 1))
+    cfg = write(tmp_path, "linear.ini", BASE_LINEAR)
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert err.startswith("config error: the pencil at the eigenvalue "), err
+
+
 def test_swept_scenarios_share_read_only_initial_data(tmp_path, monkeypatch):
     scenarios = _recorded_builds(monkeypatch)
     assert _sweep(tmp_path, SHARING, "kernel.k0", "0.002, 0.005")[0] == 0

@@ -17,13 +17,7 @@ from degenwave import (BoundaryParams, BoundReport, BoundViolatedError, Coeffici
 from degenwave.delay import HistoryBuffer, resolve_history
 from degenwave.diagnostics import EnergyBreakdown, history_energy, source_energy
 from degenwave.evolution import Trajectory
-from helpers import reference_margins_csv, reference_trajectory_csv
-
-
-def make_gen(kind, alpha, n, beta=1.0, gamma=1.0):
-    grid = Grid.uniform(n)
-    profile = classify(CoefficientSpec.power_law(alpha), grid)
-    return assemble(kind, profile, BoundaryParams(beta, gamma))
+from helpers import make_gen, reference_margins_csv, reference_trajectory_csv
 
 
 # -- energy breakdown --------------------------------------------------------------

@@ -11,24 +11,19 @@ from degenwave import (BoundaryParams, CoefficientSpec, DegenwaveError, Grid,
                        InfeasibleError, KernelSpec,
                        NotExponentiallyStableError, OperatorKind,
                        Scenario, SourceKind, SubdomainP, apply_Bstar, assemble, certify_scenario,
-                       classify, decay_fit, diagnostics, duhamel_residual, eigenmode_state,
+                       classify, decay_fit, diagnostics, eigenmode_state,
                        evolution, polynomial_state, semigroup_constants, simulate,
                        smallness_level)
-from degenwave.errors import LinearSolveFailureError
-from degenwave.evolution import (REFINE_GAP, REFINE_LEVELS, _Stepper, spectral_abscissa,
+from degenwave.errors import EigSolveFailureError, LinearSolveFailureError
+from degenwave.evolution import (REFINE_GAP, REFINE_LEVELS, _Stepper, pencil_mode,
                                  spectral_norm)
 from degenwave.operators import DiscreteGenerator
-from helpers import (MatrixGenerator, direct_semigroup_constants, eig_semigroup_profile,
+from helpers import (MatrixGenerator, dense_eigenmodes, direct_semigroup_constants,
+                     duhamel_residual, eig_semigroup_profile, make_gen,
                      reference_semigroup_constants, reference_states)
 
 #: the non-normal 6 x 6 generator: transient growth (M > 5), horizon doubled twice
 NON_NORMAL = -np.diag(np.linspace(0.3, 2.0, 6)) + np.eye(6, k=1)
-
-
-def make_gen(kind, alpha, n, beta=1.0, gamma=1.0):
-    grid = Grid.uniform(n)
-    profile = classify(CoefficientSpec.power_law(alpha), grid)
-    return assemble(kind, profile, BoundaryParams(beta, gamma))
 
 
 # -- semigroup certificates -----------------------------------------------------
@@ -337,9 +332,71 @@ def test_eigenmode_state_rejects_bad_mode():
             eigenmode_state(gen, mode)
 
 
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_eigenmode_state_matches_the_dense_eigenvector_route(kind, alpha, n):
+    # against eig(A~) carried back by diag(L^-T, M^-1/2), normalised the same
+    # way: its largest-modulus entry made real and positive
+    gen = make_gen(kind, alpha, n)
+    matrices = (np.diag(gen.mass), gen.damping_matrix(), gen.stiffness_form)
+    norm_m, norm_d, norm_k = (np.linalg.norm(matrix, 2) for matrix in matrices)
+    for by in ("frequency", "decay"):
+        vals, vecs = dense_eigenmodes(gen, by)
+        for mode in (0, 1, 3):
+            lam, vec = vals[mode], vecs[:, mode]
+            y0, y1 = eigenmode_state(gen, mode, amplitude=0.7, by=by)
+            state = gen.join(gen.restrict(y0), gen.restrict(y1))
+            # state_norm rounds C u: on beams at n = 128 a rescaled state's norm
+            # moves by up to 1.6e-14 relative, for the dense route too
+            assert gen.state_norm(state) == pytest.approx(0.7, rel=4e-14, abs=0.0)
+            top = int(np.argmax(np.abs(vec)))
+            assert state[top] > 0.0                      # the sign convention
+            want = (vec * (np.conj(vec[top]) / abs(vec[top]))).real
+            want *= 0.7 / gen.state_norm(want)
+            error = min(gen.state_norm(state - want), gen.state_norm(state + want))
+            assert error <= 1e-8 * 0.7, (by, mode, error)
+            # the relative residual of the pencil mode, in 2-norms
+            phi = pencil_mode(gen, lam)
+            pencil = lam * lam * matrices[0] + lam * matrices[1] + matrices[2]
+            residual = np.linalg.norm(pencil @ phi) / (
+                (abs(lam) ** 2 * norm_m + abs(lam) * norm_d + norm_k) * np.linalg.norm(phi))
+            assert residual <= 1e-14, (by, mode, residual)
+
+
+def test_pencil_mode_off_an_eigenvalue_fails():
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    with pytest.raises(EigSolveFailureError, match="relative pencil residual"):
+        pencil_mode(gen, gen.spectrum[0] + 0.1)
+
+
+def test_pencil_mode_shifts_off_an_exactly_singular_factor(monkeypatch):
+    gen = make_gen(OperatorKind.WAVE_NONDIV, 0.5, 16)
+    lam, kd = gen.spectrum[0], gen.stiffness_bands.shape[0] - 1
+    factored, zgbtrf = [], evolution.zgbtrf
+
+    def singular_once(ab, kl, ku):
+        factored.append(ab[2 * kd].copy())         # the diagonal of the pencil
+        lu, piv, info = zgbtrf(ab, kl, ku)
+        return lu, piv, 1 if len(factored) == 1 else info
+
+    monkeypatch.setattr(evolution, "zgbtrf", singular_once)
+    phi = pencil_mode(gen, lam)
+    assert len(factored) == 2
+    shifted = lam + abs(lam) * np.finfo(float).eps
+    np.testing.assert_array_equal(factored[1], gen.combined_bands(shifted ** 2, shifted, 1.0)[kd])
+    monkeypatch.setattr(evolution, "zgbtrf", zgbtrf)
+    # the same unit mode, up to a phase
+    assert abs(np.vdot(phi, pencil_mode(gen, lam))) == pytest.approx(1.0, abs=1e-12)
+
+    monkeypatch.setattr(evolution, "zgbtrf", lambda ab, kl, ku: (ab, np.arange(ab.shape[1]), 1))
+    with pytest.raises(EigSolveFailureError, match="singular"):
+        pencil_mode(gen, lam)
+
+
 def test_beam_stable_without_tip_gains():
     gen = make_gen(OperatorKind.BEAM_NONDIV, 1.0, 32, beta=0.0, gamma=0.0)
-    assert spectral_abscissa(gen.system_matrix) < 0.0
+    assert np.max(gen.spectrum.real) < 0.0
 
 
 # -- stepping ----------------------------------------------------------------------
@@ -603,7 +660,9 @@ def test_system_matrix_built_on_demand(monkeypatch):
         assert not simulate(sc).blew_up
     assert "system_matrix" not in vars(gen)
     eigenmode_state(gen, 0)
-    assert "system_matrix" in vars(gen)
+    # the eigenmode data come from the spectrum and a banded solve
+    assert "system_matrix" not in vars(gen) and "spectrum" in vars(gen)
+    assert not gen.spectrum.flags.writeable
     assert not gen.system_matrix.flags.writeable
 
     gen = make_gen(OperatorKind.WAVE_DIV, 1.5, 16)

@@ -6,22 +6,18 @@ import pytest
 import scipy.linalg
 from scipy.linalg.blas import dgbmv
 
-from degenwave import (BoundaryParams, CoefficientSpec, Grid, GridTooCoarseError,
-                       InconsistentBCError, KernelSpec, OperatorKind, Scenario, SourceKind,
-                       SubdomainP, assemble, classify, evolution, polynomial_state)
+from degenwave import (BoundaryParams, Grid, GridTooCoarseError, InconsistentBCError,
+                       KernelSpec, OperatorKind, Scenario, SourceKind, SubdomainP, assemble,
+                       evolution, polynomial_state)
+from degenwave.errors import ArrayTooLargeError, allocate
 from degenwave.evolution import _Stepper
 from degenwave.operators import curvature_map, fd_weights
 
 from conftest import random_state
-from helpers import dense_elastic_reference, from_curvature, from_face_slopes
+from helpers import (dense_elastic_reference, from_curvature, from_face_slopes, make_gen,
+                     quadratic_form)
 
 KINDS = list(OperatorKind)
-
-
-def make_gen(kind, alpha, n, beta=1.0, gamma=1.0):
-    grid = Grid.uniform(n)
-    profile = classify(CoefficientSpec.power_law(alpha), grid)
-    return assemble(kind, profile, BoundaryParams(beta, gamma))
 
 
 # -- dissipativity -------------------------------------------------------------
@@ -33,7 +29,7 @@ def test_generator_is_dissipative(kind, alpha, rng):
     gen = make_gen(kind, alpha, 48)
     for _ in range(300):
         y = random_state(gen, rng)
-        assert gen.quadratic_form(y) <= 1e-10 * gen.state_norm(y) ** 2
+        assert quadratic_form(gen, y) <= 1e-10 * gen.state_norm(y) ** 2
 
 
 from hypothesis import given, settings
@@ -48,14 +44,14 @@ def test_dissipativity_over_random_exponents(alpha, kind_idx, seed):
     rng = np.random.default_rng(seed)
     for _ in range(20):
         y = rng.standard_normal(2 * gen.ndof)
-        assert gen.quadratic_form(y) <= 1e-10 * gen.state_norm(y) ** 2
+        assert quadratic_form(gen, y) <= 1e-10 * gen.state_norm(y) ** 2
 
 
 def test_beam_nondiv_dissipative_without_tip_gains(rng):
     gen = make_gen(OperatorKind.BEAM_NONDIV, 1.0, 64, beta=0.0, gamma=0.0)
     for _ in range(200):
         y = random_state(gen, rng)
-        assert gen.quadratic_form(y) <= 1e-10 * gen.state_norm(y) ** 2
+        assert quadratic_form(gen, y) <= 1e-10 * gen.state_norm(y) ** 2
 
 
 def test_zero_state_maps_to_zero():
@@ -67,7 +63,7 @@ def test_quadratic_form_equals_minus_damping(rng):
     # <AY, Y> = -(y_t(1)^2 + y_tx(1)^2) for beams, exactly
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 48)
     y = random_state(gen, rng)
-    lhs = gen.quadratic_form(y)
+    lhs = quadratic_form(gen, y)
     rhs = -gen.boundary_damping_rate(y)
     assert lhs == pytest.approx(rhs, abs=1e-9 * gen.state_norm(y) ** 2)
 
@@ -79,8 +75,8 @@ def test_wave_div_damping_is_tip_flux(rng):
     _, v = gen.split(y)
     a1 = gen.profile.grid_values[-1]
     assert gen.boundary_damping_rate(y) == pytest.approx(a1 * v[-1] ** 2, rel=1e-12)
-    assert gen.quadratic_form(y) == pytest.approx(-a1 * v[-1] ** 2,
-                                                  abs=1e-10 * gen.state_norm(y) ** 2)
+    assert quadratic_form(gen, y) == pytest.approx(-a1 * v[-1] ** 2,
+                                                   abs=1e-10 * gen.state_norm(y) ** 2)
 
 
 # -- norms --------------------------------------------------------------------
@@ -429,3 +425,26 @@ def test_wave_nondiv_fundamental_matches_bessel_root():
     assert errs[-1] <= 1.5e-5
     assert 3.5 <= errs[0] / errs[1] <= 4.5
     assert 3.5 <= errs[1] / errs[2] <= 4.5
+
+
+def test_allocate_names_the_size_and_the_hint():
+    # past numpy's size limit: the request fails at once
+    with pytest.raises(ArrayTooLargeError, match=r"^the rows need 1099511627776 x 1099511627776 "
+                       r"doubles \([\d,.]+ GiB\), more than can be allocated; lower n$"):
+        allocate((2 ** 40, 2 ** 40), "the rows", "lower n")
+
+
+def test_state_norm_generator_too_large_to_hold(monkeypatch):
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    zeros = np.zeros
+
+    def refusing(shape, *args, **kwargs):
+        if shape == (30, 30):
+            raise MemoryError("refused")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refusing)
+    with pytest.raises(ArrayTooLargeError, match=r"^the entries of the dense state-norm generator "
+                       r"need 30 x 30 doubles \(0\.0 GiB\), more than can be allocated; "
+                       r"lower \[operator\] n or use another \[initial\] preset$"):
+        gen.state_norm_generator()

@@ -59,13 +59,6 @@ def test_every_script_is_run_by_the_script_tests():
     assert run == {path.name for path in SCRIPTS.glob("*.py")}
 
 
-#: package definitions that only the tests call: the oracles of the acceptance gates
-TEST_ORACLES = {
-    "duhamel_residual",                     # gate 4, the Duhamel oracle
-    "DiscreteGenerator.quadratic_form",     # gate 1, dissipativity of the dense generator
-}
-
-
 def test_package_defines_nothing_only_tests_use():
     # a top-level function, class or method must be named by the package, the
     # scripts or the benchmark: as a name, an attribute, or a string (the
@@ -94,7 +87,7 @@ def test_package_defines_nothing_only_tests_use():
                           if isinstance(sub, definitions)]
             # dunder methods are called by the interpreter, not by name
             unused += [f"{path.name} {qualified}" for qualified, name in named
-                       if name not in mentioned and qualified not in TEST_ORACLES
+                       if name not in mentioned
                        and not (name.startswith("__") and name.endswith("__"))]
     assert not unused
 
