@@ -36,7 +36,7 @@ import numpy as np
 
 from .degeneracy import read_csv_columns
 from .errors import (InfeasibleError, NotLocallyIntegrableError, SubdomainNotAlignedError,
-                     allocate)
+                     allocate, certificate_constant)
 from .grids import Grid
 
 KERNEL_CONSTANT = "constant"
@@ -204,10 +204,7 @@ def kernel_window_bound(kernel: KernelSpec) -> float:
 def certificate_exp(name: str, exponent: float) -> float:
     """e^exponent, a factor of a stability certificate; InfeasibleError naming
     the factor when it overflows."""
-    try:
-        return math.exp(exponent)
-    except OverflowError:
-        raise InfeasibleError(f"{name} = e^{exponent:.6g} overflows") from None
+    return certificate_constant(f"{name} = e^{exponent:.6g}", lambda: math.exp(exponent))
 
 
 @dataclass(frozen=True)

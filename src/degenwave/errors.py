@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one allocation that
-raises one for an array too large to hold."""
+"""Exception types shared across the package, the one allocation that raises
+one for an array too large to hold, and the one rule for a certificate
+constant that overflows."""
 
 import math
 
@@ -40,6 +41,18 @@ class NotLocallyIntegrableError(DegenwaveError):
 
 class InfeasibleError(DegenwaveError):
     """No stability certificate can be issued for the requested data."""
+
+
+def certificate_constant(name: str, compute) -> float:
+    """compute(), a constant of a stability certificate; InfeasibleError naming
+    it when it overflows (OverflowError, or a value that is not finite)."""
+    try:
+        value = compute()
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise InfeasibleError(f"{name} overflows")
 
 
 class SubdomainNotAlignedError(DegenwaveError):

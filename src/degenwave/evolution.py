@@ -116,10 +116,9 @@ class Scenario:
             raise ValueError(f"t_end/dt = {steps:g} must round to a whole number "
                              "of steps >= 1")
         self.nsteps = round(steps)
-        pinned = np.setdiff1d(np.arange(gen.grid.n), gen.free)
         scale = max(float(np.max(np.abs(self.y0))), float(np.max(np.abs(self.y1))), 1.0)
-        if pinned.size and (np.max(np.abs(self.y0[pinned])) > 1e-10 * scale
-                            or np.max(np.abs(self.y1[pinned])) > 1e-10 * scale):
+        pinned = np.abs(np.concatenate((self.y0[:gen.free[0]], self.y1[:gen.free[0]])))
+        if pinned.size and np.max(pinned) > 1e-10 * scale:     # only x = 0 is ever pinned
             raise ValueError("initial data violates the essential x = 0 conditions")
         if (self.kernel is None) != (self.subdomain is None):
             raise ValueError("kernel and subdomain must be given together")
@@ -682,23 +681,6 @@ def _general_bands(upper: np.ndarray) -> np.ndarray:
     return ab
 
 
-def _band_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for A in the layout of `_general_bands`, summed over its diagonals:
-    scipy's wrapper of BLAS gbmv wants at least 2 kd + 1 rows, which the
-    smallest grids do not have."""
-    kd, n = (ab.shape[0] - 1) // 3, ab.shape[1]
-    product = np.zeros(n, dtype=np.result_type(ab, x))
-    for s in range(-kd, kd + 1):                     # A[j + s, j] at row 2 kd + s
-        lo, hi = max(0, -s), min(n, n - s)
-        product[lo + s:hi + s] += ab[2 * kd + s, lo:hi] * x[lo:hi]
-    return product
-
-
-def _band_norm(upper: np.ndarray) -> float:
-    """||A||_1 = ||A||_inf of the symmetric matrix with upper bands `upper`."""
-    return float(np.max(np.sum(np.abs(_general_bands(upper)), axis=0)))
-
-
 def pencil_mode(generator: DiscreteGenerator, lam: complex) -> np.ndarray:
     """phi, of unit 2-norm, with (lam^2 M + lam D + K) phi = 0 for an eigenvalue
     lam of the generator: two steps of inverse iteration from a fixed start
@@ -707,28 +689,32 @@ def pencil_mode(generator: DiscreteGenerator, lam: complex) -> np.ndarray:
     solves, O(kd^2 n).  An exactly singular factor is taken again at lam
     shifted by |lam| eps.  EigSolveFailureError when the relative residual
     ||P(lam) phi|| / (|lam|^2 ||M|| + |lam| ||D|| + ||K||), in the 1-norm of
-    the matrices (Tisseur 2000, Linear Algebra Appl. 309), exceeds 1e-12."""
-    pencil = _general_bands(generator.combined_bands(lam * lam, lam, 1.0))
-    kd, ndof = (pencil.shape[0] - 1) // 3, generator.ndof
-    factor, pivots, info = zgbtrf(pencil, kd, kd)
-    if info > 0:
-        shifted = lam + abs(lam) * np.finfo(float).eps
-        factor, pivots, info = zgbtrf(
-            _general_bands(generator.combined_bands(shifted * shifted, shifted, 1.0)), kd, kd)
-    if info > 0:
+    the matrices (Tisseur 2000, Linear Algebra Appl. 309), exceeds 1e-12;
+    D is its `damping_corner`, K phi two `stiffness_product`s."""
+    kd, ndof = generator.stiffness_bands.shape[0] - 1, generator.ndof
+    for shift in (lam, lam + abs(lam) * np.finfo(float).eps):
+        pencil = _general_bands(generator.combined_bands(shift * shift, shift, 1.0))
+        factor, pivots, info = zgbtrf(pencil, kd, kd)
+        if info <= 0:
+            break
+    else:
         raise EigSolveFailureError(f"the pencil at the eigenvalue {lam:.6g} is singular")
     phi = np.ones((ndof, 1), dtype=complex)
     for _ in range(2):
         phi, _ = zgbtrs(factor, kd, kd, phi, pivots, overwrite_b=1)
         phi /= np.linalg.norm(phi)
-    residual = np.linalg.norm(_band_product(pencil, phi[:, 0]))
-    scale = (abs(lam) ** 2 * float(np.max(generator.mass))
-             + abs(lam) * _band_norm(generator.combined_bands(0.0, 1.0, 0.0))
-             + _band_norm(generator.stiffness_bands))
+    phi, corner = phi[:, 0], generator.damping_corner()
+    product = lam * lam * generator.mass * phi + generator.stiffness_product(phi.real)
+    product += 1j * generator.stiffness_product(phi.imag)
+    product[-3:] += lam * (corner @ phi[-3:])
+    residual = np.linalg.norm(product)
+    scale = (abs(lam) ** 2 * float(np.max(generator.mass))      # 1-norms: largest column sums
+             + abs(lam) * float(np.max(np.sum(np.abs(corner), axis=0)))
+             + float(np.max(np.sum(np.abs(_general_bands(generator.stiffness_bands)), axis=0))))
     if not residual <= 1e-12 * scale:
         raise EigSolveFailureError(f"inverse iteration at the eigenvalue {lam:.6g} left a "
                                    f"relative pencil residual of {residual / scale:.3g}")
-    return phi[:, 0]
+    return phi
 
 
 def eigenmode_state(generator: DiscreteGenerator, mode: int = 0,

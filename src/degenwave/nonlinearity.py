@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .degeneracy import CoefficientProfile
-from .errors import EigSolveFailureError
+from .errors import EigSolveFailureError, certificate_constant
 from .grids import Grid
 from .operators import BoundaryParams, OperatorKind, assemble
 
@@ -90,12 +90,14 @@ def constants_for(source: SourceKind, profile: CoefficientProfile,
     if c_hp is None:
         c_hp = hardy_poincare_constant(profile)
     a_max = profile.a_max
+    m = source.exponent
     if source.kind == SOURCE_POWER:
-        return NonlinearityConstants(c_hp=c_hp, a_max=a_max, c_q=cq_factor(source.exponent))
+        c_q = certificate_constant(f"the source constant C_q = 2^(2q - 1) at q = {m:g}",
+                                   lambda: cq_factor(m))
+        return NonlinearityConstants(c_hp=c_hp, a_max=a_max, c_q=c_q)
     if source.kind == SOURCE_NONLOCAL:
-        p = source.exponent
-        c_half = cq_factor(p / 2.0)
-        d_p = 2.0 * p ** 2 * c_half ** 2 * a_max ** (p - 1.0)
+        d_p = certificate_constant(f"the source constant D_p at p = {m:g}", lambda: 2.0 * m ** 2
+                                   * cq_factor(m / 2.0) ** 2 * a_max ** (m - 1.0))
         return NonlinearityConstants(c_hp=c_hp, a_max=a_max, d_p=d_p)
     return NonlinearityConstants(c_hp=c_hp, a_max=a_max)
 
@@ -165,19 +167,17 @@ def eval_F_functional(source: SourceKind, y: np.ndarray, profile: CoefficientPro
 
 def lipschitz_bound(source: SourceKind, constants: NonlinearityConstants,
                     r: float) -> float:
-    """L(r) for the weighted (non-divergence beam) setting."""
+    """L(r) for the weighted (non-divergence beam) setting; InfeasibleError if it overflows."""
     if not r > 0:
         raise ValueError("radius must be positive")
     if source.kind == SOURCE_NONE:
         return 0.0
-    c = 4.0 * constants.c_hp + 1.0
+    c, m, a_max = 4.0 * constants.c_hp + 1.0, source.exponent, constants.a_max
     if source.kind == SOURCE_POWER:
-        q = source.exponent
-        return math.sqrt((2.0 / 3.0) * (q + 1.0) ** 2 * constants.c_q * c) * r ** q
-    p = source.exponent
-    a_max = constants.a_max
-    return math.sqrt(2.0 * a_max * c ** (p + 1.0)
-                     * (a_max ** (p - 1.0) + 2.0 * constants.d_p)) * r ** p
+        return certificate_constant(f"the source constant L(r) at q = {m:g}", lambda: math.sqrt(
+            (2.0 / 3.0) * (m + 1.0) ** 2 * constants.c_q * c) * r ** m)
+    return certificate_constant(f"the source constant L(r) at p = {m:g}", lambda: math.sqrt(
+        2.0 * a_max * c ** (m + 1.0) * (a_max ** (m - 1.0) + 2.0 * constants.d_p)) * r ** m)
 
 
 def h_coefficients(source: SourceKind, constants: NonlinearityConstants):

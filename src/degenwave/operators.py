@@ -13,16 +13,17 @@ built from three quadratic forms on the free nodal degrees of freedom:
 M is stored as its diagonal; C, the curvature (beams) or face-gradient
 (waves) map, in LAPACK general band storage with its weights W; K only as
 its upper bands (the dpbtrf layout); and D only as its weights d_e, d_g and
-its tip traces e (u(1), the unit vector on the last dof) and g (u'(1), one-
-sided weights), whose nonzeros lie on the last three dofs and are held as the
-3 x 2 `tip_weights`: v^T D v = d_e (e.v)^2 + d_g (g.v)^2.
+its tip traces e (u(1), the unit vector on the last dof) and g (u'(1), the
+one-sided (1, -4, 3)/(2h)), held on the last three dofs as the 3 x 2
+`tip_weights`: v^T D v = d_e (e.v)^2 + d_g (g.v)^2.  The grid is uniform, so
+each stencil is a closed form; u''(1) is (-1, 4, -5, 2)/h^2 on the last four.
 Products with K are BLAS band products; C u is accumulated over the band
 diagonals of C, and a M + b D + c K is formed in the band storage of K
-(`combined_bands`).  Dense K and D are expanded only for the closed-form
+(`combined_bands`).  A dense K is expanded only for the closed-form
 state-norm generator `state_norm_generator`, whose eigenvalues are the
 generator's `spectrum`, the dense 2n x 2n system matrix, built on first use
 for the operator dump and the desk-scale oracles, and the eigenproblem of
-`nonlinearity.hardy_poincare_constant`.
+`nonlinearity.hardy_poincare_constant`.  D in any form is its 3 x 3 corner.
 
 The construction is variational: K = C^T W C + beta e e^T + gamma g g^T with
 W a nonnegative diagonal quadrature, so the energy E = (1/2)(u^T K u +
@@ -83,35 +84,6 @@ class BoundaryParams:
             raise ValueError("boundary gains must be finite and nonnegative")
 
 
-def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at x0 (Fornberg)."""
-    x = np.asarray(x, dtype=float)
-    npts = len(x)
-    if npts <= m:
-        raise ValueError("need more than m points")
-    c = np.zeros((npts, m + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, npts):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
-
-
 def curvature_map(grid: Grid):
     """(ab, kl, ku, weights): the curvature map on full nodal vectors.
 
@@ -128,8 +100,8 @@ def curvature_map(grid: Grid):
     ab[ku, :] = -2.0 / h**2  # C[i, i]
     ab[ku + 1, :-1] = 1.0 / h**2  # C[i+1, i]
     ab[ku - 1, 1] = 2.0 / h**2  # mirrored row 0: 2 (u_1 - u_0) / h^2
-    # one-sided row n-1 on the last four nodes, C[n-1, n-4+k] at ab[ku + 3 - k, n-4+k]
-    ab[ku + np.arange(3, -1, -1), np.arange(n - 4, n)] = fd_weights(grid.nodes[-4:], 1.0, 2)
+    # one-sided row n-1, u''(1) on the last four nodes: C[n-1, n-4+k] at ab[ku + 3 - k, n-4+k]
+    ab[ku + np.arange(3, -1, -1), np.arange(n - 4, n)] = np.array([-1.0, 4.0, -5.0, 2.0]) / h**2
     return ab, kl, ku, grid.trapezoid_weights()
 
 
@@ -217,16 +189,15 @@ class DiscreteGenerator:
 
     def combined_bands(self, a, b, c) -> np.ndarray:
         """a M + b D + c K in the upper band storage of K, a new (kd + 1, ndof)
-        array, complex when a scalar is.  D = d_e e e^T + d_g g g^T touches
-        only the last three dofs (e the last one, g the last three); waves have
-        kd = 1 and d_g = 0, so their D is the last diagonal entry."""
+        array, complex when a scalar is.  D is its `damping_corner` on the
+        last three dofs; waves have kd = 1 and d_g = 0, so their corner's one
+        nonzero is its last diagonal entry."""
         bands = np.multiply(self.stiffness_bands, c, dtype=np.result_type(a, b, c, float))
         kd, ndof = bands.shape[0] - 1, self.ndof
         bands[kd] += a * self.mass
-        e, g = self.tip_weights.T
+        corner = self.damping_corner()
         for d in range(min(3, kd + 1)):
-            bands[kd - d, ndof - 3 + d:] += b * (self.damping_value_coeff * e[:3 - d] * e[d:]
-                                                 + self.damping_slope_coeff * g[:3 - d] * g[d:])
+            bands[kd - d, ndof - 3 + d:] += b * np.diagonal(corner, d)
         return bands
 
     @cached_property
@@ -262,24 +233,20 @@ class DiscreteGenerator:
         system = np.zeros((2 * ndof, 2 * ndof))
         system[:ndof, ndof:] = np.eye(ndof)
         system[ndof:, :ndof] = -(self.stiffness_form / self.mass[:, None])
-        system[ndof:, ndof:] = -self.damping_matrix() / self.mass[:, None]
+        system[-3:, -3:] = -self.damping_corner() / self.mass[-3:, None]
         system.setflags(write=False)
         return system
 
-    def damping_matrix(self, scale=1.0) -> np.ndarray:
-        """S D S = d_e (Se)(Se)^T + d_g (Sg)(Sg)^T, dense n x n, from the traces
-        embedded in n-long vectors.
-
-        `scale` is the diagonal of S (D itself by default); the result is
-        exactly symmetric.
-        """
-        traces = np.zeros((2, self.ndof))
-        traces[:, -3:] = self.tip_weights.T
-        e, g = traces * scale
-        damping = self.damping_value_coeff * np.outer(e, e)
+    def damping_corner(self, scale=1.0) -> np.ndarray:
+        """S D S = d_e (Se)(Se)^T + d_g (Sg)(Sg)^T on the last three dofs, its only
+        nonzeros: `scale` is the end of the diagonal of S (D itself by default),
+        applied to the traces before their outer products, so the block is
+        exactly symmetric."""
+        e, g = self.tip_weights.T * scale
+        corner = self.damping_value_coeff * np.outer(e, e)
         if self.damping_slope_coeff:
-            damping += self.damping_slope_coeff * np.outer(g, g)
-        return damping
+            corner += self.damping_slope_coeff * np.outer(g, g)
+        return corner
 
     def state_norm_generator(self) -> np.ndarray:
         """A in the state norm: A~ = [[0, B], [-B^T, -M^{-1/2} D M^{-1/2}]].
@@ -303,7 +270,7 @@ class DiscreteGenerator:
                            DENSE_HINT, zero=True)
         a_tilde[:ndof, ndof:] = coupling
         a_tilde[ndof:, :ndof] = -coupling.T
-        a_tilde[ndof:, ndof:] = -self.damping_matrix(inv_sqrt_mass)
+        a_tilde[-3:, -3:] = -self.damping_corner(inv_sqrt_mass[-3:])
         return a_tilde
 
     @cached_property
@@ -419,10 +386,9 @@ def assemble(kind: OperatorKind, profile: CoefficientProfile,
         ab, kl, ku = ab[:, 1:], kl + 1, ku - 1  # pinning node 0 drops column 0 of C
 
     ndof, kd = free.size, kl + ku
-    slope = fd_weights(grid.nodes[-3:], 1.0, 1)  # u'(1) from the last three nodes
-    tips = np.zeros((3, 2))                       # e, g on the last three dofs
-    tips[-1, 0] = 1.0
-    tips[:, 1] = slope
+    # e and g on the last three dofs: u(1), and u'(1) = (u_{n-3} - 4 u_{n-2} + 3 u_{n-1}) / 2h
+    tips = np.column_stack(([0.0, 0.0, 1.0], np.array([1.0, -4.0, 3.0]) / (2.0 * h)))
+    slope = tips[:, 1]
 
     if kind is OperatorKind.WAVE_DIV:
         beta_eff, gamma_eff = bc.beta * a_right, 0.0

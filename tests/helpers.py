@@ -5,15 +5,16 @@ gates' oracles (the dissipativity form <AY, Y> of the dense generator and
 the Duhamel evaluation of a run), the eigenmodes of the dense eigenvector
 route, synthetic elements of the clamped and pinned discrete spaces, the
 clamped curvature seminorm read from `curvature_map`, the dense row-by-row
-elastic map and stiffness of a generator, the subdomain extension B and the
-L2(P) pairing, the pointwise and sampled checks of the source hypotheses, a
-semigroup-constant sampler with one matrix exponential per sample time, the
-certificate route with two full walks of the powers (full SVD norms and one
-`expm` per width, or the package's norms and ladder), a stand-in generator
-that serves a given matrix as its state-norm generator, the closed forms of
-the constant and pulse gains, the trajectory and margins CSV writers as one
-formatted value at a time, and the IMEX step taken one step at a time with
-each step's own delay term.
+elastic map and stiffness of a generator, its dense tip damping D, the
+subdomain extension B and the L2(P) pairing, the pointwise and sampled
+checks of the source hypotheses, a semigroup-constant sampler with one
+matrix exponential per sample time, the certificate route with two full
+walks of the powers (full SVD norms and one `expm` per width, or the
+package's norms and ladder), a stand-in generator that serves a given
+matrix as its state-norm generator, the closed forms of the constant and
+pulse gains, the trajectory and margins CSV writers as one formatted value
+at a time, and the IMEX step taken one step at a time with each step's own
+delay term.
 Each is a reference that tests compare the package's forms, constants and
 files against.
 """
@@ -30,7 +31,7 @@ from degenwave.errors import InfeasibleError, SubdomainNotAlignedError
 from degenwave.evolution import (HORIZON_DOUBLINGS, REFINE_GAP, REFINE_LEVELS,
                                  SemigroupCertificate)
 from degenwave.nonlinearity import eval_f, weighted_inner
-from degenwave.operators import OperatorKind, curvature_map, fd_weights
+from degenwave.operators import OperatorKind, curvature_map
 
 
 def make_gen(kind, alpha, n, beta=1.0, gamma=1.0):
@@ -208,7 +209,7 @@ def dense_elastic_reference(generator):
             r[i - 1], r[i], r[i + 1] = 1.0 / h**2, -2.0 / h**2, 1.0 / h**2
             entries.append((r, h, grid.nodes[i]))
         r = np.zeros(n)
-        r[n - 4:] = fd_weights(grid.nodes[-4:], 1.0, 2)
+        r[n - 4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h**2
         entries.append((r, 0.5 * h, 1.0))
     else:
         for j in range(n - 1):
@@ -223,10 +224,21 @@ def dense_elastic_reference(generator):
     e = np.zeros(c.shape[1])
     e[-1] = 1.0
     g = np.zeros(c.shape[1])
-    g[-3:] = fd_weights(grid.nodes[-3:], 1.0, 1)
+    g[-3:] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
     k = c.T @ (weights[:, None] * c)
     k += generator.beta_eff * np.outer(e, e) + generator.gamma_eff * np.outer(g, g)
     return c, weights, k
+
+
+def dense_damping(generator, scale=1.0):
+    """S D S = d_e (Se)(Se)^T + d_g (Sg)(Sg)^T, dense ndof x ndof, from the tip
+    traces embedded in ndof-long vectors; `scale` is the diagonal of S (D
+    itself by default), applied to the traces before their outer products."""
+    traces = np.zeros((2, generator.ndof))
+    traces[:, -3:] = generator.tip_weights.T
+    e, g = traces * scale
+    return (generator.damping_value_coeff * np.outer(e, e)
+            + generator.damping_slope_coeff * np.outer(g, g))
 
 
 def empirical_growth_constant(source, generator, samples):

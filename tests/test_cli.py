@@ -395,6 +395,32 @@ def test_source_exponent_whose_radius_underflows_is_infeasible(tmp_path, capsys)
         "feasible: no\nreason: rho underflowed below 1e-12\n"
 
 
+@pytest.mark.parametrize("source, constant", [
+    ("kind = power\nq = 600", "C_q = 2^(2q - 1) at q = 600"),
+    ("kind = power\nq = 1e5", "C_q = 2^(2q - 1) at q = 100000"),
+    ("kind = power\nq = 1e308", "C_q = 2^(2q - 1) at q = 1e+308"),
+    ("kind = power\nq = 510", "L(r) at q = 510"),     # certified with L = nan before
+    ("kind = nonlocal\np = 1e308", "D_p at p = 1e+308")])
+@pytest.mark.parametrize("command", ["certify", "sweep"])
+def test_source_constant_overflow_is_infeasible(tmp_path, capsys, command, source, constant):
+    # the delayed README scenario at n = 16: no OverflowError traceback, no nan certificate
+    text = (DELAYED.replace("n = 24", "n = 16").replace("tau = 0.5", "tau = 0.05")
+            .replace("t_end = 2.0", "t_end = 0.05").replace("kind = power\nq = 1.0", source))
+    cfg = write(tmp_path, "huge_q.ini", text + "\n[sweep]\nparameter = kernel.k0\n"
+                                               "values = 0.002, 0.005\n")
+    out = tmp_path / "o"
+    code = main(["--config", cfg, "--out", str(out), "--command", command, "--quiet"])
+    assert "Traceback" not in capsys.readouterr().err
+    if command == "certify":
+        assert code == 2
+        assert (out / "certificate.txt").read_text() == \
+            f"feasible: no\nreason: the source constant {constant} overflows\n"
+    else:
+        assert code == 0
+        rows = (out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[:3] for row in rows] == [["0.002", "no", ""], ["0.005", "no", ""]]
+
+
 @pytest.mark.parametrize("command, section, key, raw", [
     ("simulate", "initial", "amplitude", "nan"),   # ran to a blow-up exit 4
     ("certify", "initial", "amplitude", "nan"),    # certified with exit 0

@@ -18,7 +18,7 @@ from degenwave.errors import EigSolveFailureError, LinearSolveFailureError
 from degenwave.evolution import (REFINE_GAP, REFINE_LEVELS, _Stepper, pencil_mode,
                                  spectral_norm)
 from degenwave.operators import DiscreteGenerator
-from helpers import (MatrixGenerator, dense_eigenmodes, direct_semigroup_constants,
+from helpers import (MatrixGenerator, dense_damping, dense_eigenmodes, direct_semigroup_constants,
                      duhamel_residual, eig_semigroup_profile, make_gen,
                      reference_semigroup_constants, reference_states)
 
@@ -311,7 +311,7 @@ def test_state_norm_generator_matches_eigh_similarity(kind, alpha, n):
     assert np.all(sym[:ndof, ndof:] == 0.0)
     assert np.all(sym[ndof:, :ndof] == 0.0)
     inv_sqrt_mass = 1.0 / np.sqrt(gen.mass)
-    damping = gen.damping_matrix() * np.outer(inv_sqrt_mass, inv_sqrt_mass)
+    damping = dense_damping(gen) * np.outer(inv_sqrt_mass, inv_sqrt_mass)
     assert np.allclose(closed[ndof:, ndof:], -damping, rtol=1e-14, atol=0.0)
 
 
@@ -339,7 +339,7 @@ def test_eigenmode_state_matches_the_dense_eigenvector_route(kind, alpha, n):
     # against eig(A~) carried back by diag(L^-T, M^-1/2), normalised the same
     # way: its largest-modulus entry made real and positive
     gen = make_gen(kind, alpha, n)
-    matrices = (np.diag(gen.mass), gen.damping_matrix(), gen.stiffness_form)
+    matrices = (np.diag(gen.mass), dense_damping(gen), gen.stiffness_form)
     norm_m, norm_d, norm_k = (np.linalg.norm(matrix, 2) for matrix in matrices)
     for by in ("frequency", "decay"):
         vals, vecs = dense_eigenmodes(gen, by)
@@ -623,7 +623,7 @@ def test_step_factor_failure_names_the_minor():
     y0, y1 = polynomial_state(gen)
     dt = 1.0
     h = 0.5 * dt
-    block = -h * h * gen.stiffness_form + h * gen.damping_matrix() + np.diag(gen.mass)
+    block = -h * h * gen.stiffness_form + h * dense_damping(gen) + np.diag(gen.mass)
     order = _first_indefinite_minor(block)
     assert order is not None
     with pytest.raises(LinearSolveFailureError, match=f"leading minor of order {order}$"):
@@ -654,7 +654,6 @@ def test_system_matrix_built_on_demand(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(DiscreteGenerator, "stiffness_form", property(dense))
-        patch.setattr(DiscreteGenerator, "damping_matrix", dense)
         patch.setattr(scipy.linalg, "lu_factor", dense)
         patch.setattr(scipy.linalg, "lu_solve", dense)
         assert not simulate(sc).blew_up
@@ -1130,6 +1129,25 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
                  t_end=1.0, dt=0.1, kernel=KernelSpec.constant(0.1, 1.0))  # no P
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_data_on_a_pinned_node_is_rejected(kind, alpha):
+    # x = 0 is pinned in every kind but the strongly degenerate wave_div
+    gen = make_gen(kind, alpha, 16)
+    pinned = not (kind is OperatorKind.WAVE_DIV and alpha > 1)
+    assert gen.free[0] == int(pinned)
+    for which in (0, 1):
+        data = [y.copy() for y in polynomial_state(gen)]
+        data[which][0] = 0.5
+        run = dict(generator=gen, source=SourceKind.none(), y0=data[0], y1=data[1],
+                   t_end=0.1, dt=0.05)
+        if pinned:
+            with pytest.raises(ValueError, match="essential x = 0 conditions"):
+                Scenario(**run)
+        else:
+            assert Scenario(**run).y0[0] == data[0][0]
 
 
 # -- variation-of-constants oracle ----------------------------------------------------

@@ -6,16 +6,16 @@ import pytest
 import scipy.linalg
 from scipy.linalg.blas import dgbmv
 
-from degenwave import (BoundaryParams, Grid, GridTooCoarseError, InconsistentBCError,
-                       KernelSpec, OperatorKind, Scenario, SourceKind, SubdomainP, assemble,
-                       evolution, polynomial_state)
+from degenwave import (BoundaryParams, CoefficientSpec, Grid, GridTooCoarseError,
+                       InconsistentBCError, KernelSpec, OperatorKind, Scenario, SourceKind,
+                       SubdomainP, assemble, classify, evolution, polynomial_state)
 from degenwave.errors import ArrayTooLargeError, allocate
 from degenwave.evolution import _Stepper
-from degenwave.operators import curvature_map, fd_weights
+from degenwave.operators import curvature_map
 
 from conftest import random_state
-from helpers import (dense_elastic_reference, from_curvature, from_face_slopes, make_gen,
-                     quadratic_form)
+from helpers import (dense_damping, dense_elastic_reference, from_curvature, from_face_slopes,
+                     make_gen, quadratic_form)
 
 KINDS = list(OperatorKind)
 
@@ -227,7 +227,7 @@ def test_step_bands_match_dense_block(kind, alpha, n, monkeypatch):
     _Stepper([Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
                        t_end=dt, dt=dt)], 1)
     h = 0.5 * dt
-    want = h * h * gen.stiffness_form + h * gen.damping_matrix() + np.diag(gen.mass)
+    want = h * h * gen.stiffness_form + h * dense_damping(gen) + np.diag(gen.mass)
     assert len(factored) == 1 and factored[0].shape == gen.stiffness_bands.shape
     expanded = dataclasses.replace(gen, stiffness_bands=factored[0]).stiffness_form
     np.testing.assert_allclose(expanded, want, rtol=1e-13, atol=0.0)
@@ -289,7 +289,7 @@ def test_tip_traces_and_damping_rate_of_a_stack_match_each_row_bitwise(kind, rng
     assert isinstance(gen.boundary_damping_rate(states[0]), float)
     # e . v is the last velocity dof; g . u is the one-sided slope
     assert np.array_equal(pairs[:, 0], v[:, -1])
-    slopes = u[:, -3:] @ fd_weights(gen.grid.nodes[-3:], 1.0, 1)
+    slopes = u[:, -3:] @ (np.array([1.0, -4.0, 3.0]) / (2.0 * gen.grid.h))
     assert np.allclose(gen.tip_pairs(u)[:, 1], slopes, rtol=1e-13, atol=1e-13 * gen.grid.n)
     for size in (1, 3, 257):
         assert np.array_equal(gen.tip_pairs(v[:size]), pairs[:size])
@@ -297,8 +297,8 @@ def test_tip_traces_and_damping_rate_of_a_stack_match_each_row_bitwise(kind, rng
     # strided stacks, as simulate passes a block of its records
     assert np.array_equal(gen.tip_pairs(v[1::2]), pairs[1::2])
     assert np.array_equal(gen.boundary_damping_rate(states[1::2]), rates[1::2])
-    # v^T D v of the dense damping matrix, which embeds the same tip weights
-    dense = np.einsum("ij,jk,ik->i", v, gen.damping_matrix(), v)
+    # v^T D v of the dense damping oracle, which embeds the same tip weights
+    dense = np.einsum("ij,jk,ik->i", v, dense_damping(gen), v)
     assert np.allclose(rates, dense, rtol=1e-12, atol=0.0)
 
 
@@ -370,19 +370,62 @@ def test_from_face_slopes_reproduces_gradients(grid48, rng):
     assert np.allclose(back, slopes, atol=1e-11)
 
 
-# -- finite-difference helpers -----------------------------------------------------
+# -- the one-sided tip stencils and the damping corner ------------------------------
 
 
-def test_fd_weights_first_derivative_one_sided():
-    x = np.array([0.0, 0.5, 1.0])
-    w = fd_weights(x, 1.0, 1)
-    assert np.allclose(w, [1.0, -4.0, 3.0])
+def _stencil_tolerance(weights, values, slopes):
+    """Rounding room of a stencil on linspace nodes: its weights times the
+    values, plus the node errors (eps) times the slopes, at 16 eps each."""
+    return 16 * np.finfo(float).eps * np.abs(weights) @ (np.abs(values) + np.abs(slopes))
 
 
-def test_trace_slope_exact_on_quadratics(grid48, wd_profile48):
-    gen = assemble(OperatorKind.BEAM_NONDIV, wd_profile48, BoundaryParams(1.0, 1.0))
-    u = gen.restrict(grid48.nodes ** 2)
-    assert float(gen.tip_pairs(u[None])[0, 1]) == pytest.approx(2.0, abs=1e-9)
+@pytest.mark.parametrize("n", [8, 16, 64, 1024])
+def test_curvature_tip_row_exact_on_cubics(n):
+    # row n-1 of C, (-1, 4, -5, 2)/h^2 on the last four nodes, is u''(1) of a cubic
+    grid = Grid.uniform(n)
+    ab, kl, ku, _ = curvature_map(grid)
+    row = ab[ku + np.arange(3, -1, -1), np.arange(n - 4, n)]
+    x = grid.nodes[-4:]
+    for c0, c1, c2, c3 in [(0, 0, 0, 1), (1, -2, 3, -4), (0.5, 7, -1, 2.5)]:
+        u, du = c0 + c1 * x + c2 * x**2 + c3 * x**3, c1 + 2 * c2 * x + 3 * c3 * x**2
+        want = 2 * c2 + 6 * c3
+        assert abs(row @ u - want) <= _stencil_tolerance(row, u, du), (c0, c1, c2, c3)
+
+
+def test_trace_slope_exact_on_quadratics():
+    # g, (1, -4, 3)/(2h) on the last three dofs, is u'(1) of a quadratic
+    for n in (8, 16, 64, 1024):
+        grid = Grid.uniform(n)
+        gen = assemble(OperatorKind.BEAM_NONDIV,
+                       classify(CoefficientSpec.power_law(0.5), grid), BoundaryParams(1.0, 1.0))
+        x = grid.nodes
+        for c1, c2 in [(0, 1), (3, -2), (-0.5, 4)]:
+            u, du = c1 * x + c2 * x**2, c1 + 2 * c2 * x
+            got = float(gen.tip_pairs(gen.restrict(u)[None])[0, 1])
+            tolerance = _stencil_tolerance(gen.tip_weights[:, 1], u[-3:], du[-3:])
+            assert abs(got - (c1 + 2 * c2)) <= tolerance, (n, c1, c2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_damping_corner_is_the_dense_oracle_corner(kind, rng):
+    gen = make_gen(kind, 0.5, 16)
+    ndof = gen.ndof
+    inv_sqrt_mass = 1.0 / np.sqrt(gen.mass)
+    for scale in (1.0, rng.uniform(0.5, 2.0, ndof), inv_sqrt_mass):
+        dense = dense_damping(gen, scale)
+        corner = gen.damping_corner(scale if np.ndim(scale) == 0 else scale[-3:])
+        assert corner.tobytes() == dense[-3:, -3:].tobytes()
+        assert not np.any(dense[:-3]) and not np.any(dense[:, :-3])
+    # the damping blocks of A~ and A: the oracle's corner to the bit, zero elsewhere
+    blocks = [(gen.state_norm_generator()[ndof:, ndof:], -dense_damping(gen, inv_sqrt_mass)),
+              (gen.system_matrix[ndof:, ndof:], -dense_damping(gen) / gen.mass[:, None])]
+    for block, want in blocks:
+        assert block[-3:, -3:].tobytes() == want[-3:, -3:].tobytes()
+        assert not np.any(block[:-3]) and not np.any(block[:, :-3])
+    # the D of combined_bands, in the upper bands of K
+    bands = gen.combined_bands(0.0, 1.0, 0.0)
+    assert np.array_equal(dataclasses.replace(gen, stiffness_bands=bands).stiffness_form,
+                          dense_damping(gen))
 
 
 # -- analytic eigenvalue oracles ----------------------------------------------------
