@@ -392,6 +392,17 @@ def test_curvature_tip_row_exact_on_cubics(n):
         assert abs(row @ u - want) <= _stencil_tolerance(row, u, du), (c0, c1, c2, c3)
 
 
+def test_fd_weights_first_derivative_one_sided():
+    # the slope trace carries the one-sided first-derivative weights (1, -4, 3)/(2h);
+    # on the three nodes 0, 1/2, 1 (h = 1/2) they are exactly 1, -4, 3
+    for n in (8, 16, 64):
+        grid = Grid.uniform(n)
+        gen = assemble(OperatorKind.BEAM_NONDIV,
+                       classify(CoefficientSpec.power_law(0.5), grid), BoundaryParams(1.0, 1.0))
+        assert np.allclose(gen.tip_weights[:, 1] * (2.0 * grid.h), [1.0, -4.0, 3.0])
+        assert np.array_equal(gen.tip_weights[:, 0], [0.0, 0.0, 1.0])
+
+
 def test_trace_slope_exact_on_quadratics():
     # g, (1, -4, 3)/(2h) on the last three dofs, is u'(1) of a quadratic
     for n in (8, 16, 64, 1024):
