@@ -7,9 +7,10 @@ m = tau/dt history slots; --tau 0 runs undelayed.  --runs B > 1 steps B runs
 as one batch through `simulate_runs`, run i with k0 = 0.005 (1 + i/B), and
 reports microseconds per step per run; the default B = 1 times `simulate`,
 which every source tree has.  After one warm-up call, the call is timed
---repeats times; the post-run diagnostics are included.  The one output line
-is a JSON object with the median and the minimum in microseconds per step
-(per run).
+--repeats times; the post-run diagnostics are included.  One more untimed
+call runs under tracemalloc.  The one output line is a JSON object with the
+median and the minimum in microseconds per step (per run), and `peak_kb`,
+that call's tracemalloc peak in KiB.
 
 Usage: python scripts/steptime.py [--src DIR] [--n 64] [--tau 0.5] [--runs 1]
                                   [--source none|power] [--steps 4000] [--repeats 5]
@@ -20,6 +21,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 
 # one BLAS thread, fixed before numpy loads, as the benchmark runs the program
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -89,9 +91,14 @@ t_end = {args.steps * DT!r}
         start = time.perf_counter()
         run()
         per_step.append((time.perf_counter() - start) / (sc.nsteps * args.runs) * 1e6)
+    tracemalloc.start()
+    run()
+    peak_kb = tracemalloc.get_traced_memory()[1] / 1024.0
+    tracemalloc.stop()
     print(json.dumps({"n": args.n, "tau": args.tau, "m": sc.m, "source": args.source,
                       "runs": args.runs, "steps": sc.nsteps,
-                      "median_us": float(np.median(per_step)), "min_us": min(per_step)}))
+                      "median_us": float(np.median(per_step)), "min_us": min(per_step),
+                      "peak_kb": peak_kb}))
 
 
 if __name__ == "__main__":

@@ -64,9 +64,9 @@ MAX_EXPM_DIM = 1024
 #: RECORD_BLOCK // (2 ndof B) records of each of its B runs, and at least one
 RECORD_BLOCK = 1 << 16
 
-#: doubles of the states of one batch of `simulate_runs` (32 MiB): `batches`
-#: adds a run while the batch's states fit, and a run of more is a batch of one
-BATCH_STATES = 1 << 22
+#: records of one batch of `simulate_runs` (of 8 doubles, 32 MiB): `batches`
+#: adds a run while they fit, and a run of more is a batch of one
+BATCH_RECORDS = 1 << 19
 
 #: start-up steps taken as backward-Euler half-step pairs when explicit terms act
 STARTUP_STEPS = 2
@@ -151,15 +151,18 @@ class Scenario:
         gen = self.generator
         return gen.join(gen.restrict(self.y0), gen.restrict(self.y1))
 
-    def delayed_traces(self, states: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """The velocity on P at slots lo .. hi - 1, one row per slot: slot j <= 0
-        from `history_slots`, slot j >= 1 from row j of `states`."""
+    def delayed_traces(self, states: np.ndarray, lo: int, hi: int, base: int = 0,
+                       ring: Optional[np.ndarray] = None) -> np.ndarray:
+        """The velocity on P at slots lo .. hi - 1, one row per slot: slot j >
+        base from row j - base of `states`, else from row (j + m) % (m + 1)
+        of `ring` (`history_slots`)."""
         ndof, p = self.generator.ndof, self.on_p
-        rows = states[max(lo, 1):hi, ndof + p.start:ndof + p.stop]
-        if lo >= 1:
+        rows = states[max(lo - base, 1):hi - base, ndof + p.start:ndof + p.stop]
+        if lo > base:
             return rows
-        history = self.history_slots[lo + self.m:hi + self.m]
-        return history if hi <= 1 else np.concatenate((history, rows))
+        ring = self.history_slots if ring is None else ring
+        history = ring.take(np.arange(lo + self.m, min(hi, base + 1) + self.m), 0, mode="wrap")
+        return history if hi <= base + 1 else np.concatenate((history, rows))
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,7 @@ class SemigroupCertificate:
 
 @dataclass(eq=False)
 class Trajectory:
-    """The state at every step of a run, with per-record diagnostics.
+    """The state at every step of a run (or None), with per-record diagnostics.
 
     Every field is an array over the records (one per step, plus the initial
     state); `energies` holds one array per energy summand.  `state_norms` is
@@ -184,7 +187,7 @@ class Trajectory:
     """
 
     times: np.ndarray
-    states: np.ndarray                  # (steps+1, 2 ndof)
+    states: Optional[np.ndarray]        # (steps+1, 2 ndof)
     state_norms: np.ndarray
     energies: diagnostics.EnergyBreakdown  # fields are arrays over the records
     tip_values: np.ndarray              # y(1)
@@ -299,8 +302,7 @@ def semigroup_constants(generator: DiscreteGenerator, horizon: float = 20.0,
         raise NotExponentiallyStableError(
             f"spectral abscissa {abscissa:.3e} is not negative")
     omega = 0.9 * (-abscissa)
-    log_norm = float(np.linalg.eigvalsh(0.5 * (a_tilde + a_tilde.T))[-1])
-    growth = max(omega + log_norm, 0.0)
+    growth = max(omega + generator.log_norm(), 0.0)
 
     def weighted_norm(propagator: np.ndarray, t: float) -> float:
         return spectral_norm(propagator) * math.exp(omega * t)
@@ -399,21 +401,19 @@ class _Stepper:
     Undelayed unforced runs are pure trapezoid, so the discrete energy
     telescopes exactly.
 
-    `advance` steps row `first` of the batch's preallocated (steps + 1, B,
-    2 ndof) states array on to row `last`, each step reading row ell and
-    writing row ell + 1 through views.  The delayed traces are read, not
-    stored, through each run's `Scenario.delayed_traces`.  The midpoint delay
-    terms of m = tau/dt consecutive steps read no slot past the first step's
-    row, so `midpoint_delays` forms them a sub-block of at most min(rows, m)
-    steps at a time (`rows`, the steps of one record block of
-    `simulate_runs`) in one vectorised pass, into the (rows, B, ndof)
-    `delay_rows`, allocated once per batch and zero off P (undelayed, a zero
-    block seen as every row).  Elementwise operations round each element
-    alone, so every row is bit for bit the term the step would form on its
-    own.  The stage solution is the work array `mid`, x1 and x2 a (B, ndof)
-    block each, and the new state is 2 mid - y over each run's whole row.
-    k(t_ell + dt/2) is evaluated once per run over all steps, as the columns
-    of `k_mid`, and k(t_ell + dt) only at the start-up steps that read it.
+    `advance` steps a block, row 0 the states at slot `base`, each step
+    writing row i + 1 from row i through views; each run's
+    `Scenario.delayed_traces` reads the slots up to `base` from the `ring`
+    of the last m + 1.  The midpoint delay terms of m = tau/dt steps read no
+    slot past the first step's row, so `midpoint_delays` forms those of at
+    most min(rows, m) steps (`rows`, a record block of `simulate_runs`) in
+    one vectorised pass, into the (rows, B, ndof) `delay_rows`, zero off P
+    (undelayed, a zero block seen as every row).  Elementwise operations
+    round each element alone, so every row is bit for bit the term the step
+    would form on its own.  The stage solution is the work array `mid`, x1
+    and x2 a (B, ndof) block each.  k(t_ell + dt/2) is evaluated once per run
+    over all steps (`k_mid`), and k(t_ell + dt) only at the start-up steps
+    that read it.
     """
 
     def __init__(self, runs: list, rows: int):
@@ -456,17 +456,19 @@ class _Stepper:
             self.k_end = np.stack([run.kernel.eval(ends) for run in runs], axis=1)
             self.delay_rows = np.zeros((min(rows, sc.m), nruns, ndof))
             self.delay_on_p = self.delay_rows[..., sc.on_p]
+            self.ring = np.stack([run.history_slots for run in runs], axis=1)
+        self.base = 0
         has_explicit = (sc.kernel is not None) or (not sc.source.is_none)
         self.smoothing_left = STARTUP_STEPS if has_explicit else 0
         self.prev_source = None
 
-    def traces(self, states: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    def traces(self, block: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The velocity on P at slots lo .. hi - 1, (slots, B, |P|), each run's
         from its own `Scenario.delayed_traces`."""
-        return np.stack([run.delayed_traces(states[:, b], lo, hi)
+        return np.stack([run.delayed_traces(block[:, b], lo, hi, self.base, self.ring[:, b])
                          for b, run in enumerate(self.runs)], axis=1)
 
-    def midpoint_delays(self, first: int, last: int, states: np.ndarray) -> np.ndarray:
+    def midpoint_delays(self, first: int, last: int, block: np.ndarray) -> np.ndarray:
         """g = -k(t) B B* y_t(t - tau) at the midpoints t_ell + dt/2 of the steps
         ell = first .. last - 1, at most m of them, in the leading rows of
         `delay_rows`.  The midpoint trace is the mean of slots ell - m and
@@ -474,19 +476,19 @@ class _Stepper:
         m = self.sc.m
         if m is None:
             return self.delay_rows
-        traces = self.traces(states, first - m, last - m + 1)
+        traces = self.traces(block, first - m, last - m + 1)
         # 0 - k slot on P, as zeros -= k slot gives (never a negative zero)
         np.subtract(0.0, self.k_mid[first:last, :, None] * (0.5 * (traces[:-1] + traces[1:])),
                     out=self.delay_on_p[:last - first])
         return self.delay_rows[:last - first]
 
-    def end_delay(self, ell: int, states: np.ndarray) -> np.ndarray:
+    def end_delay(self, ell: int, block: np.ndarray) -> np.ndarray:
         """g at t_ell + dt (slot ell + 1 - m) of a start-up step, in the work
         array `delay`; zero when undelayed."""
         m = self.sc.m
         if m is None:
             return self.delay
-        trace = self.traces(states, ell + 1 - m, ell + 2 - m)[0]
+        trace = self.traces(block, ell + 1 - m, ell + 2 - m)[0]
         np.subtract(0.0, self.k_end[ell, :, None] * trace, out=self.delay[:, self.sc.on_p])
         return self.delay
 
@@ -524,20 +526,19 @@ class _Stepper:
         np.add(r1, h * x2, out=x1)
         return x1, x2
 
-    def step(self, ell: int, states: np.ndarray, halves: np.ndarray,
+    def step(self, i: int, block: np.ndarray, halves: np.ndarray,
              delay: np.ndarray) -> None:
-        """Write states[ell + 1], the states at t_{ell + 1}, from states[ell],
-        the states at t_ell = ell dt; `halves` is `states` seen as (rows, B, 2,
-        ndof) and `delay` the step's midpoint delay term."""
-        y, new = states[ell], states[ell + 1]
-        u, v = halves[ell, :, 0], halves[ell, :, 1]
+        """Write block[i + 1] from block[i]; `halves` is `block` seen as (rows,
+        B, 2, ndof) and `delay` the step's midpoint delay term."""
+        y, new = block[i], block[i + 1]
+        u, v = halves[i, :, 0], halves[i, :, 1]
         if self.smoothing_left > 0:
             self.smoothing_left -= 1
             # two backward-Euler half-steps with the shared (I - dt/2 A) factor
             u1, v1 = self.solve(u, self.velocity_rhs(v, delay, self.source_term(u)))
-            self.solve(u1, self.velocity_rhs(v1, self.end_delay(ell, states),
+            self.solve(u1, self.velocity_rhs(v1, self.end_delay(self.base + i, block),
                                              self.source_term(u1)))
-            halves[ell + 1] = self.mid_by_run
+            halves[i + 1] = self.mid_by_run
         else:
             # delay term at the midpoint in time (`midpoint_delays`): the two
             # adjacent history slots average to the half-slot trace, which also annihilates
@@ -551,29 +552,35 @@ class _Stepper:
                 extrapolated -= 0.5 * prev
                 self.prev_source = src
             self.solve(u, self.velocity_rhs(v, delay, extrapolated))
-            np.multiply(self.mid_by_run, 2.0, out=halves[ell + 1])
+            np.multiply(self.mid_by_run, 2.0, out=halves[i + 1])
             np.subtract(new, y, out=new)
 
-    def advance(self, first: int, last: int, states: np.ndarray) -> None:
-        """Step row `first` of `states` on to row `last`, one sub-block of at
-        most len(`delay_rows`) steps per `midpoint_delays` pass.  `states` is
-        C-contiguous, as `simulate_runs` allocates it, so `halves` is a view."""
+    def advance(self, block: np.ndarray) -> None:
+        """Step row 0 of `block` on to its last row, one sub-block of at most
+        len(`delay_rows`) steps per `midpoint_delays` pass, then move `base`
+        and the `ring` on.  `block` is C-contiguous, so `halves` is a view."""
+        first, last, m = self.base, self.base + len(block) - 1, self.sc.m
         span = len(self.delay_rows)
-        halves = states.reshape(*states.shape[:2], 2, -1)
+        halves = block.reshape(*block.shape[:2], 2, -1)
         for lo in range(first, last, span):
             hi = min(lo + span, last)
-            for ell, delay in zip(range(lo, hi), self.midpoint_delays(lo, hi, states)):
-                self.step(ell, states, halves, delay)
+            for i, delay in zip(range(lo - first, hi - first),
+                                self.midpoint_delays(lo, hi, block)):
+                self.step(i, block, halves, delay)
+        if m is not None:
+            lo = max(first + 1, last - m)
+            self.ring[np.arange(lo - 1, last) % (m + 1)] = self.traces(block, lo, last + 1)
+        self.base = last
 
 
 def batches(scenarios):
     """The runs in order, as lists of consecutive runs that share a step
-    (`_share_a_step`) and whose states fit in BATCH_STATES doubles; a run
-    whose states alone exceed it is a batch of one."""
+    (`_share_a_step`) and whose records fit in BATCH_RECORDS; a run of more
+    records is a batch of one."""
     batch = []
     for sc in scenarios:
-        if batch and not (_share_a_step(batch[0], sc) and (len(batch) + 1) * (sc.nsteps + 1)
-                          * 2 * sc.generator.ndof <= BATCH_STATES):
+        if batch and not (_share_a_step(batch[0], sc)
+                          and (len(batch) + 1) * (sc.nsteps + 1) <= BATCH_RECORDS):
             yield batch
             batch = []
         batch.append(sc)
@@ -581,22 +588,23 @@ def batches(scenarios):
         yield batch
 
 
-def simulate_runs(scenarios: list) -> list:
+def simulate_runs(scenarios: list, keep_states: bool = False) -> list:
     """Integrate a batch of runs that share a step (`_share_a_step`) to t_end,
-    recording each state and its diagnostics once; one Trajectory per run, in
+    recording each state's diagnostics once; one Trajectory per run, in
     order, each bit for bit the one its run gets alone.
 
-    The states fill one preallocated (steps + 1, B, 2 ndof) array, a block of
-    RECORD_BLOCK // (2 ndof B) records at a time; each block is stepped by
-    `_Stepper.advance`, then every record column of its rows is filled, with
-    one energy pass over the block's states of every run, so no record depends
-    on the block size or on the batch.  The first record of a run whose energy
-    sum is not finite or whose sqrt(2 E) exceeds BLOWUP_NORM ends that run;
-    rows stepped past it are dropped, and may overflow (numpy's warnings are
-    off).  Only that last record can be non-finite.  The batch stops once
-    every run has ended.  A states array that cannot be allocated raises
-    ArrayTooLargeError before any step; runs that do not share a step raise
-    ValueError.
+    `_Stepper.advance` steps a block of RECORD_BLOCK // (2 ndof B) records at
+    a time into one reused buffer after the last state before it (`states`
+    None), or with `keep_states` into views of one (steps + 1, B, 2 ndof)
+    array, the `states`.  Then every record column of the block's rows is
+    filled, with one energy pass over its states of every run, so no record
+    depends on the block size, the batch or `keep_states`.  The first record
+    of a run whose energy sum is not finite or whose sqrt(2 E) exceeds
+    BLOWUP_NORM ends that run; rows stepped past it are dropped, and may
+    overflow (numpy's warnings are off).  Only that last record can be
+    non-finite.  The batch stops once every run has ended.  A states or
+    records array that cannot be allocated raises ArrayTooLargeError before
+    any step; runs that do not share a step raise ValueError.
     """
     sc = scenarios[0]
     if not all(_share_a_step(sc, other) for other in scenarios[1:]):
@@ -604,15 +612,15 @@ def simulate_runs(scenarios: list) -> list:
                          "the delay slots, the subdomain and the source")
     gen = sc.generator
     nruns, nsteps, dt, ndof = len(scenarios), sc.nsteps, sc.dt, gen.ndof
-    states = allocate((nsteps + 1, nruns, 2 * ndof), "the states of the run",
-                      "raise dt or lower t_end")
-    rows = max(1, RECORD_BLOCK // (2 * ndof * nruns))
+    rows, hint = max(1, RECORD_BLOCK // (2 * ndof * nruns)), "raise dt or lower t_end"
+    states = allocate((nsteps + 1 if keep_states else min(rows, nsteps) + 1, nruns, 2 * ndof),
+                      "the states of the run", hint)
+    columns = allocate((nruns, 6, nsteps + 1), "the records of the run", hint)
     stepper = _Stepper(scenarios, rows)
     delayed = sc.kernel is not None
 
     for b, run in enumerate(scenarios):
         states[0, b] = run.initial_state
-    columns = np.empty((nruns, 6, nsteps + 1))     # each run's record columns, contiguous
     kinetic, elastic, boundary, source, tip_val, tip_vel = columns.transpose(1, 0, 2)
     if delayed:
         m, h = sc.m, gen.grid.h
@@ -620,40 +628,45 @@ def simulate_runs(scenarios: list) -> list:
         for b, run in enumerate(scenarios):
             norms_sq[b, :m + 1] = diagnostics.slot_norms_sq(run.history_slots, h)
     nrec, ended = np.full(nruns, nsteps + 1), np.zeros(nruns, dtype=bool)
+    finite = np.ones(nruns, dtype=bool)          # each run's last state
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, nsteps + 1, rows):
             hi = min(lo + rows, nsteps + 1)
             first = max(lo, 1)                   # the first stepped row
-            stepper.advance(first - 1, hi - 1, states)
-            block = states[lo:hi]
-            flat = block.reshape(-1, 2 * ndof)   # record by record, run by run
+            block = states[first - 1:hi] if keep_states else states[:hi - first + 1]
+            stepper.advance(block)               # rows first - 1 .. hi - 1
+            records = block[lo - first + 1:]
+            flat = records.reshape(-1, 2 * ndof)  # record by record, run by run
             # the source energy is 0.0 without a source
             parts = (*gen.energy_parts(flat), diagnostics.source_energy(gen, sc.source, flat))
             for column, part in zip((kinetic, elastic, boundary, source), parts):
                 column[:, lo:hi] = np.reshape(part, (hi - lo, nruns)).T if np.ndim(part) else part
-            tip_val[:, lo:hi], tip_vel[:, lo:hi] = block[:, :, ndof - 1].T, block[:, :, -1].T
+            tip_val[:, lo:hi], tip_vel[:, lo:hi] = records[:, :, ndof - 1].T, records[:, :, -1].T
             if delayed:
                 for b, run in enumerate(scenarios):
                     norms_sq[b, m + first:m + hi] = diagnostics.slot_norms_sq(
-                        run.delayed_traces(states[:, b], first, hi), h)
+                        run.delayed_traces(block[:, b], 1, len(block)), h)
             total = kinetic[:, first:hi] + elastic[:, first:hi] + boundary[:, first:hi]
             over = ~(np.sqrt(2.0 * total) <= BLOWUP_NORM)      # nan too
             for b in np.flatnonzero(~ended & over.any(axis=1)):
                 nrec[b], ended[b] = first + int(np.argmax(over[b])) + 1, True
+                finite[b] = np.all(np.isfinite(block[nrec[b] - first, b]))
             if ended.all():
                 break
+            if not keep_states:
+                states[0] = block[-1]
         trajectories = []
         for b, run in enumerate(scenarios):
             n = int(nrec[b])
             kin, ela, bnd, src, tips, tip_vels = columns[b, :, :n]
             history = diagnostics.history_energies(run.kernel, norms_sq[b, :m + n], m, dt) \
                 if delayed else np.zeros(n)
-            if not np.all(np.isfinite(states[n - 1, b])):
+            if not finite[b]:
                 kin[-1] = ela[-1] = bnd[-1] = math.inf
                 src[-1] = history[-1] = math.inf
                 tips[-1] = tip_vels[-1] = math.nan
             trajectories.append(Trajectory(
-                times=np.arange(n) * dt, states=states[:n, b],
+                times=np.arange(n) * dt, states=states[:n, b] if keep_states else None,
                 state_norms=np.sqrt(2.0 * (kin + ela + bnd)),
                 energies=diagnostics.EnergyBreakdown.build(kin, ela, bnd, src, history),
                 tip_values=tips, tip_velocities=tip_vels, blew_up=bool(ended[b]), scenario=run))
@@ -661,8 +674,9 @@ def simulate_runs(scenarios: list) -> list:
 
 
 def simulate(scenario: Scenario) -> Trajectory:
-    """Integrate one run to t_end: the batch of one of `simulate_runs`."""
-    return simulate_runs([scenario])[0]
+    """Integrate one run to t_end: the batch of one of `simulate_runs`, with
+    its states."""
+    return simulate_runs([scenario], keep_states=True)[0]
 
 
 # -- initial-data helpers -----------------------------------------------------------
@@ -780,8 +794,6 @@ def certify_scenario(scenario: Scenario, semigroup: Optional[SemigroupCertificat
     Takes the semigroup constants of the scenario's generator from
     `semigroup`, or computes them with `semigroup_constants` when it is None,
     then the kernel window/growth certificates and the small-data threshold.
-    A caller that certifies several scenarios on one generator (a sweep over
-    the kernel, source or data) computes the constants once and passes them.
     Raises NotExponentiallyStableError or InfeasibleError when no certificate
     exists, and InfeasibleError before any work when the scenario is not
     `certifiable`.

@@ -273,6 +273,11 @@ class DiscreteGenerator:
         a_tilde[-3:, -3:] = -self.damping_corner(inv_sqrt_mass[-3:])
         return a_tilde
 
+    def log_norm(self) -> float:
+        """The logarithmic norm of A~, from the corner of its symmetric part."""
+        corner = self.damping_corner(1.0 / np.sqrt(self.mass[-3:]))
+        return max(0.0, float(np.linalg.eigvalsh(-corner)[-1]))
+
     @cached_property
     def spectrum(self) -> np.ndarray:
         """The eigenvalues of A, read-only, computed on first use as those of

@@ -281,7 +281,8 @@ def sobolev_pointwise_bound_check(u_full, grid, rtol=0.05, atol=1e-12):
 class MatrixGenerator:
     """The members of a `DiscreteGenerator` that `semigroup_constants` reads,
     serving a given square matrix of even order as A~, with its eigenvalues
-    as the spectrum."""
+    as the spectrum and the top eigenvalue of its dense symmetric part as
+    the logarithmic norm."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -290,6 +291,9 @@ class MatrixGenerator:
 
     def state_norm_generator(self):
         return self.matrix
+
+    def log_norm(self):
+        return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))[-1])
 
 
 def direct_semigroup_constants(a_tilde, horizon=20.0, samples=80, recheck=50):

@@ -669,14 +669,16 @@ def test_history_too_large_to_hold_exits_3(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_states_too_large_to_hold_exit_3(tmp_path, capsys, command):
-    # an undelayed run of 2e12 steps: its states array fails at once
+    # an undelayed run of 2e12 steps: its states array fails at once, and a
+    # sweep, which streams its states, fails at once on its record columns
     text = BASE_LINEAR.replace("dt = 0.01", "dt = 1e-12")
     cfg = write(tmp_path, "tiny.ini", text + "\n[sweep]\nparameter = run.t_end\nvalues = 2.0\n")
     code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--command", command,
                  "--quiet"])
     err = capsys.readouterr().err
     assert code == 3 and "Traceback" not in err
-    want = "error: the states of the run need 2000000000001 x 1 x 46 doubles ("
+    want = {"simulate": "error: the states of the run need 2000000000001 x 1 x 46 doubles (",
+            "sweep": "error: the records of the run need 1 x 6 x 2000000000001 doubles ("}[command]
     assert err.startswith(want), err
     assert not (tmp_path / "o").exists()
 

@@ -9,6 +9,7 @@ starts: a mutation that would take n above 32, or t_end/dt or tau/dt above
 400 finite steps, is skipped.  Nothing starts a thread or a process.
 """
 
+import itertools
 import math
 import random
 import signal
@@ -24,6 +25,9 @@ EXAMPLES = 60
 MAX_N = 32
 MAX_STEPS = 400
 SECONDS_PER_RUN = 20
+
+#: leading examples `test_a_rerun_into_the_same_directory...` runs twice
+RERUNS = 16
 
 BASE = {
     "coefficient": {"kind": "power", "alpha": "0.5"},
@@ -91,29 +95,38 @@ def _timeout(signum, frame):
     raise TimeoutError(f"a run took over {SECONDS_PER_RUN} s")
 
 
-def test_mutated_configs_exit_with_a_documented_code(tmp_path, capsys):
+def _examples():
+    """(example, edits, config) of each seeded example within the caps."""
     rng = random.Random(SEED)
+    for example in range(EXAMPLES):
+        edits = _mutations(rng)
+        config = {section: dict(items) for section, items in BASE.items()}
+        for section, key, value in edits:
+            config[section][key] = value
+        if _bounded(config):
+            yield example, edits, config
+
+
+def _main_quietly(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return main(argv)
+
+
+def test_mutated_configs_exit_with_a_documented_code(tmp_path, capsys):
     ran = 0
     previous = signal.signal(signal.SIGALRM, _timeout)
     try:
-        for example in range(EXAMPLES):
-            edits = _mutations(rng)
-            config = {section: dict(items) for section, items in BASE.items()}
-            for section, key, value in edits:
-                config[section][key] = value
-            if not _bounded(config):
-                continue
+        for example, edits, config in _examples():
             path = tmp_path / f"{example}.ini"
             path.write_text(_ini(config))
             for command in ("simulate", "certify", "sweep"):
                 where = f"seed {SEED}, example {example}, {command}, edits {edits}"
                 signal.alarm(SECONDS_PER_RUN)
                 try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        code = main(["--config", str(path), "--out",
-                                     str(tmp_path / f"{example}_{command}"),
-                                     "--command", command, "--quiet"])
+                    code = _main_quietly(["--config", str(path), "--out",
+                                          str(tmp_path / f"{example}_{command}"),
+                                          "--command", command, "--quiet"])
                 except Exception:  # reported with the seed and the traceback
                     pytest.fail(f"{where}:\n{traceback.format_exc()}")
                 finally:
@@ -124,3 +137,29 @@ def test_mutated_configs_exit_with_a_documented_code(tmp_path, capsys):
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert ran >= 2 * EXAMPLES, f"seed {SEED}: only {ran} runs within the caps"
+
+
+def test_a_rerun_into_the_same_directory_gives_the_same_code_and_bytes(tmp_path, capsys):
+    # the first RERUNS examples, each command run twice into one --out (with
+    # the operator dump); before the second run every output file is
+    # overwritten with longer junk, so each file it leaves is written afresh
+    written = 0
+    for example, edits, config in itertools.islice(_examples(), RERUNS):
+        path = tmp_path / f"{example}.ini"
+        path.write_text(_ini(config))
+        for command in ("simulate", "certify", "sweep"):
+            out = tmp_path / f"{example}_{command}"
+            argv = ["--config", str(path), "--out", str(out), "--command", command, "--quiet"]
+            if command == "simulate":
+                argv.append("--dump-operators")
+            first = _main_quietly(argv)
+            files = {p.name: p.read_bytes() for p in out.glob("*")}
+            for name, data in files.items():
+                (out / name).write_bytes(b"junk" + data + b"junk")
+            second = _main_quietly(argv)
+            capsys.readouterr()
+            where = f"seed {SEED}, example {example}, {command}, edits {edits}"
+            assert second == first, f"{where}: exit {first}, then {second}"
+            assert {p.name: p.read_bytes() for p in out.glob("*")} == files, where
+            written += len(files)
+    assert written >= 20, f"seed {SEED}: only {written} files written"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -512,7 +513,7 @@ def first_step(stepper, state):
     into a second row."""
     states = np.empty((2, 1, state.size))
     states[0, 0] = state
-    stepper.advance(0, 1, states)
+    stepper.advance(states)
     return states[1, 0]
 
 
@@ -693,9 +694,10 @@ def test_blow_up_detected_and_flagged():
 
 
 def trajectory_arrays(traj):
-    """Every array of a trajectory, by name."""
+    """Every array of a trajectory, by name; the states only if kept."""
     e = traj.energies
-    return {"times": traj.times, "states": traj.states, "state_norms": traj.state_norms,
+    kept = {} if traj.states is None else {"states": traj.states}
+    return {"times": traj.times, **kept, "state_norms": traj.state_norms,
             "tip_values": traj.tip_values, "tip_velocities": traj.tip_velocities,
             **{f"E_{name}": getattr(e, name) for name in
                ("kinetic", "elastic", "boundary", "source", "history", "total")}}
@@ -854,19 +856,26 @@ def batch_runs(gen, source, delayed, t_end=1.0, dt=0.0125):
     return runs
 
 
-def assert_batch_matches_each_run_alone(monkeypatch, runs, rows=None):
+def assert_batch_matches_each_run_alone(monkeypatch, runs, rows=None, keep_states=False):
     """Every trajectory of the batch, stepped in blocks of `rows` records (None:
-    the default size), against `simulate` of its run alone, bit for bit."""
+    the default size), streamed or with its states kept, against `simulate`
+    of its run alone, bit for bit: every record column, the blow-up flag and
+    every kept state."""
     alone = [simulate(sc) for sc in runs]
     if rows is not None:
         monkeypatch.setattr(evolution, "RECORD_BLOCK",
                             rows * 2 * runs[0].generator.ndof * len(runs))
-    batch = evolution.simulate_runs(runs)
+    batch = evolution.simulate_runs(runs, keep_states)
     monkeypatch.undo()
     assert len(batch) == len(runs)
     for sc, got, want in zip(runs, batch, alone):
         assert got.scenario is sc and got.blew_up == want.blew_up
-        for name, values in trajectory_arrays(want).items():
+        assert (got.states is not None) == keep_states
+        wanted = trajectory_arrays(want)
+        if not keep_states:
+            del wanted["states"]
+        assert trajectory_arrays(got).keys() == wanted.keys()
+        for name, values in wanted.items():
             assert trajectory_arrays(got)[name].tobytes() == values.tobytes(), name
     return batch
 
@@ -897,6 +906,42 @@ def test_a_run_that_blows_up_mid_batch_ends_alone(monkeypatch):
                                                     rows)
         assert [traj.blew_up for traj in batch] == [False, True, False]
         assert len(batch[1].times) < anti.nsteps + 1 == len(batch[0].times)
+
+
+@pytest.mark.parametrize("keep_states", [False, True], ids=["streamed", "kept"])
+def test_streamed_and_kept_batches_match_each_run_alone(monkeypatch, keep_states):
+    # a delayed, forced batch, and a batch whose middle run blows up, in
+    # blocks of 1 and 3 records and of the default size: the streamed batch
+    # carries a block's last state into the next block and reads the delayed
+    # traces of earlier blocks from its window, and still gets each run's bits
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    anti = blow_up_scenarios(gen)[0]
+    damped = [dataclasses.replace(anti, kernel=KernelSpec.constant(k0, tau=0.25))
+              for k0 in (0.1, 0.3)]
+    for runs in (batch_runs(gen, SourceKind.power(1.0), True), [damped[0], anti, damped[1]]):
+        for rows in (1, 3, None):
+            assert_batch_matches_each_run_alone(monkeypatch, runs, rows, keep_states)
+
+
+def test_streamed_batch_memory_grows_by_its_records_alone():
+    # two delayed runs at n = 16, of 800 and of 8 000 steps: the streamed
+    # batch's tracemalloc peak grows by the per-record arrays (six record
+    # columns, a slot norm and a kernel value, then the energies and norms
+    # built from them), never by the 2 ndof doubles per step of the states
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+
+    def peak(t_end):
+        runs = batch_runs(gen, SourceKind.power(1.0), True, t_end=t_end)[:2]
+        assert runs[0].nsteps == round(t_end / 0.0125)
+        tracemalloc.start()
+        try:
+            evolution.simulate_runs(runs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_step = (peak(100.0) - peak(10.0)) / (8 * 7200 * 2)     # doubles per step per run
+    assert 8 <= per_step <= 16 < 2 * gen.ndof
 
 
 def test_batch_stops_once_every_run_has_blown_up(monkeypatch):
@@ -933,11 +978,11 @@ def test_batches_group_consecutive_runs_that_share_a_step(monkeypatch):
     groups = [[order.index(sc) for sc in batch] for batch in evolution.batches(order)]
     assert groups == [[0, 1], [2], [3], [4], [5], [6], [7], [8]]
     assert [len(b) for b in evolution.batches(runs)] == [4]
-    # the cap on the batch's states: two runs of 81 records fit, three do not
-    per_run = 81 * 2 * gen.ndof
-    monkeypatch.setattr(evolution, "BATCH_STATES", 2 * per_run)
+    # the cap on the batch's records: two runs of 81 records fit, three do not
+    per_run = 81
+    monkeypatch.setattr(evolution, "BATCH_RECORDS", 2 * per_run)
     assert [len(b) for b in evolution.batches(runs)] == [2, 2]
-    monkeypatch.setattr(evolution, "BATCH_STATES", per_run - 1)   # a run alone is a batch
+    monkeypatch.setattr(evolution, "BATCH_RECORDS", per_run - 1)   # a run alone is a batch
     assert [len(b) for b in evolution.batches(runs)] == [1, 1, 1, 1]
     with pytest.raises(ValueError, match="must share"):
         evolution.simulate_runs([runs[0], other_tau])

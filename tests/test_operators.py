@@ -235,20 +235,22 @@ def test_step_bands_match_dense_block(kind, alpha, n, monkeypatch):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_stepper_holds_linear_storage(kind):
-    # banded storage, and the midpoint delay terms of at most one block of
-    # records of `simulate` (m = 5 steps here)
+    # banded storage, the midpoint delay terms of at most one block of
+    # records of `simulate` (m = 5 steps here), and the ring of the traces
+    # of the last m + 1 slots
     gen = make_gen(kind, 0.5, 4096)
     y0, y1 = polynomial_state(gen)
     rows = evolution.RECORD_BLOCK // (2 * gen.ndof)
-    stepper = _Stepper([Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1,
-                                 t_end=0.1, dt=0.01, kernel=KernelSpec.constant(0.1, 0.05),
-                                 subdomain=SubdomainP(0.25, 0.75))], rows)
+    sc = Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1, t_end=0.1,
+                  dt=0.01, kernel=KernelSpec.constant(0.1, 0.05), subdomain=SubdomainP(0.25, 0.75))
+    stepper = _Stepper([sc], rows)
     sizes = {name: value.size for name, value in vars(stepper).items()
              if isinstance(value, np.ndarray)}
     assert "chol" in sizes
     assert stepper.delay_rows.shape == (min(rows, 5), 1, gen.ndof)
     assert stepper.delay_rows.size <= evolution.RECORD_BLOCK // 2
-    del sizes["delay_rows"], sizes["delay_on_p"]
+    assert stepper.ring.shape == (6, 1, sc.on_p.stop - sc.on_p.start)
+    del sizes["delay_rows"], sizes["delay_on_p"], sizes["ring"]
     assert max(sizes.values()) <= gen.stiffness_bands.size, sizes
 
 

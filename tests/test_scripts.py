@@ -55,6 +55,8 @@ def test_steptime_script(tmp_path):
     assert result["n"] == 16 and result["m"] == 5 and result["steps"] == 20
     assert result["runs"] == 1
     assert 0.0 < result["min_us"] <= result["median_us"]
+    # the kept states alone: 21 records of 2 x 15 doubles
+    assert result["peak_kb"] > 21 * 30 * 8 / 1024
 
 
 def test_steptime_script_batch(tmp_path):
@@ -64,3 +66,4 @@ def test_steptime_script_batch(tmp_path):
     result = json.loads(proc.stdout)
     assert result["runs"] == 3 and result["m"] == 5 and result["steps"] == 20
     assert 0.0 < result["min_us"] <= result["median_us"]
+    assert result["peak_kb"] > 0.0
