@@ -173,12 +173,6 @@ def build_scenario(cfg, shared=None) -> evolution.Scenario:
         raise ConfigError(str(exc)) from exc
 
 
-def _fresh(path: Path) -> Path:
-    """`path`, its old file removed: a new file is written faster."""
-    path.unlink(missing_ok=True)
-    return path
-
-
 def _energy_report_lines(trajectory, fit=None):
     total = trajectory.energies.total
     lines = [
@@ -199,7 +193,7 @@ def run_simulate(cfg, out_dir: Path, quiet: bool, dump_operators: bool = False) 
     scenario = build_scenario(cfg)
     trajectory = evolution.simulate(scenario)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = _fresh(out_dir / "trajectory.csv")
+    csv_path = out_dir / "trajectory.csv"
     trajectory.to_csv(csv_path)
     fit = None
     lines_extra = []
@@ -210,14 +204,14 @@ def run_simulate(cfg, out_dir: Path, quiet: bool, dump_operators: bool = False) 
             pass
         if scenario.kernel is not None:
             bound = diagnostics.energy_bound_check(trajectory, raise_on_violation=False)
-            bound.to_csv(_fresh(out_dir / "margins.csv"))
+            bound.to_csv(out_dir / "margins.csv")
             lines_extra = [f"bound_max_ratio: {bound.max_ratio:.12g}",
                            f"bound_excluded_steps: {bound.n_excluded}"]
-    report = _fresh(out_dir / "energy_report.txt")
+    report = out_dir / "energy_report.txt"
     report.write_text("\n".join(_energy_report_lines(trajectory, fit) + lines_extra)
                       + "\n")
     if dump_operators:
-        scenario.generator.dump_system(_fresh(out_dir / "system_matrix.mtx"))
+        scenario.generator.dump_system(out_dir / "system_matrix.mtx")
     if not quiet:
         print(f"wrote {csv_path}")
         print(f"wrote {report}")
@@ -244,7 +238,7 @@ def run_certify(cfg, out_dir: Path, quiet: bool) -> int:
             f"smallness: {level:.12g}",
             f"small_enough: {'yes' if level < result.threshold.rho ** 2 else 'no'}"]
     out_dir.mkdir(parents=True, exist_ok=True)   # only once there is a certificate
-    report = _fresh(out_dir / "certificate.txt")
+    report = out_dir / "certificate.txt"
     report.write_text("\n".join(lines) + "\n")
     if not quiet:
         print(f"wrote {report}")
@@ -320,7 +314,7 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
             pass
         rows.append((value, feasible, predicted) + columns)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = _fresh(out_dir / "summary.csv")
+    summary = out_dir / "summary.csv"
     with open(summary, "w", newline="") as fh:
         fh.write("value,feasible,predicted_rate,fitted_rate,r_squared,"
                  "bound_margin,blew_up\n")

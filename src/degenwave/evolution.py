@@ -64,9 +64,9 @@ MAX_EXPM_DIM = 1024
 #: RECORD_BLOCK // (2 ndof B) records of each of its B runs, and at least one
 RECORD_BLOCK = 1 << 16
 
-#: records of one batch of `simulate_runs` (of 8 doubles, 32 MiB): `batches`
-#: adds a run while they fit, and a run of more is a batch of one
-BATCH_RECORDS = 1 << 19
+#: records (of 8 doubles, 32 MiB) and least block steps of a batch of
+#: `simulate_runs`: `batches` adds a run while both hold
+BATCH_RECORDS, BLOCK_STEPS = 1 << 19, 16
 
 #: start-up steps taken as backward-Euler half-step pairs when explicit terms act
 STARTUP_STEPS = 2
@@ -157,12 +157,15 @@ class Scenario:
         base from row j - base of `states`, else from row (j + m) % (m + 1)
         of `ring` (`history_slots`)."""
         ndof, p = self.generator.ndof, self.on_p
-        rows = states[max(lo - base, 1):hi - base, ndof + p.start:ndof + p.stop]
+        rows = states[max(lo - base, 1):max(hi - base, 1), ndof + p.start:ndof + p.stop]
         if lo > base:
             return rows
         ring = self.history_slots if ring is None else ring
-        history = ring.take(np.arange(lo + self.m, min(hi, base + 1) + self.m), 0, mode="wrap")
-        return history if hi <= base + 1 else np.concatenate((history, rows))
+        start = (lo + self.m) % (self.m + 1)
+        stop = start + min(hi, base + 1) - lo     # past m + 1: it wraps
+        history = ring[start:stop]
+        return history if len(history) == hi - lo else np.concatenate(
+            (history, ring[:max(stop - self.m - 1, 0)], rows))
 
 
 @dataclass(frozen=True)
@@ -401,22 +404,20 @@ class _Stepper:
     Undelayed unforced runs are pure trapezoid, so the discrete energy
     telescopes exactly.
 
-    `advance` steps a block, row 0 the states at slot `base`, each step
-    writing row i + 1 from row i through views; each run's
-    `Scenario.delayed_traces` reads the slots up to `base` from the `ring`
-    of the last m + 1.  The midpoint delay terms of m = tau/dt steps read no
-    slot past the first step's row, so `midpoint_delays` forms those of at
-    most min(rows, m) steps (`rows`, a record block of `simulate_runs`) in
-    one vectorised pass, into the (rows, B, ndof) `delay_rows`, zero off P
-    (undelayed, a zero block seen as every row).  Elementwise operations
-    round each element alone, so every row is bit for bit the term the step
-    would form on its own.  The stage solution is the work array `mid`, x1
-    and x2 a (B, ndof) block each.  k(t_ell + dt/2) is evaluated once per run
-    over all steps (`k_mid`), and k(t_ell + dt) only at the start-up steps
-    that read it.
+    `advance` writes each row from the one before, through views; row 0 is
+    slot `base`, set by the caller, and in a streamed batch the slots up to
+    it come from the `ring` of the last m + 1.  The midpoint delay terms of
+    m = tau/dt steps read no slot past the first step's row, so
+    `midpoint_delays` forms those of at most min(rows, m) steps (`rows`, a
+    record block of `simulate_runs`) in one vectorised pass into the (rows,
+    B, ndof) `delay_rows`, zero off P (undelayed, a zero block seen as every
+    row); elementwise operations round each element alone, so each row is
+    bit for bit the term its step would form.  k(t_ell + dt/2) is evaluated
+    once per run over all steps (`k_mid`), k(t_ell + dt) only at the
+    start-up steps.
     """
 
-    def __init__(self, runs: list, rows: int):
+    def __init__(self, runs: list, rows: int, stream: bool = False):
         self.runs = runs
         self.sc = sc = runs[0]
         gen = sc.generator
@@ -449,6 +450,7 @@ class _Stepper:
         self.mid_by_run = self.mid.transpose(1, 0, 2)       # (B, 2, ndof): (x1, x2) per run
         if sc.kernel is None:
             self.delay_rows = np.broadcast_to(self.delay, (rows, nruns, ndof))   # no storage
+            self.ring = None
         else:
             times = np.arange(sc.nsteps) * sc.dt
             mids, ends = times + h, times[:STARTUP_STEPS] + sc.dt
@@ -456,19 +458,20 @@ class _Stepper:
             self.k_end = np.stack([run.kernel.eval(ends) for run in runs], axis=1)
             self.delay_rows = np.zeros((min(rows, sc.m), nruns, ndof))
             self.delay_on_p = self.delay_rows[..., sc.on_p]
-            self.ring = np.stack([run.history_slots for run in runs], axis=1)
+            self.ring = np.stack([run.history_slots for run in runs], axis=1) if stream else None
         self.base = 0
         has_explicit = (sc.kernel is not None) or (not sc.source.is_none)
         self.smoothing_left = STARTUP_STEPS if has_explicit else 0
         self.prev_source = None
 
-    def traces(self, block: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    def traces(self, states: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The velocity on P at slots lo .. hi - 1, (slots, B, |P|), each run's
         from its own `Scenario.delayed_traces`."""
-        return np.stack([run.delayed_traces(block[:, b], lo, hi, self.base, self.ring[:, b])
+        return np.stack([run.delayed_traces(states[:, b], lo, hi, self.base,
+                                            None if self.ring is None else self.ring[:, b])
                          for b, run in enumerate(self.runs)], axis=1)
 
-    def midpoint_delays(self, first: int, last: int, block: np.ndarray) -> np.ndarray:
+    def midpoint_delays(self, first: int, last: int, states: np.ndarray) -> np.ndarray:
         """g = -k(t) B B* y_t(t - tau) at the midpoints t_ell + dt/2 of the steps
         ell = first .. last - 1, at most m of them, in the leading rows of
         `delay_rows`.  The midpoint trace is the mean of slots ell - m and
@@ -476,19 +479,19 @@ class _Stepper:
         m = self.sc.m
         if m is None:
             return self.delay_rows
-        traces = self.traces(block, first - m, last - m + 1)
+        traces = self.traces(states, first - m, last - m + 1)
         # 0 - k slot on P, as zeros -= k slot gives (never a negative zero)
         np.subtract(0.0, self.k_mid[first:last, :, None] * (0.5 * (traces[:-1] + traces[1:])),
                     out=self.delay_on_p[:last - first])
         return self.delay_rows[:last - first]
 
-    def end_delay(self, ell: int, block: np.ndarray) -> np.ndarray:
+    def end_delay(self, ell: int, states: np.ndarray) -> np.ndarray:
         """g at t_ell + dt (slot ell + 1 - m) of a start-up step, in the work
         array `delay`; zero when undelayed."""
         m = self.sc.m
         if m is None:
             return self.delay
-        trace = self.traces(block, ell + 1 - m, ell + 2 - m)[0]
+        trace = self.traces(states, ell + 1 - m, ell + 2 - m)[0]
         np.subtract(0.0, self.k_end[ell, :, None] * trace, out=self.delay[:, self.sc.on_p])
         return self.delay
 
@@ -526,17 +529,17 @@ class _Stepper:
         np.add(r1, h * x2, out=x1)
         return x1, x2
 
-    def step(self, i: int, block: np.ndarray, halves: np.ndarray,
+    def step(self, i: int, states: np.ndarray, halves: np.ndarray,
              delay: np.ndarray) -> None:
-        """Write block[i + 1] from block[i]; `halves` is `block` seen as (rows,
-        B, 2, ndof) and `delay` the step's midpoint delay term."""
-        y, new = block[i], block[i + 1]
+        """Write states[i + 1] from states[i]; `halves` is `states` seen as
+        (rows, B, 2, ndof) and `delay` the step's midpoint delay term."""
+        y, new = states[i], states[i + 1]
         u, v = halves[i, :, 0], halves[i, :, 1]
         if self.smoothing_left > 0:
             self.smoothing_left -= 1
             # two backward-Euler half-steps with the shared (I - dt/2 A) factor
             u1, v1 = self.solve(u, self.velocity_rhs(v, delay, self.source_term(u)))
-            self.solve(u1, self.velocity_rhs(v1, self.end_delay(self.base + i, block),
+            self.solve(u1, self.velocity_rhs(v1, self.end_delay(self.base + i, states),
                                              self.source_term(u1)))
             halves[i + 1] = self.mid_by_run
         else:
@@ -555,32 +558,34 @@ class _Stepper:
             np.multiply(self.mid_by_run, 2.0, out=halves[i + 1])
             np.subtract(new, y, out=new)
 
-    def advance(self, block: np.ndarray) -> None:
-        """Step row 0 of `block` on to its last row, one sub-block of at most
-        len(`delay_rows`) steps per `midpoint_delays` pass, then move `base`
-        and the `ring` on.  `block` is C-contiguous, so `halves` is a view."""
-        first, last, m = self.base, self.base + len(block) - 1, self.sc.m
+    def advance(self, first: int, last: int, states: np.ndarray) -> None:
+        """Step slot `first` of `states` on to slot `last`, one sub-block of at
+        most len(`delay_rows`) steps per `midpoint_delays` pass, then the
+        `ring` on, if streamed.  `states` is C-contiguous, so `halves` is a
+        view."""
+        base, m = self.base, self.sc.m
         span = len(self.delay_rows)
-        halves = block.reshape(*block.shape[:2], 2, -1)
+        halves = states.reshape(*states.shape[:2], 2, -1)
         for lo in range(first, last, span):
             hi = min(lo + span, last)
-            for i, delay in zip(range(lo - first, hi - first),
-                                self.midpoint_delays(lo, hi, block)):
-                self.step(i, block, halves, delay)
-        if m is not None:
+            for i, delay in zip(range(lo - base, hi - base),
+                                self.midpoint_delays(lo, hi, states)):
+                self.step(i, states, halves, delay)
+        if self.ring is not None:
             lo = max(first + 1, last - m)
-            self.ring[np.arange(lo - 1, last) % (m + 1)] = self.traces(block, lo, last + 1)
-        self.base = last
+            self.ring[np.arange(lo - 1, last) % (m + 1)] = self.traces(states, lo, last + 1)
 
 
 def batches(scenarios):
     """The runs in order, as lists of consecutive runs that share a step
-    (`_share_a_step`) and whose records fit in BATCH_RECORDS; a run of more
-    records is a batch of one."""
+    (`_share_a_step`), whose records fit in BATCH_RECORDS and whose block of
+    RECORD_BLOCK doubles holds BLOCK_STEPS states of each; a run beyond
+    either is a batch of one."""
     batch = []
     for sc in scenarios:
-        if batch and not (_share_a_step(batch[0], sc)
-                          and (len(batch) + 1) * (sc.nsteps + 1) <= BATCH_RECORDS):
+        size = len(batch) + 1
+        if batch and not (_share_a_step(batch[0], sc) and size * (sc.nsteps + 1) <= BATCH_RECORDS
+                          and size * 2 * sc.generator.ndof * BLOCK_STEPS <= RECORD_BLOCK):
             yield batch
             batch = []
         batch.append(sc)
@@ -593,18 +598,16 @@ def simulate_runs(scenarios: list, keep_states: bool = False) -> list:
     recording each state's diagnostics once; one Trajectory per run, in
     order, each bit for bit the one its run gets alone.
 
-    `_Stepper.advance` steps a block of RECORD_BLOCK // (2 ndof B) records at
-    a time into one reused buffer after the last state before it (`states`
-    None), or with `keep_states` into views of one (steps + 1, B, 2 ndof)
-    array, the `states`.  Then every record column of the block's rows is
-    filled, with one energy pass over its states of every run, so no record
-    depends on the block size, the batch or `keep_states`.  The first record
-    of a run whose energy sum is not finite or whose sqrt(2 E) exceeds
-    BLOWUP_NORM ends that run; rows stepped past it are dropped, and may
-    overflow (numpy's warnings are off).  Only that last record can be
-    non-finite.  The batch stops once every run has ended.  A states or
-    records array that cannot be allocated raises ArrayTooLargeError before
-    any step; runs that do not share a step raise ValueError.
+    `_Stepper.advance` steps RECORD_BLOCK // (2 ndof B) records at a time
+    into one reused block (`states` None), or with `keep_states` into one
+    (steps + 1, B, 2 ndof) array; one energy pass over a block fills every
+    record column, so no record depends on the block, batch or
+    `keep_states`.  The first record of a run whose energy sum is not finite
+    or whose sqrt(2 E) exceeds BLOWUP_NORM ends that run; rows stepped past
+    it are dropped, and may overflow (numpy's warnings are off), so only
+    that record can be non-finite.  The batch stops once every run has
+    ended.  An array that cannot be allocated raises ArrayTooLargeError
+    before any step; runs that do not share a step raise ValueError.
     """
     sc = scenarios[0]
     if not all(_share_a_step(sc, other) for other in scenarios[1:]):
@@ -615,12 +618,12 @@ def simulate_runs(scenarios: list, keep_states: bool = False) -> list:
     rows, hint = max(1, RECORD_BLOCK // (2 * ndof * nruns)), "raise dt or lower t_end"
     states = allocate((nsteps + 1 if keep_states else min(rows, nsteps) + 1, nruns, 2 * ndof),
                       "the states of the run", hint)
-    columns = allocate((nruns, 6, nsteps + 1), "the records of the run", hint)
-    stepper = _Stepper(scenarios, rows)
+    stepper = _Stepper(scenarios, rows, not keep_states)
     delayed = sc.kernel is not None
 
     for b, run in enumerate(scenarios):
         states[0, b] = run.initial_state
+    columns = allocate((nruns, 6, nsteps + 1), "the records of the run", hint)
     kinetic, elastic, boundary, source, tip_val, tip_vel = columns.transpose(1, 0, 2)
     if delayed:
         m, h = sc.m, gen.grid.h
@@ -633,28 +636,28 @@ def simulate_runs(scenarios: list, keep_states: bool = False) -> list:
         for lo in range(0, nsteps + 1, rows):
             hi = min(lo + rows, nsteps + 1)
             first = max(lo, 1)                   # the first stepped row
-            block = states[first - 1:hi] if keep_states else states[:hi - first + 1]
-            stepper.advance(block)               # rows first - 1 .. hi - 1
-            records = block[lo - first + 1:]
-            flat = records.reshape(-1, 2 * ndof)  # record by record, run by run
+            stepper.base = base = 0 if keep_states else first - 1  # row 0's slot
+            stepper.advance(first - 1, hi - 1, states)
+            block = states[lo - base:hi - base]
+            flat = block.reshape(-1, 2 * ndof)   # record by record, run by run
             # the source energy is 0.0 without a source
             parts = (*gen.energy_parts(flat), diagnostics.source_energy(gen, sc.source, flat))
             for column, part in zip((kinetic, elastic, boundary, source), parts):
                 column[:, lo:hi] = np.reshape(part, (hi - lo, nruns)).T if np.ndim(part) else part
-            tip_val[:, lo:hi], tip_vel[:, lo:hi] = records[:, :, ndof - 1].T, records[:, :, -1].T
+            tip_val[:, lo:hi], tip_vel[:, lo:hi] = block[:, :, ndof - 1].T, block[:, :, -1].T
             if delayed:
                 for b, run in enumerate(scenarios):
                     norms_sq[b, m + first:m + hi] = diagnostics.slot_norms_sq(
-                        run.delayed_traces(block[:, b], 1, len(block)), h)
+                        run.delayed_traces(states[:, b], first, hi, base), h)
             total = kinetic[:, first:hi] + elastic[:, first:hi] + boundary[:, first:hi]
             over = ~(np.sqrt(2.0 * total) <= BLOWUP_NORM)      # nan too
             for b in np.flatnonzero(~ended & over.any(axis=1)):
                 nrec[b], ended[b] = first + int(np.argmax(over[b])) + 1, True
-                finite[b] = np.all(np.isfinite(block[nrec[b] - first, b]))
+                finite[b] = np.all(np.isfinite(states[nrec[b] - 1 - base, b]))
             if ended.all():
                 break
             if not keep_states:
-                states[0] = block[-1]
+                states[0] = states[hi - 1 - base]
         trajectories = []
         for b, run in enumerate(scenarios):
             n = int(nrec[b])
@@ -674,8 +677,7 @@ def simulate_runs(scenarios: list, keep_states: bool = False) -> list:
 
 
 def simulate(scenario: Scenario) -> Trajectory:
-    """Integrate one run to t_end: the batch of one of `simulate_runs`, with
-    its states."""
+    """Integrate one run to t_end: the batch of one of `simulate_runs`."""
     return simulate_runs([scenario], keep_states=True)[0]
 
 
@@ -794,6 +796,8 @@ def certify_scenario(scenario: Scenario, semigroup: Optional[SemigroupCertificat
     Takes the semigroup constants of the scenario's generator from
     `semigroup`, or computes them with `semigroup_constants` when it is None,
     then the kernel window/growth certificates and the small-data threshold.
+    A caller that certifies several scenarios on one generator (a sweep over
+    the kernel, source or data) computes the constants once and passes them.
     Raises NotExponentiallyStableError or InfeasibleError when no certificate
     exists, and InfeasibleError before any work when the scenario is not
     `certifiable`.

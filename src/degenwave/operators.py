@@ -274,9 +274,9 @@ class DiscreteGenerator:
         return a_tilde
 
     def log_norm(self) -> float:
-        """The logarithmic norm of A~, from the corner of its symmetric part."""
-        corner = self.damping_corner(1.0 / np.sqrt(self.mass[-3:]))
-        return max(0.0, float(np.linalg.eigvalsh(-corner)[-1]))
+        """mu(A~): the top eigenvalue of its symmetric part's corner, or 0."""
+        return max(0.0, float(np.linalg.eigvalsh(
+            -self.damping_corner(1.0 / np.sqrt(self.mass[-3:])))[-1]))
 
     @cached_property
     def spectrum(self) -> np.ndarray:

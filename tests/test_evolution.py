@@ -513,7 +513,7 @@ def first_step(stepper, state):
     into a second row."""
     states = np.empty((2, 1, state.size))
     states[0, 0] = state
-    stepper.advance(states)
+    stepper.advance(0, 1, states)
     return states[1, 0]
 
 
@@ -984,6 +984,12 @@ def test_batches_group_consecutive_runs_that_share_a_step(monkeypatch):
     assert [len(b) for b in evolution.batches(runs)] == [2, 2]
     monkeypatch.setattr(evolution, "BATCH_RECORDS", per_run - 1)   # a run alone is a batch
     assert [len(b) for b in evolution.batches(runs)] == [1, 1, 1, 1]
+    monkeypatch.undo()
+    # the cap on the block: at n = 1024 it holds BLOCK_STEPS states of two
+    # runs (2 x 2046 doubles each), not of three
+    wide = batch_runs(make_gen(OperatorKind.BEAM_NONDIV, 0.5, 1024), SourceKind.power(1.0), True)
+    assert [len(b) for b in evolution.batches(wide)] == [2, 2]
+    assert 2 * 2046 * evolution.BLOCK_STEPS <= evolution.RECORD_BLOCK < 3 * 2046 * 16
     with pytest.raises(ValueError, match="must share"):
         evolution.simulate_runs([runs[0], other_tau])
 
