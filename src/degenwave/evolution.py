@@ -561,8 +561,7 @@ class _Stepper:
     def advance(self, first: int, last: int, states: np.ndarray) -> None:
         """Step slot `first` of `states` on to slot `last`, one sub-block of at
         most len(`delay_rows`) steps per `midpoint_delays` pass, then the
-        `ring` on, if streamed.  `states` is C-contiguous, so `halves` is a
-        view."""
+        `ring` on.  `states` is C-contiguous, so `halves` is a view."""
         base, m = self.base, self.sc.m
         span = len(self.delay_rows)
         halves = states.reshape(*states.shape[:2], 2, -1)
