@@ -279,8 +279,9 @@ def _run_columns(trajectory) -> tuple:
 
 def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
     """A summary row per value, set in turn on `cfg`.  A memo entry per raw
-    [coefficient] and [operator] items holds the generator, its semigroup
-    constants and, per raw [initial] items, the read-only initial data.
+    [coefficient] and [operator] items holds the generator and, per raw
+    [initial] items, the read-only initial data; `semigroups` holds each
+    generator's semigroup constants.
 
     Every value's scenario is built first.  Consecutive scenarios that share
     a step (`evolution.batches`) are streamed as one batch by
@@ -291,8 +292,7 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
         raise ConfigError("sweep command needs a [sweep] section")
     parameter = _require(cfg, "sweep", "parameter")
     values = [v.strip() for v in _require(cfg, "sweep", "values").split(",")]
-    shared = {}
-    scenarios = []
+    shared, semigroups, scenarios = {}, {}, []
     for value in values:
         _set_config_value(cfg, parameter, value)
         scenarios.append(build_scenario(cfg, shared))
@@ -305,10 +305,9 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
         try:
             if scenario.certifiable:
                 gen = scenario.generator
-                entry = next((e for e in shared.values() if e["generator"] is gen), {})
-                if "semigroup" not in entry:
-                    entry["semigroup"] = evolution.semigroup_constants(gen)
-                result = evolution.certify_scenario(scenario, entry["semigroup"])
+                if gen not in semigroups:
+                    semigroups[gen] = evolution.semigroup_constants(gen)
+                result = evolution.certify_scenario(scenario, semigroups[gen])
                 feasible, predicted = "yes", f"{result.threshold.predicted_rate:.12g}"
         except (InfeasibleError, NotExponentiallyStableError):
             pass

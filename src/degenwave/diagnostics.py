@@ -34,6 +34,9 @@ from .operators import DiscreteGenerator, OperatorKind
 #: table rows per `tolist` of the CSV writers; bounds the Python floats alive at once
 CSV_BATCH = 256
 
+#: relative slack of `energy_bound_check`: E(t) <= (1 + GROWTH_TOL) C(t) E(0)
+GROWTH_TOL = 0.05
+
 
 def csv_lines(line_format: str, table: np.ndarray):
     """`line_format % row` for each row of a 2-d table, CSV_BATCH rows at a time."""
@@ -145,8 +148,8 @@ class BoundReport:
 
 
 def energy_bound_check(trajectory, constants: Optional[NonlinearityConstants] = None,
-                       tol: float = 0.05, raise_on_violation: bool = True) -> BoundReport:
-    """Check E(t) <= (1 + tol) C(t) E(0) on every step where the premise holds.
+                       raise_on_violation: bool = True) -> BoundReport:
+    """Check E(t) <= (1 + GROWTH_TOL) C(t) E(0) on every step where the premise holds.
 
     The envelope C reads the kernel and the gain b of the trajectory's
     scenario.  Steps with E < (1/4)||y_t||^2 are excluded (the bound is
@@ -173,13 +176,13 @@ def energy_bound_check(trajectory, constants: Optional[NonlinearityConstants] = 
     worst = int(np.argmax(ranked))
     max_ratio = max(float(ranked[worst]), 0.0)
     ratios = np.where(included, ratios, np.nan)
-    if max_ratio > 1.0 + tol and raise_on_violation:
+    if max_ratio > 1.0 + GROWTH_TOL and raise_on_violation:
         raise BoundViolatedError(
             f"growth bound violated at t = {times[worst]:.6g}: ratio {max_ratio:.6g}",
             step=worst, time=float(times[worst]), ratio=max_ratio)
 
     lower_checked = False
-    if (max_ratio <= 1.0 + tol and constants is not None
+    if (max_ratio <= 1.0 + GROWTH_TOL and constants is not None
             and gen.kind is OperatorKind.BEAM_NONDIV):
         u0, _ = gen.split(scenario.initial_state)
         curv0 = gen.elastic_seminorm(u0)
@@ -189,7 +192,7 @@ def energy_bound_check(trajectory, constants: Optional[NonlinearityConstants] = 
             lower_checked = True
             nrm_sq = np.asarray(trajectory.state_norms) ** 2
             below = np.flatnonzero(np.isfinite(total)
-                                   & (total <= 0.25 * nrm_sq * (1.0 - tol) - 1e-14))
+                                   & (total <= 0.25 * nrm_sq * (1.0 - GROWTH_TOL) - 1e-14))
             if below.size and raise_on_violation:
                 i = int(below[0])
                 raise BoundViolatedError(

@@ -405,8 +405,8 @@ class _Stepper:
     telescopes exactly.
 
     `advance` writes each row from the one before, through views; row 0 is
-    slot `base`, set by the caller, and in a streamed batch the slots up to
-    it come from the `ring` of the last m + 1.  The midpoint delay terms of
+    slot `base`, and the slots up to it come from the `ring` of the last
+    m + 1, (m + 1, B, |P|) for a delayed batch.  The midpoint delay terms of
     m = tau/dt steps read no slot past the first step's row, so
     `midpoint_delays` forms those of at most min(rows, m) steps (`rows`, a
     record block of `simulate_runs`) in one vectorised pass into the (rows,
@@ -417,7 +417,7 @@ class _Stepper:
     start-up steps.
     """
 
-    def __init__(self, runs: list, rows: int, stream: bool = False):
+    def __init__(self, runs: list, rows: int):
         self.runs = runs
         self.sc = sc = runs[0]
         gen = sc.generator
@@ -458,7 +458,7 @@ class _Stepper:
             self.k_end = np.stack([run.kernel.eval(ends) for run in runs], axis=1)
             self.delay_rows = np.zeros((min(rows, sc.m), nruns, ndof))
             self.delay_on_p = self.delay_rows[..., sc.on_p]
-            self.ring = np.stack([run.history_slots for run in runs], axis=1) if stream else None
+            self.ring = np.stack([run.history_slots for run in runs], axis=1)
         self.base = 0
         has_explicit = (sc.kernel is not None) or (not sc.source.is_none)
         self.smoothing_left = STARTUP_STEPS if has_explicit else 0
@@ -467,8 +467,7 @@ class _Stepper:
     def traces(self, states: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The velocity on P at slots lo .. hi - 1, (slots, B, |P|), each run's
         from its own `Scenario.delayed_traces`."""
-        return np.stack([run.delayed_traces(states[:, b], lo, hi, self.base,
-                                            None if self.ring is None else self.ring[:, b])
+        return np.stack([run.delayed_traces(states[:, b], lo, hi, self.base, self.ring[:, b])
                          for b, run in enumerate(self.runs)], axis=1)
 
     def midpoint_delays(self, first: int, last: int, states: np.ndarray) -> np.ndarray:
@@ -559,15 +558,15 @@ class _Stepper:
             np.subtract(new, y, out=new)
 
     def advance(self, first: int, last: int, states: np.ndarray) -> None:
-        """Step slot `first` of `states` on to slot `last`, one sub-block of at
-        most len(`delay_rows`) steps per `midpoint_delays` pass, then the
-        `ring` on.  `states` is C-contiguous, so `halves` is a view."""
-        base, m = self.base, self.sc.m
+        """Step slot `first`, row 0 of `states`, on to slot `last`, at most
+        len(`delay_rows`) steps per `midpoint_delays` pass, then the `ring`
+        on.  `states` is C-contiguous, so `halves` is a view."""
+        self.base, m = first, self.sc.m
         span = len(self.delay_rows)
         halves = states.reshape(*states.shape[:2], 2, -1)
         for lo in range(first, last, span):
             hi = min(lo + span, last)
-            for i, delay in zip(range(lo - base, hi - base),
+            for i, delay in zip(range(lo - first, hi - first),
                                 self.midpoint_delays(lo, hi, states)):
                 self.step(i, states, halves, delay)
         if self.ring is not None:
@@ -598,15 +597,16 @@ def simulate_runs(scenarios: list, keep_states: bool = False) -> list:
     order, each bit for bit the one its run gets alone.
 
     `_Stepper.advance` steps RECORD_BLOCK // (2 ndof B) records at a time
-    into one reused block (`states` None), or with `keep_states` into one
-    (steps + 1, B, 2 ndof) array; one energy pass over a block fills every
-    record column, so no record depends on the block, batch or
-    `keep_states`.  The first record of a run whose energy sum is not finite
-    or whose sqrt(2 E) exceeds BLOWUP_NORM ends that run; rows stepped past
-    it are dropped, and may overflow (numpy's warnings are off), so only
-    that record can be non-finite.  The batch stops once every run has
-    ended.  An array that cannot be allocated raises ArrayTooLargeError
-    before any step; runs that do not share a step raise ValueError.
+    from a block's start row: one reused block (`states` None), or with
+    `keep_states` the view of one (steps + 1, B, 2 ndof) array from that
+    row; one energy pass over a block fills every record column, so no
+    record depends on the block, batch or `keep_states`.  The first record
+    of a run whose energy sum is not finite or whose sqrt(2 E) exceeds
+    BLOWUP_NORM ends that run; rows stepped past it are dropped, and may
+    overflow (numpy's warnings are off), so only that record can be
+    non-finite.  The batch stops once every run has ended.  An array that
+    cannot be allocated raises ArrayTooLargeError before any step; runs
+    that do not share a step raise ValueError.
     """
     sc = scenarios[0]
     if not all(_share_a_step(sc, other) for other in scenarios[1:]):
@@ -617,7 +617,7 @@ def simulate_runs(scenarios: list, keep_states: bool = False) -> list:
     rows, hint = max(1, RECORD_BLOCK // (2 * ndof * nruns)), "raise dt or lower t_end"
     states = allocate((nsteps + 1 if keep_states else min(rows, nsteps) + 1, nruns, 2 * ndof),
                       "the states of the run", hint)
-    stepper = _Stepper(scenarios, rows, not keep_states)
+    stepper = _Stepper(scenarios, rows)
     delayed = sc.kernel is not None
 
     for b, run in enumerate(scenarios):
@@ -635,9 +635,10 @@ def simulate_runs(scenarios: list, keep_states: bool = False) -> list:
         for lo in range(0, nsteps + 1, rows):
             hi = min(lo + rows, nsteps + 1)
             first = max(lo, 1)                   # the first stepped row
-            stepper.base = base = 0 if keep_states else first - 1  # row 0's slot
-            stepper.advance(first - 1, hi - 1, states)
-            block = states[lo - base:hi - base]
+            base = first - 1                     # row 0's slot
+            window = states[base:] if keep_states else states
+            stepper.advance(base, hi - 1, window)
+            block = window[lo - base:hi - base]
             flat = block.reshape(-1, 2 * ndof)   # record by record, run by run
             # the source energy is 0.0 without a source
             parts = (*gen.energy_parts(flat), diagnostics.source_energy(gen, sc.source, flat))
@@ -647,12 +648,12 @@ def simulate_runs(scenarios: list, keep_states: bool = False) -> list:
             if delayed:
                 for b, run in enumerate(scenarios):
                     norms_sq[b, m + first:m + hi] = diagnostics.slot_norms_sq(
-                        run.delayed_traces(states[:, b], first, hi, base), h)
+                        run.delayed_traces(window[:, b], first, hi, base), h)
             total = kinetic[:, first:hi] + elastic[:, first:hi] + boundary[:, first:hi]
             over = ~(np.sqrt(2.0 * total) <= BLOWUP_NORM)      # nan too
             for b in np.flatnonzero(~ended & over.any(axis=1)):
                 nrec[b], ended[b] = first + int(np.argmax(over[b])) + 1, True
-                finite[b] = np.all(np.isfinite(states[nrec[b] - 1 - base, b]))
+                finite[b] = np.all(np.isfinite(window[nrec[b] - 1 - base, b]))
             if ended.all():
                 break
             if not keep_states:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -464,7 +465,7 @@ def test_threshold_collapse_without_delay_or_source():
     env = kernel_growth_check(kernel, semi.M, semi.omega, 0.0)
     grid = Grid.uniform(16)
     profile = classify(CoefficientSpec.power_law(0.5), grid)
-    consts = constants_for(SourceKind.none(), profile, c_hp=0.2)
+    consts = dataclasses.replace(constants_for(SourceKind.none(), profile), c_hp=0.2)
     cert = threshold_certificate(semi, kernel, env, 0.0, SourceKind.none(), consts)
     t_min = math.log(2.0 * semi.M ** 2) / semi.omega
     assert cert.T >= t_min

@@ -910,16 +910,22 @@ def test_a_run_that_blows_up_mid_batch_ends_alone(monkeypatch):
 
 @pytest.mark.parametrize("keep_states", [False, True], ids=["streamed", "kept"])
 def test_streamed_and_kept_batches_match_each_run_alone(monkeypatch, keep_states):
-    # a delayed, forced batch, and a batch whose middle run blows up, in
-    # blocks of 1 and 3 records and of the default size: the streamed batch
-    # carries a block's last state into the next block and reads the delayed
-    # traces of earlier blocks from its window, and still gets each run's bits
+    # a delayed, forced batch (m = 20), a batch whose middle run blows up
+    # (m = 5) and a batch of one, as `simulate` steps it, in blocks of 1, 3,
+    # m - 1, m and m + 1 records and of the default size: each block reads
+    # the delayed traces of earlier blocks from the ring of the last m + 1
+    # slots, which a block of m or more records rewrites whole, and still
+    # gets each run's bits.  Each run alone is one default block, so its
+    # reference reads no slot back from the ring
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
     anti = blow_up_scenarios(gen)[0]
     damped = [dataclasses.replace(anti, kernel=KernelSpec.constant(k0, tau=0.25))
               for k0 in (0.1, 0.3)]
-    for runs in (batch_runs(gen, SourceKind.power(1.0), True), [damped[0], anti, damped[1]]):
-        for rows in (1, 3, None):
+    forced = batch_runs(gen, SourceKind.power(1.0), True)
+    for runs in (forced, [damped[0], anti, damped[1]], forced[1:2]):
+        m = runs[0].m
+        assert all(sc.nsteps < evolution.RECORD_BLOCK // (2 * gen.ndof) for sc in runs)
+        for rows in (1, 3, m - 1, m, m + 1, None):
             assert_batch_matches_each_run_alone(monkeypatch, runs, rows, keep_states)
 
 

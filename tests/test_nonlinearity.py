@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -118,7 +119,7 @@ def test_cq_factor_branches():
 
 def test_lipschitz_power_formula(profile128):
     source = SourceKind.power(1.0)
-    consts = constants_for(source, profile128, c_hp=0.2)
+    consts = dataclasses.replace(constants_for(source, profile128), c_hp=0.2)
     c = 4.0 * 0.2 + 1.0
     expected = math.sqrt((2.0 / 3.0) * 4.0 * 2.0 * c)  # (2/3)(q+1)^2 C_1 (4c+1)
     assert lipschitz_bound(source, consts, 1.0) == pytest.approx(expected, rel=1e-12)
@@ -128,7 +129,7 @@ def test_lipschitz_power_formula(profile128):
 
 def test_lipschitz_vanishes_at_zero_radius(profile128):
     for source in (SourceKind.power(0.7), SourceKind.nonlocal_l2(1.5)):
-        consts = constants_for(source, profile128, c_hp=0.2)
+        consts = dataclasses.replace(constants_for(source, profile128), c_hp=0.2)
         vals = [lipschitz_bound(source, consts, r) for r in (1e-3, 1e-6, 1e-9)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-5
@@ -136,11 +137,11 @@ def test_lipschitz_vanishes_at_zero_radius(profile128):
 
 def test_h_gauge(profile128):
     source = SourceKind.power(1.0)
-    consts = constants_for(source, profile128, c_hp=0.3)
+    consts = dataclasses.replace(constants_for(source, profile128), c_hp=0.3)
     assert h_eval(source, consts, 0.0) == 0.0
     assert h_eval(source, consts, 2.0) == pytest.approx((2.0 / 3.0) * 2.2 * 2.0)
     nl = SourceKind.nonlocal_l2(2.0)
-    consts_nl = constants_for(nl, profile128, c_hp=0.3)
+    consts_nl = dataclasses.replace(constants_for(nl, profile128), c_hp=0.3)
     expected = consts_nl.a_max * 2.2 ** 2.0 * 4.0  # a_max^{p/2} (4c+1)^{p/2+1} x^p
     assert h_eval(nl, consts_nl, 2.0) == pytest.approx(expected, rel=1e-12)
 
@@ -152,14 +153,14 @@ def test_h_inverse_round_trip(x, q):
     grid = Grid.uniform(16)
     profile = classify(CoefficientSpec.power_law(0.5), grid)
     source = SourceKind.power(q)
-    consts = constants_for(source, profile, c_hp=0.4)
+    consts = dataclasses.replace(constants_for(source, profile), c_hp=0.4)
     assert h_inverse(source, consts, h_eval(source, consts, x)) == pytest.approx(
         x, rel=1e-12)
 
 
 def test_none_source_degenerate_gauge(profile128):
     source = SourceKind.none()
-    consts = constants_for(source, profile128, c_hp=0.4)
+    consts = dataclasses.replace(constants_for(source, profile128), c_hp=0.4)
     assert h_eval(source, consts, 3.0) == 0.0
     assert h_inverse(source, consts, 0.5) == math.inf
     assert lipschitz_bound(source, consts, 2.0) == 0.0

@@ -236,14 +236,14 @@ def test_step_bands_match_dense_block(kind, alpha, n, monkeypatch):
 @pytest.mark.parametrize("kind", KINDS)
 def test_stepper_holds_linear_storage(kind):
     # banded storage, the midpoint delay terms of at most one block of
-    # records of `simulate` (m = 5 steps here), and, streamed, the ring of
-    # the traces of the last m + 1 slots
+    # records of `simulate` (m = 5 steps here), and the ring of the traces
+    # of the last m + 1 slots that every delayed stepper holds
     gen = make_gen(kind, 0.5, 4096)
     y0, y1 = polynomial_state(gen)
     rows = evolution.RECORD_BLOCK // (2 * gen.ndof)
     sc = Scenario(generator=gen, source=SourceKind.power(1.0), y0=y0, y1=y1, t_end=0.1,
                   dt=0.01, kernel=KernelSpec.constant(0.1, 0.05), subdomain=SubdomainP(0.25, 0.75))
-    stepper = _Stepper([sc], rows, stream=True)
+    stepper = _Stepper([sc], rows)
     sizes = {name: value.size for name, value in vars(stepper).items()
              if isinstance(value, np.ndarray)}
     assert "chol" in sizes

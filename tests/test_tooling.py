@@ -1,10 +1,11 @@
 """Repository tooling: the BLAS thread count of the test session, no unused
-imports or definitions in the package modules, and the layout of the root
-`BENCH_*.json` measurement files."""
+imports, definitions or defaulted parameters in the package modules, and the
+layout of the root `BENCH_*.json` measurement files."""
 
 import ast
 import importlib.util
 import json
+import math
 import os
 from pathlib import Path
 
@@ -90,6 +91,59 @@ def test_package_defines_nothing_only_tests_use():
                        if name not in mentioned
                        and not (name.startswith("__") and name.endswith("__"))]
     assert not unused
+
+
+#: defaulted parameters that only the tests pass, each with its reason
+TEST_PASSED_DEFAULTS = {
+    # only bench/tracing names energy_breakdown, to wrap it; ROADMAP item 1 deletes it
+    "diagnostics.energy_breakdown(kernel)", "diagnostics.energy_breakdown(buffer)",
+    # the source constants of the README's quarter lower bound, which only gate 7 runs
+    "diagnostics.energy_bound_check(constants)",
+}
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # a parameter with a default must be passed, by position or by keyword,
+    # by the package, the scripts or the benchmark: a call is matched to a
+    # definition by name, and a class call to its __init__; an option that
+    # only the tests set is one more configuration nothing else runs
+    readers = sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    readers += sorted(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))
+    positions, keywords = {}, {}
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            positions[name] = max(positions.get(name, 0), math.inf if starred else len(node.args))
+            keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)  # None: **
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node.name, node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                # (name, called as, definition, leading parameters no call passes)
+                functions = [(f"{node.name}.{sub.name}",
+                              node.name if sub.name == "__init__" else sub.name, sub,
+                              0 if any(getattr(d, "id", None) == "staticmethod"
+                                       for d in sub.decorator_list) else 1)
+                             for sub in node.body if isinstance(sub, ast.FunctionDef)]
+            else:
+                continue
+            for qualified, called, function, bound in functions:
+                args = function.args
+                ordered = args.posonlyargs + args.args
+                first = len(ordered) - len(args.defaults)
+                defaulted = [(arg, i - bound) for i, arg in enumerate(ordered) if i >= first]
+                defaulted += [(arg, math.inf) for arg, default
+                              in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+                passed = keywords.get(called, set())
+                unpassed += [f"{path.stem}.{qualified}({arg.arg})" for arg, index in defaulted
+                             if not (positions.get(called, 0) > index
+                                     or arg.arg in passed or None in passed)]
+    assert set(unpassed) == TEST_PASSED_DEFAULTS
 
 
 #: dataclass fields that only the tests read: the verdicts of the acceptance gates
