@@ -10,18 +10,17 @@ from .diagnostics import (BoundReport, CertificationResult, DecayFit,
                           EnergyBreakdown, ThresholdCertificate, decay_fit,
                           energy_bound_check, energy_breakdown, growth_envelope_C,
                           threshold_certificate)
-from .errors import (ArrayTooLargeError, BoundViolatedError, DegenerateFitError, DegenwaveError,
+from .errors import (ArrayTooLargeError, DegenerateFitError, DegenwaveError,
                      EigSolveFailureError, GridTooCoarseError, InconsistentBCError,
                      InfeasibleError, KOutOfRangeError, NonDegenerateError,
-                     NotExponentiallyStableError,
-                     NotLocallyIntegrableError, NotPositiveError,
-                     SubdomainNotAlignedError)
+                     NotExponentiallyStableError, NotLocallyIntegrableError,
+                     NotPositiveError, SubdomainNotAlignedError)
 from .evolution import (Scenario, SemigroupCertificate, Trajectory, certify_scenario,
                         eigenmode_state, polynomial_state, semigroup_constants, simulate,
                         simulate_runs, smallness_level)
 from .grids import Grid
 from .nonlinearity import (NonlinearityConstants, SourceKind, constants_for,
-                           eval_F_functional, eval_f, h_eval, h_inverse,
+                           eval_F_functional, eval_f, h_inverse,
                            hardy_poincare_constant, lipschitz_bound)
 from .operators import BoundaryParams, DiscreteGenerator, OperatorKind, assemble
 

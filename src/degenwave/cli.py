@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import degeneracy, delay, diagnostics, evolution, nonlinearity, operators
-from .errors import DegenwaveError, InfeasibleError, NotExponentiallyStableError
+from .errors import DegenerateFitError, DegenwaveError, InfeasibleError, NotExponentiallyStableError
 from .grids import Grid
 
 EXIT_OK = 0
@@ -173,7 +173,7 @@ def build_scenario(cfg, shared=None) -> evolution.Scenario:
         raise ConfigError(str(exc)) from exc
 
 
-def _energy_report_lines(trajectory, fit=None):
+def _energy_report_lines(trajectory, fit):
     total = trajectory.energies.total
     lines = [
         f"steps: {len(trajectory.times) - 1}",
@@ -189,27 +189,33 @@ def _energy_report_lines(trajectory, fit=None):
     return lines
 
 
+def _diagnose(trajectory):
+    """(decay fit, growth-bound report) of a run: no fit of a norm too small to
+    fit, no report without a delay, and neither after a blow-up."""
+    if trajectory.blew_up:
+        return None, None
+    try:
+        fit = diagnostics.decay_fit(trajectory)
+    except DegenerateFitError:
+        fit = None
+    delayed = trajectory.scenario.kernel is not None
+    return fit, diagnostics.energy_bound_check(trajectory) if delayed else None
+
+
 def run_simulate(cfg, out_dir: Path, quiet: bool, dump_operators: bool = False) -> int:
     scenario = build_scenario(cfg)
     trajectory = evolution.simulate(scenario)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "trajectory.csv"
     trajectory.to_csv(csv_path)
-    fit = None
-    lines_extra = []
-    if not trajectory.blew_up:
-        try:
-            fit = diagnostics.decay_fit(trajectory)
-        except DegenwaveError:
-            pass
-        if scenario.kernel is not None:
-            bound = diagnostics.energy_bound_check(trajectory, raise_on_violation=False)
-            bound.to_csv(out_dir / "margins.csv")
-            lines_extra = [f"bound_max_ratio: {bound.max_ratio:.12g}",
-                           f"bound_excluded_steps: {bound.n_excluded}"]
+    fit, bound = _diagnose(trajectory)
+    lines = _energy_report_lines(trajectory, fit)
+    if bound is not None:
+        bound.to_csv(out_dir / "margins.csv")
+        lines += [f"bound_max_ratio: {bound.max_ratio:.12g}",
+                  f"bound_excluded_steps: {bound.n_excluded}"]
     report = out_dir / "energy_report.txt"
-    report.write_text("\n".join(_energy_report_lines(trajectory, fit) + lines_extra)
-                      + "\n")
+    report.write_text("\n".join(lines) + "\n")
     if dump_operators:
         scenario.generator.dump_system(out_dir / "system_matrix.mtx")
     if not quiet:
@@ -262,18 +268,12 @@ def _set_config_value(cfg, dotted: str, value: str) -> None:
 
 def _run_columns(trajectory) -> tuple:
     """The (fitted_rate, r_squared, bound_margin, blew_up) cells of a sweep row."""
+    fit, bound = _diagnose(trajectory)
     fitted = r2 = margin = ""
-    if not trajectory.blew_up:
-        try:
-            fit = diagnostics.decay_fit(trajectory)
-            fitted, r2 = f"{fit.rate:.12g}", f"{fit.r_squared:.12g}"
-        except DegenwaveError:
-            pass
-        if trajectory.scenario.kernel is not None:
-            try:
-                margin = f"{diagnostics.energy_bound_check(trajectory).max_ratio:.12g}"
-            except DegenwaveError:
-                margin = "violated"
+    if fit is not None:
+        fitted, r2 = f"{fit.rate:.12g}", f"{fit.r_squared:.12g}"
+    if bound is not None:
+        margin = f"{bound.max_ratio:.12g}" if bound.holds else "violated"
     return fitted, r2, margin, "yes" if trajectory.blew_up else "no"
 
 

@@ -84,15 +84,5 @@ class NotExponentiallyStableError(DegenwaveError):
     """System matrix has spectral abscissa >= 0."""
 
 
-class BoundViolatedError(DegenwaveError):
-    """A certified energy bound failed along a trajectory."""
-
-    def __init__(self, message, step=None, time=None, ratio=None):
-        super().__init__(message)
-        self.step = step
-        self.time = time
-        self.ratio = ratio
-
-
 class DegenerateFitError(DegenwaveError):
     """Trajectory norm too small everywhere to fit a decay rate."""

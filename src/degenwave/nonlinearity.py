@@ -187,13 +187,6 @@ def h_coefficients(source: SourceKind, constants: NonlinearityConstants):
     return constants.a_max ** (m / 2.0) * c_embed ** (m / 2.0 + 1.0), m
 
 
-def h_eval(source: SourceKind, constants: NonlinearityConstants, x: float) -> float:
-    if x < 0:
-        raise ValueError("h is defined on x >= 0")
-    c, m = h_coefficients(source, constants)
-    return c * x ** m
-
-
 def h_inverse(source: SourceKind, constants: NonlinearityConstants, y: float) -> float:
     if y < 0:
         raise ValueError("h_inverse is defined on y >= 0")

@@ -228,11 +228,13 @@ class DiscreteGenerator:
 
     @cached_property
     def system_matrix(self) -> np.ndarray:
-        """A = [[0, I], [-M^{-1} K, -M^{-1} D]], dense 2n x 2n, built on first use."""
+        """A = [[0, I], [-M^{-1} K, -M^{-1} D]], dense 2n x 2n, built on first use;
+        ArrayTooLargeError naming its size when it cannot be allocated."""
         ndof = self.ndof
-        system = np.zeros((2 * ndof, 2 * ndof))
-        system[:ndof, ndof:] = np.eye(ndof)
-        system[ndof:, :ndof] = -(self.stiffness_form / self.mass[:, None])
+        system = allocate((2 * ndof, 2 * ndof), "the entries of the dense system matrix",
+                          "lower [operator] n or drop --dump-operators", zero=True)
+        np.fill_diagonal(system[:ndof, ndof:], 1.0)
+        np.divide(self.stiffness_form, -self.mass[:, None], out=system[ndof:, :ndof])
         system[-3:, -3:] = -self.damping_corner() / self.mass[-3:, None]
         system.setflags(write=False)
         return system
@@ -338,17 +340,13 @@ class DiscreteGenerator:
                 + self.damping_slope_coeff * traces[:, 1])
         return float(rate[0]) if np.ndim(state) == 1 else rate
 
-    def elastic_seminorm(self, u_free: np.ndarray) -> float:
-        """Kind-appropriate seminorm: ||u''||, ||sqrt(a)u''||, ||u'||, ||sqrt(a)u'||."""
-        cu = self.elastic_product(u_free)
-        return float(np.sqrt(self.elastic_weights @ (cu * cu)))
-
     def dump_system(self, path) -> None:
-        """Matrix-market dump of the 2n x 2n system matrix (debug aid)."""
+        """Matrix-market dump of the 2n x 2n system matrix, built before the file opens."""
         from scipy.io import mmwrite
 
+        system = self.system_matrix
         with open(path, "wb") as fh:
-            mmwrite(fh, self.system_matrix)
+            mmwrite(fh, system)
 
 
 def _stability_requirements(kind: OperatorKind, profile: CoefficientProfile,

@@ -1,20 +1,21 @@
 """Test-side constructions and norms that the package itself does not need.
 
 The generator of a power-law coefficient on a uniform grid, the acceptance
-gates' oracles (the dissipativity form <AY, Y> of the dense generator and
-the Duhamel evaluation of a run), the eigenmodes of the dense eigenvector
-route, synthetic elements of the clamped and pinned discrete spaces, the
-clamped curvature seminorm read from `curvature_map`, the dense row-by-row
-elastic map and stiffness of a generator, its dense tip damping D, the
-subdomain extension B and the L2(P) pairing, the pointwise and sampled
-checks of the source hypotheses, a semigroup-constant sampler with one
-matrix exponential per sample time, the certificate route with two full
-walks of the powers (full SVD norms and one `expm` per width, or the
-package's norms and ladder), a stand-in generator that serves a given
-matrix as its state-norm generator, the closed forms of the constant and
-pulse gains, the trajectory and margins CSV writers as one formatted value
-at a time, and the IMEX step taken one step at a time with each step's own
-delay term.
+gates' oracles (the dissipativity form <AY, Y> of the dense generator, the
+Duhamel evaluation of a run, the growth gauge h of a source, a generator's
+elastic seminorm and the small-data quarter lower bound), the eigenmodes of
+the dense eigenvector route, synthetic elements of the clamped and pinned
+discrete spaces, the clamped curvature seminorm read from `curvature_map`,
+the dense row-by-row elastic map and stiffness of a generator, its dense
+tip damping D, the subdomain extension B and the L2(P) pairing, the
+pointwise and sampled checks of the source hypotheses, a semigroup-constant
+sampler with one matrix exponential per sample time, the certificate route
+with two full walks of the powers (full SVD norms and one `expm` per width,
+or the package's norms and ladder), a stand-in generator that serves a
+given matrix as its state-norm generator, the closed forms of the constant
+and pulse gains, the trajectory and margins CSV writers as one formatted
+value at a time, and the IMEX step taken one step at a time with each
+step's own delay term.
 Each is a reference that tests compare the package's forms, constants and
 files against.
 """
@@ -26,11 +27,13 @@ import scipy.linalg
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dpbtrs
 
-from degenwave import BoundaryParams, CoefficientSpec, Grid, assemble, classify, evolution
+from degenwave import (BoundaryParams, CoefficientSpec, Grid, assemble, classify, evolution,
+                       growth_envelope_C)
+from degenwave.diagnostics import GROWTH_TOL
 from degenwave.errors import InfeasibleError, SubdomainNotAlignedError
 from degenwave.evolution import (HORIZON_DOUBLINGS, REFINE_GAP, REFINE_LEVELS,
                                  SemigroupCertificate)
-from degenwave.nonlinearity import eval_f, weighted_inner
+from degenwave.nonlinearity import eval_f, h_coefficients, weighted_inner
 from degenwave.operators import OperatorKind, curvature_map
 
 
@@ -96,6 +99,43 @@ def duhamel_residual(trajectory, check_stride=1):
         denom = max(gen.state_norm(y_ref), ref_scale * 1e-8)
         worst = max(worst, mism / denom)
     return worst
+
+
+def h_gauge(source, constants, x):
+    """The growth gauge h(x) = c x^m of a source, from `h_coefficients`."""
+    c, m = h_coefficients(source, constants)
+    return c * x ** m
+
+
+def elastic_seminorm(generator, u_free):
+    """The kind's seminorm ||u''||, ||sqrt(a)u''||, ||u'|| or ||sqrt(a)u'|| of
+    free dofs, from `elastic_product` and the quadrature weights."""
+    cu = generator.elastic_product(u_free)
+    return float(np.sqrt(generator.elastic_weights @ (cu * cu)))
+
+
+def quarter_bound_violations(trajectory, constants):
+    """The steps of a weighted-beam run where the small-data quarter lower
+    bound E(t) > (1/4)||Y(t)||^2 fails, or None where its premises do not hold.
+
+    The premises are E(0) > 0, h(||y0''||) < 1/2 and h(2 sqrt(C(T) E(0))) < 1/2,
+    with the source `constants` of h and the growth envelope C at the last
+    time T.  A step fails when E(t) <= (1/4)||Y(t)||^2 (1 - GROWTH_TOL) - 1e-14.
+    """
+    scenario = trajectory.scenario
+    gen, source = scenario.generator, scenario.source
+    if gen.kind is not OperatorKind.BEAM_NONDIV:
+        raise ValueError("the quarter bound is stated for the weighted beam")
+    total = np.asarray(trajectory.energies.total)
+    e0 = float(total[0])
+    u0, _ = gen.split(scenario.initial_state)
+    c_at_end = growth_envelope_C(scenario.kernel, scenario.b, trajectory.times[-1])
+    if not (e0 > 0 and h_gauge(source, constants, elastic_seminorm(gen, u0)) < 0.5
+            and h_gauge(source, constants, 2.0 * math.sqrt(c_at_end * e0)) < 0.5):
+        return None
+    nrm_sq = np.asarray(trajectory.state_norms) ** 2
+    return np.flatnonzero(np.isfinite(total)
+                          & (total <= 0.25 * nrm_sq * (1.0 - GROWTH_TOL) - 1e-14))
 
 
 def dense_eigenmodes(generator, by="frequency"):
@@ -261,7 +301,7 @@ def empirical_growth_constant(source, generator, samples):
             pairing = weighted_inner(fu, u_full, profile)
         else:
             pairing = grid.trapezoid(fu * u_full)
-        semi = generator.elastic_seminorm(generator.restrict(u_full))
+        semi = elastic_seminorm(generator, generator.restrict(u_full))
         if semi > 1e-12:
             sup = max(sup, pairing / semi ** (m + 2.0))
     return sup

@@ -374,6 +374,30 @@ def test_readme_example_config_runs(tmp_path):
     assert "feasible: yes" in (tmp_path / "o" / "certificate.txt").read_text()
 
 
+def test_sweep_row_whose_growth_bound_fails_reads_violated(tmp_path, monkeypatch):
+    # E(0) / (C(0) E(0)) = 1, so a negative slack fails the bound at t = 0;
+    # every other cell of a row reads as it does when the bound holds
+    from degenwave import diagnostics
+
+    text = readme_config().replace("n = 64", "n = 16").replace(
+        "values = 0.002, 0.005, 0.008", "values = 0.002, 0.008")
+    cfg = write(tmp_path, "r.ini", text)
+    rows = {}
+    for name, slack in (("held", diagnostics.GROWTH_TOL), ("failed", -0.01)):
+        monkeypatch.setattr(diagnostics, "GROWTH_TOL", slack)
+        out = tmp_path / name
+        assert main(["--config", cfg, "--out", str(out), "--command", "sweep",
+                     "--quiet"]) == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert lines[0].split(",")[5] == "bound_margin"
+        rows[name] = [line.split(",") for line in lines[1:]]
+    assert len(rows["held"]) == len(rows["failed"]) == 2
+    for held, failed in zip(rows["held"], rows["failed"]):
+        assert 1.0 <= float(held[5]) <= 1.05
+        assert failed[5] == "violated"
+        assert failed[:5] + failed[6:] == held[:5] + held[6:]
+
+
 def test_delay_of_no_finite_slot_count_exits_3(tmp_path, capsys):
     # tau/dt overflows to inf: no OverflowError traceback from round(inf)
     text = readme_config().replace("n = 64", "n = 16").replace("tau = 0.5", "tau = 1e308")
@@ -731,6 +755,33 @@ def test_dense_form_too_large_to_hold_exits_3(tmp_path, capsys, monkeypatch, com
                           "199999 x 199999 doubles (298.0 GiB), more than can be allocated; "
                           "lower [operator] n or use another [initial] preset"), err
     assert not (tmp_path / "o").exists()
+
+
+def test_dump_too_large_to_hold_exits_3(tmp_path, capsys, monkeypatch):
+    # one step of the README config at n = 20000 with the polynomial preset:
+    # the run's files are written, then the dumped 2n x 2n system matrix asks
+    # for 1.6e9 doubles, refused at once by a patched np.zeros
+    zeros = np.zeros
+
+    def refusing(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e9:
+            raise MemoryError("refused")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refusing)
+    text = (readme_config().replace("n = 64 ", "n = 20000 ")
+            .replace("preset = eigenmode ", "preset = polynomial ")
+            .replace("t_end = 10.0", "t_end = 0.0125"))
+    assert "n = 20000" in text and "preset = polynomial" in text and "t_end = 0.0125" in text
+    out = tmp_path / "o"
+    code = main(["--config", write(tmp_path, "huge.ini", text), "--out", str(out),
+                 "--command", "simulate", "--quiet", "--dump-operators"])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert err == ("error: the entries of the dense system matrix need 39998 x 39998 doubles "
+                   "(11.9 GiB), more than can be allocated; lower [operator] n or drop "
+                   "--dump-operators\n"), err
+    assert (out / "energy_report.txt").exists() and not (out / "system_matrix.mtx").exists()
 
 
 def test_pencil_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from degenwave import (BoundaryParams, BoundReport, BoundViolatedError, CoefficientSpec,
+from degenwave import (BoundaryParams, BoundReport, CoefficientSpec,
                        DegenerateFitError, Grid, InfeasibleError, KernelSpec,
                        OperatorKind, Scenario, SourceKind, SubdomainP, assemble,
                        certify_scenario, classify, constants_for, decay_fit,
@@ -343,7 +343,7 @@ def test_bound_holds_on_linear_run():
     sc = Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1,
                   t_end=2.0, dt=0.01)
     report = energy_bound_check(simulate(sc))
-    assert report.max_ratio <= 1.0 + 1e-9
+    assert report.max_ratio <= 1.0 + 1e-9 and report.holds
     assert report.n_excluded == 0
 
 
@@ -364,8 +364,8 @@ def test_bound_reports_violation():
                      state_norms=traj.state_norms, energies=fake,
                      tip_values=traj.tip_values, tip_velocities=traj.tip_velocities,
                      blew_up=False, scenario=sc)
-    with pytest.raises(BoundViolatedError):
-        energy_bound_check(bad)
+    report = energy_bound_check(bad)
+    assert report.max_ratio > 1.05 and not report.holds
 
 
 def test_bound_vacuous_on_zero_data():
@@ -434,13 +434,13 @@ def test_margins_csv_bytes_match_the_reference(tmp_path, rng):
     included = np.arange(values.size) % 3 != 1
     ratios = np.where(included, np.roll(values, 5), np.nan)
     made_up = BoundReport(times=values, ratios=ratios, included=included, max_ratio=1.0,
-                          n_excluded=int((~included).sum()), lower_bound_checked=False)
+                          n_excluded=int((~included).sum()))
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
     y0, y1 = eigenmode_state(gen, 0)
     sc = Scenario(generator=gen, source=SourceKind.none(), y0=y0, y1=y1, t_end=0.5,
                   dt=0.0125, kernel=KernelSpec.constant(0.05, tau=0.125),
                   subdomain=SubdomainP(0.25, 0.75))
-    run = energy_bound_check(simulate(sc), raise_on_violation=False)
+    run = energy_bound_check(simulate(sc))
     for name, report in [("made_up", made_up), ("run", run)]:
         report.to_csv(tmp_path / f"{name}.csv")
         reference_margins_csv(report, tmp_path / f"{name}_ref.csv")

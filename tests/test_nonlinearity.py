@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenwave import (CoefficientSpec, Grid, SourceKind, classify, constants_for,
-                       eval_F_functional, eval_f, h_eval, h_inverse,
+                       eval_F_functional, eval_f, h_inverse,
                        hardy_poincare_constant, lipschitz_bound)
 from degenwave.nonlinearity import cq_factor, weighted_inner
 from degenwave.operators import weighted_mass_diagonal
 
 from conftest import random_clamped
-from helpers import (curvature_seminorm, empirical_growth_constant, from_face_slopes,
-                     sobolev_pointwise_bound_check, weighted_l2_norm)
+from helpers import (curvature_seminorm, elastic_seminorm, empirical_growth_constant,
+                     from_face_slopes, h_gauge, sobolev_pointwise_bound_check,
+                     weighted_l2_norm)
 
 
 @pytest.fixture(scope="module")
@@ -138,12 +139,12 @@ def test_lipschitz_vanishes_at_zero_radius(profile128):
 def test_h_gauge(profile128):
     source = SourceKind.power(1.0)
     consts = dataclasses.replace(constants_for(source, profile128), c_hp=0.3)
-    assert h_eval(source, consts, 0.0) == 0.0
-    assert h_eval(source, consts, 2.0) == pytest.approx((2.0 / 3.0) * 2.2 * 2.0)
+    assert h_gauge(source, consts, 0.0) == 0.0
+    assert h_gauge(source, consts, 2.0) == pytest.approx((2.0 / 3.0) * 2.2 * 2.0)
     nl = SourceKind.nonlocal_l2(2.0)
     consts_nl = dataclasses.replace(constants_for(nl, profile128), c_hp=0.3)
     expected = consts_nl.a_max * 2.2 ** 2.0 * 4.0  # a_max^{p/2} (4c+1)^{p/2+1} x^p
-    assert h_eval(nl, consts_nl, 2.0) == pytest.approx(expected, rel=1e-12)
+    assert h_gauge(nl, consts_nl, 2.0) == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,14 +155,14 @@ def test_h_inverse_round_trip(x, q):
     profile = classify(CoefficientSpec.power_law(0.5), grid)
     source = SourceKind.power(q)
     consts = dataclasses.replace(constants_for(source, profile), c_hp=0.4)
-    assert h_inverse(source, consts, h_eval(source, consts, x)) == pytest.approx(
+    assert h_inverse(source, consts, h_gauge(source, consts, x)) == pytest.approx(
         x, rel=1e-12)
 
 
 def test_none_source_degenerate_gauge(profile128):
     source = SourceKind.none()
     consts = dataclasses.replace(constants_for(source, profile128), c_hp=0.4)
-    assert h_eval(source, consts, 3.0) == 0.0
+    assert h_gauge(source, consts, 3.0) == 0.0
     assert h_inverse(source, consts, 0.5) == math.inf
     assert lipschitz_bound(source, consts, 2.0) == 0.0
 
@@ -217,7 +218,7 @@ def test_sign_growth_bound(grid128, profile128, rng):
         u = random_clamped(grid128, rng, target_seminorm=rng.uniform(0.05, 2.0))
         pairing = weighted_inner(eval_f(source, u, grid128), u, profile128)
         curv = curvature_seminorm(grid128, u)
-        assert pairing <= h_eval(source, consts, curv) * curv ** 2 * (1 + 1e-9)
+        assert pairing <= h_gauge(source, consts, curv) * curv ** 2 * (1 + 1e-9)
 
 
 def test_potential_bound(grid128, profile128, rng):
@@ -228,7 +229,7 @@ def test_potential_bound(grid128, profile128, rng):
             y = random_clamped(grid128, rng, target_seminorm=rng.uniform(0.05, 1.5))
             val = abs(eval_F_functional(source, y, profile128, True))
             curv = curvature_seminorm(grid128, y)
-            assert val <= 0.5 * h_eval(source, consts, curv) * curv ** 2 * (1 + 1e-9)
+            assert val <= 0.5 * h_gauge(source, consts, curv) * curv ** 2 * (1 + 1e-9)
 
 
 # -- pointwise embedding ---------------------------------------------------------------
@@ -259,7 +260,7 @@ def test_growth_hypothesis_other_kinds_by_sampling(rng):
             for u in samples[:50]:
                 pot = abs(eval_F_functional(source, u, profile,
                                             gen.kind.weighted_velocity))
-                semi = gen.elastic_seminorm(gen.restrict(u))
+                semi = elastic_seminorm(gen, gen.restrict(u))
                 assert pot <= 0.5 * sups[n] * semi ** 3.0 * (1 + 1e-6) + 1e-12
         assert 0.0 < sups[128] <= 1.6 * sups[64]
 
