@@ -19,9 +19,10 @@ breakpoints.  Infeasibility raises.
 The delay history lives on the slot grid t = j dt, and dt must divide tau
 (`delay_slots`, the one place that tolerance is decided), so a delayed value
 is read by slot index j, never looked up by time.  `resolve_history` evaluates
-the initial history g once per slot, and `Scenario.delayed_traces` is the one
-reader of a slot.  `HistoryBuffer` is a slot-norm record kept for the
-benchmark's tracer; `simulate` does not use it.
+the initial history g once per slot, and it seeds the ring of the last m + 1
+slots, the one store a run reads a slot from (`evolution._Stepper.slots`).
+`HistoryBuffer` is a slot-norm record kept for the benchmark's tracer;
+`simulate` does not use it.
 """
 
 from __future__ import annotations

@@ -69,9 +69,9 @@ class EnergyBreakdown:
 
 
 def slot_norms_sq(traces: np.ndarray, h: float) -> np.ndarray:
-    """h ||trace||^2 for each row of a stack of delayed traces, summed row by
-    row, so a row gets the same bits whatever stack it is in."""
-    return h * np.square(traces).sum(axis=1)
+    """h ||trace||^2 for each trace (last axis) of a stack of delayed traces,
+    summed trace by trace, so a trace gets the same bits in any stack."""
+    return h * np.square(traces).sum(axis=-1)
 
 
 def history_energies(kernel: KernelSpec, norms_sq: np.ndarray, m: int,

@@ -151,22 +151,6 @@ class Scenario:
         gen = self.generator
         return gen.join(gen.restrict(self.y0), gen.restrict(self.y1))
 
-    def delayed_traces(self, states: np.ndarray, lo: int, hi: int, base: int = 0,
-                       ring: Optional[np.ndarray] = None) -> np.ndarray:
-        """The velocity on P at slots lo .. hi - 1, one row per slot: slot j >
-        base from row j - base of `states`, else from row (j + m) % (m + 1)
-        of `ring` (`history_slots`)."""
-        ndof, p = self.generator.ndof, self.on_p
-        rows = states[max(lo - base, 1):max(hi - base, 1), ndof + p.start:ndof + p.stop]
-        if lo > base:
-            return rows
-        ring = self.history_slots if ring is None else ring
-        start = (lo + self.m) % (self.m + 1)
-        stop = start + min(hi, base + 1) - lo     # past m + 1: it wraps
-        history = ring[start:stop]
-        return history if len(history) == hi - lo else np.concatenate(
-            (history, ring[:max(stop - self.m - 1, 0)], rows))
-
 
 @dataclass(frozen=True)
 class SemigroupCertificate:
@@ -404,21 +388,22 @@ class _Stepper:
     Undelayed unforced runs are pure trapezoid, so the discrete energy
     telescopes exactly.
 
-    `advance` writes each row from the one before, through views; row 0 is
-    slot `base`, and the slots up to it come from the `ring` of the last
-    m + 1, (m + 1, B, |P|) for a delayed batch.  The midpoint delay terms of
-    m = tau/dt steps read no slot past the first step's row, so
-    `midpoint_delays` forms those of at most min(rows, m) steps (`rows`, a
-    record block of `simulate_runs`) in one vectorised pass into the (rows,
-    B, ndof) `delay_rows`, zero off P (undelayed, a zero block seen as every
-    row); elementwise operations round each element alone, so each row is
-    bit for bit the term its step would form.  k(t_ell + dt/2) is evaluated
-    once per run over all steps (`k_mid`), k(t_ell + dt) only at the
-    start-up steps.
+    `advance` writes each row from the one before, through views, and hands
+    each step its slot ell, the one index of the start-up test and of the
+    delayed slots.  A delayed batch holds the one store of its history, the
+    `ring` of the velocity traces on P at the last m + 1 slots, (m + 1, B,
+    |P|), slot j in row (j + m) mod (m + 1), seeded from `history_slots` and
+    read through `slots`.  The midpoint delay terms of m = tau/dt steps read
+    no slot past the first step's, so `midpoint_delays` forms those of a
+    sub-block of at most min(rows, m) steps (`rows`, a record block of
+    `simulate_runs`) in one vectorised pass into the (rows, B, ndof)
+    `delay_rows`, zero off P (undelayed, a zero block seen as every row);
+    elementwise operations round each element alone, so each row is bit for
+    bit the term its step would form.  k(t_ell + dt/2) is evaluated once per
+    run over all steps (`k_mid`), k(t_ell + dt) only at the start-up steps.
     """
 
     def __init__(self, runs: list, rows: int):
-        self.runs = runs
         self.sc = sc = runs[0]
         gen = sc.generator
         self.gen = gen
@@ -452,25 +437,30 @@ class _Stepper:
             self.delay_rows = np.broadcast_to(self.delay, (rows, nruns, ndof))   # no storage
             self.ring = None
         else:
-            times = np.arange(sc.nsteps) * sc.dt
-            mids, ends = times + h, times[:STARTUP_STEPS] + sc.dt
-            self.k_mid = np.stack([run.kernel.eval(mids) for run in runs], axis=1)
+            self.k_mid = allocate((sc.nsteps, nruns), "the kernel values of the run",
+                                  "raise dt or lower t_end")
+            mids = np.arange(len(self.k_mid)) * sc.dt + h
+            ends = np.arange(STARTUP_STEPS) * sc.dt + sc.dt
+            np.stack([run.kernel.eval(mids) for run in runs], axis=1, out=self.k_mid)
             self.k_end = np.stack([run.kernel.eval(ends) for run in runs], axis=1)
             self.delay_rows = np.zeros((min(rows, sc.m), nruns, ndof))
             self.delay_on_p = self.delay_rows[..., sc.on_p]
             self.ring = np.stack([run.history_slots for run in runs], axis=1)
-        self.base = 0
         has_explicit = (sc.kernel is not None) or (not sc.source.is_none)
-        self.smoothing_left = STARTUP_STEPS if has_explicit else 0
+        self.startup = STARTUP_STEPS if has_explicit else 0
         self.prev_source = None
 
-    def traces(self, states: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """The velocity on P at slots lo .. hi - 1, (slots, B, |P|), each run's
-        from its own `Scenario.delayed_traces`."""
-        return np.stack([run.delayed_traces(states[:, b], lo, hi, self.base, self.ring[:, b])
-                         for b, run in enumerate(self.runs)], axis=1)
+    def slots(self, lo: int, hi: int) -> np.ndarray:
+        """The velocity on P of every run at slots lo .. hi - 1, (hi - lo, B,
+        |P|), from the `ring`, which holds the last m + 1: a slice of it unless
+        the window wraps past its last row."""
+        m = self.sc.m
+        start = (lo + m) % (m + 1)
+        window = self.ring[start:start + hi - lo]
+        return window if len(window) == hi - lo else np.concatenate(
+            (window, self.ring[:start + hi - lo - m - 1]))
 
-    def midpoint_delays(self, first: int, last: int, states: np.ndarray) -> np.ndarray:
+    def midpoint_delays(self, first: int, last: int) -> np.ndarray:
         """g = -k(t) B B* y_t(t - tau) at the midpoints t_ell + dt/2 of the steps
         ell = first .. last - 1, at most m of them, in the leading rows of
         `delay_rows`.  The midpoint trace is the mean of slots ell - m and
@@ -478,19 +468,19 @@ class _Stepper:
         m = self.sc.m
         if m is None:
             return self.delay_rows
-        traces = self.traces(states, first - m, last - m + 1)
+        traces = self.slots(first - m, last - m + 1)
         # 0 - k slot on P, as zeros -= k slot gives (never a negative zero)
         np.subtract(0.0, self.k_mid[first:last, :, None] * (0.5 * (traces[:-1] + traces[1:])),
                     out=self.delay_on_p[:last - first])
         return self.delay_rows[:last - first]
 
-    def end_delay(self, ell: int, states: np.ndarray) -> np.ndarray:
+    def end_delay(self, ell: int) -> np.ndarray:
         """g at t_ell + dt (slot ell + 1 - m) of a start-up step, in the work
         array `delay`; zero when undelayed."""
         m = self.sc.m
         if m is None:
             return self.delay
-        trace = self.traces(states, ell + 1 - m, ell + 2 - m)[0]
+        trace = self.slots(ell + 1 - m, ell + 2 - m)[0]
         np.subtract(0.0, self.k_end[ell, :, None] * trace, out=self.delay[:, self.sc.on_p])
         return self.delay
 
@@ -528,18 +518,17 @@ class _Stepper:
         np.add(r1, h * x2, out=x1)
         return x1, x2
 
-    def step(self, i: int, states: np.ndarray, halves: np.ndarray,
+    def step(self, i: int, ell: int, states: np.ndarray, halves: np.ndarray,
              delay: np.ndarray) -> None:
-        """Write states[i + 1] from states[i]; `halves` is `states` seen as
-        (rows, B, 2, ndof) and `delay` the step's midpoint delay term."""
+        """Write states[i + 1] from states[i], the state at slot ell; `halves`
+        is `states` seen as (rows, B, 2, ndof) and `delay` the step's midpoint
+        delay term."""
         y, new = states[i], states[i + 1]
         u, v = halves[i, :, 0], halves[i, :, 1]
-        if self.smoothing_left > 0:
-            self.smoothing_left -= 1
+        if ell < self.startup:
             # two backward-Euler half-steps with the shared (I - dt/2 A) factor
             u1, v1 = self.solve(u, self.velocity_rhs(v, delay, self.source_term(u)))
-            self.solve(u1, self.velocity_rhs(v1, self.end_delay(self.base + i, states),
-                                             self.source_term(u1)))
+            self.solve(u1, self.velocity_rhs(v1, self.end_delay(ell), self.source_term(u1)))
             halves[i + 1] = self.mid_by_run
         else:
             # delay term at the midpoint in time (`midpoint_delays`): the two
@@ -559,19 +548,18 @@ class _Stepper:
 
     def advance(self, first: int, last: int, states: np.ndarray) -> None:
         """Step slot `first`, row 0 of `states`, on to slot `last`, at most
-        len(`delay_rows`) steps per `midpoint_delays` pass, then the `ring`
-        on.  `states` is C-contiguous, so `halves` is a view."""
-        self.base, m = first, self.sc.m
-        span = len(self.delay_rows)
+        len(`delay_rows`) steps per `midpoint_delays` pass, each step handed
+        its slot ell; after a pass its new slots go into the `ring`.
+        `states` is C-contiguous, so `halves` is a view."""
+        m, span = self.sc.m, len(self.delay_rows)
         halves = states.reshape(*states.shape[:2], 2, -1)
         for lo in range(first, last, span):
             hi = min(lo + span, last)
-            for i, delay in zip(range(lo - first, hi - first),
-                                self.midpoint_delays(lo, hi, states)):
-                self.step(i, states, halves, delay)
-        if self.ring is not None:
-            lo = max(first + 1, last - m)
-            self.ring[np.arange(lo - 1, last) % (m + 1)] = self.traces(states, lo, last + 1)
+            for ell, delay in zip(range(lo, hi), self.midpoint_delays(lo, hi)):
+                self.step(ell - first, ell, states, halves, delay)
+            if m is not None:
+                self.ring[np.arange(lo + 1 + m, hi + 1 + m) % (m + 1)] = \
+                    halves[lo + 1 - first:hi + 1 - first, :, 1, self.sc.on_p]
 
 
 def batches(scenarios):
@@ -617,18 +605,17 @@ def simulate_runs(scenarios: list, keep_states: bool = False) -> list:
     rows, hint = max(1, RECORD_BLOCK // (2 * ndof * nruns)), "raise dt or lower t_end"
     states = allocate((nsteps + 1 if keep_states else min(rows, nsteps) + 1, nruns, 2 * ndof),
                       "the states of the run", hint)
-    stepper = _Stepper(scenarios, rows)
-    delayed = sc.kernel is not None
-
-    for b, run in enumerate(scenarios):
-        states[0, b] = run.initial_state
     columns = allocate((nruns, 6, nsteps + 1), "the records of the run", hint)
     kinetic, elastic, boundary, source, tip_val, tip_vel = columns.transpose(1, 0, 2)
+    delayed = sc.kernel is not None
     if delayed:
-        m, h = sc.m, gen.grid.h
-        norms_sq = np.empty((nruns, m + 1 + nsteps))     # slot j at entry j + m
-        for b, run in enumerate(scenarios):
+        m, h, p = sc.m, gen.grid.h, sc.on_p
+        norms_sq = allocate((nruns, m + 1 + nsteps), "the slot norms of the run", hint)
+        for b, run in enumerate(scenarios):          # slot j at entry j + m
             norms_sq[b, :m + 1] = diagnostics.slot_norms_sq(run.history_slots, h)
+    stepper = _Stepper(scenarios, rows)
+    for b, run in enumerate(scenarios):
+        states[0, b] = run.initial_state
     nrec, ended = np.full(nruns, nsteps + 1), np.zeros(nruns, dtype=bool)
     finite = np.ones(nruns, dtype=bool)          # each run's last state
     with np.errstate(over="ignore", invalid="ignore"):
@@ -645,10 +632,9 @@ def simulate_runs(scenarios: list, keep_states: bool = False) -> list:
             for column, part in zip((kinetic, elastic, boundary, source), parts):
                 column[:, lo:hi] = np.reshape(part, (hi - lo, nruns)).T if np.ndim(part) else part
             tip_val[:, lo:hi], tip_vel[:, lo:hi] = block[:, :, ndof - 1].T, block[:, :, -1].T
-            if delayed:
-                for b, run in enumerate(scenarios):
-                    norms_sq[b, m + first:m + hi] = diagnostics.slot_norms_sq(
-                        run.delayed_traces(window[:, b], first, hi, base), h)
+            if delayed:                          # slots first .. hi - 1 are rows
+                norms_sq[:, m + first:m + hi] = diagnostics.slot_norms_sq(
+                    block[first - lo:, :, ndof + p.start:ndof + p.stop], h).T
             total = kinetic[:, first:hi] + elastic[:, first:hi] + boundary[:, first:hi]
             over = ~(np.sqrt(2.0 * total) <= BLOWUP_NORM)      # nan too
             for b in np.flatnonzero(~ended & over.any(axis=1)):

@@ -14,8 +14,9 @@ with two full walks of the powers (full SVD norms and one `expm` per width,
 or the package's norms and ladder), a stand-in generator that serves a
 given matrix as its state-norm generator, the closed forms of the constant
 and pulse gains, the trajectory and margins CSV writers as one formatted
-value at a time, and the IMEX step taken one step at a time with each
-step's own delay term.
+value at a time, the IMEX step taken one step at a time with each
+step's own delay term, and the per-slot read of the delay history that
+these oracles share, independent of the stepper's ring.
 Each is a reference that tests compare the package's forms, constants and
 files against.
 """
@@ -50,6 +51,14 @@ def quadratic_form(generator, state):
     return generator.state_inner(generator.system_matrix @ state, state)
 
 
+def slot_trace(scenario, states, j):
+    """The velocity on P at slot j of a run with the (records, 2 ndof) `states`:
+    row j + m of `history_slots` for j <= 0, else from row j of `states`."""
+    if j <= 0:
+        return scenario.history_slots[j + scenario.m]
+    return states[j, scenario.generator.ndof:][scenario.on_p]
+
+
 def duhamel_residual(trajectory, check_stride=1):
     """Max relative mismatch between the trajectory and the Duhamel evaluation
     of its scenario.
@@ -80,7 +89,7 @@ def duhamel_residual(trajectory, check_stride=1):
     phi = np.zeros((nrec, 2 * gen.ndof))
     if scenario.kernel is not None:
         m = scenario.m                  # t_j - tau is slot j - m
-        traces = scenario.delayed_traces(trajectory.states, -m, nrec - m)
+        traces = [slot_trace(scenario, trajectory.states, j) for j in range(-m, nrec - m)]
         k = np.atleast_1d(scenario.kernel.eval(trajectory.times))
         phi[:, gen.ndof:][:, scenario.on_p] = -k[:, None] * traces
 
@@ -536,7 +545,7 @@ def reference_states(scenario):
     """All `nsteps` + 1 states of the run, stepped one step at a time.
 
     Each step forms its own delay term -k(t) B B* y_t(t - tau) from the slots
-    it reads (slot j <= 0 from `history_slots`, slot j >= 1 from row j): at
+    it reads (`slot_trace`): at
     t + dt for the second half-step of a start-up pair, as the mean of slots
     ell - m and ell + 1 - m at the midpoint otherwise.  Then v + h g, the
     velocity-block solve with the stepper's Cholesky factor, and the
@@ -548,19 +557,16 @@ def reference_states(scenario):
     n, dt, m = gen.ndof, scenario.dt, scenario.m
     h = 0.5 * dt
     factor = evolution._Stepper([scenario], 1).chol
-    on_p = None if kernel is None else n + np.arange(n)[scenario.on_p]
     states = np.empty((scenario.nsteps + 1, 2 * n))
     states[0] = scenario.initial_state
-
-    def trace(j):
-        return scenario.history_slots[j + m] if j <= 0 else states[j, on_p]
 
     def delay_term(ell, midpoint):
         g = np.zeros(n)
         if kernel is not None:
-            slot = ell + 1 - m
-            delayed = 0.5 * (trace(slot - 1) + trace(slot)) if midpoint else trace(slot)
-            g[on_p - n] = 0.0 - kernel.eval(ell * dt + (h if midpoint else dt)) * delayed
+            delayed = slot_trace(scenario, states, ell + 1 - m)
+            if midpoint:
+                delayed = 0.5 * (slot_trace(scenario, states, ell - m) + delayed)
+            g[scenario.on_p] = 0.0 - kernel.eval(ell * dt + (h if midpoint else dt)) * delayed
         return g
 
     def source_term(u):

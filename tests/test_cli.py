@@ -691,12 +691,20 @@ def test_history_too_large_to_hold_exits_3(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_states_too_large_to_hold_exit_3(tmp_path, capsys, command):
-    # an undelayed run of 2e12 steps: its states array fails at once, and a
-    # sweep, which streams its states, fails at once on its record columns
+@pytest.mark.parametrize("command, delayed", [("simulate", False), ("sweep", False),
+                                               ("sweep", True)],
+                         ids=["simulate", "sweep", "delayed-sweep"])
+def test_states_too_large_to_hold_exit_3(tmp_path, capsys, command, delayed):
+    # a run of 2e12 steps: its states array fails at once, and a sweep, which
+    # streams its states, fails at once on its record columns, before a
+    # delayed stepper asks for its kernel values at every step
     text = BASE_LINEAR.replace("dt = 0.01", "dt = 1e-12")
-    cfg = write(tmp_path, "tiny.ini", text + "\n[sweep]\nparameter = run.t_end\nvalues = 2.0\n")
+    text += "\n[sweep]\nparameter = run.t_end\nvalues = 2.0\n"
+    if delayed:         # the README beam at n = 16, m = 10
+        text = readme_config().replace("n = 64", "n = 16").replace("tau = 0.5", "tau = 1e-11")
+        text = text.replace("dt = 0.0125", "dt = 1e-12").replace("t_end = 10.0", "t_end = 2")
+        assert "t_end = 2\n" in text and "tau = 1e-11\n" in text
+    cfg = write(tmp_path, "tiny.ini", text)
     code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--command", command,
                  "--quiet"])
     err = capsys.readouterr().err

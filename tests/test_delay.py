@@ -14,8 +14,9 @@ from degenwave import (BoundaryParams, CoefficientSpec, Grid, HistoryBuffer,
                        kernel_growth_check, kernel_window_bound, subdomain_gain)
 from degenwave.delay import delay_slots, resolve_history
 from degenwave.errors import NotLocallyIntegrableError
+from degenwave.evolution import _Stepper
 
-from helpers import ClosedFormGain, apply_B, inner_H, norm_H
+from helpers import ClosedFormGain, apply_B, inner_H, norm_H, slot_trace
 
 
 def numeric_window(kernel, t):
@@ -302,7 +303,7 @@ def test_subdomain_dofs_are_a_contiguous_range(kind, n, lower, upper):
     assert np.array_equal(gen.free[sc.on_p], nodes)
 
 
-# -- delayed traces -------------------------------------------------------------------
+# -- delayed traces, read from the stepper's ring -------------------------------------
 
 
 def delayed_scenario(grid, sub, dt, tau, t_end, history=None):
@@ -317,49 +318,54 @@ def delayed_scenario(grid, sub, dt, tau, t_end, history=None):
                                             (0.25, 0.25, 1.0),   # m = 1
                                             (0.25, 2.0, 1.0)])   # tau > t_end
 def test_delayed_traces_match_per_slot_reads(grid65, sub, rng, dt, tau, t_end):
+    # every window of slots the stepper's ring holds, read before and after
+    # `advance` has stepped part of the run: history only, across slot 0,
+    # rows only, and wrapping past the ring's last row
     width = np.arange(*sub.node_range(grid65)).size
     sc = delayed_scenario(grid65, sub, dt, tau, t_end,
                           history=lambda s: rng.standard_normal(width))
-    gen, m, nrec = sc.generator, sc.m, sc.nsteps + 1
-    dofs = gen.ndof + np.searchsorted(gen.free, np.arange(*sub.node_range(grid65)))
-    states = rng.standard_normal((nrec, 2 * gen.ndof))
-
-    def slot(j):
-        return sc.history_slots[j + m] if j <= 0 else states[j, dofs]
-
-    windows = [(-m, 1), (-m, 1 - m), (1 - m, 3), (0, 2), (0, nrec),    # history, across 0
-               (1, nrec), (2, 3), (nrec - 1, nrec)]                      # states only
-    for lo, hi in windows:
-        got = sc.delayed_traces(states, lo, hi)
-        assert got.shape == (hi - lo, width)
-        for j, row in zip(range(lo, hi), got):
-            assert np.array_equal(row, slot(j)), (lo, hi, j)
+    m, nsteps = sc.m, sc.nsteps
+    stepper = _Stepper([sc], 3)
+    states = np.empty((nsteps + 1, 1, 2 * sc.generator.ndof))
+    states[0, 0] = sc.initial_state
+    stops = sorted({0, 1, 3, nsteps // 2, nsteps})
+    for first, last in zip(stops, stops[1:]):
+        stepper.advance(first, last, states[first:])
+        for lo in range(last - m, last + 1):
+            for hi in range(lo + 1, last + 2):
+                got = stepper.slots(lo, hi)
+                assert got.shape == (hi - lo, 1, width)
+                for j, row in zip(range(lo, hi), got[:, 0]):
+                    assert np.array_equal(row, slot_trace(sc, states[:, 0], j)), (last, lo, hi, j)
 
 
 def test_delayed_traces_zero_history(grid65, sub):
     sc = delayed_scenario(grid65, sub, dt=0.25, tau=1.0, t_end=1.0)
-    states = np.ones((sc.nsteps + 1, 2 * sc.generator.ndof))
-    assert np.all(sc.delayed_traces(states, -4, 1) == 0.0)
+    assert np.all(_Stepper([sc], 1).slots(-4, 1) == 0.0)
 
 
 def test_delayed_traces_linear_history(grid65, sub):
     sc = delayed_scenario(grid65, sub, dt=0.25, tau=1.0, t_end=1.0, history=lambda s: s)
-    states = np.ones((sc.nsteps + 1, 2 * sc.generator.ndof))
-    traces = sc.delayed_traces(states, -4, 1)             # slot j at time j dt
+    traces = _Stepper([sc], 1).slots(-4, 1)[:, 0]        # slot j at time j dt
     assert np.array_equal(traces[:, 0], [-1.0, -0.75, -0.5, -0.25, 0.0])
     assert np.all(traces == traces[:, :1])
 
 
 def test_delayed_traces_read_tau_back(grid65, sub, rng):
-    # the slot read tau = 5 dt before t_l is the trace written at t_l - tau
-    sc = delayed_scenario(grid65, sub, dt=0.2, tau=1.0, t_end=2.2)
+    # the slot read tau = 5 dt before t_l is the trace written at t_l - tau,
+    # the run stepped one slot at a time
+    width = np.arange(*sub.node_range(grid65)).size
+    sc = delayed_scenario(grid65, sub, dt=0.2, tau=1.0, t_end=2.2,
+                          history=lambda s: rng.standard_normal(width))
     gen = sc.generator
     dofs = gen.ndof + np.searchsorted(gen.free, np.arange(*sub.node_range(grid65)))
-    states = np.zeros((sc.nsteps + 1, 2 * gen.ndof))
-    written = rng.standard_normal((sc.nsteps + 1, dofs.size))
-    states[:, dofs] = written
-    for ell in range(6, sc.nsteps + 1):
-        assert np.array_equal(sc.delayed_traces(states, ell - 5, ell - 4)[0], written[ell - 5])
+    stepper = _Stepper([sc], 1)
+    states = np.empty((sc.nsteps + 1, 1, 2 * gen.ndof))
+    states[0, 0] = sc.initial_state
+    for ell in range(1, sc.nsteps + 1):
+        stepper.advance(ell - 1, ell, states[ell - 1:])
+        if ell >= 6:
+            assert np.array_equal(stepper.slots(ell - 5, ell - 4)[0, 0], states[ell - 5, 0, dofs])
 
 
 # -- history slot-norm record ---------------------------------------------------------

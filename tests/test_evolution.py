@@ -21,7 +21,7 @@ from degenwave.evolution import (REFINE_GAP, REFINE_LEVELS, _Stepper, pencil_mod
 from degenwave.operators import DiscreteGenerator
 from helpers import (MatrixGenerator, dense_damping, dense_eigenmodes, direct_semigroup_constants,
                      duhamel_residual, eig_semigroup_profile, make_gen,
-                     reference_semigroup_constants, reference_states)
+                     reference_semigroup_constants, reference_states, slot_trace)
 
 #: the non-normal 6 x 6 generator: transient growth (M > 5), horizon doubled twice
 NON_NORMAL = -np.diag(np.linspace(0.3, 2.0, 6)) + np.eye(6, k=1)
@@ -576,7 +576,7 @@ def test_block_solve_matches_dense_trapezoid(monkeypatch, kind, alpha, n, dt):
     stepper = _Stepper([sc], 1)
     state = sc.initial_state
     u, _ = gen.split(state)
-    g = stepper.midpoint_delays(0, 1, state[None, None])[0, 0] + stepper.source_term(u[None])[0]
+    g = stepper.midpoint_delays(0, 1)[0, 0] + stepper.source_term(u[None])[0]
     assert np.any(g != 0.0)
     explicit = gen.join(np.zeros(gen.ndof), g)
     ident = np.eye(2 * gen.ndof)
@@ -1023,11 +1023,12 @@ def test_dt_tau_tolerance_of_scenario():
                 build()
 
 
-def test_delayed_trace_slot_and_half_slot_only(rng):
+def test_delayed_trace_slot_and_half_slot_only():
     # m = tau/dt = 5: a start-up step from t_l reads slot l + 1 - m at t_l + dt,
     # and every step the exact mean of slots l - m and l + 1 - m at the
     # midpoint, prepared for a sub-block of at most m steps; slot j <= 0 is
-    # the initial history, slot j >= 1 the velocity on P in row j
+    # the initial history, slot j >= 1 the velocity on P in row j, which the
+    # ring holds once `advance` has stepped it
     gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
     sub = SubdomainP(0.25, 0.75)
     dt, tau, k0 = 0.05, 0.25, 0.1
@@ -1036,25 +1037,56 @@ def test_delayed_trace_slot_and_half_slot_only(rng):
     stepper = _Stepper([sc], 7)
     assert len(stepper.delay_rows) == 5
     slots = sc.history_slots                        # slot j in row j + m
-    states = rng.standard_normal((8, 1, 2 * gen.ndof))
+    states = np.empty((8, 1, 2 * gen.ndof))
+    states[0, 0] = sc.initial_state
     on_p = np.arange(gen.ndof)[sc.on_p]
     off_p = np.setdiff1d(np.arange(gen.ndof), on_p)
-    trace = states[:, 0, gen.ndof + on_p]           # slot j >= 1 in row j
-    assert np.array_equal(stepper.end_delay(0, states)[0, on_p], -k0 * slots[-4 + 5])
-    end = stepper.end_delay(1, states)[0].copy()
+    assert np.array_equal(stepper.end_delay(0)[0, on_p], -k0 * slots[-4 + 5])
+    end = stepper.end_delay(1)[0].copy()
     assert np.array_equal(end[on_p], -k0 * slots[-3 + 5])
-    mid = stepper.midpoint_delays(1, 2, states)[:, 0]
+    mid = stepper.midpoint_delays(1, 2)[:, 0]
     assert mid.shape == (1, gen.ndof)
     assert np.array_equal(mid[0, on_p], -k0 * (0.5 * (slots[-4 + 5] + slots[-3 + 5])))
     assert mid[0, on_p][0] == pytest.approx(k0 * 3.5 * dt)  # history s at s = -3.5 dt
     assert np.all(end[off_p] == 0.0) and np.all(mid[:, off_p] == 0.0)
-    # sub-blocks of history slots only, of history slots and rows, of rows only
-    for first, last in ((0, 5), (3, 8), (6, 8)):
-        rows = stepper.midpoint_delays(first, last, states)[:, 0]
+
+    def check(first, last):
+        rows = stepper.midpoint_delays(first, last)[:, 0]
         assert rows.shape == (last - first, gen.ndof) and np.all(rows[:, off_p] == 0.0)
         for ell, row in zip(range(first, last), rows):
-            before, after = (slots[j + 5] if j <= 0 else trace[j] for j in (ell - 5, ell - 4))
+            before, after = (slot_trace(sc, states[:, 0], j) for j in (ell - 5, ell - 4))
             assert np.array_equal(row[on_p], -k0 * (0.5 * (before + after)))
+
+    # a sub-block of history slots only; once slot 3 is stepped, one of
+    # history slots and rows, and one of rows only
+    check(0, 5)
+    stepper.advance(0, 3, states)
+    assert np.any(states[1:4, 0, gen.ndof + on_p] != 0.0)
+    check(3, 8)
+    check(6, 8)
+
+
+@pytest.mark.parametrize("tau", [0.0125, 0.0375, 0.25, 2.0])     # m = 1, 3, 20, 160 > steps
+def test_ring_holds_the_last_m_plus_one_slots(tau):
+    # after each `advance` of a batch, ring row (j + m) mod (m + 1) holds slot
+    # j of every run for j = last - m .. last: the history for j <= 0, the
+    # velocity on P in row j after; blocks shorter and longer than m + 1
+    gen = make_gen(OperatorKind.BEAM_NONDIV, 0.5, 16)
+    runs = [simple_scenario(gen, t_end=1.0, dt=0.0125, kernel=KernelSpec.constant(k0, tau),
+                            subdomain=SubdomainP(0.25, 0.75),
+                            history=lambda s, k0=k0: 1.0 + s / k0)
+            for k0 in (0.05, -0.1)]
+    m = runs[0].m
+    stepper = _Stepper(runs, 7)
+    states = np.empty((runs[0].nsteps + 1, 2, 2 * gen.ndof))
+    states[0] = [run.initial_state for run in runs]
+    stops = (0, 1, 4, 11, 30, 31, runs[0].nsteps)
+    for first, last in zip(stops, stops[1:]):
+        stepper.advance(first, last, states[first:])
+        for j in range(last - m, last + 1):
+            for b, run in enumerate(runs):
+                assert np.array_equal(stepper.ring[(j + m) % (m + 1), b],
+                                      slot_trace(run, states[:, b], j)), (last, j, b)
 
 
 @pytest.mark.parametrize("k0", [0.005, -0.02, 0.05])

@@ -1,6 +1,7 @@
 """Repository tooling: the BLAS thread count of the test session, no unused
 imports, definitions, error classes or defaulted parameters in the package
-modules, and the layout of the root `BENCH_*.json` measurement files."""
+modules, no bare numpy array sized by the step count, and the layout of the
+root `BENCH_*.json` measurement files."""
 
 import ast
 import importlib.util
@@ -178,6 +179,27 @@ def test_every_dataclass_field_has_a_reader():
     assert len(fields) >= 40
     unread = {qualified for qualified, name in fields if name not in read}
     assert not unread, sorted(unread)
+
+
+def test_step_sized_arrays_go_through_allocate():
+    # an array whose shape names the step count may be too large to hold: a
+    # bare numpy constructor then raises numpy's MemoryError, where
+    # `errors.allocate` raises the ArrayTooLargeError that the CLI reports
+    constructors = {"empty", "zeros", "ones", "full", "arange"}
+    bare = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in constructors
+                    and getattr(node.func.value, "id", None) == "np"):
+                continue
+            shape = node.args[:1] + [kw.value for kw in node.keywords
+                                     if kw.arg in ("shape", "stop")]
+            named = {getattr(sub, "id", getattr(sub, "attr", None))
+                     for arg in shape for sub in ast.walk(arg)}
+            if "nsteps" in named:
+                bare.append(f"{path.name}:{node.lineno}")
+    assert not bare
 
 
 def test_bench_files_record_environment_parent_and_change():
