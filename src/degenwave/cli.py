@@ -281,7 +281,7 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
     """A summary row per value, set in turn on `cfg`.  A memo entry per raw
     [coefficient] and [operator] items holds the generator and, per raw
     [initial] items, the read-only initial data; `semigroups` holds each
-    generator's semigroup constants.
+    generator's semigroup constants and C_HP.
 
     Every value's scenario is built first.  Consecutive scenarios that share
     a step (`evolution.batches`) are streamed as one batch by
@@ -306,8 +306,10 @@ def run_sweep(cfg, out_dir: Path, quiet: bool) -> int:
             if scenario.certifiable:
                 gen = scenario.generator
                 if gen not in semigroups:
-                    semigroups[gen] = evolution.semigroup_constants(gen)
-                result = evolution.certify_scenario(scenario, semigroups[gen])
+                    semigroups[gen] = (evolution.semigroup_constants(gen),
+                                       nonlinearity.hardy_poincare_constant(gen.profile))
+                semigroup, c_hp = semigroups[gen]
+                result = evolution.certify_scenario(scenario, semigroup, c_hp)
                 feasible, predicted = "yes", f"{result.threshold.predicted_rate:.12g}"
         except (InfeasibleError, NotExponentiallyStableError):
             pass

@@ -126,7 +126,8 @@ def growth_envelope_C(kernel: Optional[KernelSpec], b: float, t) -> np.ndarray:
         out = np.ones_like(t)
         return out if out.ndim else float(out)
     shifted = kernel.cumabs(t + kernel.tau) - kernel.cumabs(kernel.tau)
-    out = np.exp(2.0 * b * b * (kernel.cumabs(t) + shifted))
+    with np.errstate(over="ignore"):  # C(t) = inf is the envelope's value there
+        out = np.exp(2.0 * b * b * (kernel.cumabs(t) + shifted))
     return out if out.ndim else float(out)
 
 
@@ -297,6 +298,13 @@ def decay_fit(trajectory) -> DecayFit:
 
     Reads the trajectory's `times` and `state_norms`.  Points with norm
     below 1e-14 are dropped; if none survive anywhere, DegenerateFitError.
+    The line y = log ||Y|| ~ slope t + intercept is the centred closed form
+
+        slope = sum (t - t_mean)(y - y_mean) / sum (t - t_mean)^2,
+        intercept = y_mean - slope t_mean
+
+    (Chan, Golub & LeVeque 1983): a two-parameter line needs no LAPACK
+    least-squares solve, so a run that fits makes no numpy.linalg call.
     """
     times = np.asarray(trajectory.times, dtype=float)
     norms = np.asarray(trajectory.state_norms, dtype=float)
@@ -310,9 +318,12 @@ def decay_fit(trajectory) -> DecayFit:
     if t_fit.size < 3:
         raise DegenerateFitError("fewer than 3 usable points in the fit window")
     logs = np.log(n_fit)
-    slope, intercept = np.polyfit(t_fit, logs, 1)
+    t_mean, log_mean = np.mean(t_fit), np.mean(logs)
+    t_dev, log_dev = t_fit - t_mean, logs - log_mean
+    slope = np.sum(t_dev * log_dev) / np.sum(t_dev * t_dev)
+    intercept = log_mean - slope * t_mean
     pred = slope * t_fit + intercept
     ss_res = float(np.sum((logs - pred) ** 2))
-    ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
+    ss_tot = float(np.sum(log_dev ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return DecayFit(rate=float(-slope), r_squared=r2)

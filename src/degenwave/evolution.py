@@ -775,15 +775,16 @@ def smallness_level(scenario: Scenario) -> float:
                                                             scenario.m, scenario.dt)[0])
 
 
-def certify_scenario(scenario: Scenario, semigroup: Optional[SemigroupCertificate] = None
-                     ) -> "diagnostics.CertificationResult":
+def certify_scenario(scenario: Scenario, semigroup: Optional[SemigroupCertificate] = None,
+                     c_hp: Optional[float] = None) -> "diagnostics.CertificationResult":
     """End-to-end certificate pipeline for one scenario.
 
     Takes the semigroup constants of the scenario's generator from
     `semigroup`, or computes them with `semigroup_constants` when it is None,
-    then the kernel window/growth certificates and the small-data threshold.
-    A caller that certifies several scenarios on one generator (a sweep over
-    the kernel, source or data) computes the constants once and passes them.
+    then the kernel window/growth certificates and the small-data threshold,
+    whose C_HP is `c_hp`, or the profile's `hardy_poincare_constant` when it
+    is None.  A caller that certifies several scenarios on one generator (a
+    sweep over the kernel, source or data) computes both once and passes them.
     Raises NotExponentiallyStableError or InfeasibleError when no certificate
     exists, and InfeasibleError before any work when the scenario is not
     `certifiable`.
@@ -798,6 +799,6 @@ def certify_scenario(scenario: Scenario, semigroup: Optional[SemigroupCertificat
     envelope = kernel_growth_check(kernel, semi.M, semi.omega, scenario.b)
     threshold = diagnostics.threshold_certificate(
         semi, kernel, envelope, scenario.b, scenario.source,
-        constants_for(scenario.source, gen.profile))
+        constants_for(scenario.source, gen.profile, c_hp))
     return diagnostics.CertificationResult(
         semigroup=semi, envelope=envelope, b=scenario.b, threshold=threshold)

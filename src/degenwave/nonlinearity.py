@@ -84,9 +84,13 @@ class NonlinearityConstants:
     d_p: Optional[float] = None
 
 
-def constants_for(source: SourceKind, profile: CoefficientProfile) -> NonlinearityConstants:
-    """Assemble the constants bundle, C_HP from `hardy_poincare_constant`."""
-    c_hp, a_max = hardy_poincare_constant(profile), profile.a_max
+def constants_for(source: SourceKind, profile: CoefficientProfile,
+                  c_hp: Optional[float] = None) -> NonlinearityConstants:
+    """Assemble the constants bundle, C_HP from `hardy_poincare_constant`
+    unless the caller already has the profile's `c_hp`."""
+    if c_hp is None:
+        c_hp = hardy_poincare_constant(profile)
+    a_max = profile.a_max
     m = source.exponent
     if source.kind == SOURCE_POWER:
         c_q = certificate_constant(f"the source constant C_q = 2^(2q - 1) at q = {m:g}",

@@ -8,7 +8,9 @@ the dense eigenvector route, synthetic elements of the clamped and pinned
 discrete spaces, the clamped curvature seminorm read from `curvature_map`,
 the dense row-by-row elastic map and stiffness of a generator, its dense
 tip damping D, the subdomain extension B and the L2(P) pairing, the
-pointwise and sampled checks of the source hypotheses, a semigroup-constant
+pointwise and sampled checks of the source hypotheses, the decay fit
+through `np.polyfit` (the package's former least-squares line), a
+semigroup-constant
 sampler with one matrix exponential per sample time, the certificate route
 with two full walks of the powers (full SVD norms and one `expm` per width,
 or the package's norms and ladder), a stand-in generator that serves a
@@ -30,7 +32,7 @@ from scipy.linalg.lapack import dpbtrs
 
 from degenwave import (BoundaryParams, CoefficientSpec, Grid, assemble, classify, evolution,
                        growth_envelope_C)
-from degenwave.diagnostics import GROWTH_TOL
+from degenwave.diagnostics import FIT_WINDOW_FRAC, GROWTH_TOL
 from degenwave.errors import InfeasibleError, SubdomainNotAlignedError
 from degenwave.evolution import (HORIZON_DOUBLINGS, REFINE_GAP, REFINE_LEVELS,
                                  SemigroupCertificate)
@@ -519,6 +521,18 @@ class ClosedFormGain:
         if slope >= omega:
             raise InfeasibleError(f"constant gain slope {slope:.3e} >= omega {omega:.3e}")
         return 0.0, slope
+
+
+def reference_decay_fit(times, norms):
+    """(rate, r^2) of `diagnostics.decay_fit` with the line from `np.polyfit`."""
+    start = int(len(times) * (1.0 - FIT_WINDOW_FRAC))
+    t_fit, n_fit = np.asarray(times[start:], float), np.asarray(norms[start:], float)
+    keep = np.isfinite(n_fit) & (n_fit > 1e-14)
+    t_fit, logs = t_fit[keep], np.log(n_fit[keep])
+    slope, intercept = np.polyfit(t_fit, logs, 1)
+    ss_res = np.sum((logs - (slope * t_fit + intercept)) ** 2)
+    ss_tot = np.sum((logs - np.mean(logs)) ** 2)
+    return -slope, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 def reference_trajectory_csv(trajectory, path):

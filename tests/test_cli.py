@@ -4,12 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from degenwave import evolution, operators
+from degenwave import diagnostics, evolution, nonlinearity, operators
 from degenwave.cli import ConfigError, build_scenario, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -259,16 +260,18 @@ def test_sweep_semigroup_constants_once_per_generator(tmp_path, monkeypatch, par
     cfg = write(tmp_path, "sweep.ini",
                 text + f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\n")
     calls = []
-    semigroup_constants = evolution.semigroup_constants
-    monkeypatch.setattr(evolution, "semigroup_constants",
-                        lambda *a, **k: calls.append(1) or semigroup_constants(*a, **k))
+    for module, name in ((evolution, "semigroup_constants"),
+                         (nonlinearity, "hardy_poincare_constant")):
+        monkeypatch.setattr(module, name, lambda *a, _name=name, _f=getattr(module, name),
+                            **k: calls.append(_name) or _f(*a, **k))
     assert main(["--config", cfg, "--out", str(tmp_path / "shared"), "--command",
                  "sweep", "--quiet"]) == 0
-    assert len(calls) == expected_calls
+    assert sorted(calls) == (["hardy_poincare_constant"] * expected_calls
+                             + ["semigroup_constants"] * expected_calls)
     # the same sweep with a certificate computed afresh for every value
     certify = evolution.certify_scenario
     monkeypatch.setattr(evolution, "certify_scenario",
-                        lambda scenario, semigroup=None, constants=None: certify(scenario))
+                        lambda scenario, semigroup=None, c_hp=None: certify(scenario))
     assert main(["--config", cfg, "--out", str(tmp_path / "fresh"), "--command",
                  "sweep", "--quiet"]) == 0
     summary = (tmp_path / "shared" / "summary.csv").read_text()
@@ -364,6 +367,45 @@ def test_run_of_no_whole_step_exits_3(tmp_path, capsys):
 def readme_config():
     """The ```ini block of README.md, verbatim, inline comments included."""
     return re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+
+
+def run_cli_process(*argv):
+    """`python -m degenwave.cli *argv` in a fresh interpreter on this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(evolution.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "degenwave.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_overflowing_growth_envelope_runs_quietly(tmp_path, monkeypatch):
+    # the README beam at n = 32 and k0 = 10: C(t) overflows to inf, its value
+    text = (readme_config().replace("n = 64 ", "n = 32 ").replace("k0 = 0.005", "k0 = 10")
+            .replace("t_end = 10.0", "t_end = 20"))
+    cfg = write(tmp_path, "overflow.ini", text)
+    proc = run_cli_process("--config", cfg, "--out", str(tmp_path / "quiet"), "--quiet")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # the files are those of the envelope with numpy's overflow warning on
+    overflows = []
+
+    def warned(kernel, b, t):
+        t = np.asarray(t, dtype=float)
+        shifted = kernel.cumabs(t + kernel.tau) - kernel.cumabs(kernel.tau)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over="warn"):
+                out = np.exp(2.0 * b * b * (kernel.cumabs(t) + shifted))
+        overflows.extend(caught)
+        return out if out.ndim else float(out)
+
+    monkeypatch.setattr(diagnostics, "growth_envelope_C", warned)
+    assert main(["--config", cfg, "--out", str(tmp_path / "warned"), "--quiet"]) == 0
+    assert overflows
+    names = sorted(p.name for p in (tmp_path / "warned").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "quiet").iterdir())
+    for name in names:
+        assert ((tmp_path / "quiet" / name).read_bytes()
+                == (tmp_path / "warned" / name).read_bytes()), name
 
 
 def test_readme_example_config_runs(tmp_path):
@@ -826,13 +868,8 @@ def test_nothing_outlives_a_sweep(tmp_path):
     rewrite(x ** 2 * np.sin(2.0 * x))
     code, second = _sweep(tmp_path, text, "kernel.k0", "0.002, 0.005", "second")
     assert code == 0
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(evolution.__file__).parents[1]), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "degenwave.cli", "--config", str(tmp_path / "sweep.ini"),
-         "--out", str(tmp_path / "fresh"), "--command", "sweep", "--quiet"],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = run_cli_process("--config", str(tmp_path / "sweep.ini"),
+                           "--out", str(tmp_path / "fresh"), "--command", "sweep", "--quiet")
     assert proc.returncode == 0, proc.stderr
     assert second.read_bytes() == (tmp_path / "fresh" / "summary.csv").read_bytes()
     assert (tmp_path / "first" / "summary.csv").read_bytes() != second.read_bytes()

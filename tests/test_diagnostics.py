@@ -16,9 +16,11 @@ from degenwave import (BoundaryParams, BoundReport, CoefficientSpec,
                        growth_envelope_C, kernel_growth_check, polynomial_state,
                        semigroup_constants, simulate, threshold_certificate)
 from degenwave.delay import HistoryBuffer, resolve_history
-from degenwave.diagnostics import EnergyBreakdown, history_energy, source_energy
+from degenwave.diagnostics import (FIT_WINDOW_FRAC, EnergyBreakdown, history_energy,
+                                   source_energy)
 from degenwave.evolution import Trajectory
-from helpers import make_gen, reference_margins_csv, reference_trajectory_csv
+from helpers import (make_gen, reference_decay_fit, reference_margins_csv,
+                     reference_trajectory_csv)
 
 
 # -- energy breakdown --------------------------------------------------------------
@@ -534,3 +536,35 @@ def test_decay_fit_degenerate():
     ts = np.linspace(0.0, 1.0, 50)
     with pytest.raises(DegenerateFitError):
         decay_fit(SimpleNamespace(times=ts, state_norms=np.full_like(ts, 1e-16)))
+
+
+def _fit_window(rng, length):
+    """Seeded records whose fit window keeps `length` points: a decay rate in
+    [1e-3, 5], noisy logs, and nan, inf and sub-1e-14 norms in the window."""
+    rate = 10.0 ** rng.uniform(-3.0, math.log10(5.0))
+    n_bad = int(rng.integers(0, length // 4 + 1))
+    window = length + n_bad
+    records = math.ceil(window / FIT_WINDOW_FRAC)
+    while records - int(records * (1.0 - FIT_WINDOW_FRAC)) > window:
+        records -= 1
+    decay = rng.uniform(1.0, 12.0)      # e-folds over the window
+    times = np.linspace(0.0, decay / (FIT_WINDOW_FRAC * rate), records)
+    logs = rng.uniform(0.0, 3.0) - rate * times
+    logs += rng.uniform(0.0, 0.25) * decay * rng.standard_normal(records)
+    norms = np.exp(logs)
+    bad = records - window + rng.choice(window, n_bad, replace=False)
+    norms[bad] = rng.choice([np.nan, np.inf, -np.inf, 1e-15, 0.0], n_bad)
+    return times, norms
+
+
+@pytest.mark.parametrize("length", [3, 4, 7, 60, 500, 3000, 10000])
+@pytest.mark.parametrize("seed", range(4))
+def test_decay_fit_matches_the_polyfit_oracle(length, seed):
+    times, norms = _fit_window(np.random.default_rng([20241022, length, seed]), length)
+    start = int(len(times) * (1.0 - FIT_WINDOW_FRAC))
+    kept = np.isfinite(norms[start:]) & (norms[start:] > 1e-14)
+    assert kept.sum() == length
+    fit = decay_fit(SimpleNamespace(times=times, state_norms=norms))
+    rate, r_squared = reference_decay_fit(times, norms)
+    assert fit.rate == pytest.approx(rate, rel=1e-12)
+    assert fit.r_squared == pytest.approx(r_squared, rel=1e-12)

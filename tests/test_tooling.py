@@ -1,7 +1,8 @@
 """Repository tooling: the BLAS thread count of the test session, no unused
 imports, definitions, error classes or defaulted parameters in the package
-modules, no bare numpy array sized by the step count, and the layout of the
-root `BENCH_*.json` measurement files."""
+modules, no bare numpy array sized by the step count, no numpy LAPACK call
+in a `simulate` run from csv or polynomial data, and the layout of the root
+`BENCH_*.json` measurement files."""
 
 import ast
 import importlib.util
@@ -10,7 +11,10 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from degenwave import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ROOT / "bench" / "run.py"
@@ -210,3 +214,67 @@ def test_bench_files_record_environment_parent_and_change():
         assert bench["environment"]["blas_threads"], path.name
         for side in ("parent", "change"):
             assert bench[side]["result"]["metrics"], (path.name, side)
+
+
+SIMULATE = """\
+[coefficient]
+kind = power
+alpha = 0.5
+
+[operator]
+kind = beam_nondiv
+n = 16
+beta = 1.0
+gamma = 1.0
+{kernel}
+[source]
+kind = {source}
+q = 1.0
+
+[initial]
+preset = {preset}
+amplitude = 0.001
+history = zero
+
+[run]
+dt = 0.0125
+t_end = 2.0
+"""
+
+KERNEL = """
+[kernel]
+kind = constant
+k0 = 0.005
+tau = 0.25
+subdomain = 0.25, 0.75
+"""
+
+
+@pytest.mark.parametrize("preset", ["polynomial", "csv"])
+@pytest.mark.parametrize("delayed", [False, True])
+@pytest.mark.parametrize("source", ["none", "power"])
+def test_simulate_makes_no_numpy_linalg_call(tmp_path, monkeypatch, preset, delayed, source):
+    # a simulate run from csv or polynomial data loads none of numpy's LAPACK:
+    # its decay fit is a closed form; only the eigenmode preset's spectrum, a
+    # dense eigvals, and the certificates need numpy.linalg
+    if preset == "csv":
+        x = np.linspace(0.0, 1.0, 16)
+        rows = np.column_stack((x, x ** 2 * np.cos(3.0 * x), x ** 2 * np.sin(2.0 * x)))
+        np.savetxt(tmp_path / "initial.csv", rows, delimiter=",", header="x,y0,y1",
+                   comments="", fmt="%.17g")
+        preset = f"csv:{tmp_path / 'initial.csv'}"
+    config = tmp_path / "run.ini"
+    config.write_text(SIMULATE.format(kernel=KERNEL if delayed else "", source=source,
+                                      preset=preset))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy LAPACK call")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    for name in dir(np.linalg):
+        if not name.startswith("_") and callable(getattr(np.linalg, name)) \
+                and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out", str(out), "--quiet"]) == 0
+    assert "fitted_rate" in (out / "energy_report.txt").read_text()
